@@ -1,8 +1,9 @@
 //! Counting-allocator proof that the detection hot path is allocation-free
 //! once warm: global/shared RDU observes, warp store checks through
-//! [`RaceScratch`], barrier resets, and transaction coalescing all reuse
-//! their buffers, so a second pass over the same access pattern must not
-//! touch the allocator at all.
+//! [`RaceScratch`], barrier resets, transaction coalescing, and batch
+//! checks with a transition sink attached all reuse their buffers, so a
+//! second pass over the same access pattern must not touch the allocator
+//! at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -52,6 +53,8 @@ struct Pipeline {
     lockset_warps: [Vec<MemAccess>; 2],
     /// Round parity selecting which lockset warp goes next.
     tick: usize,
+    /// Fig. 3 edges reported to the tracing sink (counted, not stored).
+    edges: u64,
     lane_addrs: Vec<LaneAddr>,
     txs: Vec<Transaction>,
     health: DetectorHealth,
@@ -104,6 +107,7 @@ impl Pipeline {
                     .collect()
             }),
             tick: 0,
+            edges: 0,
             lane_addrs: (0..32u8)
                 .map(|l| LaneAddr { lane: l, addr: 0x1000 + u32::from(l) * 4, size: 4 })
                 .collect(),
@@ -147,6 +151,34 @@ impl Pipeline {
             &mut self.log,
             &mut self.health,
             None,
+            |_traffic| {},
+        );
+        // The same batches with a transition sink attached, as a traced
+        // launch runs them: the global warp in its same-thread steady
+        // state (wide rung), the shared warp after another reset, so it
+        // finds every entry fresh again (full check).
+        let edges = &mut self.edges;
+        let mut sink = |_addr: u32, _from: ShadowState, _to: ShadowState| *edges += 1;
+        self.grdu.check_warp_batch(
+            &self.global_lanes,
+            true,
+            &self.clocks,
+            &mut self.scratch,
+            &mut self.log,
+            &mut self.health,
+            Some(&mut sink),
+            |_traffic| {},
+        );
+        self.srdu.reset_block_range(0, 48 * 1024);
+        self.srdu.check_warp_batch(
+            &self.shared_lanes,
+            true,
+            &self.clocks,
+            &mut self.scratch,
+            &mut self.log,
+            &mut self.health,
+            Some(&mut sink),
+            |_traffic| {},
         );
         // Batched lockset path: cross-warp writes under a common lock are
         // benign, so the Bloom intersection verdict is hoisted per run
@@ -169,7 +201,7 @@ impl Pipeline {
         view.mad(Reg(3), Src::Reg(Reg(0)), Src::Imm(3), Src::Reg(Reg(4)), 0xFFFF);
         view.setp(CmpOp::LtU, Reg(5), Src::Reg(Reg(3)), Src::Imm(64), u32::MAX);
         let taken = view.vote(Reg(5), true, u32::MAX);
-        self.txs.len() + self.log.total() as usize + taken as usize
+        self.txs.len() + self.log.total() as usize + taken as usize + self.edges as usize
     }
 }
 

@@ -50,12 +50,6 @@ pub struct DetectorConfig {
     /// in the paper's hardware, hence off by default).
     #[serde(default)]
     pub witness_capture: bool,
-    /// Pin both RDUs' batch pipelines to the per-lane scalar shadow path
-    /// (bisection hatch for the wide SWAR tier; see [`crate::dispatch`]).
-    /// `false` still honors the `HACCRG_FORCE_SCALAR_SHADOW` environment
-    /// variable — the config can force scalar on, not force it off.
-    #[serde(default)]
-    pub force_scalar_shadow: bool,
 }
 
 impl Default for DetectorConfig {
@@ -79,7 +73,6 @@ impl DetectorConfig {
             l1_stale_check: true,
             exact_lockset: false,
             witness_capture: false,
-            force_scalar_shadow: false,
         }
     }
 

@@ -1,6 +1,7 @@
 //! Shadow-check dispatch accounting and the scalar-path escape hatch.
 //!
-//! The batch pipeline now has three ways to retire a lane:
+//! The batch kernel ([`crate::region::ShadowRegion::check_warp_batch`])
+//! retires each lane on one of three rungs:
 //!
 //! * **wide** — the SWAR hot-word screen passed and the lane was applied
 //!   vectorized (no per-entry branch chain, no AoS touch on the steady
@@ -8,29 +9,27 @@
 //! * **cs-fast** — the lane screened out because it is in a critical
 //!   section, but the batched lockset path
 //!   ([`crate::shadow::ShadowEntry::observe_lockset_fast`]) settled the
-//!   §III-B verdict without the `#[cold]` scalar fallback;
-//! * **scalar** — the per-lane reference path (`check_chunk` /
-//!   `check_chunk_slow`), also used verbatim whenever tracing, witness
-//!   capture, or the escape hatch pins it.
+//!   §III-B verdict without the full check;
+//! * **scalar** — the full Fig. 3 check, also taken by multi-chunk and
+//!   page-straddling lanes and by every lane when the escape hatch pins it.
 //!
-//! [`DispatchStats`] counts lanes per tier so tests (and bisection) can
-//! assert which path actually ran — detection results are bit-identical
-//! across tiers by construction, so nothing else observable moves.
+//! Tracing and witness capture run on whichever rung retires the lane —
+//! each rung reports its own Fig. 3 edges and witness events — so
+//! attaching an observer never changes the tier. [`DispatchStats`] counts
+//! lanes per tier so tests (and bisection) can assert which path actually
+//! ran; detection results are bit-identical across tiers by construction,
+//! so nothing else observable moves.
 //!
 //! Setting the environment variable `HACCRG_FORCE_SCALAR_SHADOW`
-//! (`1`/`true`/`yes`/`on`) — or calling
-//! [`set_force_scalar_shadow`] before RDUs are built, which is what
-//! `warp_bench` does for its reference columns — pins every lane to the
-//! scalar tier, mirroring `--no-cycle-skip` for the cycle-skip layer.
-//! Both RDUs also expose a per-instance `set_force_scalar` override so
-//! tests can pin a single detector without racing the process-wide knob.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! (`1`/`true`/`yes`/`on`) pins every lane of every RDU built afterwards
+//! to the scalar tier, mirroring `--no-cycle-skip` for the cycle-skip
+//! layer. Each RDU's `set_force_scalar` overrides that per instance,
+//! which is what tests and `warp_bench`'s reference columns use.
 
 /// Per-RDU counters of how many lanes each dispatch tier retired.
 ///
-/// Deliberately *not* part of `GlobalRduStats`/`SharedRduStats`: those
-/// are compared bit-identical between scalar and batch pipelines by the
+/// Deliberately *not* part of [`crate::region::RduStats`]: those are
+/// compared bit-identical between scalar and batch pipelines by the
 /// equivalence suites, while dispatch counts differ by construction
 /// (that difference is exactly what the escape-hatch test asserts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,10 +49,6 @@ impl DispatchStats {
     }
 }
 
-/// Process-wide override: 0 = unset (consult the environment),
-/// 1 = forced scalar, 2 = forced wide (ignore the environment).
-static FORCE_SCALAR: AtomicU8 = AtomicU8::new(0);
-
 /// Parse an `HACCRG_FORCE_SCALAR_SHADOW` value. Split out for tests —
 /// mutating the process environment is racy under the threaded test
 /// harness.
@@ -61,22 +56,10 @@ pub fn parse_force_scalar(value: Option<&str>) -> bool {
     matches!(value, Some("1" | "true" | "yes" | "on"))
 }
 
-/// Pin (or unpin) the scalar shadow path for every RDU constructed from
-/// now on. Takes precedence over the environment variable.
-pub fn set_force_scalar_shadow(force: bool) {
-    FORCE_SCALAR.store(if force { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether newly constructed RDUs should pin the scalar shadow path:
-/// the programmatic override if set, else `HACCRG_FORCE_SCALAR_SHADOW`.
+/// Whether newly constructed RDUs should pin the scalar shadow path
+/// (`HACCRG_FORCE_SCALAR_SHADOW`).
 pub fn force_scalar_shadow_default() -> bool {
-    match FORCE_SCALAR.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => parse_force_scalar(
-            std::env::var("HACCRG_FORCE_SCALAR_SHADOW").ok().as_deref(),
-        ),
-    }
+    parse_force_scalar(std::env::var("HACCRG_FORCE_SCALAR_SHADOW").ok().as_deref())
 }
 
 #[cfg(test)]

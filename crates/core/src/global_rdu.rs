@@ -8,192 +8,35 @@
 //! as ordinary data — which is exactly where the combined-detection
 //! overhead of Fig. 7/9 comes from.
 //!
-//! Functionally the sliced RDUs operate on one logical shadow table. This
-//! type models that table plus the address arithmetic the slices use; the
-//! simulator charges the timing by replaying the [`ShadowTraffic`] each
-//! check emits into its L2/DRAM model.
+//! Functionally the sliced RDUs operate on one logical shadow table: a
+//! [`ShadowRegion`] over the heap, whose checks skip untracked addresses,
+//! count §VI-C2 truncated-ID collisions, and report the
+//! [`crate::region::ShadowTraffic`] the simulator replays into its L2/DRAM
+//! model.
 
-use serde::{Deserialize, Serialize};
-
-use crate::access::{MemAccess, MemSpace};
 use crate::bloom::BloomConfig;
-use crate::clocks::ClockFile;
+use crate::config::DetectorConfig;
 use crate::cost;
-use crate::dispatch::DispatchStats;
 use crate::granularity::Granularity;
-use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_RING_DEPTH};
-use crate::intra_warp::check_intra_warp_waw_into;
-use crate::packed::id_truncation_collision;
-use crate::race::RaceLog;
-use crate::scratch::RaceScratch;
-use crate::shadow::{ShadowEntry, ShadowPolicy, ShadowState};
-use crate::shadow_table::{ShadowTable, PAGE_ENTRIES};
+use crate::region::{ShadowRegion, Space};
+use crate::shadow::ShadowPolicy;
 
-/// Callback invoked by the batch checkers for every Fig. 3 state-machine
-/// edge, in the exact order the scalar pipeline would have emitted
-/// `ShadowTransition` events: `(chunk_addr, from, to)`.
-pub type TransitionSink<'a> = &'a mut dyn FnMut(u32, ShadowState, ShadowState);
+/// The global-memory space: entries for the heap, shadow words in device
+/// memory, rules with sync-ID epochs, fences and the stale-L1 check.
+#[derive(Clone, Copy, Debug)]
+pub struct Global;
 
-/// One shadow-entry check, shared by the scalar-fallback and page-run
-/// paths of the batch pipeline. Returns whether the entry changed (the
-/// `ShadowTraffic::writes` signal). Exactly [`GlobalRdu::observe_health`]'s
-/// inner loop body, preceded by the same-thread fast path when no
-/// transition sink needs before/after observation. Split so the steady
-/// state inlines into the batch loop while the full state machine stays
-/// out of line (`#[cold]`) — the call only materializes when the fast
-/// path bails.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn check_chunk(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    count_truncation: bool,
-    traced: bool,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) -> bool {
-    if !traced {
-        if let Some((changed, state_before, state_after)) = entry.observe_same_thread_fast(a, policy)
-        {
-            if capture_witness && a.kind.is_tracked() {
-                ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_addr,
-                    state_before,
-                    state_after,
-                });
-            }
-            return changed;
-        }
-    }
-    check_chunk_slow(
-        entry,
-        a,
-        chunk_addr,
-        count_truncation,
-        clocks,
-        policy,
-        capture_witness,
-        ring,
-        log,
-        h,
-        on_transition,
-    )
-}
+impl Space for Global {
+    const TRAFFIC: bool = true;
 
-/// The full Fig. 3 dispatch for one chunk — everything past the
-/// same-thread fast path.
-#[allow(clippy::too_many_arguments)]
-#[cold]
-#[inline(never)]
-fn check_chunk_slow(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    count_truncation: bool,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) -> bool {
-    let mut chunk_access = *a;
-    chunk_access.addr = chunk_addr;
-    let before = *entry;
-    if count_truncation
-        && a.kind.is_tracked()
-        && !before.is_fresh()
-        && id_truncation_collision(&before, &a.who)
-    {
-        h.id_truncation_collisions += 1;
+    fn configure(cfg: &DetectorConfig) -> (Granularity, ShadowPolicy) {
+        let policy = ShadowPolicy::global(!cfg.warp_regrouping, cfg.l1_stale_check, cfg.bloom);
+        (cfg.global_granularity, policy)
     }
-    let race = entry.observe_health(&chunk_access, clocks, policy, h);
-    let state_after = entry.state();
-    let changed = *entry != before;
-    if let Some(cb) = on_transition.as_deref_mut() {
-        if state_after != before.state() {
-            cb(chunk_addr, before.state(), state_after);
-        }
-    }
-    if capture_witness && a.kind.is_tracked() {
-        ring.push(WitnessEvent {
-            cycle: a.cycle,
-            who: a.who,
-            pc: a.pc,
-            kind: a.kind,
-            addr: chunk_addr,
-            state_before: before.state(),
-            state_after,
-        });
-    }
-    if let Some(r) = race {
-        if capture_witness {
-            log.push_with_witness(r, &ring.collect_for(chunk_addr));
-        } else {
-            log.push(r);
-        }
-    }
-    changed
-}
-
-/// Shadow-memory accesses generated by one detection check, for the timing
-/// model to replay. Each entry check is a read-modify-write of the packed
-/// shadow word at `shadow_addr`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub struct ShadowTraffic {
-    /// Device address of the first shadow word touched.
-    pub shadow_addr: u32,
-    /// Number of shadow words read (one per chunk the access straddles).
-    pub reads: u8,
-    /// Number of shadow words written back (state changed).
-    pub writes: u8,
-}
-
-/// Counters for the evaluation harness.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-#[allow(missing_docs)] // counter names are self-describing
-pub struct GlobalRduStats {
-    pub checks: u64,
-    pub shadow_reads: u64,
-    pub shadow_writes: u64,
-    /// Detection-only requests triggered by L1 read hits (§IV-B).
-    pub l1_hit_probes: u64,
-    pub intra_warp_checks: u64,
 }
 
 /// The logical global shadow table + per-slice RDU behaviour.
-#[derive(Clone, Debug)]
-pub struct GlobalRdu {
-    /// Device base address of the tracked (heap) region.
-    base: u32,
-    /// Device address where the shadow region itself is allocated.
-    shadow_base: u32,
-    gran: Granularity,
-    table: ShadowTable,
-    policy: ShadowPolicy,
-    /// Opt-in windowed access recorder feeding per-race witness timelines.
-    capture_witness: bool,
-    ring: WitnessRing,
-    /// Check/traffic counters.
-    pub stats: GlobalRduStats,
-    /// Escape hatch: pin every batch lane to the scalar reference path
-    /// (`HACCRG_FORCE_SCALAR_SHADOW`, [`crate::dispatch`]).
-    force_scalar: bool,
-    /// Lanes retired per dispatch tier (wide / cs-fast / scalar).
-    pub dispatch: DispatchStats,
-}
+pub type GlobalRdu = ShadowRegion<Global>;
 
 impl GlobalRdu {
     /// Track `tracked_bytes` of device memory starting at `base`. The
@@ -209,513 +52,30 @@ impl GlobalRdu {
         l1_stale_check: bool,
         bloom: BloomConfig,
     ) -> Self {
-        Self {
-            base,
-            shadow_base,
-            gran,
-            table: ShadowTable::new(gran.entries_for(tracked_bytes)),
-            policy: ShadowPolicy::global(warp_filter, l1_stale_check, bloom),
-            capture_witness: false,
-            ring: WitnessRing::with_depth(WITNESS_RING_DEPTH),
-            stats: GlobalRduStats::default(),
-            force_scalar: crate::dispatch::force_scalar_shadow_default(),
-            dispatch: DispatchStats::default(),
-        }
-    }
-
-    /// Pin (`true`) or re-enable (`false`) the wide SWAR tier for this
-    /// RDU only, overriding the `HACCRG_FORCE_SCALAR_SHADOW` default the
-    /// constructor read. Detection results are identical either way;
-    /// only [`Self::dispatch`] moves.
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
-    }
-
-    /// Whether the scalar shadow path is pinned for this RDU.
-    pub fn force_scalar(&self) -> bool {
-        self.force_scalar
-    }
-
-    /// Enable/disable the windowed access recorder. When enabled, every
-    /// detected race carries a bounded witness timeline of recent accesses
-    /// to the racy chunk.
-    pub fn set_witness_capture(&mut self, on: bool) {
-        self.capture_witness = on;
-        if !on {
-            self.ring.clear();
-        }
-    }
-
-    /// Switch both-protected conflict decisions to the exact lookup-table
-    /// lockset (§III-B alternative) where exact info is available.
-    pub fn set_exact_lockset(&mut self, on: bool) {
-        self.policy.exact_lockset = on;
-    }
-
-    /// Tracked-region base address.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Number of shadow entries.
-    pub fn num_entries(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Shadow pages currently materialized (diagnostics/benchmarks).
-    pub fn pages_allocated(&self) -> usize {
-        self.table.pages_allocated()
-    }
-
-    /// Tracking granularity.
-    pub fn granularity(&self) -> Granularity {
-        self.gran
+        let cfg = DetectorConfig {
+            global_granularity: gran,
+            warp_regrouping: !warp_filter,
+            l1_stale_check,
+            bloom,
+            ..DetectorConfig::paper_default()
+        };
+        Self::from_config(&cfg, Global, base, tracked_bytes, shadow_base)
     }
 
     /// Size of the reserved shadow region in bytes (Table IV's overhead).
     pub fn shadow_bytes(&self) -> u64 {
-        self.table.len() as u64 * u64::from(cost::GLOBAL_SHADOW_STRIDE_BYTES)
-    }
-
-    /// Device address of the shadow word for chunk `idx`.
-    pub fn shadow_addr(&self, idx: usize) -> u32 {
-        self.shadow_base + (idx as u32) * cost::GLOBAL_SHADOW_STRIDE_BYTES
-    }
-
-    /// Whether `addr` falls inside the tracked region.
-    pub fn tracks(&self, addr: u32) -> bool {
-        addr >= self.base
-            && self.gran.index(self.base, addr) < self.table.len()
-    }
-
-    /// Check one access against the shadow table. Pushes races into `log`
-    /// and returns the shadow traffic the check generated (for the timing
-    /// model). Untracked addresses produce no traffic.
-    pub fn observe(
-        &mut self,
-        a: &MemAccess,
-        clocks: &ClockFile,
-        log: &mut RaceLog,
-    ) -> ShadowTraffic {
-        let mut h = DetectorHealth::default();
-        self.observe_health(a, clocks, log, &mut h)
-    }
-
-    /// [`Self::observe`] with fidelity accounting into `h` (lockset-check
-    /// outcomes, aliasing-suppressed conflicts, §VI-C2 packed-ID
-    /// truncation collisions, shadow-page occupancy) and, when witness
-    /// capture is on, ring recording + timeline attachment.
-    pub fn observe_health(
-        &mut self,
-        a: &MemAccess,
-        clocks: &ClockFile,
-        log: &mut RaceLog,
-        h: &mut DetectorHealth,
-    ) -> ShadowTraffic {
-        if !self.tracks(a.addr) {
-            return ShadowTraffic::default();
-        }
-        self.stats.checks += 1;
-        if a.l1_hit {
-            self.stats.l1_hit_probes += 1;
-        }
-        let (lo, hi) = self.gran.index_range(self.base, a.addr, a.size);
-        let hi = hi.min(self.table.len() - 1);
-        let mut traffic = ShadowTraffic {
-            shadow_addr: self.shadow_addr(lo),
-            reads: 0,
-            writes: 0,
-        };
-        for idx in lo..=hi {
-            let mut chunk_access = *a;
-            chunk_access.addr = self.base + ((idx as u32) << self.gran.shift());
-            let entry = self.table.get_mut_counted(idx, h);
-            let before = *entry;
-            if a.kind.is_tracked()
-                && !before.is_fresh()
-                && id_truncation_collision(&before, &a.who)
-            {
-                // The unpacked simulator still distinguishes the threads;
-                // §VI-C2 packed hardware would have conflated them here.
-                h.id_truncation_collisions += 1;
-            }
-            let race = entry.observe_health(&chunk_access, clocks, &self.policy, h);
-            let state_after = entry.state();
-            if *entry != before {
-                traffic.writes += 1;
-            }
-            traffic.reads += 1;
-            if self.capture_witness && a.kind.is_tracked() {
-                self.ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_access.addr,
-                    state_before: before.state(),
-                    state_after,
-                });
-            }
-            if let Some(r) = race {
-                if self.capture_witness {
-                    log.push_with_witness(r, &self.ring.collect_for(chunk_access.addr));
-                } else {
-                    log.push(r);
-                }
-            }
-        }
-        self.stats.shadow_reads += u64::from(traffic.reads);
-        self.stats.shadow_writes += u64::from(traffic.writes);
-        traffic
-    }
-
-    /// Batch counterpart of [`Self::observe_health`] over one warp's
-    /// coalesced accesses — the data-parallel tier's entry point.
-    ///
-    /// Semantics are bit-identical to running `check_warp_stores` (when
-    /// `is_store`) followed by `observe_health` per access in order:
-    /// identical races in identical order, identical health counters,
-    /// identical witness timelines, and `per_traffic` receives exactly
-    /// the per-access [`ShadowTraffic`] the scalar calls would return.
-    /// The speedup comes from amortization, not reordering: *maximal
-    /// consecutive runs* of accesses on one shadow page resolve the page
-    /// once ([`ShadowTable::with_page`]) instead of per chunk, and the
-    /// same-thread steady state short-circuits the entry copy + full
-    /// struct compare. Accesses are never physically sorted — report
-    /// order is part of the contract. `on_transition` (when tracing)
-    /// receives every Fig. 3 edge in scalar-pipeline order; supplying it
-    /// (or enabling witness capture) disables the short-circuit so
-    /// before/after states are observed exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_warp_batch(
-        &mut self,
-        accesses: &[MemAccess],
-        is_store: bool,
-        clocks: &ClockFile,
-        scratch: &mut RaceScratch,
-        log: &mut RaceLog,
-        h: &mut DetectorHealth,
-        mut on_transition: Option<TransitionSink<'_>>,
-        mut per_traffic: impl FnMut(ShadowTraffic),
-    ) {
-        if is_store {
-            self.check_warp_stores(accesses, scratch, log);
-        }
-        let GlobalRdu {
-            base,
-            shadow_base,
-            gran,
-            table,
-            policy,
-            capture_witness,
-            ring,
-            stats,
-            force_scalar,
-            dispatch,
-        } = self;
-        let (base, shadow_base, gran, capture_witness) =
-            (*base, *shadow_base, *gran, *capture_witness);
-        let shadow_addr_at =
-            |idx: usize| shadow_base + (idx as u32) * cost::GLOBAL_SHADOW_STRIDE_BYTES;
-        let tlen = table.len();
-        // Hoisted out of the per-access loop (`Granularity::shift` is a
-        // trailing_zeros each call).
-        let shift = gran.shift();
-        let index_range = |addr: u32, size: u8| {
-            let off = addr - base;
-            (
-                (off >> shift) as usize,
-                (((off + u32::from(size.max(1)) - 1) >> shift) as usize).min(tlen - 1),
-            )
-        };
-        // Witness capture rides the fast path (it reports the before and
-        // after states itself); only a live transition sink forces the
-        // scalar fallback.
-        let traced = on_transition.is_some();
-        // The wide SWAR tier needs neither before/after state observation
-        // nor witness events for pass lanes, so it engages only when both
-        // observers are off (and the escape hatch isn't pinning scalar);
-        // otherwise the per-lane reference path below runs verbatim.
-        let wide = !traced && !capture_witness && !*force_scalar;
-        let masks = crate::hotwords::screen_masks(policy);
-        let tracks = |addr: u32| addr >= base && (((addr - base) >> shift) as usize) < tlen;
-        let mut i = 0usize;
-        while i < accesses.len() {
-            let a = &accesses[i];
-            if !tracks(a.addr) {
-                i += 1;
-                continue;
-            }
-            let (lo, hi) = index_range(a.addr, a.size);
-            let page = ShadowTable::page_of(lo);
-            if traced || ShadowTable::page_of(hi) != page {
-                // Scalar fallback: tracing wants exact before/after
-                // states, and page-straddling accesses resolve per chunk.
-                stats.checks += 1;
-                if a.l1_hit {
-                    stats.l1_hit_probes += 1;
-                }
-                let mut traffic =
-                    ShadowTraffic { shadow_addr: shadow_addr_at(lo), reads: 0, writes: 0 };
-                for idx in lo..=hi {
-                    let entry = table.get_mut_counted(idx, h);
-                    let changed = check_chunk(
-                        entry,
-                        a,
-                        base + ((idx as u32) << shift),
-                        true,
-                        traced,
-                        clocks,
-                        policy,
-                        capture_witness,
-                        ring,
-                        log,
-                        h,
-                        &mut on_transition,
-                    );
-                    traffic.reads += 1;
-                    traffic.writes += u8::from(changed);
-                }
-                dispatch.scalar_lanes += u64::from(traffic.reads);
-                stats.shadow_reads += u64::from(traffic.reads);
-                stats.shadow_writes += u64::from(traffic.writes);
-                per_traffic(traffic);
-                i += 1;
-                continue;
-            }
-            // Maximal run of consecutive accesses fully on `page`:
-            // resolve the page once, then consume accesses while they
-            // stay on it — one `index_range` per access, counters
-            // accumulated in locals and flushed per run.
-            //
-            // Precomputed address window of the page: a lane stays on the
-            // fused path iff `addr - page_addr < page_span` (one wrapping
-            // subtract covers "tracked, on this page, within the table")
-            // and its chunk-offset plus size fits one granule.
-            let page_base_idx = page * PAGE_ENTRIES;
-            let page_addr = base + ((page_base_idx as u32) << shift);
-            let page_span = ((tlen - page_base_idx).min(PAGE_ENTRIES) as u32) << shift;
-            let gsize = 1u32 << shift;
-            let gmask = gsize - 1;
-            let (next, l1, reads, writes) = table.with_page(lo, h, |pe, h| {
-                if wide {
-                    pe.ensure_hot();
-                }
-                let (mut l1, mut reads, mut writes) = (0u64, 0u64, 0u64);
-                // Dispatch tallies in run-local registers; flushed once
-                // per run (the counters are run diagnostics, not per-lane
-                // observables).
-                let (mut wide_n, mut cs_n, mut scalar_n) = (0u64, 0u64, 0u64);
-                let (mut lo, mut hi) = (lo, hi);
-                let mut j = i;
-                // Once-per-run §III-B Bloom verdict memo for the batched
-                // lockset path.
-                let mut bloom_memo: Option<(u32, u32, bool)> = None;
-                'run: loop {
-                    if wide && lo == hi {
-                        // ---- Wide tier, fused per lane: stamp-check +
-                        // SWAR screen + hot-word apply in one slot
-                        // resolution. Each lane screens against the
-                        // current hot words at its own turn, so cold-lane
-                        // mutations are observed by later lanes exactly
-                        // as in the scalar pipeline. The inner loop
-                        // consumes consecutive single-chunk lanes with
-                        // the 3-op window test alone; anything it can't
-                        // prove simple falls out to the generic
-                        // continuation check below.
-                        loop {
-                            let a = &accesses[j];
-                            let idx = lo;
-                            l1 += u64::from(a.l1_hit);
-                            let changed = match pe.lane_screen_apply(idx, a, masks, h) {
-                                Some(c) => {
-                                    wide_n += 1;
-                                    c
-                                }
-                                None => {
-                                    let entry = pe.cold_entry(idx);
-                                    // Batched lockset path: the §III-B
-                                    // benign verdict without the scalar
-                                    // fallback, if the lane qualifies.
-                                    let cs_fast = a.kind.is_tracked()
-                                        && !entry.is_fresh()
-                                        && (a.in_critical_section || entry.protected)
-                                        && !(policy.sync_id_epochs
-                                            && a.who.block == entry.block
-                                            && a.sync_id != entry.sync_id);
-                                    let fast = if cs_fast {
-                                        entry.observe_lockset_fast(
-                                            a,
-                                            clocks,
-                                            policy,
-                                            h,
-                                            true,
-                                            &mut bloom_memo,
-                                        )
-                                    } else {
-                                        None
-                                    };
-                                    let c = match fast {
-                                        Some(c) => {
-                                            cs_n += 1;
-                                            c
-                                        }
-                                        None => {
-                                            scalar_n += 1;
-                                            check_chunk_slow(
-                                                entry,
-                                                a,
-                                                base + ((idx as u32) << shift),
-                                                true,
-                                                clocks,
-                                                policy,
-                                                capture_witness,
-                                                ring,
-                                                log,
-                                                h,
-                                                &mut on_transition,
-                                            )
-                                        }
-                                    };
-                                    if c {
-                                        pe.repack_entry(idx);
-                                    }
-                                    c
-                                }
-                            };
-                            reads += 1;
-                            writes += u64::from(changed);
-                            per_traffic(ShadowTraffic {
-                                shadow_addr: shadow_addr_at(idx),
-                                reads: 1,
-                                writes: u8::from(changed),
-                            });
-                            j += 1;
-                            if j >= accesses.len() {
-                                break 'run;
-                            }
-                            let b = &accesses[j];
-                            let d = b.addr.wrapping_sub(page_addr);
-                            if d < page_span
-                                && (d & gmask) + u32::from(b.size.max(1)) <= gsize
-                            {
-                                lo = page_base_idx + (d >> shift) as usize;
-                            } else {
-                                break;
-                            }
-                        }
-                    } else {
-                        let a = &accesses[j];
-                        l1 += u64::from(a.l1_hit);
-                        let mut traffic =
-                            ShadowTraffic { shadow_addr: shadow_addr_at(lo), reads: 0, writes: 0 };
-                        // `lo..hi + 1`, not `lo..=hi`: RangeInclusive keeps a
-                        // done-flag the optimizer doesn't remove in this loop.
-                        for idx in lo..hi + 1 {
-                            let entry = pe.entry_counted(idx, h);
-                            let changed = check_chunk(
-                                entry,
-                                a,
-                                base + ((idx as u32) << shift),
-                                true,
-                                false,
-                                clocks,
-                                policy,
-                                capture_witness,
-                                ring,
-                                log,
-                                h,
-                                &mut on_transition,
-                            );
-                            traffic.reads += 1;
-                            traffic.writes += u8::from(changed);
-                        }
-                        if wide {
-                            // A multi-chunk access on the wide path went
-                            // through the scalar accessor, invalidating
-                            // the page mirror — restore it before the
-                            // next block screens.
-                            pe.ensure_hot();
-                        }
-                        scalar_n += u64::from(traffic.reads);
-                        reads += u64::from(traffic.reads);
-                        writes += u64::from(traffic.writes);
-                        per_traffic(traffic);
-                        j += 1;
-                    }
-                    if j >= accesses.len() {
-                        break;
-                    }
-                    let b = &accesses[j];
-                    if !tracks(b.addr) {
-                        break;
-                    }
-                    let (blo, bhi) = index_range(b.addr, b.size);
-                    if ShadowTable::page_of(blo) != page || ShadowTable::page_of(bhi) != page {
-                        break;
-                    }
-                    (lo, hi) = (blo, bhi);
-                }
-                dispatch.wide_lanes += wide_n;
-                dispatch.cs_fast_lanes += cs_n;
-                dispatch.scalar_lanes += scalar_n;
-                (j, l1, reads, writes)
-            });
-            stats.checks += (next - i) as u64;
-            stats.l1_hit_probes += l1;
-            stats.shadow_reads += reads;
-            stats.shadow_writes += writes;
-            i = next;
-        }
-    }
-
-    /// Pre-issue intra-warp WAW check over one warp instruction's lanes.
-    /// Races go into `log`; `scratch` supplies the reusable dedup buffer.
-    pub fn check_warp_stores(
-        &mut self,
-        lanes: &[MemAccess],
-        scratch: &mut RaceScratch,
-        log: &mut RaceLog,
-    ) {
-        self.stats.intra_warp_checks += 1;
-        check_intra_warp_waw_into(lanes, self.base, MemSpace::Global, scratch, log);
-    }
-
-    /// Invalidate the whole shadow region (`cudaMemset` at kernel
-    /// termination, §IV-B) — a generation bump per materialized page.
-    pub fn reset_all(&mut self) {
-        self.table.reset_all();
-        self.ring.clear();
-    }
-
-    /// Inspect a shadow entry (tests/debugging). Untouched and
-    /// epoch-invalidated entries read as fresh.
-    pub fn entry(&self, idx: usize) -> ShadowEntry {
-        self.table.get(idx)
-    }
-
-    /// Inclusive range of shadow-entry indices an access touches, clamped
-    /// to the table — the same chunks [`Self::observe`] walks. `None` for
-    /// untracked addresses (observability hooks use this to snapshot
-    /// states around an `observe`).
-    pub fn chunk_range(&self, addr: u32, size: u8) -> Option<(usize, usize)> {
-        if !self.tracks(addr) {
-            return None;
-        }
-        let (lo, hi) = self.gran.index_range(self.base, addr, size);
-        Some((lo, hi.min(self.table.len() - 1)))
-    }
-
-    /// Device address of the first byte of chunk `idx`.
-    pub fn chunk_addr(&self, idx: usize) -> u32 {
-        self.base + ((idx as u32) << self.gran.shift())
+        self.num_entries() as u64 * u64::from(cost::GLOBAL_SHADOW_STRIDE_BYTES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{AccessKind, ThreadCoord};
+    use crate::access::{AccessKind, MemAccess, MemSpace, ThreadCoord};
+    use crate::clocks::ClockFile;
+    use crate::health::DetectorHealth;
+    use crate::race::RaceLog;
+    use crate::region::ShadowTraffic;
 
     const HEAP: u32 = 0x1000;
     const SHADOW: u32 = 0x10_0000;
@@ -876,199 +236,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!((w[0].pc, w[1].pc), (0x20, 0x24));
         assert_eq!(w[1].kind, AccessKind::Read);
-    }
-
-    /// Batch pipeline vs scalar pipeline: everything observable must be
-    /// bitwise equal — races (and order), health, stats, traffic, final
-    /// shadow entries, witness timelines, and transition events.
-    fn assert_batch_matches_scalar(accesses: &[MemAccess], is_store: bool, witness: bool) {
-        use crate::shadow::ShadowState;
-        let c = ClockFile::new(8, 64);
-        let mut scalar = rdu();
-        let mut batch = rdu();
-        scalar.set_witness_capture(witness);
-        batch.set_witness_capture(witness);
-        let mut slog = RaceLog::default();
-        let mut blog = RaceLog::default();
-        let mut sh = DetectorHealth::default();
-        let mut bh = DetectorHealth::default();
-        let mut ss = RaceScratch::default();
-        let mut bs = RaceScratch::default();
-        let mut sevents: Vec<(u32, ShadowState, ShadowState)> = Vec::new();
-        let mut bevents: Vec<(u32, ShadowState, ShadowState)> = Vec::new();
-        // Two rounds: the second hits the same-thread steady state the
-        // fast path is for.
-        for round in 0..2 {
-            let mut straffic = Vec::new();
-            if is_store {
-                scalar.check_warp_stores(accesses, &mut ss, &mut slog);
-            }
-            for a in accesses {
-                // Replicate the tracer's snapshot-states transition
-                // detection (apply_global_batch's scalar pipeline).
-                let watch = scalar.chunk_range(a.addr, a.size);
-                let states: Vec<ShadowState> = watch
-                    .map(|(lo, hi)| (lo..=hi).map(|i| scalar.entry(i).state()).collect())
-                    .unwrap_or_default();
-                let t = scalar.observe_health(a, &c, &mut slog, &mut sh);
-                if let Some((lo, hi)) = watch {
-                    for (k, i) in (lo..=hi).enumerate() {
-                        let to = scalar.entry(i).state();
-                        if to != states[k] {
-                            sevents.push((scalar.chunk_addr(i), states[k], to));
-                        }
-                    }
-                }
-                if t.reads > 0 {
-                    straffic.push(t);
-                }
-            }
-            let mut btraffic = Vec::new();
-            let mut sink = |addr: u32, from: ShadowState, to: ShadowState| {
-                bevents.push((addr, from, to));
-            };
-            batch.check_warp_batch(
-                accesses,
-                is_store,
-                &c,
-                &mut bs,
-                &mut blog,
-                &mut bh,
-                Some(&mut sink),
-                |t| btraffic.push(t),
-            );
-            assert_eq!(straffic, btraffic, "traffic, round {round}");
-        }
-        assert_eq!(slog.records(), blog.records());
-        assert_eq!(slog.total(), blog.total());
-        assert_eq!(sh, bh, "health counters");
-        assert_eq!(sevents, bevents, "transition events");
-        assert_eq!(format!("{:?}", scalar.stats), format!("{:?}", batch.stats));
-        for idx in 0..scalar.num_entries() {
-            assert_eq!(scalar.entry(idx), batch.entry(idx), "entry {idx}");
-        }
-        for k in 0..slog.records().len() {
-            assert_eq!(slog.witness_of(k), blog.witness_of(k), "witness {k}");
-        }
-
-        // Untraced run (no transition sink, witness off): the fast path
-        // engages; observables must still match a fresh scalar run.
-        let mut scalar2 = rdu();
-        let mut batch2 = rdu();
-        let mut slog2 = RaceLog::default();
-        let mut blog2 = RaceLog::default();
-        let mut sh2 = DetectorHealth::default();
-        let mut bh2 = DetectorHealth::default();
-        for _ in 0..2 {
-            let mut straffic = Vec::new();
-            if is_store {
-                scalar2.check_warp_stores(accesses, &mut ss, &mut slog2);
-            }
-            for a in accesses {
-                let t = scalar2.observe_health(a, &c, &mut slog2, &mut sh2);
-                if t.reads > 0 {
-                    straffic.push(t);
-                }
-            }
-            let mut btraffic = Vec::new();
-            batch2.check_warp_batch(accesses, is_store, &c, &mut bs, &mut blog2, &mut bh2, None, |t| {
-                btraffic.push(t)
-            });
-            assert_eq!(straffic, btraffic, "untraced traffic");
-        }
-        assert_eq!(slog2.records(), blog2.records());
-        assert_eq!(sh2, bh2, "untraced health");
-        assert_eq!(format!("{:?}", scalar2.stats), format!("{:?}", batch2.stats));
-        for idx in 0..scalar2.num_entries() {
-            assert_eq!(scalar2.entry(idx), batch2.entry(idx), "untraced entry {idx}");
-        }
-    }
-
-    #[test]
-    fn warp_batch_matches_scalar_coalesced_stores() {
-        let lanes: Vec<_> = (0..32)
-            .map(|l| acc(HEAP + l * 4, AccessKind::Write, who(l, 0, 0, 0)).at_pc(0x40))
-            .collect();
-        assert_batch_matches_scalar(&lanes, true, false);
-        assert_batch_matches_scalar(&lanes, true, true);
-    }
-
-    #[test]
-    fn warp_batch_matches_scalar_scattered_and_racing() {
-        // Scattered across pages, two warps racing on overlapping words,
-        // an untracked lane, an atomic, and a page-straddling access.
-        let mut lanes: Vec<_> = (0..16)
-            .map(|l| acc(HEAP + l * 512, AccessKind::Write, who(l, 0, 0, 0)).at_pc(0x10))
-            .collect();
-        lanes.extend(
-            (0..8).map(|l| acc(HEAP + l * 512, AccessKind::Write, who(64 + l, 2, 1, 1)).at_pc(0x14)),
-        );
-        lanes.push(acc(HEAP - 0x800, AccessKind::Write, who(7, 0, 0, 0)));
-        lanes.push(acc(HEAP + 12, AccessKind::Atomic, who(3, 0, 0, 0)));
-        let mut straddle = acc(HEAP + 510, AccessKind::Write, who(9, 0, 0, 0));
-        straddle.size = 8;
-        lanes.push(straddle);
-        assert_batch_matches_scalar(&lanes, true, false);
-        assert_batch_matches_scalar(&lanes, true, true);
-    }
-
-    #[test]
-    fn warp_batch_matches_scalar_locked_reads() {
-        let sig = crate::bloom::BloomSig::of_lock(0x100, BloomConfig::PAPER_DEFAULT);
-        let sig2 = crate::bloom::BloomSig::of_lock(0x104, BloomConfig::PAPER_DEFAULT);
-        let lanes = vec![
-            acc(HEAP, AccessKind::Write, who(0, 0, 0, 0)).locked(sig),
-            acc(HEAP, AccessKind::Read, who(64, 2, 1, 1)).locked(sig2),
-            acc(HEAP + 64, AccessKind::Read, who(0, 0, 0, 0)),
-            acc(HEAP + 64, AccessKind::Read, who(64, 2, 1, 1)),
-            acc(HEAP + 64, AccessKind::Write, who(64, 2, 1, 1)),
-        ];
-        assert_batch_matches_scalar(&lanes, false, false);
-        assert_batch_matches_scalar(&lanes, false, true);
-    }
-
-    #[test]
-    fn force_scalar_hatch_pins_the_dispatch_tier() {
-        let c = ClockFile::new(4, 16);
-        let sig = crate::bloom::BloomSig::of_lock(0x100, BloomConfig::PAPER_DEFAULT);
-        // A coalesced store warp (wide tier) plus a whole-warp-in-CS
-        // store warp (batched lockset tier), run twice for steady state.
-        let stores: Vec<_> = (0..32)
-            .map(|l| acc(HEAP + l * 4, AccessKind::Write, who(l, 0, 0, 0)))
-            .collect();
-        let locked: Vec<_> = (0..32)
-            .map(|l| acc(HEAP + 512 + l * 4, AccessKind::Write, who(32 + l, 1, 0, 0)).locked(sig))
-            .collect();
-        let locked2: Vec<_> = (0..32)
-            .map(|l| acc(HEAP + 512 + l * 4, AccessKind::Write, who(64 + l, 2, 0, 0)).locked(sig))
-            .collect();
-        let run = |force: bool| {
-            let mut r = rdu();
-            r.set_force_scalar(force);
-            assert_eq!(r.force_scalar(), force);
-            let mut log = RaceLog::default();
-            let mut h = DetectorHealth::default();
-            let mut s = RaceScratch::default();
-            for _ in 0..2 {
-                for warp in [&stores, &locked, &locked2] {
-                    r.check_warp_batch(warp, true, &c, &mut s, &mut log, &mut h, None, |_| {});
-                }
-            }
-            (r.dispatch, r.stats.shadow_writes, log.total(), h)
-        };
-        let (wide, wide_writes, wide_races, wide_h) = run(false);
-        let (scal, scal_writes, scal_races, scal_h) = run(true);
-        // Identical detection outcome either way...
-        assert_eq!(wide_writes, scal_writes);
-        assert_eq!(wide_races, scal_races);
-        assert_eq!(wide_h, scal_h);
-        assert_eq!(wide.total(), scal.total());
-        // ...but the dispatch counters prove which tier ran.
-        assert!(wide.wide_lanes > 0, "wide tier must engage by default: {wide:?}");
-        assert!(wide.cs_fast_lanes > 0, "lockset warps must batch: {wide:?}");
-        assert_eq!(scal.wide_lanes, 0, "escape hatch must pin scalar: {scal:?}");
-        assert_eq!(scal.cs_fast_lanes, 0, "escape hatch must pin scalar: {scal:?}");
-        assert_eq!(scal.scalar_lanes, scal.total());
     }
 
     #[test]

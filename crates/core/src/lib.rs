@@ -14,6 +14,8 @@
 //! * **per-memory-slice global RDUs** with a reserved shadow region in
 //!   device memory, per-block *sync IDs*, per-warp *fence IDs* and the
 //!   replicated race register file — see [`global_rdu`] and [`clocks`];
+//!   both are instances of one shadow region and batch kernel — see
+//!   [`region`];
 //! * **Bloom-filter locksets** ("atomic IDs") — see [`bloom`] and
 //!   [`lockset`] — plus the exact lookup-table alternative §III-B
 //!   mentions, in [`locktable`];
@@ -66,6 +68,7 @@ pub mod lockset;
 pub mod locktable;
 pub mod packed;
 pub mod race;
+pub mod region;
 pub mod replay;
 pub mod scratch;
 pub mod shadow;
@@ -79,16 +82,17 @@ pub mod prelude {
     pub use crate::clocks::ClockFile;
     pub use crate::config::{DetectorConfig, SharedShadowPlacement};
     pub use crate::dispatch::DispatchStats;
-    pub use crate::global_rdu::{GlobalRdu, ShadowTraffic, TransitionSink};
+    pub use crate::global_rdu::{Global, GlobalRdu};
     pub use crate::granularity::Granularity;
     pub use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_CAP};
     pub use crate::lockset::AtomicIdRegister;
     pub use crate::locktable::LockTable;
     pub use crate::race::{group_races, RaceCategory, RaceGroup, RaceKind, RaceLog, RaceRecord};
+    pub use crate::region::{RduStats, ShadowRegion, ShadowTraffic, Space, TransitionSink};
     pub use crate::scratch::RaceScratch;
     pub use crate::shadow::{ShadowEntry, ShadowPolicy, ShadowState};
     pub use crate::shadow_table::ShadowTable;
-    pub use crate::shared_rdu::SharedRdu;
+    pub use crate::shared_rdu::{Shared, SharedRdu};
 }
 
 pub use prelude::*;

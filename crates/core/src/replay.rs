@@ -13,10 +13,10 @@ use serde::{Deserialize, Serialize};
 use crate::access::{MemAccess, MemSpace};
 use crate::clocks::ClockFile;
 use crate::config::DetectorConfig;
-use crate::global_rdu::GlobalRdu;
+use crate::global_rdu::{Global, GlobalRdu};
 use crate::health::DetectorHealth;
 use crate::race::RaceLog;
-use crate::shared_rdu::SharedRdu;
+use crate::shared_rdu::{Shared, SharedRdu};
 
 /// One trace event, in program order.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -83,36 +83,16 @@ impl Replayer {
     /// has no timing, so only distinctness matters).
     pub fn new(cfg: &DetectorConfig, geo: &TraceGeometry) -> Self {
         cfg.validate().expect("valid detector config");
-        let warp_filter = !cfg.warp_regrouping;
         Self {
             shared: (0..geo.num_sms)
                 .map(|sm| {
-                    let mut rdu = SharedRdu::new(
-                        sm,
-                        geo.shared_bytes_per_sm,
-                        geo.shared_banks,
-                        cfg.shared_granularity,
-                        warp_filter,
-                        cfg.bloom,
-                    );
-                    rdu.set_witness_capture(cfg.witness_capture);
-                    rdu.set_exact_lockset(cfg.exact_lockset);
-                    rdu
+                    let space = Shared { sm, banks: geo.shared_banks };
+                    SharedRdu::from_config(cfg, space, 0, geo.shared_bytes_per_sm, 0)
                 })
                 .collect(),
             global: cfg.global_enabled.then(|| {
-                let mut rdu = GlobalRdu::new(
-                    geo.global_base,
-                    geo.global_len,
-                    geo.global_base.saturating_add(geo.global_len),
-                    cfg.global_granularity,
-                    warp_filter,
-                    cfg.l1_stale_check,
-                    cfg.bloom,
-                );
-                rdu.set_witness_capture(cfg.witness_capture);
-                rdu.set_exact_lockset(cfg.exact_lockset);
-                rdu
+                let shadow_base = geo.global_base.saturating_add(geo.global_len);
+                GlobalRdu::from_config(cfg, Global, geo.global_base, geo.global_len, shadow_base)
             }),
             clocks: ClockFile::new(geo.blocks, geo.warps),
             log: RaceLog::default(),

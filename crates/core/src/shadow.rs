@@ -134,6 +134,19 @@ pub enum ShadowState {
     ReadShared,
 }
 
+impl ShadowState {
+    /// The state a `(modified, shared)` bit pair encodes.
+    #[inline]
+    pub fn of(modified: bool, shared: bool) -> Self {
+        match (modified, shared) {
+            (true, true) => ShadowState::Fresh,
+            (false, false) => ShadowState::ReadSingle,
+            (true, false) => ShadowState::Written,
+            (false, true) => ShadowState::ReadShared,
+        }
+    }
+}
+
 impl std::fmt::Display for ShadowState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -177,12 +190,7 @@ impl ShadowEntry {
 
     /// The Fig. 3 state encoded by the `(modified, shared)` bit pair.
     pub fn state(&self) -> ShadowState {
-        match (self.modified, self.shared) {
-            (true, true) => ShadowState::Fresh,
-            (false, false) => ShadowState::ReadSingle,
-            (true, false) => ShadowState::Written,
-            (false, true) => ShadowState::ReadShared,
-        }
+        ShadowState::of(self.modified, self.shared)
     }
 
     /// Reset to the fresh state (barrier / kernel-launch invalidation).
@@ -502,22 +510,21 @@ impl ShadowEntry {
     /// both signatures: when a run's lanes share one lockset (the
     /// whole-warp-in-CS case this path exists for), the intersection is
     /// computed once per run and replayed lane-wise. The health counters
-    /// still tick per lane, as the scalar path counts per check.
-    /// `count_truncation` mirrors the global RDU's truncated-ID collision
-    /// accounting (`check_chunk_slow`); shared RDUs pass `false`.
+    /// still tick per lane, as the scalar path counts per check, and
+    /// global entries count truncated-ID collisions as the full check
+    /// does.
     pub fn observe_lockset_fast(
         &mut self,
         a: &MemAccess,
         clocks: &ClockFile,
         p: &ShadowPolicy,
         h: &mut DetectorHealth,
-        count_truncation: bool,
         bloom_memo: &mut Option<(u32, u32, bool)>,
     ) -> Option<bool> {
         debug_assert!(a.kind.is_tracked() && !self.is_fresh());
         debug_assert!(a.in_critical_section || self.protected);
         let is_write = a.kind.is_write();
-        let truncated = count_truncation
+        let truncated = p.space == MemSpace::Global
             && crate::packed::id_truncation_collision(self, &a.who);
 
         if a.who.tid == self.tid {

@@ -28,7 +28,7 @@
 use crate::access::MemAccess;
 use crate::health::DetectorHealth;
 use crate::hotwords;
-use crate::shadow::{ShadowEntry, FRESH};
+use crate::shadow::{ShadowEntry, ShadowState, FRESH};
 
 /// Entries per shadow page. 128 × ~48 bytes ≈ 6 KiB per page keeps the
 /// page-pointer vector tiny (8 bytes per page) while amortizing the
@@ -354,53 +354,16 @@ impl PageEntries<'_> {
         }
     }
 
-    /// Stamp-check entry `idx` ahead of a wide screen: a stale stamp is
-    /// counted and re-initialized exactly as [`Self::entry_counted`]
-    /// would (the fresh hot words then steer the lane through the screen
-    /// like any other fresh entry). Idempotent within a batch — once
-    /// restamped, later calls are a compare and nothing else.
-    #[inline]
-    pub fn prepare(&mut self, idx: usize, h: &mut DetectorHealth) {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        if self.page.stamps[o] != self.page.generation {
-            h.shadow_fresh_on_mismatch += 1;
-            self.page.stamps[o] = self.page.generation;
-            self.page.entries[o] = FRESH;
-            self.page.hot0[o] = hotwords::FRESH_H0;
-            self.page.hot1[o] = hotwords::FRESH_H1;
-            self.page.hot2[o] = hotwords::FRESH_H2;
-        }
-    }
-
-    /// The `(h0, h1)` screen words of entry `idx`. Valid only after
-    /// [`Self::ensure_hot`] and [`Self::prepare`].
-    #[inline]
-    pub fn hot01(&self, idx: usize) -> (u64, u64) {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        (self.page.hot0[o], self.page.hot1[o])
-    }
-
-    /// Apply a screened-pass *write* lane entirely through the hot words:
-    /// `ReadSingle -> Written` promotion, or store elision against the
-    /// packed `h2` word for an already-`Written` entry. Returns whether
-    /// the entry changed — exactly the `*entry != before` the scalar path
-    /// computes, because `h2` equality is exact for packable fields and
-    /// unpackable ones fall back to the AoS compare.
-    #[inline]
-    pub fn fast_write(&mut self, idx: usize, a: &MemAccess) -> bool {
-        let o = (idx - self.base) % PAGE_ENTRIES;
-        let h1 = self.page.hot1[o];
-        self.page.fast_write_at(o, a, h1)
-    }
-
     /// Fused per-lane wide tier: stamp-check, SWAR screen, and (for a
     /// passing write) the hot-word apply, in one slot resolution. Returns
-    /// `Some(changed)` when the lane passed the screen — exactly the
-    /// scalar fast path's outcome — or `None` for a cold lane, which is
-    /// left prepared for [`Self::cold_entry`]. Because each lane screens
-    /// against the *current* hot words at its own turn, a run walked
-    /// through this method observes mutations from earlier cold lanes
-    /// exactly as the scalar pipeline would.
+    /// `Some((changed, before, after))` when the lane passed the screen —
+    /// exactly the scalar fast path's outcome, with the Fig. 3 states
+    /// read from the hot-word flags (a passing lane's only possible edge
+    /// is a write promoting `ReadSingle` to `Written`) — or `None` for a
+    /// cold lane, which is left stamp-checked for [`Self::cold_entry`].
+    /// Because each lane screens against the *current* hot words at its
+    /// own turn, a run walked through this method observes mutations
+    /// from earlier cold lanes exactly as the scalar pipeline would.
     #[inline]
     pub fn lane_screen_apply(
         &mut self,
@@ -408,7 +371,7 @@ impl PageEntries<'_> {
         a: &MemAccess,
         masks: (u64, u64),
         h: &mut DetectorHealth,
-    ) -> Option<bool> {
+    ) -> Option<(bool, ShadowState, ShadowState)> {
         let o = (idx - self.base) % PAGE_ENTRIES;
         let p = &mut *self.page;
         if p.stamps[o] != p.generation {
@@ -419,32 +382,38 @@ impl PageEntries<'_> {
             p.hot1[o] = hotwords::FRESH_H1;
             p.hot2[o] = hotwords::FRESH_H2;
         }
+        let h1 = p.hot1[o];
+        let before =
+            ShadowState::of(h1 & hotwords::H1_MODIFIED != 0, h1 & hotwords::H1_SHARED != 0);
         if !a.kind.is_tracked() {
             // Untracked (atomic) lanes screen as pass and apply nothing,
             // mirroring the scalar early return.
-            return Some(false);
+            return Some((false, before, before));
         }
         let k0 = hotwords::key0(&a.who);
         let k1 = hotwords::key1(&a.who, a.sync_id, a.in_critical_section);
         let is_write = a.kind.is_write();
         let m = if is_write { masks.0 } else { masks.1 };
-        let h1 = p.hot1[o];
         // Folded into one word so the screen is a single branch source.
         if ((p.hot0[o] ^ k0) | ((h1 ^ k1) & m)) != 0 {
             return None;
         }
-        Some(is_write && p.fast_write_at(o, a, h1))
+        Some(if is_write {
+            (p.fast_write_at(o, a, h1), before, ShadowState::Written)
+        } else {
+            (false, before, before)
+        })
     }
 
     /// Raw entry access for a screened-out (cold) lane. Unlike
     /// [`Self::entry_counted`] this neither stamp-checks (the lane was
-    /// prepared by [`Self::lane_screen_apply`] or [`Self::prepare`]) nor
+    /// stamp-checked by [`Self::lane_screen_apply`]) nor
     /// invalidates the page mirror — the caller repacks the entry via
     /// [`Self::repack_entry`] after mutating it.
     #[inline]
     pub fn cold_entry(&mut self, idx: usize) -> &mut ShadowEntry {
         let o = (idx - self.base) % PAGE_ENTRIES;
-        debug_assert_eq!(self.page.stamps[o], self.page.generation, "cold lane not prepared");
+        debug_assert_eq!(self.page.stamps[o], self.page.generation, "cold lane not stamp-checked");
         &mut self.page.entries[o]
     }
 
@@ -454,7 +423,6 @@ impl PageEntries<'_> {
         let o = (idx - self.base) % PAGE_ENTRIES;
         self.page.repack(o);
     }
-
 }
 
 #[cfg(test)]
@@ -624,35 +592,37 @@ mod tests {
 
     #[test]
     fn hot_mirror_survives_scalar_mutation_and_resets() {
-        use crate::hotwords;
         let mut t = ShadowTable::new(PAGE_ENTRIES);
         let mut h = DetectorHealth::default();
         let who = ThreadCoord::new(3, 1, 0, 0);
         let c = ClockFile::new(4, 16);
         let p = ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT);
+        let masks = crate::hotwords::screen_masks(&p);
         let w = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(7).at_pc(0x40);
-        // A scalar mutation invalidates the mirror; ensure_hot repacks it
-        // to match a from-scratch pack of the entry.
+        let w2 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(9).at_pc(0x44);
+        // A scalar mutation invalidates the mirror; ensure_hot repacks it,
+        // so the owner's next write passes the screen (stale fresh hot
+        // words would have sent it cold) and refreshes the entry.
         let _ = t.get_mut_counted(2, &mut h).observe_health(&w, &c, &p, &mut h);
-        let e = t.get(2);
-        t.with_page(2, &mut h, |pe, _h| {
+        let written = (ShadowState::Written, ShadowState::Written);
+        t.with_page(2, &mut h, |pe, h| {
             pe.ensure_hot();
-            assert_eq!(pe.hot01(2), (hotwords::pack_h0(&e), hotwords::pack_h1(&e)));
-            // A fast write keeps AoS and hot words coherent; an identical
-            // repeat elides.
-            let w2 = MemAccess::plain(8, 4, AccessKind::Write, who).at_cycle(9).at_pc(0x44);
-            assert!(pe.fast_write(2, &w2));
-            assert!(!pe.fast_write(2, &w2), "identical store must elide");
+            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), Some((true, written.0, written.1)));
+            // An identical repeat elides the store.
+            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), Some((false, written.0, written.1)));
         });
         let e = t.get(2);
         assert_eq!((e.write_cycle, e.pc), (9, 0x44));
-        // A partial-page reset walks entries and hot words together.
+        // A partial-page reset walks entries and hot words together: the
+        // slot screens cold as a fresh entry, with no lazy re-init left.
         t.reset_range(0, 10);
-        t.with_page(2, &mut h, |pe, h2| {
+        let stale_before = h.shadow_fresh_on_mismatch;
+        t.with_page(2, &mut h, |pe, h| {
             pe.ensure_hot();
-            pe.prepare(2, h2);
-            assert_eq!(pe.hot01(2), (hotwords::FRESH_H0, hotwords::FRESH_H1));
+            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), None);
+            assert!(pe.cold_entry(2).is_fresh());
         });
+        assert_eq!(h.shadow_fresh_on_mismatch, stale_before);
     }
 
     #[test]

@@ -7,57 +7,39 @@
 //! entries when it passes a barrier, which the simulator charges using
 //! [`SharedRdu::reset_block_range`]'s returned cycle count.
 
-use serde::{Deserialize, Serialize};
-
-use crate::access::{MemAccess, MemSpace};
+use crate::access::MemAccess;
 use crate::bloom::BloomConfig;
-use crate::clocks::ClockFile;
+use crate::config::DetectorConfig;
 use crate::cost;
-use crate::dispatch::DispatchStats;
 use crate::granularity::Granularity;
-use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_RING_DEPTH};
-use crate::intra_warp::check_intra_warp_waw_into;
-use crate::race::RaceLog;
-use crate::scratch::RaceScratch;
-use crate::global_rdu::TransitionSink;
-use crate::shadow::{ShadowEntry, ShadowPolicy};
-use crate::shadow_table::{ShadowTable, PAGE_ENTRIES};
+use crate::region::{ShadowRegion, Space};
+use crate::shadow::ShadowPolicy;
 
-/// Counters the evaluation harness reads off each shared RDU.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub struct SharedRduStats {
-    /// Accesses checked against shadow entries.
-    pub checks: u64,
-    /// Barrier-triggered bulk resets.
-    pub resets: u64,
-    /// Shadow entries invalidated by those resets.
-    pub reset_entries: u64,
-    /// Cycles charged for resets (entries / banks, rounded up).
-    pub reset_cycles: u64,
-    /// Intra-warp pre-issue WAW checks performed.
-    pub intra_warp_checks: u64,
+/// The shared-memory space of one SM: entries indexed by shared-memory
+/// offset in SRAM split over `banks` banks.
+#[derive(Clone, Copy, Debug)]
+pub struct Shared {
+    /// The SM this RDU belongs to.
+    pub sm: u32,
+    /// Shared-memory banks (16 on the paper's configuration); a barrier
+    /// reset clears one entry row per bank per cycle.
+    pub banks: u32,
+}
+
+impl Space for Shared {
+    const TRAFFIC: bool = false;
+
+    fn configure(cfg: &DetectorConfig) -> (Granularity, ShadowPolicy) {
+        (cfg.shared_granularity, ShadowPolicy::shared(!cfg.warp_regrouping, cfg.bloom))
+    }
+
+    fn owns(&self, a: &MemAccess) -> bool {
+        a.who.sm == self.sm
+    }
 }
 
 /// Shared-memory RDU for one streaming multiprocessor.
-#[derive(Clone, Debug)]
-#[allow(missing_docs)]
-pub struct SharedRdu {
-    sm: u32,
-    gran: Granularity,
-    banks: u32,
-    table: ShadowTable,
-    policy: ShadowPolicy,
-    /// Opt-in windowed access recorder feeding per-race witness timelines.
-    capture_witness: bool,
-    ring: WitnessRing,
-    pub stats: SharedRduStats,
-    /// Escape hatch: pin every batch lane to the scalar reference path
-    /// (`HACCRG_FORCE_SCALAR_SHADOW`, [`crate::dispatch`]).
-    force_scalar: bool,
-    /// Lanes retired per dispatch tier (wide / cs-fast / scalar).
-    pub dispatch: DispatchStats,
-}
+pub type SharedRdu = ShadowRegion<Shared>;
 
 impl SharedRdu {
     /// Build an RDU covering `shared_bytes` of shared memory, split into
@@ -71,344 +53,13 @@ impl SharedRdu {
         warp_filter: bool,
         bloom: BloomConfig,
     ) -> Self {
-        Self {
-            sm,
-            gran,
-            banks: banks.max(1),
-            table: ShadowTable::new(gran.entries_for(shared_bytes)),
-            policy: ShadowPolicy::shared(warp_filter, bloom),
-            capture_witness: false,
-            ring: WitnessRing::with_depth(WITNESS_RING_DEPTH),
-            stats: SharedRduStats::default(),
-            force_scalar: crate::dispatch::force_scalar_shadow_default(),
-            dispatch: DispatchStats::default(),
-        }
-    }
-
-    /// Pin (`true`) or re-enable (`false`) the wide SWAR tier for this
-    /// RDU only, overriding the `HACCRG_FORCE_SCALAR_SHADOW` default the
-    /// constructor read. Detection results are identical either way;
-    /// only [`Self::dispatch`] moves.
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
-    }
-
-    /// Whether the scalar shadow path is pinned for this RDU.
-    pub fn force_scalar(&self) -> bool {
-        self.force_scalar
-    }
-
-    /// Enable/disable the windowed access recorder. When enabled, every
-    /// detected race carries a bounded witness timeline of recent accesses
-    /// to the racy chunk.
-    pub fn set_witness_capture(&mut self, on: bool) {
-        self.capture_witness = on;
-        if !on {
-            self.ring.clear();
-        }
-    }
-
-    /// Switch both-protected conflict decisions to the exact lookup-table
-    /// lockset (§III-B alternative) where exact info is available.
-    pub fn set_exact_lockset(&mut self, on: bool) {
-        self.policy.exact_lockset = on;
-    }
-
-    /// SM this RDU belongs to.
-    pub fn sm(&self) -> u32 {
-        self.sm
-    }
-
-    /// Tracking granularity in use.
-    pub fn granularity(&self) -> Granularity {
-        self.gran
-    }
-
-    /// Number of shadow entries.
-    pub fn num_entries(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Check one lane access. `addr` in the access is a byte offset into
-    /// this SM's shared memory. Races are pushed into `log`.
-    pub fn observe(&mut self, a: &MemAccess, clocks: &ClockFile, log: &mut RaceLog) {
-        let mut h = DetectorHealth::default();
-        self.observe_health(a, clocks, log, &mut h);
-    }
-
-    /// [`Self::observe`] with fidelity accounting into `h` (lockset-check
-    /// outcomes, aliasing-suppressed conflicts, shadow-page occupancy) and,
-    /// when witness capture is on, ring recording + timeline attachment.
-    pub fn observe_health(
-        &mut self,
-        a: &MemAccess,
-        clocks: &ClockFile,
-        log: &mut RaceLog,
-        h: &mut DetectorHealth,
-    ) {
-        debug_assert_eq!(a.who.sm, self.sm, "access routed to the wrong SM's RDU");
-        self.stats.checks += 1;
-        let (lo, hi) = self.gran.index_range(0, a.addr, a.size);
-        for idx in lo..=hi.min(self.table.len().saturating_sub(1)) {
-            let mut chunk_access = *a;
-            chunk_access.addr = (idx as u32) << self.gran.shift();
-            let entry = self.table.get_mut_counted(idx, h);
-            let state_before = entry.state();
-            let race = entry.observe_health(&chunk_access, clocks, &self.policy, h);
-            let state_after = entry.state();
-            if self.capture_witness && a.kind.is_tracked() {
-                self.ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_access.addr,
-                    state_before,
-                    state_after,
-                });
-            }
-            if let Some(r) = race {
-                if self.capture_witness {
-                    log.push_with_witness(r, &self.ring.collect_for(chunk_access.addr));
-                } else {
-                    log.push(r);
-                }
-            }
-        }
-    }
-
-    /// Batch counterpart of [`Self::observe_health`] over one warp's lane
-    /// accesses — bit-identical to `check_warp_stores` (when `is_store`)
-    /// followed by `observe_health` per lane in order. Maximal consecutive
-    /// same-page runs resolve the shadow page once, and the same-thread
-    /// steady state short-circuits the full dispatch; `on_transition`
-    /// (tracing) or witness capture disables the short-circuit so every
-    /// Fig. 3 edge is observed in scalar order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_warp_batch(
-        &mut self,
-        accesses: &[MemAccess],
-        is_store: bool,
-        clocks: &ClockFile,
-        scratch: &mut RaceScratch,
-        log: &mut RaceLog,
-        h: &mut DetectorHealth,
-        mut on_transition: Option<TransitionSink<'_>>,
-    ) {
-        if is_store {
-            self.check_warp_stores(accesses, scratch, log);
-        }
-        let SharedRdu {
-            sm,
-            gran,
-            table,
-            policy,
-            capture_witness,
-            ring,
-            stats,
-            force_scalar,
-            dispatch,
-            ..
-        } = self;
-        let (sm, gran, capture_witness) = (*sm, *gran, *capture_witness);
-        let tlen = table.len();
-        // Hoisted out of the per-access loop (`Granularity::shift` is a
-        // trailing_zeros each call).
-        let shift = gran.shift();
-        let index_range = |addr: u32, size: u8| {
-            (
-                (addr >> shift) as usize,
-                (((addr + u32::from(size.max(1)) - 1) >> shift) as usize)
-                    .min(tlen.saturating_sub(1)),
-            )
+        let cfg = DetectorConfig {
+            shared_granularity: gran,
+            warp_regrouping: !warp_filter,
+            bloom,
+            ..DetectorConfig::paper_default()
         };
-        let traced = on_transition.is_some();
-        // The wide SWAR tier engages only when no observer needs per-lane
-        // before/after states and the escape hatch isn't pinning scalar.
-        let wide = !traced && !capture_witness && !*force_scalar;
-        let masks = crate::hotwords::screen_masks(policy);
-        let mut i = 0usize;
-        while i < accesses.len() {
-            let a = &accesses[i];
-            debug_assert_eq!(a.who.sm, sm, "access routed to the wrong SM's RDU");
-            let (lo, hi) = index_range(a.addr, a.size);
-            let page = ShadowTable::page_of(lo);
-            if traced || lo > hi || ShadowTable::page_of(hi) != page {
-                // Scalar fallback: tracing, clamped-out accesses, and
-                // page straddles resolve per chunk.
-                stats.checks += 1;
-                dispatch.scalar_lanes += (hi + 1).saturating_sub(lo) as u64;
-                for idx in lo..=hi {
-                    let entry = table.get_mut_counted(idx, h);
-                    shared_check_chunk(
-                        entry,
-                        a,
-                        (idx as u32) << shift,
-                        traced,
-                        clocks,
-                        policy,
-                        capture_witness,
-                        ring,
-                        log,
-                        h,
-                        &mut on_transition,
-                    );
-                }
-                i += 1;
-                continue;
-            }
-            // Maximal same-page run: resolve the page once, then consume
-            // accesses while they stay on it — one `index_range` per
-            // access, the check counter flushed per run. The address
-            // window below keeps consecutive single-chunk lanes on the
-            // fused path with one wrapping subtract and two compares
-            // (see the global RDU's batch loop for the full commentary).
-            let page_base_idx = page * PAGE_ENTRIES;
-            let page_addr = (page_base_idx as u32) << shift;
-            let page_span = ((tlen - page_base_idx).min(PAGE_ENTRIES) as u32) << shift;
-            let gsize = 1u32 << shift;
-            let gmask = gsize - 1;
-            let next = table.with_page(lo, h, |pe, h| {
-                if wide {
-                    pe.ensure_hot();
-                }
-                let (mut lo, mut hi) = (lo, hi);
-                let mut j = i;
-                // Per-run state of the wide tier: dispatch tallies in
-                // run-local registers and the once-per-run §III-B Bloom
-                // memo for the batched lockset path.
-                let (mut wide_n, mut cs_n, mut scalar_n) = (0u64, 0u64, 0u64);
-                let mut bloom_memo: Option<(u32, u32, bool)> = None;
-                'run: loop {
-                    if wide && lo == hi {
-                        // Wide tier, fused per lane: stamp-check + SWAR
-                        // screen + hot-word apply in one slot resolution,
-                        // so cold-lane mutations are observed by later
-                        // lanes exactly as in the scalar pipeline.
-                        loop {
-                            let a = &accesses[j];
-                            let idx = lo;
-                            match pe.lane_screen_apply(idx, a, masks, h) {
-                                Some(_) => wide_n += 1,
-                                None => {
-                                    {
-                                        let entry = pe.cold_entry(idx);
-                                        let cs_fast = a.kind.is_tracked()
-                                            && !entry.is_fresh()
-                                            && (a.in_critical_section || entry.protected)
-                                            && !(policy.sync_id_epochs
-                                                && a.who.block == entry.block
-                                                && a.sync_id != entry.sync_id);
-                                        let fast = if cs_fast {
-                                            entry.observe_lockset_fast(
-                                                a,
-                                                clocks,
-                                                policy,
-                                                h,
-                                                false,
-                                                &mut bloom_memo,
-                                            )
-                                        } else {
-                                            None
-                                        };
-                                        match fast {
-                                            Some(_) => cs_n += 1,
-                                            None => {
-                                                scalar_n += 1;
-                                                shared_check_chunk_slow(
-                                                    entry,
-                                                    a,
-                                                    (idx as u32) << shift,
-                                                    clocks,
-                                                    policy,
-                                                    capture_witness,
-                                                    ring,
-                                                    log,
-                                                    h,
-                                                    &mut on_transition,
-                                                );
-                                            }
-                                        }
-                                    }
-                                    pe.repack_entry(idx);
-                                }
-                            }
-                            j += 1;
-                            if j >= accesses.len() {
-                                break 'run;
-                            }
-                            let b = &accesses[j];
-                            let d = b.addr.wrapping_sub(page_addr);
-                            if d < page_span
-                                && (d & gmask) + u32::from(b.size.max(1)) <= gsize
-                            {
-                                lo = page_base_idx + (d >> shift) as usize;
-                            } else {
-                                break;
-                            }
-                        }
-                    } else {
-                        let a = &accesses[j];
-                        // `lo..hi + 1`, not `lo..=hi`: RangeInclusive keeps a
-                        // done-flag the optimizer doesn't remove in this loop.
-                        for idx in lo..hi + 1 {
-                            let entry = pe.entry_counted(idx, h);
-                            shared_check_chunk(
-                                entry,
-                                a,
-                                (idx as u32) << shift,
-                                false,
-                                clocks,
-                                policy,
-                                capture_witness,
-                                ring,
-                                log,
-                                h,
-                                &mut on_transition,
-                            );
-                        }
-                        if wide {
-                            // The scalar accessor invalidated the page
-                            // mirror — restore it before the next block.
-                            pe.ensure_hot();
-                        }
-                        scalar_n += (hi + 1 - lo) as u64;
-                        j += 1;
-                    }
-                    if j >= accesses.len() {
-                        break;
-                    }
-                    let b = &accesses[j];
-                    let (blo, bhi) = index_range(b.addr, b.size);
-                    if blo > bhi
-                        || ShadowTable::page_of(blo) != page
-                        || ShadowTable::page_of(bhi) != page
-                    {
-                        break;
-                    }
-                    (lo, hi) = (blo, bhi);
-                }
-                dispatch.wide_lanes += wide_n;
-                dispatch.cs_fast_lanes += cs_n;
-                dispatch.scalar_lanes += scalar_n;
-                j
-            });
-            stats.checks += (next - i) as u64;
-            i = next;
-        }
-    }
-
-    /// Pre-issue intra-warp WAW check over one warp instruction's lanes
-    /// (exact byte overlap — same-warp chunk conflation never reports).
-    /// Races go into `log`; `scratch` supplies the reusable dedup buffer.
-    pub fn check_warp_stores(
-        &mut self,
-        lanes: &[MemAccess],
-        scratch: &mut RaceScratch,
-        log: &mut RaceLog,
-    ) {
-        self.stats.intra_warp_checks += 1;
-        check_intra_warp_waw_into(lanes, 0, MemSpace::Shared, scratch, log);
+        Self::from_config(&cfg, Shared { sm, banks }, 0, shared_bytes, 0)
     }
 
     /// A block resident on this SM reached a barrier: invalidate the shadow
@@ -416,145 +67,18 @@ impl SharedRdu {
     /// the stall cycles the invalidation costs (`entries / banks` — the
     /// banked shadow storage clears one row per bank per cycle).
     pub fn reset_block_range(&mut self, lo: u32, hi: u32) -> u64 {
-        let first = self.gran.index(0, lo);
-        let last = self.gran.entries_for(hi).min(self.table.len());
+        let gran = self.granularity();
+        let first = gran.index(0, lo);
+        let last = gran.entries_for(hi).min(self.num_entries());
         let count = last.saturating_sub(first);
         // Functionally a lazy epoch bump (O(pages)); the charged cycles
         // keep modeling the banked hardware clear over the full range.
         self.table.reset_range(first, last);
         self.stats.resets += 1;
         self.stats.reset_entries += count as u64;
-        let cycles = cost::banked_reset_cycles(count as u64, self.banks);
+        let cycles = cost::banked_reset_cycles(count as u64, self.space.banks.max(1));
         self.stats.reset_cycles += cycles;
         cycles
-    }
-
-    /// Invalidate everything (kernel launch/termination).
-    pub fn reset_all(&mut self) {
-        self.table.reset_all();
-        self.ring.clear();
-    }
-
-    /// Inspect a shadow entry (tests/debugging). Untouched and
-    /// epoch-invalidated entries read as fresh.
-    pub fn entry(&self, idx: usize) -> ShadowEntry {
-        self.table.get(idx)
-    }
-
-    /// Inclusive range of shadow-entry indices an access touches, clamped
-    /// to the table — the same chunks [`Self::observe`] walks. `None` if
-    /// the access lands entirely past the table (observability hooks use
-    /// this to snapshot states around an `observe`).
-    pub fn chunk_range(&self, addr: u32, size: u8) -> Option<(usize, usize)> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.gran.index_range(0, addr, size);
-        let hi = hi.min(self.table.len() - 1);
-        (lo <= hi).then_some((lo, hi))
-    }
-
-    /// Byte offset (into this SM's shared memory) of chunk `idx`.
-    pub fn chunk_addr(&self, idx: usize) -> u32 {
-        (idx as u32) << self.gran.shift()
-    }
-}
-
-/// One shared shadow-entry check — [`SharedRdu::observe_health`]'s inner
-/// loop body, preceded by the same-thread fast path whenever no
-/// transition sink is attached; the fast path reports before/after
-/// states itself, so witness capture rides it. (Unlike the global path
-/// there is no traffic signal and no truncated-ID accounting.)
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn shared_check_chunk(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    traced: bool,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) {
-    if !traced {
-        if let Some((_, state_before, state_after)) = entry.observe_same_thread_fast(a, policy) {
-            if capture_witness && a.kind.is_tracked() {
-                ring.push(WitnessEvent {
-                    cycle: a.cycle,
-                    who: a.who,
-                    pc: a.pc,
-                    kind: a.kind,
-                    addr: chunk_addr,
-                    state_before,
-                    state_after,
-                });
-            }
-            return;
-        }
-    }
-    shared_check_chunk_slow(
-        entry,
-        a,
-        chunk_addr,
-        clocks,
-        policy,
-        capture_witness,
-        ring,
-        log,
-        h,
-        on_transition,
-    );
-}
-
-/// The full Fig. 3 dispatch for one shared chunk — everything past the
-/// same-thread fast path, kept out of line so the steady state inlines
-/// into the batch loop.
-#[allow(clippy::too_many_arguments)]
-#[cold]
-#[inline(never)]
-fn shared_check_chunk_slow(
-    entry: &mut ShadowEntry,
-    a: &MemAccess,
-    chunk_addr: u32,
-    clocks: &ClockFile,
-    policy: &ShadowPolicy,
-    capture_witness: bool,
-    ring: &mut WitnessRing,
-    log: &mut RaceLog,
-    h: &mut DetectorHealth,
-    on_transition: &mut Option<TransitionSink<'_>>,
-) {
-    let mut chunk_access = *a;
-    chunk_access.addr = chunk_addr;
-    let state_before = entry.state();
-    let race = entry.observe_health(&chunk_access, clocks, policy, h);
-    let state_after = entry.state();
-    if let Some(cb) = on_transition.as_deref_mut() {
-        if state_after != state_before {
-            cb(chunk_addr, state_before, state_after);
-        }
-    }
-    if capture_witness && a.kind.is_tracked() {
-        ring.push(WitnessEvent {
-            cycle: a.cycle,
-            who: a.who,
-            pc: a.pc,
-            kind: a.kind,
-            addr: chunk_addr,
-            state_before,
-            state_after,
-        });
-    }
-    if let Some(r) = race {
-        if capture_witness {
-            log.push_with_witness(r, &ring.collect_for(chunk_addr));
-        } else {
-            log.push(r);
-        }
     }
 }
 
@@ -562,6 +86,9 @@ fn shared_check_chunk_slow(
 mod tests {
     use super::*;
     use crate::access::{AccessKind, ThreadCoord};
+    use crate::clocks::ClockFile;
+    use crate::race::RaceLog;
+    use crate::scratch::RaceScratch;
 
     fn rdu() -> SharedRdu {
         SharedRdu::new(
@@ -699,114 +226,6 @@ mod tests {
         r.observe(&acc(64, AccessKind::Read, 32, 1), &c, &mut log);
         assert_eq!(log.distinct(), 1);
         assert!(log.witness_of(0).is_empty());
-    }
-
-    /// Batch pipeline vs scalar pipeline on the shared RDU: identical
-    /// races, health, stats, entries, witnesses, and transition events.
-    fn assert_batch_matches_scalar(accesses: &[MemAccess], is_store: bool, witness: bool) {
-        use crate::shadow::ShadowState;
-        let c = ClockFile::new(4, 16);
-        let mut scalar = rdu();
-        let mut batch = rdu();
-        scalar.set_witness_capture(witness);
-        batch.set_witness_capture(witness);
-        let mut slog = RaceLog::default();
-        let mut blog = RaceLog::default();
-        let mut sh = DetectorHealth::default();
-        let mut bh = DetectorHealth::default();
-        let mut ss = RaceScratch::default();
-        let mut bs = RaceScratch::default();
-        let mut sevents: Vec<(u32, ShadowState, ShadowState)> = Vec::new();
-        let mut bevents: Vec<(u32, ShadowState, ShadowState)> = Vec::new();
-        for _round in 0..2 {
-            if is_store {
-                scalar.check_warp_stores(accesses, &mut ss, &mut slog);
-            }
-            for a in accesses {
-                let watch = scalar.chunk_range(a.addr, a.size);
-                let states: Vec<ShadowState> = watch
-                    .map(|(lo, hi)| (lo..=hi).map(|i| scalar.entry(i).state()).collect())
-                    .unwrap_or_default();
-                scalar.observe_health(a, &c, &mut slog, &mut sh);
-                if let Some((lo, hi)) = watch {
-                    for (k, i) in (lo..=hi).enumerate() {
-                        let to = scalar.entry(i).state();
-                        if to != states[k] {
-                            sevents.push((scalar.chunk_addr(i), states[k], to));
-                        }
-                    }
-                }
-            }
-            let mut sink = |addr: u32, from: ShadowState, to: ShadowState| {
-                bevents.push((addr, from, to));
-            };
-            batch.check_warp_batch(
-                accesses,
-                is_store,
-                &c,
-                &mut bs,
-                &mut blog,
-                &mut bh,
-                Some(&mut sink),
-            );
-        }
-        assert_eq!(slog.records(), blog.records());
-        assert_eq!(slog.total(), blog.total());
-        assert_eq!(sh, bh, "health counters");
-        assert_eq!(sevents, bevents, "transition events");
-        assert_eq!(format!("{:?}", scalar.stats), format!("{:?}", batch.stats));
-        for idx in 0..scalar.num_entries() {
-            assert_eq!(scalar.entry(idx), batch.entry(idx), "entry {idx}");
-        }
-        for k in 0..slog.records().len() {
-            assert_eq!(slog.witness_of(k), blog.witness_of(k), "witness {k}");
-        }
-
-        // Untraced: the same-thread fast path engages.
-        let mut scalar2 = rdu();
-        let mut batch2 = rdu();
-        let mut slog2 = RaceLog::default();
-        let mut blog2 = RaceLog::default();
-        let mut sh2 = DetectorHealth::default();
-        let mut bh2 = DetectorHealth::default();
-        for _ in 0..2 {
-            if is_store {
-                scalar2.check_warp_stores(accesses, &mut ss, &mut slog2);
-            }
-            for a in accesses {
-                scalar2.observe_health(a, &c, &mut slog2, &mut sh2);
-            }
-            batch2.check_warp_batch(accesses, is_store, &c, &mut bs, &mut blog2, &mut bh2, None);
-        }
-        assert_eq!(slog2.records(), blog2.records());
-        assert_eq!(sh2, bh2, "untraced health");
-        assert_eq!(format!("{:?}", scalar2.stats), format!("{:?}", batch2.stats));
-        for idx in 0..scalar2.num_entries() {
-            assert_eq!(scalar2.entry(idx), batch2.entry(idx), "untraced entry {idx}");
-        }
-    }
-
-    #[test]
-    fn warp_batch_matches_scalar_pipeline() {
-        // Coalesced same-warp stores (one page run, steady state on
-        // round 2).
-        let coalesced: Vec<_> =
-            (0..32).map(|l| acc(l * 4, AccessKind::Write, l, 0).at_pc(9)).collect();
-        assert_batch_matches_scalar(&coalesced, true, false);
-        assert_batch_matches_scalar(&coalesced, true, true);
-
-        // Cross-warp conflicts + bank-scattered lanes + a straddling
-        // access + an out-of-range lane (clamped) + an atomic.
-        let mut mixed: Vec<_> =
-            (0..16).map(|l| acc(l * 1024, AccessKind::Write, l, 0).at_pc(3)).collect();
-        mixed.extend((0..8).map(|l| acc(l * 1024, AccessKind::Read, 32 + l, 1).at_pc(4)));
-        let mut straddle = acc(2044, AccessKind::Write, 5, 0);
-        straddle.size = 8;
-        mixed.push(straddle);
-        mixed.push(acc(1 << 20, AccessKind::Write, 6, 0));
-        mixed.push(acc(64, AccessKind::Atomic, 7, 0));
-        assert_batch_matches_scalar(&mixed, true, false);
-        assert_batch_matches_scalar(&mixed, true, true);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! is replayed for three rounds — the later rounds sit in the
 //! same-thread steady state the wide tier is built for — through a
 //! default RDU and a `set_force_scalar(true)` twin, with witness
-//! capture both off (wide tier engaged) and on (reference path pinned).
-//! Every observable must match bit-for-bit: shadow entries, race
-//! records, witness timelines, health counters and the stats block.
+//! capture off and on, and with a transition sink absent and attached to
+//! both twins (the wide tier stays engaged under either observer). Every
+//! observable must match bit-for-bit: shadow entries, race records,
+//! witness timelines, health counters, the stats block and the Fig. 3
+//! event stream. Attaching the sink must add the event stream and change
+//! nothing else.
 
 use haccrg::prelude::*;
 use proptest::prelude::*;
@@ -116,58 +119,89 @@ fn shared_access(l: &Lane, lane: usize) -> MemAccess {
     with_lockset(a, l.cs)
 }
 
-type Observables = (
-    Vec<ShadowEntry>,
-    Vec<RaceRecord>,
-    Vec<Vec<WitnessEvent>>,
-    u64,
-    DetectorHealth,
-    String,
-);
-
-fn drive_global(accesses: &[MemAccess], witness: bool, force: bool) -> (Observables, Vec<ShadowTraffic>) {
-    let clocks = ClockFile::new(8, 64);
-    let mut r = GlobalRdu::new(
-        HEAP,
-        4096,
-        SHADOW,
-        Granularity::GLOBAL_DEFAULT,
-        true,
-        true,
-        BloomConfig::PAPER_DEFAULT,
-    );
-    r.set_witness_capture(witness);
-    r.set_force_scalar(force);
-    let mut log = RaceLog::default();
-    let mut h = DetectorHealth::default();
-    let mut scratch = RaceScratch::default();
-    let mut traffic = Vec::new();
-    for _ in 0..ROUNDS {
-        r.check_warp_batch(accesses, true, &clocks, &mut scratch, &mut log, &mut h, None, |t| {
-            traffic.push(t)
-        });
-    }
-    let entries = (0..r.num_entries()).map(|i| r.entry(i)).collect();
-    let wit = (0..log.records().len()).map(|k| log.witness_of(k).to_vec()).collect();
-    let stats = format!("{:?}", r.stats);
-    ((entries, log.records().to_vec(), wit, log.total(), h, stats), traffic)
+/// Everything one twin's run can be observed through.
+#[derive(Debug, PartialEq)]
+struct Observables {
+    entries: Vec<ShadowEntry>,
+    races: Vec<RaceRecord>,
+    witnesses: Vec<Vec<WitnessEvent>>,
+    total: u64,
+    health: DetectorHealth,
+    stats: String,
+    events: Vec<(u32, ShadowState, ShadowState)>,
+    traffic: Vec<ShadowTraffic>,
 }
 
-fn drive_shared(accesses: &[MemAccess], witness: bool, force: bool) -> Observables {
+/// `ROUNDS` batches through `r`, with a transition sink attached when
+/// `traced`.
+fn drive<S: Space>(
+    mut r: ShadowRegion<S>,
+    accesses: &[MemAccess],
+    witness: bool,
+    force: bool,
+    traced: bool,
+) -> Observables {
     let clocks = ClockFile::new(8, 64);
-    let mut r = SharedRdu::new(0, 16 * 1024, 16, Granularity::SHARED_DEFAULT, true, BloomConfig::PAPER_DEFAULT);
     r.set_witness_capture(witness);
     r.set_force_scalar(force);
     let mut log = RaceLog::default();
     let mut h = DetectorHealth::default();
     let mut scratch = RaceScratch::default();
+    let (mut events, mut traffic) = (Vec::new(), Vec::new());
     for _ in 0..ROUNDS {
-        r.check_warp_batch(accesses, true, &clocks, &mut scratch, &mut log, &mut h, None);
+        let mut sink =
+            |addr: u32, from: ShadowState, to: ShadowState| events.push((addr, from, to));
+        let on_transition: Option<TransitionSink<'_>> = if traced { Some(&mut sink) } else { None };
+        r.check_warp_batch(
+            accesses,
+            true,
+            &clocks,
+            &mut scratch,
+            &mut log,
+            &mut h,
+            on_transition,
+            |t| traffic.push(t),
+        );
     }
-    let entries = (0..r.num_entries()).map(|i| r.entry(i)).collect();
-    let wit = (0..log.records().len()).map(|k| log.witness_of(k).to_vec()).collect();
-    let stats = format!("{:?}", r.stats);
-    (entries, log.records().to_vec(), wit, log.total(), h, stats)
+    Observables {
+        entries: (0..r.num_entries()).map(|i| r.entry(i)).collect(),
+        races: log.records().to_vec(),
+        witnesses: (0..log.records().len()).map(|k| log.witness_of(k).to_vec()).collect(),
+        total: log.total(),
+        health: h,
+        stats: format!("{:?}", r.stats),
+        events,
+        traffic,
+    }
+}
+
+/// The default twin against its forced-scalar twin, with the sink absent
+/// and present; then the untraced run against the traced one with its
+/// event stream removed.
+fn assert_twins_match<S: Space>(
+    mk: impl Fn() -> ShadowRegion<S>,
+    accesses: &[MemAccess],
+    witness: bool,
+) {
+    let [untraced, traced] = [false, true].map(|traced| {
+        let wide = drive(mk(), accesses, witness, false, traced);
+        let scalar = drive(mk(), accesses, witness, true, traced);
+        assert_eq!(wide, scalar, "witness={witness}, traced={traced}");
+        wide
+    });
+    assert_eq!(
+        untraced,
+        Observables { events: Vec::new(), ..traced },
+        "the sink changed more than the event stream, witness={witness}"
+    );
+}
+
+fn global_rdu() -> GlobalRdu {
+    GlobalRdu::new(HEAP, 4096, SHADOW, Granularity::GLOBAL_DEFAULT, true, true, BloomConfig::PAPER_DEFAULT)
+}
+
+fn shared_rdu() -> SharedRdu {
+    SharedRdu::new(0, 16 * 1024, 16, Granularity::SHARED_DEFAULT, true, BloomConfig::PAPER_DEFAULT)
 }
 
 proptest! {
@@ -177,16 +211,8 @@ proptest! {
     fn global_wide_tier_matches_forced_scalar(lanes in prop::collection::vec(arb_lane(), 1..25)) {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| global_access(l, i)).collect();
-        for witness in [false, true] {
-            let (wide, wide_traffic) = drive_global(&accesses, witness, false);
-            let (scalar, scalar_traffic) = drive_global(&accesses, witness, true);
-            prop_assert_eq!(&wide.0, &scalar.0, "shadow entries, witness={}", witness);
-            prop_assert_eq!(&wide.1, &scalar.1, "race records, witness={}", witness);
-            prop_assert_eq!(&wide.2, &scalar.2, "witness timelines, witness={}", witness);
-            prop_assert_eq!(wide.3, scalar.3, "race totals, witness={}", witness);
-            prop_assert_eq!(&wide.4, &scalar.4, "health counters, witness={}", witness);
-            prop_assert_eq!(&wide.5, &scalar.5, "stats, witness={}", witness);
-            prop_assert_eq!(&wide_traffic, &scalar_traffic, "traffic, witness={}", witness);
+        for (accesses, witness) in variants(&accesses) {
+            assert_twins_match(global_rdu, &accesses, witness);
         }
     }
 
@@ -194,15 +220,23 @@ proptest! {
     fn shared_wide_tier_matches_forced_scalar(lanes in prop::collection::vec(arb_lane(), 1..25)) {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| shared_access(l, i)).collect();
-        for witness in [false, true] {
-            let wide = drive_shared(&accesses, witness, false);
-            let scalar = drive_shared(&accesses, witness, true);
-            prop_assert_eq!(&wide.0, &scalar.0, "shadow entries, witness={}", witness);
-            prop_assert_eq!(&wide.1, &scalar.1, "race records, witness={}", witness);
-            prop_assert_eq!(&wide.2, &scalar.2, "witness timelines, witness={}", witness);
-            prop_assert_eq!(wide.3, scalar.3, "race totals, witness={}", witness);
-            prop_assert_eq!(&wide.4, &scalar.4, "health counters, witness={}", witness);
-            prop_assert_eq!(&wide.5, &scalar.5, "stats, witness={}", witness);
+        for (accesses, witness) in variants(&accesses) {
+            assert_twins_match(shared_rdu, &accesses, witness);
         }
     }
+}
+
+/// Each batch with witness capture off and on, both as generated and
+/// with every lane preceded by a read from the same thread — so writes
+/// by a location's owner promote `ReadSingle` to `Written` on the wide
+/// tier, the one Fig. 3 edge it can take.
+fn variants(accesses: &[MemAccess]) -> Vec<(Vec<MemAccess>, bool)> {
+    let owned: Vec<MemAccess> = accesses
+        .iter()
+        .flat_map(|a| [MemAccess { kind: AccessKind::Read, ..*a }, *a])
+        .collect();
+    [false, true]
+        .into_iter()
+        .flat_map(|w| [(accesses.to_vec(), w), (owned.clone(), w)])
+        .collect()
 }

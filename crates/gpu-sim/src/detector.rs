@@ -123,35 +123,15 @@ impl DetectorState {
         slices: (u32, u32),
     ) -> Self {
         cfg.validate().expect("invalid detector config");
-        let warp_filter = !cfg.warp_regrouping;
         let shared = (0..num_sms)
             .map(|sm| {
-                let mut rdu = SharedRdu::new(sm, shared_per_sm, shared_banks, cfg.shared_granularity, warp_filter, cfg.bloom);
-                rdu.set_witness_capture(cfg.witness_capture);
-                rdu.set_exact_lockset(cfg.exact_lockset);
-                if cfg.force_scalar_shadow {
-                    rdu.set_force_scalar(true);
-                }
-                rdu
+                let space = Shared { sm, banks: shared_banks };
+                SharedRdu::from_config(&cfg, space, 0, shared_per_sm, 0)
             })
             .collect();
-        let global = cfg.global_enabled.then(|| {
-            let mut rdu = GlobalRdu::new(
-                tracked.0,
-                tracked.1,
-                shadow_base,
-                cfg.global_granularity,
-                warp_filter,
-                cfg.l1_stale_check,
-                cfg.bloom,
-            );
-            rdu.set_witness_capture(cfg.witness_capture);
-            rdu.set_exact_lockset(cfg.exact_lockset);
-            if cfg.force_scalar_shadow {
-                rdu.set_force_scalar(true);
-            }
-            rdu
-        });
+        let global = cfg
+            .global_enabled
+            .then(|| GlobalRdu::from_config(&cfg, Global, tracked.0, tracked.1, shadow_base));
         let span = haccrg::cost::global_shadow_footprint(u64::from(tracked.1), cfg.global_granularity)
             .allocated_bytes;
         Self {

@@ -1321,7 +1321,8 @@ impl Sm {
         // Whole-warp batch check: the RDU resolves each shadow page once
         // per run of same-page lanes and reports Fig. 3 edges through the
         // sink (tracing only; the sink keeps the per-access event order of
-        // the old scalar loop).
+        // the old scalar loop). Shared shadow entries sit in SRAM beside
+        // the banks, so the traffic callback has nothing to charge.
         let mut local = RaceLog::default();
         {
             let rdu = self.shared_rdu.as_mut().expect("checked above");
@@ -1348,6 +1349,7 @@ impl Sm {
                 &mut local,
                 &mut out.stats.health,
                 on_transition,
+                |_| {},
             );
         }
         // Race reports go through the coordinator, which knows whether a
