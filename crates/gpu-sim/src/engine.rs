@@ -37,7 +37,8 @@ struct Job {
     /// Whether quiescent SMs (`now < wake_hint`) may skip their compute
     /// call this cycle (the `GpuConfig::cycle_skip` fast path). Gating is
     /// decided per SM from SM-local state, so results stay independent of
-    /// the worker count.
+    /// the worker count, and the coordinator applies exactly the SMs it
+    /// knows were computed.
     gate: bool,
     mem: Arc<DeviceMemory>,
     det: Option<(Arc<ClockFile>, DetStatics)>,
@@ -83,14 +84,8 @@ impl CyclePool {
                     // percentages are exact on serial runs.
                     let prof_chunk = crate::prof::scope(crate::prof::Phase::SmCompute);
                     for (sm, out) in sms.iter_mut().zip(outs.iter_mut()) {
-                        // Must clear even when gated: the apply phase
-                        // replays whatever the buffer holds.
-                        out.clear();
-                        let idle = now < sm.wake_hint;
-                        if idle {
-                            sm.idle_cycles += 1;
-                        }
-                        if !(gate && idle) {
+                        if !(gate && now < sm.wake_hint) {
+                            out.clear();
                             let view = det.as_ref().map(|(clocks, st)| st.view(clocks));
                             sm.cycle_compute(now, ctx, &mem, view, out);
                         }

@@ -12,6 +12,7 @@ use haccrg::config::DetectorConfig;
 use haccrg::cost;
 use haccrg::prelude::*;
 
+use crate::active::ActiveSet;
 use crate::config::GpuConfig;
 use crate::detector::{DetectorMode, DetectorState, LaunchDet};
 use crate::device::{DeviceMemory, HEAP_BASE};
@@ -270,14 +271,18 @@ impl Gpu {
         let mut st = LoopState {
             mem: Arc::new(std::mem::take(&mut self.mem)),
             det,
-            stats: SimStats::default(),
+            sm_awake: ActiveSet::from_fn(sms.len(), |i| sms[i].wake_hint != u64::MAX),
+            sm_busy: ActiveSet::from_fn(sms.len(), |i| sms[i].busy()),
+            slice_awake: ActiveSet::from_fn(slices.len(), |s| slices[s].wake_hint != u64::MAX),
+            slice_busy: ActiveSet::from_fn(slices.len(), |s| !slices[s].idle()),
+            computed: Vec::with_capacity(sms.len()),
             sms,
             outs,
             slices,
-            sm_egress: (0..self.cfg.num_sms).map(|_| Link::new(lat)).collect(),
-            sm_ingress: (0..self.cfg.num_sms).map(|_| Link::new(0)).collect(),
-            slice_ingress: (0..self.cfg.num_mem_slices).map(|_| Link::new(0)).collect(),
-            slice_egress: (0..self.cfg.num_mem_slices).map(|_| Link::new(lat)).collect(),
+            sm_egress: LinkArray::new(self.cfg.num_sms, lat),
+            sm_ingress: LinkArray::new(self.cfg.num_sms, 0),
+            slice_ingress: LinkArray::new(self.cfg.num_mem_slices, 0),
+            slice_egress: LinkArray::new(self.cfg.num_mem_slices, lat),
             sampler,
             skip: SkipStats::default(),
         };
@@ -304,7 +309,6 @@ impl Gpu {
         let LoopState {
             mem,
             det,
-            stats,
             sms,
             slices,
             sm_egress,
@@ -319,14 +323,19 @@ impl Gpu {
         // Restore device memory even on error so the GPU stays usable.
         self.mem = Arc::try_unwrap(mem).ok().expect("memory snapshot outstanding after launch");
         let mut now = outcome?;
-        skip.sm_idle_cycles = sms.iter().map(|s| s.idle_cycles).collect();
+        // Idle time stops with the cycle loop: the detection epilogue
+        // below is modeled, not simulated.
+        let loop_end = now;
+        skip.sm_idle_cycles = sms.iter().map(|s| s.idle_cycles(loop_end)).collect();
+        let links = [&sm_egress, &sm_ingress, &slice_ingress, &slice_egress];
 
         // Race-log saturation is a fidelity loss: surface it in the health
         // block before aggregation so the final sampling interval (and the
-        // launch aggregate) both carry it.
-        let mut stats = stats;
+        // launch aggregate) both carry it. It is the only launch counter
+        // no SM owns.
+        let mut base = SimStats::default();
         if let Some(d) = det.as_ref() {
-            stats.health.log_dropped += d.log.dropped();
+            base.health.log_dropped += d.log.dropped();
         }
 
         // Passive-detection epilogue (see `haccrg::cost`): detection ran
@@ -351,22 +360,8 @@ impl Gpu {
                     if b >= now {
                         break;
                     }
-                    let agg = aggregate_stats(
-                        &stats,
-                        b,
-                        &sms,
-                        &slices,
-                        [&sm_egress, &sm_ingress, &slice_ingress, &slice_egress],
-                    );
-                    let sample = cut_sample(
-                        sp,
-                        b,
-                        &agg,
-                        &sms,
-                        &slices,
-                        [&sm_egress, &sm_ingress, &slice_ingress, &slice_egress],
-                        &skip,
-                    );
+                    let agg = aggregate_stats(&base, b, &sms, &slices, links);
+                    let sample = cut_sample(sp, b, &agg, &sms, &slices, links, &skip, loop_end);
                     self.tracer.push_sample(sample);
                 }
             }
@@ -374,26 +369,12 @@ impl Gpu {
 
         // Aggregate statistics (the same function the sampler snapshots
         // through, so per-interval deltas telescope to this aggregate).
-        let stats = aggregate_stats(
-            &stats,
-            now,
-            &sms,
-            &slices,
-            [&sm_egress, &sm_ingress, &slice_ingress, &slice_egress],
-        );
+        let stats = aggregate_stats(&base, now, &sms, &slices, links);
 
         // Mandatory final (possibly partial) sampling interval.
         if let Some(sp) = sampler.as_mut() {
             if sp.last_cycle() < now {
-                let sample = cut_sample(
-                    sp,
-                    now,
-                    &stats,
-                    &sms,
-                    &slices,
-                    [&sm_egress, &sm_ingress, &slice_ingress, &slice_egress],
-                    &skip,
-                );
+                let sample = cut_sample(sp, now, &stats, &sms, &slices, links, &skip, loop_end);
                 self.tracer.push_sample(sample);
             }
         }
@@ -425,6 +406,13 @@ impl Gpu {
     /// engines. Each cycle: dispatch → compute phase (possibly fanned
     /// over `pool`) → serial apply phase in SM-id order → interconnect /
     /// slices / responses → bookkeeping. Returns the final cycle count.
+    ///
+    /// A cycle visits only the members of the loop's active sets (see
+    /// [`LoopState`]), in ascending index order — the order of the full
+    /// scans they replace — so its cost follows the components that can
+    /// act, not the size of the machine. The dense loop
+    /// (`cycle_skip = false`) still computes every SM and cycles every
+    /// slice on every cycle.
     #[allow(clippy::too_many_lines)]
     fn run_cycles(
         &mut self,
@@ -462,6 +450,8 @@ impl Gpu {
                         let i = (dispatch_rr + k) % st.sms.len();
                         if st.sms[i].can_place(ctx) {
                             st.sms[i].place(next_block, ctx);
+                            st.sm_awake.insert(i);
+                            st.sm_busy.insert(i);
                             next_block += 1;
                             dispatch_rr = (i + 1) % st.sms.len();
                             placed = true;
@@ -474,29 +464,41 @@ impl Gpu {
                 }
             }
 
-            // Compute phase: every SM advances one core cycle against the
-            // pre-cycle memory / clock snapshot, buffering its effects.
-            // Quiescent SMs (`now < wake_hint`) are counted idle in every
-            // mode, and additionally gated out of the compute call when
-            // fast-forwarding is on — a gated call would be a provable
-            // no-op (see `Sm::wake_hint`), so results are unchanged.
+            // Compute phase: SMs advance one core cycle against the
+            // pre-cycle memory / clock snapshot, buffering their effects.
+            // An SM is awake this cycle once its wake hint has come
+            // (`now >= wake_hint`, in every mode); every other cycle of
+            // the launch counts as idle. The dense loop computes every
+            // SM; when fast-forwarding only the awake ones are — a
+            // quiescent SM's compute call is a provable no-op (see
+            // `Sm::wake_hint`), so results are unchanged. `computed`
+            // lists, in SM-id order, the SMs whose output the rest of the
+            // cycle applies and drains.
             let prof_compute = prof::scope(Phase::SmCompute);
+            st.computed.clear();
+            for i in st.sm_awake.iter() {
+                let sm = &mut st.sms[i];
+                if now >= sm.wake_hint {
+                    sm.awake_cycles += 1;
+                    if cycle_skip {
+                        st.computed.push(i);
+                    }
+                }
+            }
+            if !cycle_skip {
+                st.computed.extend(0..st.sms.len());
+            }
             match pool {
                 Some(p) => {
                     let det = st.det.as_ref().map(|d| (&d.clocks, d.statics()));
                     p.run_cycle(now, cycle_skip, &st.mem, det, &mut st.sms, &mut st.outs);
                 }
                 None => {
-                    for (sm, out) in st.sms.iter_mut().zip(st.outs.iter_mut()) {
+                    for &i in &st.computed {
+                        let out = &mut st.outs[i];
                         out.clear();
-                        let idle = now < sm.wake_hint;
-                        if idle {
-                            sm.idle_cycles += 1;
-                        }
-                        if !(cycle_skip && idle) {
-                            let view = st.det.as_ref().map(LaunchDet::view);
-                            sm.cycle_compute(now, ctx, &st.mem, view, out);
-                        }
+                        let view = st.det.as_ref().map(LaunchDet::view);
+                        st.sms[i].cycle_compute(now, ctx, &st.mem, view, out);
                     }
                 }
             }
@@ -510,27 +512,31 @@ impl Gpu {
                 let _prof = prof::scope(Phase::Apply);
                 let mem = Arc::get_mut(&mut st.mem)
                     .expect("memory snapshot outstanding during apply phase");
-                for i in 0..st.sms.len() {
+                for &i in &st.computed {
+                    let sm = &mut st.sms[i];
                     apply_cycle_output(
-                        &mut st.sms[i],
+                        sm,
                         &mut st.outs[i],
                         now,
                         mem,
                         &mut st.det,
-                        &mut st.stats,
                         &mut self.tracer,
                         self.trace.as_mut(),
                     );
-                    if st.sms[i].freed_capacity {
-                        st.sms[i].freed_capacity = false;
+                    if sm.freed_capacity {
+                        sm.freed_capacity = false;
                         dispatch_needed = true;
                     }
                 }
             }
 
-            // SM → network.
+            // SM → network. Only a computed SM can hold requests. Besides
+            // a placement or a response, which add the SM to its sets,
+            // compute and this drain are the only ways a cycle changes
+            // an SM's wake hint or busy state.
             let prof_icnt = prof::scope(Phase::Icnt);
-            for (i, sm) in st.sms.iter_mut().enumerate() {
+            for &i in &st.computed {
+                let sm = &mut st.sms[i];
                 for req in sm.out_req.drain(..) {
                     if let Some(tr) = self.trace.as_mut() {
                         let shadow = (req.shadow_ops > 0).then_some(req.shadow_base);
@@ -548,77 +554,90 @@ impl Gpu {
                         );
                     }
                     let flits = req.request_flits(flit);
-                    st.sm_egress[i].push(now, flits, req);
+                    st.sm_egress.push(i, now, flits, req);
                 }
+                st.sm_awake.assign(i, sm.wake_hint != u64::MAX);
+                st.sm_busy.assign(i, sm.busy());
             }
             // Network → slices (slice ingress models the port).
-            for link in &mut st.sm_egress {
-                while let Some(req) = link.pop_ready(now) {
-                    let s = self.cfg.slice_of(req.line_addr) as usize;
-                    st.slice_ingress[s].push(now, 1, req);
-                }
-            }
-            for (s, link) in st.slice_ingress.iter_mut().enumerate() {
-                while let Some(req) = link.pop_ready(now) {
-                    st.slices[s].push_input(req);
-                }
-            }
+            st.sm_egress.drain_ready(now, |_, req| {
+                let s = self.cfg.slice_of(req.line_addr) as usize;
+                st.slice_ingress.push(s, now, 1, req);
+            });
+            st.slice_ingress.drain_ready(now, |s, req| {
+                st.slices[s].push_input(req);
+                st.slice_awake.insert(s);
+                st.slice_busy.insert(s);
+            });
             drop(prof_icnt);
 
-            // Memory slices.
+            // Memory slices: every slice in the dense loop; when
+            // fast-forwarding, the awake slices whose hint has come.
+            // Gated slice cycles are provable no-ops (no responses, no
+            // trace events, no DRAM work — see `MemSlice::wake_hint`).
             {
                 let _prof = prof::scope(Phase::SliceCycle);
                 let mem = Arc::get_mut(&mut st.mem)
                     .expect("memory snapshot outstanding during slice phase");
-                for (s, slice) in st.slices.iter_mut().enumerate() {
-                    // Gated slice cycles are provable no-ops (no
-                    // responses, no trace events, no DRAM work — see
-                    // `MemSlice::wake_hint`).
-                    if cycle_skip && now < slice.wake_hint {
-                        continue;
+                let n = st.slices.len();
+                let next = |set: &ActiveSet, from: usize| {
+                    if cycle_skip {
+                        set.next_from(from)
+                    } else {
+                        (from < n).then_some(from)
                     }
-                    for resp in slice.cycle(now, mem) {
-                        let flits = resp.response_flits(flit);
-                        st.slice_egress[s].push(now, flits, resp);
-                    }
-                    if tracing {
-                        for ev in slice.trace_buf.drain(..) {
-                            self.tracer.emit(now, ev);
+                };
+                let mut at = next(&st.slice_awake, 0);
+                while let Some(s) = at {
+                    let slice = &mut st.slices[s];
+                    if !cycle_skip || now >= slice.wake_hint {
+                        for resp in slice.cycle(now, mem) {
+                            let flits = resp.response_flits(flit);
+                            st.slice_egress.push(s, now, flits, resp);
                         }
+                        if tracing {
+                            for ev in slice.trace_buf.drain(..) {
+                                self.tracer.emit(now, ev);
+                            }
+                        }
+                        st.slice_awake.assign(s, slice.wake_hint != u64::MAX);
+                        st.slice_busy.assign(s, !slice.idle());
                     }
+                    at = next(&st.slice_awake, s + 1);
                 }
             }
 
             // Network → SMs.
             let prof_resp = prof::scope(Phase::Respond);
-            for link in &mut st.slice_egress {
-                while let Some(resp) = link.pop_ready(now) {
-                    st.sm_ingress[resp.sm as usize].push(now, 1, resp);
+            st.slice_egress.drain_ready(now, |_, resp| {
+                let i = resp.sm as usize;
+                st.sm_ingress.push(i, now, 1, resp);
+            });
+            st.sm_ingress.drain_ready(now, |i, resp| {
+                if tracing {
+                    self.tracer.emit(
+                        now,
+                        SimEvent::RespArrive {
+                            sm: resp.sm,
+                            id: resp.id,
+                            line: resp.line_addr,
+                            kind: ReqTag::from(&resp.kind),
+                        },
+                    );
                 }
-            }
-            for (i, link) in st.sm_ingress.iter_mut().enumerate() {
-                while let Some(resp) = link.pop_ready(now) {
-                    if tracing {
-                        self.tracer.emit(
-                            now,
-                            SimEvent::RespArrive {
-                                sm: resp.sm,
-                                id: resp.id,
-                                line: resp.line_addr,
-                                kind: ReqTag::from(&resp.kind),
-                            },
-                        );
-                    }
-                    st.sms[i].handle_response(resp, now, ctx, &mut st.det, &mut st.stats, &mut self.tracer);
-                }
-            }
+                let sm = &mut st.sms[i];
+                sm.handle_response(resp, now, ctx, &mut st.det, &mut self.tracer);
+                st.sm_awake.insert(i);
+                st.sm_busy.assign(i, sm.busy());
+            });
             drop(prof_resp);
 
             now += 1;
             prof::count(Counter::DenseCycles, 1);
             if let (Some(h), Some(base)) = (hb.as_ref(), hb_base) {
                 if now >= next_beat {
-                    h.beat(base, now, st.stats.warp_instructions, shadow_checks(&st.stats));
+                    let (instructions, checks) = progress(&st.sms);
+                    h.beat(base, now, instructions, checks);
                     next_beat = now + heartbeat::BEAT_INTERVAL;
                 }
             }
@@ -627,22 +646,12 @@ impl Gpu {
             if let Some(sp) = st.sampler.as_mut() {
                 if sp.due(now) {
                     let _prof = prof::scope(Phase::Sampler);
-                    let agg = aggregate_stats(
-                        &st.stats,
-                        now,
-                        &st.sms,
-                        &st.slices,
-                        [&st.sm_egress, &st.sm_ingress, &st.slice_ingress, &st.slice_egress],
-                    );
-                    let sample = cut_sample(
-                        sp,
-                        now,
-                        &agg,
-                        &st.sms,
-                        &st.slices,
-                        [&st.sm_egress, &st.sm_ingress, &st.slice_ingress, &st.slice_egress],
-                        &st.skip,
-                    );
+                    let links =
+                        [&st.sm_egress, &st.sm_ingress, &st.slice_ingress, &st.slice_egress];
+                    let agg =
+                        aggregate_stats(&SimStats::default(), now, &st.sms, &st.slices, links);
+                    let sample =
+                        cut_sample(sp, now, &agg, &st.sms, &st.slices, links, &st.skip, now);
                     self.tracer.push_sample(sample);
                 }
             }
@@ -650,9 +659,18 @@ impl Gpu {
             // Completion: all blocks dispatched and retired, all queues dry.
             // Everything from here to the end of the iteration is loop
             // bookkeeping (completion / guards / fast-forward), profiled
-            // as skip-logic overhead.
+            // as skip-logic overhead. The full scans are the reference
+            // the incremental sets are checked against in debug builds.
             let _prof_skip = prof::scope(Phase::SkipLogic);
-            if next_block >= grid && quiescent(st) {
+            debug_assert!(active_sets_exact(st), "active sets diverged at cycle {now}");
+            debug_assert_eq!(st.quiescent(), quiescent(st), "quiescence diverged at cycle {now}");
+            debug_assert_eq!(
+                st.next_event(),
+                next_event_cycle(st),
+                "next event diverged at cycle {now}"
+            );
+            let quiet = st.quiescent();
+            if next_block >= grid && quiet {
                 break;
             }
             if now > self.cfg.watchdog_cycles {
@@ -663,7 +681,10 @@ impl Gpu {
             // interconnect links must be checked too: a response still in
             // flight can wake an SM and free capacity, so in-flight traffic
             // is progress even when every SM and slice is momentarily idle.
-            if next_block < grid && quiescent(st) {
+            // A CTA that retired this cycle is progress as well: the
+            // dispatcher places into its capacity at the top of the next
+            // cycle.
+            if next_block < grid && !dispatch_needed && quiet {
                 return Err(SimError::BadLaunch(format!(
                     "block {next_block} can never be placed (exceeds SM resources)"
                 )));
@@ -678,8 +699,10 @@ impl Gpu {
             // boundary and the watchdog horizon so neither is overshot.
             // `dispatch_needed` blocks jumping: dispatch runs at the top
             // of the next cycle regardless of component wake hints.
+            // Skipped cycles are idle for every SM, which needs no
+            // bookkeeping: idle time is elapsed minus awake cycles.
             if cycle_skip && !dispatch_needed {
-                let mut target = next_event_cycle(st);
+                let mut target = st.next_event();
                 if let Some(sp) = st.sampler.as_ref() {
                     target = target.min(sp.last_cycle().saturating_add(sp.every()));
                 }
@@ -689,9 +712,6 @@ impl Gpu {
                     prof::count(Counter::SkippedCycles, jump);
                     st.skip.cycles_skipped += jump;
                     st.skip.skip_jumps += 1;
-                    for sm in &mut st.sms {
-                        sm.idle_cycles += jump;
-                    }
                     now = target - 1;
                 }
             }
@@ -699,44 +719,47 @@ impl Gpu {
         // Final beat so the reporter sees the completed totals even for
         // launches shorter than one beat interval.
         if let (Some(h), Some(base)) = (hb.as_ref(), hb_base) {
-            h.beat(base, now, st.stats.warp_instructions, shadow_checks(&st.stats));
+            let (instructions, checks) = progress(&st.sms);
+            h.beat(base, now, instructions, checks);
         }
         Ok(now)
     }
 }
 
-/// Shadow-check work visible in the loop-carried stats: shared-RDU L1
-/// lookups plus global-RDU L2 accesses plus L1-hit detection probes.
-/// Heartbeat telemetry only — never part of result comparisons.
-fn shadow_checks(s: &SimStats) -> u64 {
-    s.shared_shadow_l1_accesses + s.shadow_l2_accesses + s.probe_packets
+/// The heartbeat's progress totals, folded over the SMs' counters: warp
+/// instructions, and shadow-check work — shared-RDU L1 lookups plus
+/// global-RDU L2 accesses plus L1-hit detection probes. Heartbeat
+/// telemetry only — never part of result comparisons.
+fn progress(sms: &[Sm]) -> (u64, u64) {
+    sms.iter().fold((0, 0), |(instructions, checks), sm| {
+        let s = &sm.stats;
+        let shadow = s.shared_shadow_l1_accesses + s.shadow_l2_accesses + s.probe_packets;
+        (instructions + s.warp_instructions, checks + shadow)
+    })
 }
 
 /// True when nothing in the launch holds live work: no SM busy, no packet
 /// on any interconnect link, no slice with queued or in-flight memory
-/// traffic. Shared by the completion check, the no-progress guard and the
-/// fast-forward eligibility test.
+/// traffic. The full-scan reference for [`LoopState::quiescent`].
 fn quiescent(st: &LoopState) -> bool {
     st.sms.iter().all(|s| !s.busy())
-        && st.sm_egress.iter().all(Link::is_empty)
-        && st.sm_ingress.iter().all(Link::is_empty)
-        && st.slice_ingress.iter().all(Link::is_empty)
-        && st.slice_egress.iter().all(Link::is_empty)
+        && st.links().iter().all(|a| a.links.iter().all(Link::is_empty))
         && st.slices.iter().all(MemSlice::idle)
 }
 
 /// Earliest future cycle at which any component can make progress: the
 /// minimum over every SM's wake hint, every link's head-of-queue arrival
 /// time, and every slice's wake hint. `u64::MAX` means fully quiescent
-/// (the tail checks above have already handled completion / no-progress,
-/// so a MAX here can only mean the loop is about to exit).
+/// (the tail checks have already handled completion / no-progress, so a
+/// MAX here can only mean the loop is about to exit). The full-scan
+/// reference for [`LoopState::next_event`].
 fn next_event_cycle(st: &LoopState) -> u64 {
     let mut t = u64::MAX;
     for sm in &st.sms {
         t = t.min(sm.wake_hint);
     }
-    for arr in [&st.sm_egress, &st.sm_ingress, &st.slice_ingress, &st.slice_egress] {
-        for l in arr.iter() {
+    for arr in st.links() {
+        for l in &arr.links {
             if let Some(at) = l.next_arrival() {
                 t = t.min(at);
             }
@@ -748,47 +771,142 @@ fn next_event_cycle(st: &LoopState) -> u64 {
     t
 }
 
+/// Whether every active set holds exactly the components its predicate
+/// selects: the invariant that makes the incremental quiescence and
+/// next-event values equal their full scans.
+fn active_sets_exact(st: &LoopState) -> bool {
+    let sms = st.sms.iter().enumerate().all(|(i, sm)| {
+        st.sm_awake.contains(i) == (sm.wake_hint != u64::MAX) && st.sm_busy.contains(i) == sm.busy()
+    });
+    let slices = st.slices.iter().enumerate().all(|(s, sl)| {
+        st.slice_awake.contains(s) == (sl.wake_hint != u64::MAX)
+            && st.slice_busy.contains(s) != sl.idle()
+    });
+    let links = st
+        .links()
+        .iter()
+        .all(|a| a.links.iter().enumerate().all(|(i, l)| a.live.contains(i) != l.is_empty()));
+    sms && slices && links
+}
+
+/// One of the four link arrays of the interconnect, with the set of its
+/// non-empty links. A link enters the set in [`Self::push`] and leaves it
+/// when [`Self::drain_ready`] empties it.
+struct LinkArray {
+    links: Vec<Link<MemReq>>,
+    live: ActiveSet,
+}
+
+impl LinkArray {
+    fn new(n: u32, latency: u64) -> Self {
+        Self {
+            links: (0..n).map(|_| Link::new(latency)).collect(),
+            live: ActiveSet::new(n as usize),
+        }
+    }
+
+    /// Enqueue `req` on link `i` (see [`Link::push`]).
+    fn push(&mut self, i: usize, now: u64, flits: u64, req: MemReq) {
+        self.links[i].push(now, flits, req);
+        self.live.insert(i);
+    }
+
+    /// Hand every packet that has arrived by `now` to `deliver`, link by
+    /// link in ascending index order.
+    fn drain_ready(&mut self, now: u64, mut deliver: impl FnMut(usize, MemReq)) {
+        let mut at = self.live.next_from(0);
+        while let Some(i) = at {
+            let link = &mut self.links[i];
+            while let Some(req) = link.pop_ready(now) {
+                deliver(i, req);
+            }
+            self.live.assign(i, !link.is_empty());
+            at = self.live.next_from(i + 1);
+        }
+    }
+
+    /// Earliest head-of-queue arrival over the non-empty links.
+    fn next_arrival(&self) -> u64 {
+        self.live.iter().filter_map(|i| self.links[i].next_arrival()).min().unwrap_or(u64::MAX)
+    }
+}
+
 /// Everything the cycle loop owns for one launch, grouped so the loop body
 /// can run identically inside or outside a `thread::scope`.
+///
+/// The active sets are worklists over component indices, kept exact at
+/// every cycle boundary: a component enters where work arrives (a placed
+/// block, a memory response, slice input, a link push) and leaves when its
+/// wake hint becomes `u64::MAX` or its queues drain.
 struct LoopState {
     /// Device memory behind an [`Arc`] so compute workers can read the
     /// pre-cycle snapshot; the coordinator regains `&mut` access via
     /// [`Arc::get_mut`] once every worker has dropped its clone.
     mem: Arc<DeviceMemory>,
     det: Option<LaunchDet>,
-    stats: SimStats,
     sms: Vec<Sm>,
     outs: Vec<CycleOutput>,
     slices: Vec<MemSlice>,
-    sm_egress: Vec<Link<MemReq>>,
-    sm_ingress: Vec<Link<MemReq>>,
-    slice_ingress: Vec<Link<MemReq>>,
-    slice_egress: Vec<Link<MemReq>>,
+    sm_egress: LinkArray,
+    sm_ingress: LinkArray,
+    slice_ingress: LinkArray,
+    slice_egress: LinkArray,
+    /// SMs whose wake hint is not `u64::MAX`.
+    sm_awake: ActiveSet,
+    /// SMs with a resident block or memory activity pending.
+    sm_busy: ActiveSet,
+    /// Slices whose wake hint is not `u64::MAX`.
+    slice_awake: ActiveSet,
+    /// Slices with queued or in-flight memory traffic.
+    slice_busy: ActiveSet,
+    /// The SMs computed this cycle, in SM-id order.
+    computed: Vec<usize>,
     sampler: Option<LaunchSampler>,
     /// Fast-forward accounting, kept out of [`SimStats`] so dense and
     /// skipping runs still compare equal on the simulated counters.
     skip: SkipStats,
 }
 
-/// Serial apply phase for one SM's buffered cycle output: fold its stat
-/// deltas into the launch totals, then replay its [`SmOp`]s in order.
-/// Called in SM-id order, which is what makes the parallel engine's
-/// results bit-identical to serial execution. `tlb_trace`, when
-/// recording is on, collects the `(data line, shadow line)` pairs of
-/// L1-hit probes (§IV-B TLB ablation input) — probes no longer travel
-/// through the memory system, so they are recorded here.
-#[allow(clippy::too_many_arguments)]
+impl LoopState {
+    fn links(&self) -> [&LinkArray; 4] {
+        [&self.sm_egress, &self.sm_ingress, &self.slice_ingress, &self.slice_egress]
+    }
+
+    /// Whether nothing holds live work: every busy set and every link
+    /// array is empty. Shared by the completion check and the
+    /// no-progress guard.
+    fn quiescent(&self) -> bool {
+        self.sm_busy.is_empty()
+            && self.slice_busy.is_empty()
+            && self.links().iter().all(|a| a.live.is_empty())
+    }
+
+    /// Earliest future cycle at which any component can make progress:
+    /// the minimum over the awake SMs' and slices' wake hints and the
+    /// non-empty links' head arrivals.
+    fn next_event(&self) -> u64 {
+        let sms = self.sm_awake.iter().map(|i| self.sms[i].wake_hint);
+        let slices = self.slice_awake.iter().map(|s| self.slices[s].wake_hint);
+        let links = self.links().map(LinkArray::next_arrival);
+        sms.chain(slices).chain(links).min().unwrap_or(u64::MAX)
+    }
+}
+
+/// Serial apply phase for one SM's buffered cycle output: replay its
+/// [`SmOp`]s in order. Called in SM-id order, which is what makes the
+/// parallel engine's results bit-identical to serial execution.
+/// `tlb_trace`, when recording is on, collects the `(data line, shadow
+/// line)` pairs of L1-hit probes (§IV-B TLB ablation input) — probes no
+/// longer travel through the memory system, so they are recorded here.
 fn apply_cycle_output(
     sm: &mut Sm,
     out: &mut CycleOutput,
     now: u64,
     mem: &mut DeviceMemory,
     det: &mut Option<LaunchDet>,
-    stats: &mut SimStats,
     tracer: &mut Tracer,
     mut tlb_trace: Option<&mut Vec<(u32, Option<u32>)>>,
 ) {
-    stats.accumulate(&out.stats);
     // Split borrows: `ops` drains while `batch_arena` is sliced and the
     // detector scratch is lent to `apply_global_batch`.
     let CycleOutput { ops, batch_arena, scratch, .. } = out;
@@ -835,7 +953,6 @@ fn apply_cycle_output(
                         sink,
                         now,
                         d,
-                        stats,
                         tracer,
                         tlb_trace.as_mut().map(|v| &mut **v),
                         &mut scratch.race,
@@ -847,21 +964,22 @@ fn apply_cycle_output(
 }
 
 /// Merge the per-unit counters into a launch-level [`SimStats`] snapshot
-/// at cycle `now`. `base` carries the counters the SMs bump directly
-/// (instructions, barriers, detector work, …); the caches, DRAM channels
-/// and links are folded in from the hardware units. Used both for the
-/// final launch aggregate and for every mid-run sampling snapshot, which
-/// is what makes the sampled deltas telescope exactly.
+/// at cycle `now`. `base` carries the counters no unit owns (race-log
+/// drops, known only after the loop); each SM's own counters, the caches,
+/// DRAM channels and links are folded in from the hardware units. Used
+/// both for the final launch aggregate and for every mid-run sampling
+/// snapshot, which is what makes the sampled deltas telescope exactly.
 fn aggregate_stats(
     base: &SimStats,
     now: u64,
     sms: &[Sm],
     slices: &[MemSlice],
-    links: [&[Link<MemReq>]; 4],
+    links: [&LinkArray; 4],
 ) -> SimStats {
     let mut s = base.clone();
     s.cycles = now;
     for sm in sms {
+        s.accumulate(&sm.stats);
         s.l1.merge(&sm.l1.stats);
     }
     for sl in slices {
@@ -869,7 +987,7 @@ fn aggregate_stats(
         s.dram.merge(&sl.dram.stats);
     }
     for arr in links {
-        for l in arr {
+        for l in &arr.links {
             s.icnt_flits += l.flits;
         }
     }
@@ -878,6 +996,8 @@ fn aggregate_stats(
 
 /// Cut one metrics sample: per-unit counter snapshots plus the
 /// interconnect-occupancy gauge, handed to the sampler for delta-ing.
+/// Per-SM idle time is taken over the first `idle_at` cycles (the cycle
+/// loop's end, once the loop has finished).
 #[allow(clippy::too_many_arguments)]
 fn cut_sample(
     sp: &mut LaunchSampler,
@@ -885,13 +1005,14 @@ fn cut_sample(
     agg: &SimStats,
     sms: &[Sm],
     slices: &[MemSlice],
-    links: [&[Link<MemReq>]; 4],
+    links: [&LinkArray; 4],
     skip: &SkipStats,
+    idle_at: u64,
 ) -> crate::trace::MetricsSample {
     let sm_l1: Vec<CacheStats> = sms.iter().map(|s| s.l1.stats).collect();
     let l2: Vec<CacheStats> = slices.iter().map(|s| s.l2.stats).collect();
     let dram: Vec<DramStats> = slices.iter().map(|s| s.dram.stats).collect();
-    let gauge: u64 = links.iter().map(|arr| icnt::in_flight(arr)).sum();
-    let idle: Vec<u64> = sms.iter().map(|s| s.idle_cycles).collect();
+    let gauge: u64 = links.iter().map(|arr| icnt::in_flight(&arr.links)).sum();
+    let idle: Vec<u64> = sms.iter().map(|s| s.idle_cycles(idle_at)).collect();
     sp.snap(now, agg, &sm_l1, &l2, &dram, gauge, (skip.cycles_skipped, skip.skip_jumps), &idle)
 }

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub(crate) mod active;
 pub mod config;
 pub mod detector;
 pub mod device;

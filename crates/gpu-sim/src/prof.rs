@@ -4,8 +4,8 @@
 //! The simulator's own statistics describe the simulated machine; this
 //! module describes the simulator. Every major loop segment of
 //! [`crate::gpu::Gpu::launch`] — fetch/execute, coalescing, shadow
-//! checks, L1 probing, interconnect routing, L2/DRAM cycling, arbiter
-//! settling, sampling, skip-logic bookkeeping — is bracketed by a
+//! checks, L1 probing, interconnect routing, L2/DRAM cycling, sampling,
+//! skip-logic bookkeeping — is bracketed by a
 //! [`scope`] guard that attributes its elapsed nanoseconds to a fixed
 //! [`Phase`], tagged with the phase that was live when it opened. The
 //! result is a per-(phase, parent) time/count table that [`report`]
@@ -66,7 +66,9 @@ pub enum Phase {
     SliceCycle,
     /// DRAM controller cycling and fill completion inside a slice cycle.
     Dram,
-    /// Arbiter settling on gated (fast-forwarded) slice cycles.
+    /// Arbiter settling on gated slice cycles. No scope opens it any
+    /// more — slices have no shadow-vs-data arbiter — so it always reads
+    /// zero; it stays in the phase list that reports are built from.
     ArbiterSettle,
     /// Response delivery back into the SMs.
     Respond,

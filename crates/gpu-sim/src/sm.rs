@@ -16,11 +16,11 @@
 //! The core cycle is split so SMs can run concurrently (see DESIGN.md,
 //! "Parallel execution engine"): [`Sm::cycle_compute`] reads device
 //! memory and the detector clocks as immutable snapshots, mutates only
-//! SM-owned state (warps, CTAs, L1, MSHRs, its shared RDU), and buffers
-//! every cross-SM side effect into a [`CycleOutput`]. The coordinator
-//! then applies each SM's [`SmOp`]s in SM-id order — exactly the order
-//! the old serial loop produced them — so serial and parallel execution
-//! are bit-identical.
+//! SM-owned state (warps, CTAs, L1, MSHRs, its shared RDU, its counters
+//! in `Sm::stats`), and buffers every cross-SM side effect into a
+//! [`CycleOutput`]. The coordinator then applies each computed SM's
+//! [`SmOp`]s in SM-id order — exactly the order the old serial loop
+//! produced them — so serial and parallel execution are bit-identical.
 
 use haccrg::prelude::*;
 
@@ -42,8 +42,6 @@ use crate::trace::{SimEvent, StallReason, Tracer};
 pub struct CycleOutput {
     /// Whether tracer events should be buffered (mirrors `Tracer::on`).
     pub tracing: bool,
-    /// Counter deltas accumulated by this SM this cycle.
-    pub stats: SimStats,
     /// Cross-SM side effects, in program order.
     pub ops: Vec<SmOp>,
     /// Arena backing [`SmOp::GlobalBatch`] access runs this cycle; ops
@@ -74,7 +72,6 @@ impl CycleOutput {
     pub fn new(tracing: bool) -> Self {
         Self {
             tracing,
-            stats: SimStats::default(),
             ops: Vec::new(),
             batch_arena: Vec::new(),
             scratch: SmScratch::default(),
@@ -83,7 +80,6 @@ impl CycleOutput {
 
     /// Reset for the next cycle, keeping allocations.
     pub fn clear(&mut self) {
-        self.stats = SimStats::default();
         self.ops.clear();
         self.batch_arena.clear();
     }
@@ -274,10 +270,17 @@ pub struct Sm {
     /// `now < wake_hint` a compute call is a provable no-op, so the GPU
     /// may gate the SM out of such cycles with bit-identical results.
     pub(crate) wake_hint: u64,
-    /// Cycles this SM spent quiescent (`now < wake_hint`), whether the
-    /// cycle was actually gated/jumped or densely polled — identical in
-    /// both modes by construction.
-    pub idle_cycles: u64,
+    /// Cycles this SM was not quiescent (`now >= wake_hint`), counted by
+    /// the cycle loop in every mode. Every other cycle of the launch —
+    /// gated, jumped over or densely polled — is idle, so
+    /// [`Self::idle_cycles`] is identical across engines by construction.
+    pub(crate) awake_cycles: u64,
+    /// This SM's counters for the launch: the compute phase, the global
+    /// RDU batches applied on its behalf and its memory responses all
+    /// count here; the GPU folds every SM's counters into the launch
+    /// aggregate (with the L1, L2, DRAM and link counters) at each
+    /// sample cut and at launch end.
+    pub(crate) stats: SimStats,
     /// Modeled detector busy cycles on this SM (barrier shadow resets,
     /// Fig. 8 ghost-L1 shared-shadow traffic). Never affects scheduling:
     /// folded into the launch cycle count as an epilogue (max over SMs)
@@ -310,10 +313,17 @@ impl Sm {
             freed_capacity: false,
             next_req_id: u64::from(id) << 40,
             wake_hint: 0,
-            idle_cycles: 0,
+            awake_cycles: 0,
+            stats: SimStats::default(),
             det_busy_cycles: 0,
             fig8_resident: Vec::new(),
         }
+    }
+
+    /// Cycles this SM spent quiescent out of the first `elapsed` cycles
+    /// of the launch.
+    pub(crate) fn idle_cycles(&self, elapsed: u64) -> u64 {
+        elapsed - self.awake_cycles
     }
 
     /// Whether any block is resident or memory activity is pending.
@@ -520,7 +530,6 @@ impl Sm {
         now: u64,
         _ctx: &LaunchContext,
         det: &mut Option<LaunchDet>,
-        stats: &mut SimStats,
         tracer: &mut Tracer,
     ) {
         // External input: the quiescence hint is stale until the next
@@ -550,7 +559,7 @@ impl Sm {
                     }
                 }
                 if fence_done {
-                    stats.fences += 1;
+                    self.stats.fences += 1;
                     if let Some(d) = det.as_mut() {
                         d.clocks_mut().on_fence(gwarp);
                     }
@@ -676,7 +685,7 @@ impl Sm {
             if !self.l1_mshr.is_empty()
                 && self.mshr_short(cta_slot, warp_in_block, mask, addr, imm, size, &mut out.scratch)
             {
-                out.stats.l1_mshr_full_stalls += 1;
+                self.stats.l1_mshr_full_stalls += 1;
                 self.warps[widx].as_mut().expect("warp live").resume_at = now + 1;
                 out.emit(
                     now,
@@ -687,8 +696,8 @@ impl Sm {
         }
 
         self.issue_free_at = now + self.cfg.issue_cycles();
-        out.stats.warp_instructions += 1;
-        out.stats.thread_instructions += u64::from(mask.count_ones());
+        self.stats.warp_instructions += 1;
+        self.stats.thread_instructions += u64::from(mask.count_ones());
         out.emit(now, SimEvent::WarpIssue { sm: self.id, gwarp, pc: instr.line });
 
         // Helper: per-lane register access goes through the CTA's flat
@@ -773,7 +782,7 @@ impl Sm {
                 }
             }
             Op::Bar => {
-                out.stats.barriers += 1;
+                self.stats.barriers += 1;
                 {
                     let w = warp!();
                     debug_assert!(w.simt.convergent(), "barrier in divergent control flow");
@@ -788,7 +797,7 @@ impl Sm {
                 let w = warp!();
                 w.simt.advance();
                 if w.outstanding_stores == 0 {
-                    out.stats.fences += 1;
+                    self.stats.fences += 1;
                     if det.is_some() {
                         out.ops.push(SmOp::Fence { gwarp });
                     }
@@ -817,7 +826,7 @@ impl Sm {
                             // A distinct new lock set no new signature bit:
                             // this acquisition is invisible to the Bloom
                             // lockset and can suppress a real race later.
-                            out.stats.health.bloom_insert_aliased += 1;
+                            self.stats.health.bloom_insert_aliased += 1;
                         }
                     }
                 }
@@ -838,7 +847,7 @@ impl Sm {
                     warp!().state = WarpState::Done;
                     cta!().live_warps -= 1;
                     self.maybe_release_barrier(cta_slot, now, det, out);
-                    self.maybe_retire_cta(cta_slot, det, out);
+                    self.maybe_retire_cta(cta_slot, det);
                 }
             }
             Op::Ld { space, d, addr, imm, size } => {
@@ -892,14 +901,14 @@ impl Sm {
                     let cycles = rdu.reset_block_range(shared_base, shared_base + shared_size);
                     if v.hardware && !v.sw_shared_shadow {
                         stall = cycles;
-                        out.stats.shadow_reset_stall_cycles += cycles;
+                        self.stats.shadow_reset_stall_cycles += cycles;
                         self.det_busy_cycles += cycles;
                     }
                 } else {
                     // Misconfigured launch: skip the invalidation instead
                     // of panicking mid-sweep (see shared_detection).
                     debug_assert!(false, "shared RDU missing on SM {}", self.id);
-                    out.stats.detector_skipped_checks += 1;
+                    self.stats.detector_skipped_checks += 1;
                 }
             }
         }
@@ -924,7 +933,7 @@ impl Sm {
         }
     }
 
-    fn maybe_retire_cta(&mut self, cta_slot: usize, det: Option<DetView<'_>>, out: &mut CycleOutput) {
+    fn maybe_retire_cta(&mut self, cta_slot: usize, det: Option<DetView<'_>>) {
         let retire = matches!(&self.ctas[cta_slot], Some(c) if c.live_warps == 0);
         if !retire {
             return;
@@ -945,7 +954,7 @@ impl Sm {
                     rdu.reset_block_range(cta.shared_base, cta.shared_base + cta.shared_size);
                 } else {
                     debug_assert!(false, "shared RDU missing on SM {}", self.id);
-                    out.stats.detector_skipped_checks += 1;
+                    self.stats.detector_skipped_checks += 1;
                 }
             }
         }
@@ -1010,18 +1019,18 @@ impl Sm {
                 lanes.push(LaneAddr { lane: l as u8, addr: a, size });
                 match (space, kind) {
                     (Space::Shared, MemOpKind::Load { d }) => {
-                        let v = read_shared(shared_data, a, size, &mut out.stats);
+                        let v = read_shared(shared_data, a, size, &mut self.stats);
                         view.set_lane(d, li, v);
                     }
                     (Space::Shared, MemOpKind::Store) => {
-                        write_shared(shared_data, a, svals[li], size, &mut out.stats);
+                        write_shared(shared_data, a, svals[li], size, &mut self.stats);
                     }
                     (Space::Shared, MemOpKind::Atomic { op, d }) => {
                         // Shared-memory atomics are serialized by the SM
                         // itself: functional RMW at issue.
-                        let old = read_shared(shared_data, a, size, &mut out.stats);
+                        let old = read_shared(shared_data, a, size, &mut self.stats);
                         let new = crate::exec::eval_atom(op, old, svals[li], s2vals[li]);
-                        write_shared(shared_data, a, new, size, &mut out.stats);
+                        write_shared(shared_data, a, new, size, &mut self.stats);
                         view.set_lane(d, li, old);
                     }
                     (Space::Global, MemOpKind::Load { d }) => {
@@ -1041,15 +1050,15 @@ impl Sm {
 
         match space {
             Space::Shared => {
-                out.stats.shared_insts += 1;
+                self.stats.shared_insts += 1;
                 match kind {
-                    MemOpKind::Load { .. } => out.stats.shared_loads += lanes.len() as u64,
-                    MemOpKind::Store => out.stats.shared_stores += lanes.len() as u64,
-                    MemOpKind::Atomic { .. } => out.stats.atomics += lanes.len() as u64,
+                    MemOpKind::Load { .. } => self.stats.shared_loads += lanes.len() as u64,
+                    MemOpKind::Store => self.stats.shared_stores += lanes.len() as u64,
+                    MemOpKind::Atomic { .. } => self.stats.atomics += lanes.len() as u64,
                 }
                 let conflicts = bank_conflict_degree(&lanes, self.cfg.shared_banks);
                 self.issue_free_at += u64::from(conflicts - 1);
-                out.stats.bank_conflict_cycles += u64::from(conflicts - 1);
+                self.stats.bank_conflict_cycles += u64::from(conflicts - 1);
                 {
                     let _prof = prof::scope(Phase::ShadowShared);
                     prof::count(Counter::SharedChecks, lanes.len() as u64);
@@ -1062,11 +1071,11 @@ impl Sm {
                 self.warps[widx].as_mut().expect("warp live").simt.advance();
             }
             Space::Global => {
-                out.stats.global_insts += 1;
+                self.stats.global_insts += 1;
                 match kind {
-                    MemOpKind::Load { .. } => out.stats.global_loads += lanes.len() as u64,
-                    MemOpKind::Store => out.stats.global_stores += lanes.len() as u64,
-                    MemOpKind::Atomic { .. } => out.stats.atomics += lanes.len() as u64,
+                    MemOpKind::Load { .. } => self.stats.global_loads += lanes.len() as u64,
+                    MemOpKind::Store => self.stats.global_stores += lanes.len() as u64,
+                    MemOpKind::Atomic { .. } => self.stats.atomics += lanes.len() as u64,
                 }
                 if det.is_some() {
                     out.ops.push(SmOp::NoteGlobal { block: block_id });
@@ -1076,7 +1085,7 @@ impl Sm {
                     let _prof = prof::scope(Phase::Coalesce);
                     coalesce_into(&lanes, self.cfg.l1.line_bytes, &mut txs);
                 }
-                out.stats.global_transactions += txs.len() as u64;
+                self.stats.global_transactions += txs.len() as u64;
                 if txs.len() > 1 {
                     self.issue_free_at += txs.len() as u64 - 1;
                 }
@@ -1275,7 +1284,7 @@ impl Sm {
         // whole sweep.
         if self.shared_rdu.is_none() {
             debug_assert!(false, "shared RDU missing on SM {}", self.id);
-            out.stats.detector_skipped_checks += 1;
+            self.stats.detector_skipped_checks += 1;
             return;
         }
         let sm_id = self.id;
@@ -1347,7 +1356,7 @@ impl Sm {
                 v.clocks,
                 &mut out.scratch.race,
                 &mut local,
-                &mut out.stats.health,
+                &mut self.stats.health,
                 on_transition,
                 |_| {},
             );
@@ -1384,7 +1393,7 @@ impl Sm {
                 self.fig8_resident.resize(words, 0);
             }
             for &line in &lines {
-                out.stats.shared_shadow_l1_accesses += 1;
+                self.stats.shared_shadow_l1_accesses += 1;
                 let idx = (line.wrapping_sub(region_base) >> line_shift) as usize;
                 let (w, b) = (idx / 64, idx % 64);
                 let hit = match self.fig8_resident.get_mut(w) {
@@ -1482,7 +1491,6 @@ pub(crate) fn apply_global_batch(
     sink: ShadowSink,
     now: u64,
     det: &mut LaunchDet,
-    stats: &mut SimStats,
     tracer: &mut Tracer,
     tlb_trace: Option<&mut Vec<(u32, Option<u32>)>>,
     scratch: &mut RaceScratch,
@@ -1521,7 +1529,7 @@ pub(crate) fn apply_global_batch(
             &det.clocks,
             scratch,
             &mut det.log,
-            &mut stats.health,
+            &mut sm.stats.health,
             on_transition,
             |traffic| {
                 for i in 0..traffic.reads {
@@ -1543,7 +1551,7 @@ pub(crate) fn apply_global_batch(
     }
 
     let shadow = if det.hardware() && !shadow_lines.is_empty() {
-        stats.shadow_l2_accesses += shadow_lines.len() as u64;
+        sm.stats.shadow_l2_accesses += shadow_lines.len() as u64;
         shadow_lines.sort_unstable();
         // Charge every shadow line to its slice's modeled port/fill
         // counters — this replaces the real shadow-queue traffic.
@@ -1566,7 +1574,7 @@ pub(crate) fn apply_global_batch(
         ShadowSink::Probe { line_addr, count_stat } => {
             if let Some((base, _)) = shadow {
                 if count_stat {
-                    stats.probe_packets += 1;
+                    sm.stats.probe_packets += 1;
                 }
                 if let Some(tr) = tlb_trace {
                     tr.push((line_addr, Some(base)));
@@ -1659,9 +1667,8 @@ mod tests {
     fn deliver(sm: &mut Sm, resp: MemReq) {
         let ctx = ctx();
         let mut det = None;
-        let mut stats = SimStats::default();
         let mut tracer = Tracer::default();
-        sm.handle_response(resp, 10, &ctx, &mut det, &mut stats, &mut tracer);
+        sm.handle_response(resp, 10, &ctx, &mut det, &mut tracer);
     }
 
     #[test]

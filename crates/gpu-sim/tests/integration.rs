@@ -431,6 +431,92 @@ fn bad_launches_are_rejected() {
     assert!(matches!(gpu.launch(&k, 0, 32, &[]), Err(SimError::BadLaunch(_))));
     assert!(matches!(gpu.launch(&k, 1, 0, &[]), Err(SimError::BadLaunch(_))));
     assert!(matches!(gpu.launch(&k, 1, 20_000, &[]), Err(SimError::BadLaunch(_))));
+
+    // 15,900 B of shared memory passes the per-kernel check (≤ 16,000 B)
+    // but rounds up to a 16,128 B allocation that no SM can ever hold:
+    // the no-progress guard rejects the launch at its first block.
+    let mut cfg = GpuConfig::test_small();
+    cfg.shared_mem_per_sm = 16_000;
+    let mut b = KernelBuilder::new("too_much_shared");
+    let sh = b.shared_alloc(15_900);
+    let t = b.tid();
+    let off = b.shl(t, 2u32);
+    let addr = b.add(off, sh);
+    b.st(Space::Shared, addr, 0, t, 4);
+    let k = b.build();
+    for cycle_skip in [false, true] {
+        cfg.cycle_skip = cycle_skip;
+        match Gpu::new(cfg).launch(&k, 4, 32, &[]) {
+            Err(SimError::BadLaunch(msg)) => {
+                assert!(msg.contains("block 0 "), "wrong rejection: {msg}")
+            }
+            other => panic!("expected BadLaunch at block 0, got {other:?}"),
+        }
+    }
+}
+
+/// `thread id + alu_ops` through a chain of dependent adds, optionally
+/// after each thread stores its global id to `out[global id]`.
+fn alu_kernel(store_first: bool, alu_ops: u32) -> Kernel {
+    let mut b = KernelBuilder::new("alu_chain");
+    if store_first {
+        let outp = b.param(0);
+        let gt = b.global_tid();
+        let off = b.shl(gt, 2u32);
+        let dst = b.add(outp, off);
+        b.st(Space::Global, dst, 0, gt, 4);
+    }
+    let mut x = b.tid();
+    for _ in 0..alu_ops {
+        x = b.add(x, 1u32);
+    }
+    b.build()
+}
+
+/// Launch `k` densely and with cycle skipping; both must succeed with
+/// equal statistics.
+fn launch_dense_and_skipping(
+    cfg: GpuConfig,
+    k: &Kernel,
+    grid: u32,
+    block: u32,
+    out_bytes: u32,
+) -> SimStats {
+    let run = |cycle_skip: bool| {
+        let mut cfg = cfg;
+        cfg.cycle_skip = cycle_skip;
+        let mut gpu = Gpu::new(cfg);
+        let outp = gpu.alloc(out_bytes.max(4));
+        match gpu.launch(k, grid, block, &[outp]) {
+            Ok(res) => res.stats,
+            Err(e) => panic!("{} (cycle_skip={cycle_skip}): valid launch failed: {e}", k.name),
+        }
+    };
+    let dense = run(false);
+    assert_eq!(dense, run(true), "{}: dense and skipping runs diverged", k.name);
+    dense
+}
+
+#[test]
+fn multi_wave_launches_complete_when_every_resident_block_retires_at_once() {
+    // Three ALU instructions per warp (tid, add, add) before the exit:
+    // the 30 resident 1024-thread blocks all retire in the same cycle
+    // with nothing in flight, and the second wave must still be
+    // dispatched.
+    let k = alu_kernel(false, 2);
+    assert_eq!(k.instrs.len(), 4);
+    let s = launch_dense_and_skipping(GpuConfig::quadro_fx5800(), &k, 60, 1024, 0);
+    assert_eq!(s.warp_instructions, 60 * 32 * 4);
+
+    // One SM, one block at a time: the stores drain long before the
+    // 200-add chain ends, so the machine is quiescent when each block
+    // retires.
+    let mut one_sm = GpuConfig::test_small();
+    one_sm.num_sms = 1;
+    let k = alu_kernel(true, 200);
+    let s = launch_dense_and_skipping(one_sm, &k, 2, 1024, 2 * 1024 * 4);
+    assert_eq!(s.global_stores, 2 * 1024);
+    assert_eq!(s.warp_instructions, 2 * 32 * k.instrs.len() as u64);
 }
 
 #[test]

@@ -3,9 +3,12 @@
 //! aggregates, the Perfetto export must be valid, and race records must
 //! carry full provenance.
 
+use std::sync::Arc;
+
 use gpu_sim::prelude::*;
+use gpu_sim::trace::heartbeat::{self, Heartbeat};
 use gpu_sim::trace::perfetto::{write_chrome_trace, write_chrome_trace_with_counters};
-use haccrg::config::DetectorConfig;
+use haccrg::config::{DetectorConfig, SharedShadowPlacement};
 use haccrg::prelude::RaceCategory;
 
 /// The offline build stubs `serde_json` (no real serializer), which the
@@ -123,6 +126,63 @@ fn sampling_deltas_telescope_to_each_launch_aggregate() {
         assert!(samples.iter().all(|s| s.per_sm_l1.len() == cfg.num_sms as usize));
         assert!(samples.iter().all(|s| s.per_slice_l2.len() == cfg.num_mem_slices as usize));
     }
+}
+
+/// out[i] = 2 * in[i], staged through shared memory. The second load of
+/// `in[i]` hits L1 and sends a detection probe, so every kind of shadow
+/// check the heartbeat counts occurs.
+fn probe_and_stage_kernel(block: u32) -> Kernel {
+    let mut b = KernelBuilder::new("probe_and_stage");
+    let sh = b.shared_alloc(block * 4);
+    let inp = b.param(0);
+    let outp = b.param(1);
+    let tid = b.tid();
+    let gt = b.global_tid();
+    let goff = b.shl(gt, 2u32);
+    let src = b.add(inp, goff);
+    let v = b.ld(Space::Global, src, 0, 4);
+    let again = b.ld(Space::Global, src, 0, 4);
+    let twice = b.add(v, again);
+    let soff0 = b.shl(tid, 2u32);
+    let soff = b.add(soff0, sh);
+    b.st(Space::Shared, soff, 0, twice, 4);
+    b.bar();
+    let back = b.ld(Space::Shared, soff, 0, 4);
+    let dst = b.add(outp, goff);
+    b.st(Space::Global, dst, 0, back, 4);
+    b.build()
+}
+
+#[test]
+fn final_heartbeat_publishes_the_launch_totals() {
+    let mut det = DetectorConfig::paper_default();
+    det.shared_shadow = SharedShadowPlacement::GlobalMemory;
+    let mut gpu = Gpu::with_detector(GpuConfig::test_small(), det);
+    let (n, block) = (1024u32, 128u32);
+    let inp = gpu.alloc(n * 4);
+    let outp = gpu.alloc(n * 4);
+    gpu.mem.copy_from_host_u32(inp, &(0..n).collect::<Vec<_>>());
+    let hb = Arc::new(Heartbeat::new());
+    heartbeat::attach(Some(Arc::clone(&hb)));
+    let res = gpu.launch(&probe_and_stage_kernel(block), n / block, block, &[inp, outp]);
+    heartbeat::attach(None);
+    let s = res.unwrap().stats;
+    assert_eq!(
+        gpu.mem.copy_to_host_u32(outp, n as usize),
+        (0..n).map(|i| 2 * i).collect::<Vec<_>>()
+    );
+    assert!(
+        s.shared_shadow_l1_accesses > 0 && s.shadow_l2_accesses > 0 && s.probe_packets > 0,
+        "every shadow-check kind must occur: {s:?}"
+    );
+    let beat = hb.snapshot();
+    assert_eq!(beat.launches, 1);
+    assert_eq!(beat.instructions, s.warp_instructions, "heartbeat instructions");
+    assert_eq!(
+        beat.checks,
+        s.shared_shadow_l1_accesses + s.shadow_l2_accesses + s.probe_packets,
+        "heartbeat shadow checks"
+    );
 }
 
 #[test]

@@ -1,10 +1,12 @@
-//! The determinism contract of the two-level parallel engine, plus
-//! regression tests for the cycle-loop bugfixes that shipped with it.
+//! The determinism contract of the cycle loop's engines, plus
+//! regression tests for the cycle-loop bugfixes that shipped with the
+//! parallel engine.
 //!
 //! `GpuConfig::parallel_sms` fans the SM compute phase out over worker
-//! threads; the contract is that this is *unobservable*: stats, cycle
-//! counts, race logs, traced event streams, and functional memory are
-//! bit-identical to serial execution.
+//! threads, and `GpuConfig::cycle_skip` fast-forwards over quiescent
+//! cycles; the contract is that both are *unobservable*: stats, cycle
+//! counts, race logs, traced event streams, per-SM idle time and
+//! functional memory are bit-identical to the dense serial loop.
 
 use gpu_sim::prelude::*;
 use haccrg::config::{DetectorConfig, SharedShadowPlacement};
@@ -15,28 +17,49 @@ struct Outcome {
     mem: Vec<u32>,
 }
 
-fn assert_identical(name: &str, serial: &Outcome, parallel: &Outcome) {
-    assert_eq!(serial.res.stats, parallel.res.stats, "{name}: stats differ");
-    assert_eq!(serial.res.stats.cycles, parallel.res.stats.cycles, "{name}: cycles differ");
-    assert_eq!(serial.res.races.total(), parallel.res.races.total(), "{name}: dynamic races");
-    assert_eq!(serial.res.races.distinct(), parallel.res.races.distinct(), "{name}: distinct");
-    assert_eq!(serial.res.races.records(), parallel.res.races.records(), "{name}: race records");
-    assert_eq!(serial.res.max_sync_id, parallel.res.max_sync_id, "{name}: sync IDs");
-    assert_eq!(serial.res.max_fence_id, parallel.res.max_fence_id, "{name}: fence IDs");
-    assert_eq!(serial.mem, parallel.mem, "{name}: functional memory differs");
+/// How the cycle loop runs: fast-forwarding or dense, SM compute phase
+/// on the worker pool or serial.
+#[derive(Clone, Copy, Debug)]
+struct Engine {
+    cycle_skip: bool,
+    parallel: bool,
 }
 
-/// Run `scenario` serially and with `parallel_sms`, and demand identical
-/// observable behavior.
-fn check<F: Fn(bool) -> Outcome>(name: &str, scenario: F) {
-    let serial = scenario(false);
-    let parallel = scenario(true);
-    assert_identical(name, &serial, &parallel);
+const DENSE: Engine = Engine { cycle_skip: false, parallel: false };
+const SKIP: Engine = Engine { cycle_skip: true, parallel: false };
+const PARALLEL_SKIP: Engine = Engine { cycle_skip: true, parallel: true };
+
+fn assert_identical(name: &str, dense: &Outcome, other: &Outcome) {
+    assert_eq!(dense.res.stats, other.res.stats, "{name}: stats differ");
+    assert_eq!(dense.res.stats.cycles, other.res.stats.cycles, "{name}: cycles differ");
+    assert_eq!(dense.res.races.total(), other.res.races.total(), "{name}: dynamic races");
+    assert_eq!(dense.res.races.distinct(), other.res.races.distinct(), "{name}: distinct");
+    assert_eq!(dense.res.races.records(), other.res.races.records(), "{name}: race records");
+    assert_eq!(dense.res.max_sync_id, other.res.max_sync_id, "{name}: sync IDs");
+    assert_eq!(dense.res.max_fence_id, other.res.max_fence_id, "{name}: fence IDs");
+    assert_eq!(
+        dense.res.skip.sm_idle_cycles, other.res.skip.sm_idle_cycles,
+        "{name}: per-SM idle cycles differ"
+    );
+    assert_eq!(dense.mem, other.mem, "{name}: functional memory differs");
 }
 
-fn gpu(parallel_sms: bool, det: Option<DetectorConfig>) -> Gpu {
-    let mut cfg = GpuConfig::test_small();
-    cfg.parallel_sms = parallel_sms;
+/// Run `scenario` on the dense serial loop, the skipping serial loop and
+/// the skipping worker pool, and demand identical observable behavior.
+fn check<F: Fn(Engine) -> Outcome>(name: &str, scenario: F) {
+    let dense = scenario(DENSE);
+    for engine in [SKIP, PARALLEL_SKIP] {
+        assert_identical(&format!("{name} {engine:?}"), &dense, &scenario(engine));
+    }
+}
+
+fn gpu(engine: Engine, det: Option<DetectorConfig>) -> Gpu {
+    gpu_on(GpuConfig::test_small(), engine, det)
+}
+
+fn gpu_on(mut cfg: GpuConfig, engine: Engine, det: Option<DetectorConfig>) -> Gpu {
+    cfg.cycle_skip = engine.cycle_skip;
+    cfg.parallel_sms = engine.parallel;
     // Pin the worker count so the pool genuinely runs (and interleaves)
     // even on single-core CI machines.
     cfg.sm_workers = 3;
@@ -140,8 +163,8 @@ fn lock_increment_kernel() -> Kernel {
 
 #[test]
 fn parallel_sms_matches_serial_without_detection() {
-    check("saxpyish/no-detector", |parallel| {
-        let mut g = gpu(parallel, None);
+    check("saxpyish/no-detector", |engine| {
+        let mut g = gpu(engine, None);
         let n = 2048u32;
         let inp = g.alloc(n * 4);
         let outp = g.alloc(n * 4);
@@ -153,8 +176,8 @@ fn parallel_sms_matches_serial_without_detection() {
 
 #[test]
 fn parallel_sms_matches_serial_with_barriers_and_detection() {
-    check("reduction/barriers", |parallel| {
-        let mut g = gpu(parallel, Some(DetectorConfig::paper_default()));
+    check("reduction/barriers", |engine| {
+        let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let n = 512u32;
         let block = 128u32;
         let inp = g.alloc(n * 4);
@@ -167,8 +190,8 @@ fn parallel_sms_matches_serial_with_barriers_and_detection() {
 
 #[test]
 fn parallel_sms_matches_serial_on_a_racy_kernel() {
-    check("reduction/racy", |parallel| {
-        let mut g = gpu(parallel, Some(DetectorConfig::paper_default()));
+    check("reduction/racy", |engine| {
+        let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let n = 512u32;
         let block = 128u32;
         let inp = g.alloc(n * 4);
@@ -183,8 +206,8 @@ fn parallel_sms_matches_serial_on_a_racy_kernel() {
 
 #[test]
 fn parallel_sms_matches_serial_with_atomics_and_critical_sections() {
-    check("spinlock", |parallel| {
-        let mut g = gpu(parallel, Some(DetectorConfig::paper_default()));
+    check("spinlock", |engine| {
+        let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let lockp = g.alloc(4);
         let datap = g.alloc(4);
         let res = g.launch(&lock_increment_kernel(), 2, 32, &[lockp, datap]).unwrap();
@@ -196,10 +219,10 @@ fn parallel_sms_matches_serial_with_atomics_and_critical_sections() {
 
 #[test]
 fn parallel_sms_matches_serial_with_shared_shadow_in_global_memory() {
-    check("reduction/sw-shared-shadow", |parallel| {
+    check("reduction/sw-shared-shadow", |engine| {
         let mut det = DetectorConfig::paper_default();
         det.shared_shadow = SharedShadowPlacement::GlobalMemory;
-        let mut g = gpu(parallel, Some(det));
+        let mut g = gpu(engine, Some(det));
         let n = 512u32;
         let block = 128u32;
         let inp = g.alloc(n * 4);
@@ -211,10 +234,34 @@ fn parallel_sms_matches_serial_with_shared_shadow_in_global_memory() {
     });
 }
 
+/// A machine wider than one 64-bit word of the cycle loop's active sets:
+/// 72 SMs and 128 memory slices. The grid puts two blocks on every SM,
+/// so SMs past index 64 compute, and its 576 input lines span every
+/// slice.
+#[test]
+fn engines_agree_on_a_machine_wider_than_one_active_set_word() {
+    check("reduction/wide", |engine| {
+        let mut cfg = GpuConfig::test_small();
+        cfg.num_sms = 72;
+        cfg.num_mem_slices = 128;
+        let mut g = gpu_on(cfg, engine, Some(DetectorConfig::paper_default()));
+        let block = 128u32;
+        let grid = 2 * cfg.num_sms;
+        let n = grid * block;
+        let inp = g.alloc(n * 4);
+        let outp = g.alloc(grid * 4);
+        g.mem.copy_from_host_u32(inp, &vec![1u32; n as usize]);
+        let res = g.launch(&reduction_kernel(block, false), grid, block, &[inp, outp]).unwrap();
+        assert!(res.races.any(), "the planted race must be detected");
+        assert!(res.skip.sm_idle_cycles[71] < res.stats.cycles, "SM 71 never woke");
+        Outcome { res, mem: g.mem.copy_to_host_u32(outp, grid as usize) }
+    });
+}
+
 #[test]
 fn parallel_sms_produces_an_identical_event_stream() {
-    let run = |parallel| {
-        let mut g = gpu(parallel, Some(DetectorConfig::paper_default()));
+    let run = |engine| {
+        let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let rec = RingRecorder::shared(1 << 20);
         g.tracer.install(Box::new(rec.clone()));
         let n = 512u32;
@@ -227,8 +274,8 @@ fn parallel_sms_produces_an_identical_event_stream() {
         assert_eq!(rec.dropped(), 0, "ring must not overflow for this comparison");
         rec.events()
     };
-    let serial = run(false);
-    let parallel = run(true);
+    let serial = run(SKIP);
+    let parallel = run(PARALLEL_SKIP);
     assert_eq!(serial.len(), parallel.len(), "event counts differ");
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s, p, "event {i} differs");
