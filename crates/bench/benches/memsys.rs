@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the simulator's memory-system models:
-//! cache probe/fill, DRAM FR-FCFS scheduling, coalescing.
+//! cache probe/fill, DRAM FR-FCFS scheduling, coalescing and shared-memory
+//! bank conflicts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gpu_sim::config::GpuConfig;
@@ -72,6 +73,18 @@ fn coalescer(c: &mut Criterion) {
     });
     g.bench_function("bank_conflicts", |b| {
         b.iter(|| black_box(bank_conflict_degree(black_box(&sequential), 16)))
+    });
+    // HIST's byte counters: `s_hist[bin * 64 + tid]`, one byte per lane,
+    // bins from a fixed pseudo-random byte stream. Lanes 4k..4k+3 share
+    // bank k, so the degree is the most distinct bins in a lane quad.
+    let hist_bytes: Vec<LaneAddr> = (0..32u32)
+        .map(|l| {
+            let bin = (l.wrapping_mul(0x9E37_79B9) >> 26) & 63;
+            LaneAddr { lane: l as u8, addr: bin * 64 + l, size: 1 }
+        })
+        .collect();
+    g.bench_function("bank_conflicts_hist_bytes", |b| {
+        b.iter(|| black_box(bank_conflict_degree(black_box(&hist_bytes), 16)))
     });
     g.finish();
 }

@@ -1,4 +1,5 @@
-//! Ascending-order index sets: the cycle loop's worklists.
+//! Ascending-order index sets: the cycle loop's worklists and each SM's
+//! ready warps.
 //!
 //! The loop in [`crate::gpu`] keeps one [`ActiveSet`] per component
 //! class (SMs and memory slices with a pending wake hint, busy SMs and
@@ -6,7 +7,8 @@
 //! only the components that can act. Members are visited in ascending
 //! index order — the order of the full scans they replace — because link
 //! push order, the TLB trace and the tracer event stream all follow that
-//! order.
+//! order. Each [`crate::sm::Sm`] keeps one over its warp slots, so its
+//! scheduler visits only `Ready` warps, in slot order.
 
 /// A set of indices in `0..capacity`, stored one bit per index in a
 /// vector of 64-bit words (any capacity), iterated in ascending order.
@@ -70,6 +72,16 @@ impl ActiveSet {
         }
     }
 
+    /// Members `>= from` in ascending order.
+    pub(crate) fn iter_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.next_from(from);
+        std::iter::from_fn(move || {
+            let i = at?;
+            at = self.next_from(i + 1);
+            Some(i)
+        })
+    }
+
     /// Members in ascending order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
@@ -103,6 +115,9 @@ mod tests {
         assert_eq!(stepped, picks);
         assert_eq!(s.next_from(66), Some(127));
         assert_eq!(s.next_from(200), None);
+        assert_eq!(s.iter_from(64).collect::<Vec<_>>(), [64, 65, 127, 128, 199]);
+        assert_eq!(s.iter_from(6).next(), Some(63));
+        assert_eq!(s.iter_from(200).next(), None);
     }
 
     #[test]

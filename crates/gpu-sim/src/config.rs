@@ -238,6 +238,16 @@ impl GpuConfig {
 
     /// Validate structural invariants.
     pub fn validate(&self) -> Result<(), String> {
+        if self.warp_size == 0 || self.simd_width == 0 {
+            return Err("warp size and SIMD width must be non-zero".into());
+        }
+        // Register rows and lane masks are `LANES` (32) wide.
+        if self.warp_size > crate::lanes::LANES as u32 {
+            return Err(format!("warp size must be at most {} lanes", crate::lanes::LANES));
+        }
+        if self.shared_banks == 0 {
+            return Err("shared memory needs at least one bank".into());
+        }
         if self.warp_size % self.simd_width != 0 {
             return Err("warp size must be a multiple of SIMD width".into());
         }
@@ -324,5 +334,37 @@ mod tests {
         let mut c2 = GpuConfig::quadro_fx5800();
         c2.num_mem_slices = 3;
         assert!(c2.validate().is_err());
+    }
+
+    /// Configs the issue stage cannot run are rejected, not left to
+    /// panic: a zero divisor in `validate` itself, a zero bank count in
+    /// the bank-conflict model, or warps wider than the 32-lane rows and
+    /// masks.
+    #[test]
+    fn validation_rejects_configs_the_issue_stage_cannot_run() {
+        let bad: [fn(&mut GpuConfig); 5] = [
+            |c| c.warp_size = 0,
+            |c| c.simd_width = 0,
+            |c| c.shared_banks = 0,
+            |c| c.warp_size = 64,
+            |c| {
+                c.warp_size = 33;
+                c.simd_width = 11;
+                c.max_threads_per_sm = 33 * 32;
+            },
+        ];
+        for (i, spoil) in bad.iter().enumerate() {
+            for base in [GpuConfig::quadro_fx5800(), GpuConfig::fermi(), GpuConfig::test_small()] {
+                let mut c = base;
+                spoil(&mut c);
+                assert!(c.validate().is_err(), "case {i}: {c:?}");
+            }
+        }
+        for good in [GpuConfig::quadro_fx5800(), GpuConfig::fermi(), GpuConfig::test_small()] {
+            assert!(good.validate().is_ok());
+        }
+        let mut narrow = GpuConfig::test_small();
+        narrow.warp_size = 16;
+        assert!(narrow.validate().is_ok(), "warps narrower than 32 lanes still run");
     }
 }

@@ -7,6 +7,7 @@
 use crate::isa::{AtomOp, BinOp, CmpOp, UnOp};
 
 /// Evaluate a binary ALU operation.
+#[inline]
 pub fn eval_bin(op: BinOp, a: u32, b: u32) -> u32 {
     let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
     match op {
@@ -44,6 +45,7 @@ pub fn eval_bin(op: BinOp, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluate a unary ALU operation.
+#[inline]
 pub fn eval_un(op: UnOp, a: u32) -> u32 {
     let fa = f32::from_bits(a);
     match op {
@@ -62,6 +64,7 @@ pub fn eval_un(op: UnOp, a: u32) -> u32 {
 }
 
 /// Evaluate a comparison.
+#[inline]
 pub fn eval_cmp(cmp: CmpOp, a: u32, b: u32) -> bool {
     let (ia, ib) = (a as i32, b as i32);
     let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));

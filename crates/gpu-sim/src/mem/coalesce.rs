@@ -199,34 +199,52 @@ fn coalesce_exact_into(lanes: &[LaneAddr], line_bytes: u32, out: &mut Vec<Transa
 /// over banks, of the number of *distinct words* requested in that bank
 /// (§II-A: "If threads within a warp access different banks, all the
 /// accesses are served in parallel").
+///
+/// Fast path (≤32 lanes, ≤32 banks): one pass buckets the lanes by bank
+/// as a lane mask per bank, then distinct words are counted only in
+/// banks whose lane count can beat the running maximum. Each count
+/// retires a whole equality class per step with a 32-wide compare, and
+/// stops as soon as the bank's remaining lanes cannot beat the maximum.
+/// Larger inputs take the exact reference `bank_conflict_degree_exact`;
+/// both agree exactly.
 pub fn bank_conflict_degree(lanes: &[LaneAddr], banks: u32) -> u32 {
     let n = lanes.len();
-    if n <= 32 && banks <= 32 {
-        // Bit-parallel distinct-word grouping: dedup whole equality
-        // classes per iteration via a 32-wide compare, then tally one
-        // distinct word into its bank. O(distinct words) passes.
-        let mut words = [0u32; 32];
-        for (i, la) in lanes.iter().enumerate() {
-            words[i] = la.addr / 4;
-        }
-        let mut counts = [0u32; 32];
-        let mut remaining: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-        let mut max = 1u32;
-        while remaining != 0 {
-            let i = remaining.trailing_zeros() as usize;
-            let w = words[i];
+    if n > 32 || banks > 32 {
+        return bank_conflict_degree_exact(lanes, banks);
+    }
+    let pow2 = banks.is_power_of_two();
+    let mut words = [0u32; 32];
+    let mut by_bank = [0u32; 32];
+    for (i, la) in lanes.iter().enumerate() {
+        let w = la.addr / 4;
+        words[i] = w;
+        let bank = if pow2 { w & (banks - 1) } else { w % banks };
+        by_bank[bank as usize] |= 1 << i;
+    }
+    let mut max = 1u32;
+    for &bucket in &by_bank[..banks as usize] {
+        let mut rest = bucket;
+        let mut distinct = 0u32;
+        while rest != 0 && distinct + rest.count_ones() > max {
+            let w = words[rest.trailing_zeros() as usize];
+            // Padding slots past `n` may match `w`, but are never in `rest`.
             let mut same = 0u32;
-            for (j, cand) in words[..n].iter().enumerate() {
+            for (j, cand) in words.iter().enumerate() {
                 same |= u32::from(*cand == w) << j;
             }
-            remaining &= !same;
-            let bank = (w % banks) as usize;
-            counts[bank] += 1;
-            max = max.max(counts[bank]);
+            rest &= !same;
+            distinct += 1;
         }
-        return max;
+        max = max.max(distinct);
     }
-    // Exact reference path for oversized lane lists / bank counts.
+    max
+}
+
+/// Exact reference for [`bank_conflict_degree`]: for each first
+/// occurrence of a word, count the distinct words of its bank. Serves
+/// inputs wider than 32 lanes or banks, and is the differential oracle
+/// for the fast path in tests.
+fn bank_conflict_degree_exact(lanes: &[LaneAddr], banks: u32) -> u32 {
     let mut max = 1u32;
     for (i, la) in lanes.iter().enumerate() {
         let word = la.addr / 4;
@@ -333,6 +351,85 @@ mod tests {
     #[test]
     fn empty_access_costs_one_cycle() {
         assert_eq!(bank_conflict_degree(&[], 16), 1);
+    }
+
+    /// splitmix64: a seeded, host-independent test stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The bucketed fast path against the exact reference on every lane
+    /// count and bank count up to 32 (powers of two or not), every access
+    /// size, and address patterns from scattered to fully piled up.
+    #[test]
+    fn bank_conflict_fast_path_matches_exact_reference() {
+        let mut rng = 0x5EED_u64;
+        for banks in 1..=32u32 {
+            for n in 1..=32u32 {
+                for size in [1u8, 2, 4] {
+                    let align = u32::from(size);
+                    // Broadcast; consecutive; every lane in one bank, on
+                    // distinct words and on three words; byte lanes that
+                    // share words four at a time.
+                    let mut patterns: Vec<Vec<u32>> = vec![
+                        vec![0x40; n as usize],
+                        (0..n).map(|l| l * align).collect(),
+                        (0..n).map(|l| l * banks * 4).collect(),
+                        (0..n).map(|l| (l % 3) * banks * 4 + 8).collect(),
+                        (0..n).map(|l| (l / 4) * banks * 4 + l % 4).collect(),
+                    ];
+                    for span in [64u32, 1024, 1 << 20] {
+                        for _ in 0..4 {
+                            patterns.push(
+                                (0..n)
+                                    .map(|_| (splitmix(&mut rng) as u32 % span) / align * align)
+                                    .collect(),
+                            );
+                        }
+                    }
+                    for addrs in patterns {
+                        let lanes: Vec<LaneAddr> = addrs
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &addr)| LaneAddr { lane: l as u8, addr, size })
+                            .collect();
+                        assert_eq!(
+                            bank_conflict_degree(&lanes, banks),
+                            bank_conflict_degree_exact(&lanes, banks),
+                            "banks {banks} size {size} lanes {addrs:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// HIST's byte counters (`s_hist[bin * 64 + tid]`, one byte each) on
+    /// 16 banks: lanes `4k..4k+3` share bank `k`, and share a word when
+    /// their bins match, so the degree is the most distinct bins among
+    /// four neighbouring lanes.
+    #[test]
+    fn hist_byte_counters_conflict_by_distinct_bins_per_lane_quad() {
+        let warp = |bin: &dyn Fn(u32) -> u32| -> Vec<LaneAddr> {
+            (0..32).map(|t| LaneAddr { lane: t as u8, addr: bin(t) * 64 + t, size: 1 }).collect()
+        };
+        let mut rng = 7u64;
+        let random: Vec<u32> = (0..32).map(|_| (splitmix(&mut rng) % 3) as u32).collect();
+        let cases: [(&dyn Fn(u32) -> u32, u32); 4] = [
+            (&|_| 5, 1),
+            (&|t| t % 2, 2),
+            (&|t| t % 4 * 9, 4),
+            (&|t| random[t as usize], 3),
+        ];
+        for (i, (bin, degree)) in cases.into_iter().enumerate() {
+            let lanes = warp(bin);
+            assert_eq!(bank_conflict_degree(&lanes, 16), degree, "case {i}");
+            assert_eq!(bank_conflict_degree_exact(&lanes, 16), degree, "case {i}");
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 
 use haccrg::prelude::*;
 
-use crate::config::GpuConfig;
+use crate::active::ActiveSet;
+use crate::config::{GpuConfig, SchedPolicy};
 use crate::detector::{DetView, LaunchDet};
 use crate::device::DeviceMemory;
 use crate::isa::{Kernel, Op, Space, SpecialReg, Src};
@@ -243,6 +244,11 @@ pub struct Sm {
     cfg: GpuConfig,
     pub warps: Vec<Option<Warp>>,
     pub ctas: Vec<Option<Cta>>,
+    /// Slots whose warp is [`WarpState::Ready`], ascending. Updated
+    /// wherever a warp enters or leaves `Ready`, so the scheduler and
+    /// [`Self::next_wake`] visit only ready warps instead of every slot;
+    /// debug builds check it against a full scan on every compute call.
+    ready: ActiveSet,
     rr_next: usize,
     issue_free_at: u64,
     pub l1: Cache,
@@ -301,6 +307,7 @@ impl Sm {
             cfg,
             warps: (0..cfg.max_warps_per_sm()).map(|_| None).collect(),
             ctas: (0..cfg.max_blocks_per_sm).map(|_| None).collect(),
+            ready: ActiveSet::new(cfg.max_warps_per_sm() as usize),
             rr_next: 0,
             issue_free_at: 0,
             l1: Cache::new(cfg.l1),
@@ -383,6 +390,7 @@ impl Sm {
                 outstanding_stores: 0,
                 resume_at: 0,
             });
+            self.ready.insert(widx);
             warp_slots.push(widx);
         }
 
@@ -424,13 +432,29 @@ impl Sm {
         det: Option<DetView<'_>>,
         out: &mut CycleOutput,
     ) {
+        let id = self.id;
+        debug_assert!(self.ready_exact(), "ready set diverged on SM {id} before cycle {now}");
         self.cycle_compute_inner(now, ctx, mem, det, out);
+        debug_assert!(self.ready_exact(), "ready set diverged on SM {id} at cycle {now}");
         self.wake_hint = self.next_wake();
     }
 
+    /// Whether [`Self::ready`] holds exactly the slots a full scan of the
+    /// warp table finds `Ready` (the debug-build reference check).
+    fn ready_exact(&self) -> bool {
+        self.warps.iter().enumerate().all(|(i, w)| {
+            self.ready.contains(i) == matches!(w, Some(w) if w.state == WarpState::Ready)
+        })
+    }
+
+    /// The warp in `slot`, which must be live.
+    fn warp(&self, slot: usize) -> &Warp {
+        self.warps[slot].as_ref().expect("warp live")
+    }
+
     /// Earliest cycle this SM can make progress on its own: the soonest
-    /// maturing L1-hit load, or — if any warp is schedulable — the cycle
-    /// the issue stage frees up and the soonest-ready warp may issue.
+    /// maturing L1-hit load, or — if any warp is ready — the cycle the
+    /// issue stage frees up and the soonest-ready warp may issue.
     /// `u64::MAX` when every resident warp waits on external input
     /// (memory responses invalidate the hint on arrival). Absolute
     /// cycle times only, so the hint stays valid while the SM idles.
@@ -439,16 +463,8 @@ impl Sm {
         for &(at, _, _) in &self.local_ready {
             t = t.min(at);
         }
-        if self.threads_resident > 0 {
-            let mut min_resume = u64::MAX;
-            for w in self.warps.iter().flatten() {
-                if w.state == WarpState::Ready {
-                    min_resume = min_resume.min(w.resume_at);
-                }
-            }
-            if min_resume != u64::MAX {
-                t = t.min(self.issue_free_at.max(min_resume));
-            }
+        if let Some(min_resume) = self.ready.iter().map(|i| self.warp(i).resume_at).min() {
+            t = t.min(self.issue_free_at.max(min_resume));
         }
         t
     }
@@ -476,31 +492,34 @@ impl Sm {
             return;
         }
         let n = self.warps.len();
-        let ready_at = |w: &Option<Warp>| {
-            matches!(w, Some(w) if w.state == WarpState::Ready && w.resume_at <= now)
-        };
         match self.cfg.sched {
-            crate::config::SchedPolicy::RoundRobin => {
-                for k in 0..n {
-                    let idx = (self.rr_next + k) % n;
-                    if ready_at(&self.warps[idx]) {
-                        self.rr_next = (idx + 1) % n;
-                        self.issue(idx, now, ctx, mem, det, out);
-                        return;
-                    }
+            SchedPolicy::RoundRobin => {
+                // Ready slots from `rr_next` up, then from 0 up to
+                // `rr_next`: the order of a modulo scan over every slot.
+                let rr = self.rr_next;
+                let pick = self
+                    .ready
+                    .iter_from(rr)
+                    .chain(self.ready.iter().take_while(|&i| i < rr))
+                    .find(|&i| self.warp(i).resume_at <= now);
+                if let Some(idx) = pick {
+                    self.rr_next = (idx + 1) % n;
+                    self.issue(idx, now, ctx, mem, det, out);
                 }
             }
-            crate::config::SchedPolicy::GreedyThenOldest => {
+            SchedPolicy::GreedyThenOldest => {
                 // Greedy: stick with the last-issued warp while it can go.
                 let last = self.rr_next % n;
-                if ready_at(&self.warps[last]) {
+                if self.ready.contains(last) && self.warp(last).resume_at <= now {
                     self.issue(last, now, ctx, mem, det, out);
                     return;
                 }
-                // Otherwise the oldest ready warp by global warp ID.
-                let pick = (0..n)
-                    .filter(|&i| ready_at(&self.warps[i]))
-                    .min_by_key(|&i| self.warps[i].as_ref().map_or(u32::MAX, |w| w.gwarp));
+                // Otherwise the oldest issuable ready warp by global warp ID.
+                let pick = self
+                    .ready
+                    .iter()
+                    .filter(|&i| self.warp(i).resume_at <= now)
+                    .min_by_key(|&i| self.warp(i).gwarp);
                 if let Some(idx) = pick {
                     self.rr_next = idx;
                     self.issue(idx, now, ctx, mem, det, out);
@@ -518,6 +537,7 @@ impl Sm {
             w.pending_loads = w.pending_loads.saturating_sub(1);
             if w.pending_loads == 0 && w.state == WarpState::WaitMem {
                 w.state = WarpState::Ready;
+                self.ready.insert(warp_slot);
             }
         }
     }
@@ -554,6 +574,7 @@ impl Sm {
                     w.outstanding_stores = w.outstanding_stores.saturating_sub(1);
                     if w.outstanding_stores == 0 && w.state == WarpState::WaitFence {
                         w.state = WarpState::Ready;
+                        self.ready.insert(slot);
                         fence_done = true;
                         gwarp = w.gwarp;
                     }
@@ -788,6 +809,7 @@ impl Sm {
                     debug_assert!(w.simt.convergent(), "barrier in divergent control flow");
                     w.simt.advance();
                     w.state = WarpState::AtBarrier;
+                    self.ready.assign(widx, false);
                 }
                 cta!().barrier_waiting += 1;
                 out.emit(now, SimEvent::BarrierArrive { sm: self.id, block: block_id, gwarp });
@@ -804,6 +826,7 @@ impl Sm {
                     out.emit(now, SimEvent::FenceComplete { sm: self.id, gwarp });
                 } else {
                     w.state = WarpState::WaitFence;
+                    self.ready.assign(widx, false);
                     out.emit(
                         now,
                         SimEvent::WarpStall { sm: self.id, gwarp, reason: StallReason::Fence },
@@ -845,6 +868,7 @@ impl Sm {
                 warp!().simt.exit_active();
                 if warp!().simt.done() {
                     warp!().state = WarpState::Done;
+                    self.ready.assign(widx, false);
                     cta!().live_warps -= 1;
                     self.maybe_release_barrier(cta_slot, now, det, out);
                     self.maybe_retire_cta(cta_slot, det);
@@ -919,16 +943,15 @@ impl Sm {
             now,
             SimEvent::BarrierRelease { sm: self.id, block: block_id, stall_cycles: stall },
         );
-        let cta = self.ctas[cta_slot].as_mut().expect("cta live");
+        let Sm { ctas, warps, ready, .. } = self;
+        let cta = ctas[cta_slot].as_mut().expect("cta live");
         cta.barrier_waiting = 0;
-        // Walk the warp table instead of cloning the CTA's slot list: a
-        // warp belongs to this barrier iff it parks on `cta_slot`.
-        for slot in 0..self.warps.len() {
-            if let Some(w) = self.warps[slot].as_mut() {
-                if w.cta_slot == cta_slot && w.state == WarpState::AtBarrier {
-                    w.state = WarpState::Ready;
-                    w.resume_at = now;
-                }
+        for &slot in &cta.warp_slots {
+            let w = warps[slot].as_mut().expect("block's warp live");
+            if w.state == WarpState::AtBarrier {
+                w.state = WarpState::Ready;
+                w.resume_at = now;
+                ready.insert(slot);
             }
         }
     }
@@ -942,6 +965,7 @@ impl Sm {
         self.freed_capacity = true;
         for slot in cta.warp_slots {
             self.warps[slot] = None;
+            self.ready.assign(slot, false);
         }
         self.threads_resident -= cta.threads;
         self.regs_resident =
@@ -1243,6 +1267,7 @@ impl Sm {
                 if matches!(kind, MemOpKind::Load { .. } | MemOpKind::Atomic { .. }) && pending > 0 {
                     w.pending_loads += pending;
                     w.state = WarpState::WaitMem;
+                    self.ready.assign(widx, false);
                     out.emit(
                         now,
                         SimEvent::WarpStall { sm: sm_id, gwarp, reason: StallReason::Memory },

@@ -258,6 +258,43 @@ fn engines_agree_on_a_machine_wider_than_one_active_set_word() {
     });
 }
 
+/// Greedy-then-oldest: the greedy stick and the oldest-ready fallback
+/// must pick the same warps in every engine, through barrier arrive and
+/// release (the synchronized reduction), load stalls (both reductions)
+/// and fence waits and atomics (the spin lock).
+#[test]
+fn engines_agree_under_greedy_then_oldest() {
+    let mut cfg = GpuConfig::test_small();
+    cfg.sched = gpu_sim::config::SchedPolicy::GreedyThenOldest;
+    for (name, with_barriers) in [("reduction/barriers/gto", true), ("reduction/racy/gto", false)] {
+        check(name, |engine| {
+            let mut g = gpu_on(cfg, engine, Some(DetectorConfig::paper_default()));
+            let n = 512u32;
+            let block = 128u32;
+            let inp = g.alloc(n * 4);
+            let outp = g.alloc((n / block) * 4);
+            g.mem.copy_from_host_u32(inp, &vec![1u32; n as usize]);
+            let kernel = reduction_kernel(block, with_barriers);
+            let res = g.launch(&kernel, n / block, block, &[inp, outp]).unwrap();
+            assert_eq!(res.races.any(), !with_barriers, "{name}: race verdict");
+            let mem = g.mem.copy_to_host_u32(outp, (n / block) as usize);
+            if with_barriers {
+                assert_eq!(mem, vec![block; (n / block) as usize], "{name}: block sums");
+            }
+            Outcome { res, mem }
+        });
+    }
+    check("spinlock/gto", |engine| {
+        let mut g = gpu_on(cfg, engine, Some(DetectorConfig::paper_default()));
+        let lockp = g.alloc(4);
+        let datap = g.alloc(4);
+        let res = g.launch(&lock_increment_kernel(), 2, 32, &[lockp, datap]).unwrap();
+        let mem = g.mem.copy_to_host_u32(datap, 1);
+        assert_eq!(mem[0], 64, "all increments applied");
+        Outcome { res, mem }
+    });
+}
+
 #[test]
 fn parallel_sms_produces_an_identical_event_stream() {
     let run = |engine| {
