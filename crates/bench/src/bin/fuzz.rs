@@ -2,9 +2,9 @@
 //!
 //! Generates `--budget` structured random kernels starting at `--seed`,
 //! runs each through the full differential matrix (HAccRG-HW /
-//! HAccRG-SW / GRace-add × dense / cycle-skip / parallel-SM × detection
-//! on/off, plus the happens-before oracle), auto-shrinks any failure to
-//! a minimal repro, and streams one JSONL record per seed.
+//! HAccRG-SW / GRace-add × dense / cycle-skip × detection on/off, plus
+//! the happens-before oracle), auto-shrinks any failure to a minimal
+//! repro, and streams one JSONL record per seed.
 //!
 //! ```text
 //! cargo run --release -p haccrg-bench --bin fuzz -- \

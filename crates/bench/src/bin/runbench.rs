@@ -18,9 +18,6 @@
 //! * `--sample-every N`   — cut a metrics delta sample every N cycles
 //! * `--metrics-out FILE` — write the sampled metrics time series as JSON
 //!                           (requires `--sample-every`)
-//! * `--parallel-sms`     — cycle SMs on worker threads (same stats,
-//!                           cycle counts, and races as serial execution;
-//!                           see DESIGN.md on the determinism contract)
 //! * `--no-cycle-skip`    — run the dense cycle loop instead of
 //!                           event-driven fast-forwarding (bit-identical
 //!                           results either way; see DESIGN.md,
@@ -35,6 +32,9 @@
 //!                           config hashes, toolchain, stats digest)
 //! * `--races-out FILE`   — write deduplicated race groups as JSON
 //! * `--list`             — list benchmarks and exit
+//!
+//! Any other argument, a flag without its value, or a `--detector` or
+//! `--scale` value not listed above exits with status 2.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -55,8 +55,59 @@ use haccrg_workloads::{all_benchmarks, benchmark_by_name, Benchmark};
 /// this keep the newest; the exporter records how many were dropped).
 const TRACE_CAPACITY: usize = 1 << 20;
 
+const USAGE: &str = "usage: runbench --bench NAME [--detector off|shared|full] \
+                     [--scale paper|repro|tiny] [--multi-block|--clean] [--trace-out FILE] \
+                     [--sample-every N] [--metrics-out FILE] [--no-cycle-skip] [--jobs N] \
+                     [--profile] [--profile-out FILE] [--manifest-out FILE] \
+                     [--races-out FILE] [--list]";
+
+/// The options of the module docs that take a value, and those that
+/// stand alone.
+const VALUE_FLAGS: [&str; 10] = [
+    "--bench",
+    "--detector",
+    "--scale",
+    "--trace-out",
+    "--sample-every",
+    "--metrics-out",
+    "--jobs",
+    "--profile-out",
+    "--manifest-out",
+    "--races-out",
+];
+const BARE_FLAGS: [&str; 5] =
+    ["--multi-block", "--clean", "--no-cycle-skip", "--profile", "--list"];
+
+/// Exit with status 2 on an argument the module docs do not list, on a
+/// flag given twice, or on a value flag with nothing after it, so a typo
+/// never runs something other than what was asked.
+fn check_args(args: &[String]) {
+    let mut it = args.iter().skip(1);
+    let mut seen: Vec<&str> = Vec::new();
+    while let Some(a) = it.next() {
+        if seen.contains(&a.as_str()) {
+            log_error!("{a} given more than once");
+            std::process::exit(2);
+        }
+        seen.push(a);
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            if it.next().is_none() {
+                log_error!("{a} needs a value; {USAGE}");
+                std::process::exit(2);
+            }
+        } else if a == "--parallel-sms" {
+            log_error!("--parallel-sms: the SM worker pool was removed; SMs run in one cycle loop");
+            std::process::exit(2);
+        } else if !BARE_FLAGS.contains(&a.as_str()) {
+            log_error!("unknown argument {a:?}; {USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args);
     let get = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
 
     if args.iter().any(|a| a == "--list") {
@@ -67,12 +118,7 @@ fn main() {
     }
 
     let Some(name) = get("--bench") else {
-        log_error!(
-            "usage: runbench --bench NAME [--detector off|shared|full] \
-             [--scale paper|repro|tiny] [--clean] [--trace-out FILE] \
-             [--sample-every N] [--metrics-out FILE] [--parallel-sms] \
-             [--no-cycle-skip] [--jobs N] [--list]"
-        );
+        log_error!("{USAGE}");
         std::process::exit(2);
     };
     let t0 = Instant::now();
@@ -81,7 +127,6 @@ fn main() {
     let cycle_skip = haccrg_bench::cycle_skip_from_args();
     let manifest_out = haccrg_bench::manifest_out_from_args();
     let clean = args.iter().any(|a| a == "--clean");
-    let parallel_sms = args.iter().any(|a| a == "--parallel-sms");
     let trace_out = get("--trace-out");
     let metrics_out = get("--metrics-out");
     let races_out = get("--races-out");
@@ -116,12 +161,15 @@ fn main() {
         },
     };
 
-    let mut cfg = match get("--detector").as_deref() {
+    let cfg = match get("--detector").as_deref() {
         Some("off") => RunConfig::base(scale),
         Some("shared") => RunConfig::with_detector(scale, DetectorConfig::shared_only()),
-        _ => RunConfig::detecting(scale),
+        Some("full") | None => RunConfig::detecting(scale),
+        Some(v) => {
+            log_error!("--detector takes off, shared or full, not {v:?}");
+            std::process::exit(2);
+        }
     };
-    cfg.gpu.parallel_sms = parallel_sms;
 
     // Assemble the GPU by hand (rather than `runner::run`) so the tracer
     // can be configured between detector installation and kernel prep.
@@ -281,7 +329,6 @@ fn main() {
         let mut m = haccrg_bench::RunManifest::new("runbench");
         m.scale = haccrg_bench::scale_name(scale).into();
         m.jobs = jobs;
-        m.sm_workers = gpu.cfg.sm_workers;
         m.cycle_skip = cycle_skip;
         m.workloads.push(haccrg_bench::WorkloadRef::of(&inst));
         m.config_hash = haccrg_bench::manifest::config_hash(&gpu.cfg);

@@ -12,9 +12,9 @@
 //!    functional results is a finding — this is the invariant whose
 //!    violation produced the PR's seed bug (the HASH spin lock retried
 //!    more under detection because probe traffic delayed lock release).
-//! 2. **Engine determinism.** Dense vs cycle-skip vs parallel-SM
-//!    execution must be bit-identical per configuration, and repeated
-//!    runs must reproduce exactly.
+//! 2. **Engine determinism.** Dense vs cycle-skip execution must be
+//!    bit-identical per configuration, and repeated runs must reproduce
+//!    exactly.
 //! 3. **Detector agreement.** The hardware detector's racy-granule set
 //!    must match an independent happens-before oracle
 //!    (`haccrg_baselines::oracle`) computed from the kernel's closed-form
@@ -95,12 +95,10 @@ fn detector_config() -> DetectorConfig {
     DetectorConfig { exact_lockset: true, ..DetectorConfig::paper_default() }
 }
 
-fn engine_config(cycle_skip: bool, parallel: bool) -> GpuConfig {
+fn engine_config(cycle_skip: bool) -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.watchdog_cycles = WATCHDOG;
     cfg.cycle_skip = cycle_skip;
-    cfg.parallel_sms = parallel;
-    cfg.sm_workers = if parallel { 2 } else { 0 };
     cfg
 }
 
@@ -109,10 +107,9 @@ fn run_engine(
     k: &Kernel,
     mode: Option<DetectorMode>,
     cycle_skip: bool,
-    parallel: bool,
     fault: FaultInjection,
 ) -> Result<EngineRun, String> {
-    let mut gpu = Gpu::new(engine_config(cycle_skip, parallel));
+    let mut gpu = Gpu::new(engine_config(cycle_skip));
     if let Some(mode) = mode {
         gpu.set_detector(Some(DetectorSetup { cfg: detector_config(), mode }));
     }
@@ -223,7 +220,7 @@ fn check_sw_baseline(
     findings: &mut Vec<Finding>,
 ) {
     let run_once = || -> Result<(SimStats, Vec<u32>), String> {
-        let mut gpu = Gpu::new(engine_config(true, false));
+        let mut gpu = Gpu::new(engine_config(true));
         let params = spec.alloc_params(&mut gpu);
         let ik = instrument(k, &mut gpu);
         let res = gpu
@@ -267,8 +264,8 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
         return vec![Finding { check: "kernel-invalid", detail: e }];
     }
 
-    // Base: detection off, dense, serial.
-    let base = match run_engine(spec, &k, None, false, false, FaultInjection::default()) {
+    // Base: detection off, dense.
+    let base = match run_engine(spec, &k, None, false, FaultInjection::default()) {
         Ok(r) => r,
         Err(e) => return vec![Finding { check: "base-run", detail: e }],
     };
@@ -283,13 +280,9 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
         });
     }
 
-    // Engine determinism and dense/skip/parallel equivalence, detection off.
-    for (label, cycle_skip, parallel) in [
-        ("detoff-rerun", false, false),
-        ("detoff-cycle-skip", true, false),
-        ("detoff-parallel-sms", false, true),
-    ] {
-        match run_engine(spec, &k, None, cycle_skip, parallel, FaultInjection::default()) {
+    // Engine determinism and dense/skip equivalence, detection off.
+    for (label, cycle_skip) in [("detoff-rerun", false), ("detoff-cycle-skip", true)] {
+        match run_engine(spec, &k, None, cycle_skip, FaultInjection::default()) {
             Ok(r) => {
                 if r.stats != base.stats || r.out != base.out || r.data != base.data {
                     findings.push(Finding {
@@ -311,7 +304,7 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
     }
 
     // Detection on: architecturally passive, deterministic, never faster.
-    let hw = match run_engine(spec, &k, Some(DetectorMode::Hardware), false, false, fault) {
+    let hw = match run_engine(spec, &k, Some(DetectorMode::Hardware), false, fault) {
         Ok(r) => r,
         Err(e) => {
             findings.push(Finding { check: "hw-run", detail: e });
@@ -341,34 +334,30 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
         });
     }
 
-    // Detection on across engine modes: bit-identical, detector included.
-    for (label, cycle_skip, parallel) in [
-        ("deton-cycle-skip", true, false),
-        ("deton-parallel-sms", false, true),
-    ] {
-        match run_engine(spec, &k, Some(DetectorMode::Hardware), cycle_skip, parallel, fault) {
-            Ok(r) => {
-                if r.stats != hw.stats || r.out != hw.out || r.races != hw.races {
-                    findings.push(Finding {
-                        check: "deton-engine-determinism",
-                        detail: format!(
-                            "{label}: diverged from dense detection run (stats {}, out {}, races {})",
-                            r.stats == hw.stats,
-                            r.out == hw.out,
-                            r.races == hw.races
-                        ),
-                    });
-                }
+    // Detection on, cycle skipping: bit-identical, detector included.
+    match run_engine(spec, &k, Some(DetectorMode::Hardware), true, fault) {
+        Ok(r) => {
+            if r.stats != hw.stats || r.out != hw.out || r.races != hw.races {
+                findings.push(Finding {
+                    check: "deton-engine-determinism",
+                    detail: format!(
+                        "deton-cycle-skip: diverged from dense detection run \
+                         (stats {}, out {}, races {})",
+                        r.stats == hw.stats,
+                        r.out == hw.out,
+                        r.races == hw.races
+                    ),
+                });
             }
-            Err(e) => findings.push(Finding {
-                check: "deton-engine-determinism",
-                detail: format!("{label}: {e}"),
-            }),
         }
+        Err(e) => findings.push(Finding {
+            check: "deton-engine-determinism",
+            detail: format!("deton-cycle-skip: {e}"),
+        }),
     }
 
     // Oracle-costed detector mode: identical verdicts, zero overhead.
-    match run_engine(spec, &k, Some(DetectorMode::Oracle), false, false, fault) {
+    match run_engine(spec, &k, Some(DetectorMode::Oracle), false, fault) {
         Ok(r) => {
             if r.races != hw.races {
                 findings.push(Finding {

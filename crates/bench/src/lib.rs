@@ -37,16 +37,29 @@ pub use sweep::{JobError, SweepRunner};
 use haccrg_workloads::Scale;
 
 /// Parse the common `--scale` CLI argument (`paper|repro|tiny`; default
-/// repro).
+/// repro). Exits with status 2 on a missing or unknown value, or on a
+/// second `--scale`.
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("paper") => Scale::Paper,
-            Some("tiny") => Scale::Tiny,
-            _ => Scale::Repro,
-        },
-        None => Scale::Repro,
+    let Some(i) = args.iter().position(|a| a == "--scale") else {
+        return Scale::Repro;
+    };
+    if args[i + 1..].iter().any(|a| a == "--scale") {
+        eprintln!("--scale given more than once");
+        std::process::exit(2);
+    }
+    match args.get(i + 1).map(String::as_str) {
+        Some("paper") => Scale::Paper,
+        Some("repro") => Scale::Repro,
+        Some("tiny") => Scale::Tiny,
+        Some(v) => {
+            eprintln!("--scale takes paper, repro or tiny, not {v:?}");
+            std::process::exit(2);
+        }
+        None => {
+            eprintln!("--scale needs paper, repro or tiny");
+            std::process::exit(2);
+        }
     }
 }
 

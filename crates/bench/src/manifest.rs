@@ -6,8 +6,8 @@
 //! which workloads (content-hashed, not just named), under which
 //! hardware configuration, with what result digest. Two runs of the same
 //! build on the same inputs produce manifests that differ **only** in
-//! `wall_ms` and `created_unix_ms`, for any `--jobs` or `sm_workers`
-//! setting — hashes cover simulated state, never scheduling.
+//! `wall_ms` and `created_unix_ms`, for any `--jobs` setting — hashes
+//! cover simulated state, never scheduling.
 //!
 //! All hashing is FNV-1a-64 over `Debug`-formatted canonical strings and
 //! all JSON is emitted by hand, so manifests stay real (and stable)
@@ -79,14 +79,12 @@ pub fn workload_hash(inst: &BenchInstance) -> u64 {
     h.finish()
 }
 
-/// Hash the *architectural* part of a GPU configuration. Execution
-/// strategy (`parallel_sms`, `sm_workers`, `cycle_skip`) is normalized
-/// away: those switches are bit-identity-preserving, so runs that differ
-/// only in them must share a `config_hash`.
+/// Hash the *architectural* part of a GPU configuration. The execution
+/// strategy (`cycle_skip`) is normalized away: the switch is
+/// bit-identity-preserving, so runs that differ only in it must share a
+/// `config_hash`.
 pub fn config_hash(cfg: &GpuConfig) -> u64 {
     let mut canon = *cfg;
-    canon.parallel_sms = false;
-    canon.sm_workers = 0;
     canon.cycle_skip = true;
     let mut h = Fnv::new();
     let _ = write!(h, "{canon:?}");
@@ -195,8 +193,6 @@ pub struct RunManifest {
     pub scale: String,
     /// Sweep worker count used (`--jobs`).
     pub jobs: usize,
-    /// `GpuConfig::sm_workers` (0 = serial or one-per-core).
-    pub sm_workers: u32,
     /// Whether event-driven cycle skipping was enabled.
     pub cycle_skip: bool,
     /// Workload RNG seed (the suite pins per-benchmark seeds; 0 = those
@@ -229,7 +225,6 @@ impl RunManifest {
             argv: std::env::args().skip(1).collect(),
             scale: String::new(),
             jobs: 0,
-            sm_workers: 0,
             cycle_skip: true,
             seed: 0,
             environment: Environment::capture(),
@@ -255,7 +250,6 @@ impl RunManifest {
         let _ = writeln!(s, "  \"argv\": [{}],", argv.join(", "));
         let _ = writeln!(s, "  \"scale\": \"{}\",", esc_json(&self.scale));
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"sm_workers\": {},", self.sm_workers);
         let _ = writeln!(s, "  \"cycle_skip\": {},", self.cycle_skip);
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"environment\": {},", self.environment.to_json());
@@ -317,11 +311,9 @@ mod tests {
     #[test]
     fn config_hash_ignores_execution_strategy() {
         let base = GpuConfig::quadro_fx5800();
-        let mut par = base;
-        par.parallel_sms = true;
-        par.sm_workers = 4;
-        par.cycle_skip = false;
-        assert_eq!(config_hash(&base), config_hash(&par));
+        let mut dense = base;
+        dense.cycle_skip = false;
+        assert_eq!(config_hash(&base), config_hash(&dense));
         let mut arch = base;
         arch.num_sms += 1;
         assert_ne!(config_hash(&base), config_hash(&arch));

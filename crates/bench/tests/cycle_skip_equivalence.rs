@@ -1,13 +1,13 @@
 //! The fast-forward contract: event-driven cycle skipping is
-//! bit-identical to the dense loop. Every bundled workload is run three
-//! ways — serial dense, serial skipping, parallel skipping — and every
-//! observable output is compared: final statistics (including cycle
-//! counts and the detector health counters), race logs (records, static
-//! groups, witness timelines, totals, dedup counts), sync/fence ID
-//! high-water marks, live device-memory contents, the full traced event
-//! stream, and the cycle-sampled metrics series (modulo the two
-//! skip-accounting counters, which are the only fields allowed to
-//! differ). See DESIGN.md, "Event-driven cycle skipping".
+//! bit-identical to the dense loop. Every bundled workload is run dense
+//! and skipping, and every observable output is compared: final
+//! statistics (including cycle counts and the detector health
+//! counters), race logs (records, static groups, witness timelines,
+//! totals, dedup counts), sync/fence ID high-water marks, live
+//! device-memory contents, the full traced event stream, and the
+//! cycle-sampled metrics series (modulo the two skip-accounting
+//! counters, which are the only fields allowed to differ). See
+//! DESIGN.md, "Event-driven cycle skipping".
 
 use gpu_sim::detector::DetectorMode;
 use gpu_sim::device::HEAP_BASE;
@@ -34,17 +34,13 @@ struct Observed {
     skip: SkipStats,
 }
 
-fn observe(bench: &dyn Benchmark, detect: bool, cycle_skip: bool, parallel: bool) -> Observed {
+fn observe(bench: &dyn Benchmark, detect: bool, cycle_skip: bool) -> Observed {
     let mut cfg = GpuConfig::quadro_fx5800();
     cfg.cycle_skip = cycle_skip;
-    if parallel {
-        cfg.parallel_sms = true;
-        cfg.sm_workers = 3;
-    }
     let mut gpu = Gpu::new(cfg);
     if detect {
         // Witness capture on: the timelines (and the health counters in
-        // SimStats) are observables too, and must be engine-independent.
+        // SimStats) are observables too, and must not depend on skipping.
         let mut det = DetectorConfig::paper_default();
         det.witness_capture = true;
         gpu.set_detector(Some(DetectorSetup { cfg: det, mode: DetectorMode::Hardware }));
@@ -117,15 +113,9 @@ fn skipping_is_bit_identical_on_every_workload_with_detection() {
     let mut any_skipped = false;
     for b in all_benchmarks() {
         let name = b.name().to_string();
-        let dense = observe(b.as_ref(), true, false, false);
-        let skip = observe(b.as_ref(), true, true, false);
-        let par = observe(b.as_ref(), true, true, true);
-        assert_equivalent(&name, "serial", &dense, &skip);
-        assert_equivalent(&name, "parallel", &dense, &par);
-        assert_eq!(
-            skip.skip.cycles_skipped, par.skip.cycles_skipped,
-            "{name}: jump accounting depends on the engine"
-        );
+        let dense = observe(b.as_ref(), true, false);
+        let skip = observe(b.as_ref(), true, true);
+        assert_equivalent(&name, "detected", &dense, &skip);
         any_skipped |= skip.skip.skip_jumps > 0;
     }
     assert!(any_skipped, "fast-forward never engaged on any workload");
@@ -135,8 +125,8 @@ fn skipping_is_bit_identical_on_every_workload_with_detection() {
 fn skipping_is_bit_identical_on_the_undetected_baseline() {
     for b in all_benchmarks().into_iter().take(4) {
         let name = b.name().to_string();
-        let dense = observe(b.as_ref(), false, false, false);
-        let skip = observe(b.as_ref(), false, true, false);
+        let dense = observe(b.as_ref(), false, false);
+        let skip = observe(b.as_ref(), false, true);
         assert_equivalent(&name, "baseline", &dense, &skip);
     }
 }

@@ -1,5 +1,5 @@
 //! Host-side phase profiler acceptance: on a Table II workload at the
-//! repro scale under the serial engine, the profiler's phase tree must
+//! repro scale, the profiler's phase tree must
 //! attribute at least 95% of the launch wall time to child phases —
 //! i.e. the uninstrumented "self" remainder of `Phase::Launch` stays
 //! under 5%.

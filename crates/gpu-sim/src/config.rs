@@ -112,17 +112,13 @@ pub struct GpuConfig {
     pub device_mem_bytes: u32,
     /// Maximum cycles before a launch is declared hung (watchdog).
     pub watchdog_cycles: u64,
-    /// Cycle the SMs' core phase on a scoped worker pool instead of
-    /// serially. Results are bit-identical to serial execution — both
-    /// paths run the same two-phase compute/apply cycle and the apply
-    /// phase always merges SM outputs in SM-id order (see DESIGN.md,
-    /// "Parallel execution engine").
+    /// Retired: the SM worker pool it selected is gone (see DESIGN.md,
+    /// "Two-phase cycle"). Must be `false`; [`Self::validate`] rejects
+    /// anything else.
     #[serde(default)]
     pub parallel_sms: bool,
-    /// Worker-thread count for `parallel_sms` (capped at `num_sms`);
-    /// `0` means one per available core. Setting an explicit count also
-    /// forces the pool on machines reporting a single core, which the
-    /// determinism suite uses to exercise the parallel path everywhere.
+    /// Retired with `parallel_sms`. Must be `0`; [`Self::validate`]
+    /// rejects anything else.
     #[serde(default)]
     pub sm_workers: u32,
     /// Event-driven fast forwarding: gate quiescent components out of
@@ -263,6 +259,9 @@ impl GpuConfig {
         if self.max_threads_per_sm % self.warp_size != 0 {
             return Err("threads per SM must be a multiple of warp size".into());
         }
+        if self.parallel_sms || self.sm_workers != 0 {
+            return Err("parallel_sms and sm_workers are retired: the SM worker pool was removed".into());
+        }
         Ok(())
     }
 }
@@ -339,10 +338,11 @@ mod tests {
     /// Configs the issue stage cannot run are rejected, not left to
     /// panic: a zero divisor in `validate` itself, a zero bank count in
     /// the bank-conflict model, or warps wider than the 32-lane rows and
-    /// masks.
+    /// masks. So are the retired worker-pool fields, which would
+    /// otherwise silently run the one cycle loop.
     #[test]
     fn validation_rejects_configs_the_issue_stage_cannot_run() {
-        let bad: [fn(&mut GpuConfig); 5] = [
+        let bad: [fn(&mut GpuConfig); 7] = [
             |c| c.warp_size = 0,
             |c| c.simd_width = 0,
             |c| c.shared_banks = 0,
@@ -352,6 +352,8 @@ mod tests {
                 c.simd_width = 11;
                 c.max_threads_per_sm = 33 * 32;
             },
+            |c| c.parallel_sms = true,
+            |c| c.sm_workers = 3,
         ];
         for (i, spoil) in bad.iter().enumerate() {
             for base in [GpuConfig::quadro_fx5800(), GpuConfig::fermi(), GpuConfig::test_small()] {

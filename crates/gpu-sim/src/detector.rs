@@ -8,8 +8,6 @@
 //! charges nothing — used by the software baselines, whose cost comes
 //! from instrumentation instructions instead.
 
-use std::sync::Arc;
-
 use haccrg::config::{DetectorConfig, SharedShadowPlacement};
 use haccrg::prelude::*;
 
@@ -155,19 +153,18 @@ impl DetectorState {
         self.hardware() && self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
     }
 
-    /// Split launch state for the two-phase cycle engine: the per-SM
-    /// shared RDUs move into the SMs (each SM owns its RDU during the
-    /// compute phase), while the globally shared pieces — global RDU,
-    /// clocks, race log — stay with the coordinator, which mutates them
-    /// only in the serial apply phase. The clocks sit behind an [`Arc`]
-    /// so parallel compute workers can read a snapshot without copying.
+    /// Split launch state for the two-phase cycle: the per-SM shared
+    /// RDUs move into the SMs (each SM owns its RDU during the compute
+    /// phase), while the launch-wide pieces — global RDU, clocks, race
+    /// log — stay with the cycle loop, which mutates them only in the
+    /// apply phase.
     pub fn decompose(self) -> (LaunchDet, Vec<SharedRdu>) {
         (
             LaunchDet {
                 cfg: self.cfg,
                 mode: self.mode,
                 global: self.global,
-                clocks: Arc::new(self.clocks),
+                clocks: self.clocks,
                 log: self.log,
                 shadow_timing: self.shadow_timing,
             },
@@ -176,7 +173,7 @@ impl DetectorState {
     }
 }
 
-/// The coordinator-side detector state during one launch: everything in
+/// The cycle loop's detector state during one launch: everything in
 /// [`DetectorState`] except the per-SM shared RDUs, which live inside the
 /// SMs for the duration (see [`DetectorState::decompose`]).
 #[allow(missing_docs)]
@@ -184,10 +181,10 @@ pub struct LaunchDet {
     pub cfg: DetectorConfig,
     pub mode: DetectorMode,
     pub global: Option<GlobalRdu>,
-    pub clocks: Arc<ClockFile>,
+    pub clocks: ClockFile,
     pub log: RaceLog,
     /// Passive timing model for global shadow traffic (mutated only in
-    /// the serial apply phase, so it is engine-invariant).
+    /// the apply phase).
     pub shadow_timing: ShadowTimingModel,
 }
 
@@ -202,54 +199,20 @@ impl LaunchDet {
         self.hardware() && self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
     }
 
-    /// Mutable clock access for the serial apply phase. Panics if a
-    /// compute-phase snapshot is still outstanding — the engine must
-    /// collect every worker's `Arc` clone before applying.
-    pub fn clocks_mut(&mut self) -> &mut ClockFile {
-        Arc::get_mut(&mut self.clocks).expect("clock snapshot outstanding during apply phase")
-    }
-
     /// Read-only view for the compute phase.
     pub fn view(&self) -> DetView<'_> {
-        self.statics().view(&self.clocks)
-    }
-
-    /// The `Copy` portion of a [`DetView`], shipped to pool workers
-    /// alongside an `Arc<ClockFile>` snapshot.
-    pub fn statics(&self) -> DetStatics {
-        DetStatics {
+        DetView {
             cfg: self.cfg,
             hardware: self.hardware(),
             sw_shared_shadow: self.sw_shared_shadow(),
+            clocks: &self.clocks,
         }
     }
 }
 
-/// Mode/config flags of a [`DetView`], separated from the clock borrow so
-/// they can cross a channel to pool workers.
-#[derive(Clone, Copy)]
-#[allow(missing_docs)]
-pub struct DetStatics {
-    pub cfg: DetectorConfig,
-    pub hardware: bool,
-    pub sw_shared_shadow: bool,
-}
-
-impl DetStatics {
-    /// Attach a clock snapshot to form the compute-phase view.
-    pub fn view<'a>(&self, clocks: &'a ClockFile) -> DetView<'a> {
-        DetView {
-            cfg: self.cfg,
-            hardware: self.hardware,
-            sw_shared_shadow: self.sw_shared_shadow,
-            clocks,
-        }
-    }
-}
-
-/// Read-only detector view handed to `Sm::cycle_compute` (the parallel
-/// compute phase). All clock *mutations* are buffered as
-/// [`crate::sm::SmOp`]s and replayed serially in SM-id order.
+/// Read-only detector view handed to `Sm::cycle_compute` (the compute
+/// phase). All clock *mutations* are buffered as [`crate::sm::SmOp`]s
+/// and applied in SM-id order once every SM has computed.
 #[derive(Clone, Copy)]
 #[allow(missing_docs)]
 pub struct DetView<'a> {

@@ -15,8 +15,8 @@ pub struct DeviceMemory {
 }
 
 impl Default for DeviceMemory {
-    /// Zero-byte placeholder, used by the launch engine to `mem::take`
-    /// the real memory into an `Arc` for the duration of a launch.
+    /// Zero-byte placeholder, left in the [`crate::gpu::Gpu`] while a
+    /// launch's cycle loop holds the real memory.
     fn default() -> Self {
         Self::new(0)
     }

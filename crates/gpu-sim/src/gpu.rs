@@ -6,8 +6,6 @@
 //! same cycle count, statistics and race log every time (no wall-clock,
 //! no unseeded randomness, strictly ordered queues).
 
-use std::sync::Arc;
-
 use haccrg::config::DetectorConfig;
 use haccrg::cost;
 use haccrg::prelude::*;
@@ -16,7 +14,6 @@ use crate::active::ActiveSet;
 use crate::config::GpuConfig;
 use crate::detector::{DetectorMode, DetectorState, LaunchDet};
 use crate::device::{DeviceMemory, HEAP_BASE};
-use crate::engine::CyclePool;
 use crate::isa::Kernel;
 use crate::mem::icnt::{self, Link};
 use crate::mem::slice::MemSlice;
@@ -239,9 +236,9 @@ impl Gpu {
                 (self.cfg.num_mem_slices, self.cfg.l2.line_bytes),
             )
         });
-        // Split the detector for the two-phase engine: each SM owns its
+        // Split the detector for the two-phase cycle: each SM owns its
         // shared RDU during the compute phase; global RDU / clocks / log
-        // stay with the coordinator.
+        // stay with the cycle loop.
         let mut sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
         let det: Option<LaunchDet> = det_state.map(|d| {
             let (launch_det, rdus) = d.decompose();
@@ -269,7 +266,7 @@ impl Gpu {
         let outs: Vec<CycleOutput> =
             (0..self.cfg.num_sms).map(|_| CycleOutput::new(tracing)).collect();
         let mut st = LoopState {
-            mem: Arc::new(std::mem::take(&mut self.mem)),
+            mem: std::mem::take(&mut self.mem),
             det,
             sm_awake: ActiveSet::from_fn(sms.len(), |i| sms[i].wake_hint != u64::MAX),
             sm_busy: ActiveSet::from_fn(sms.len(), |i| sms[i].busy()),
@@ -286,25 +283,8 @@ impl Gpu {
             sampler,
             skip: SkipStats::default(),
         };
-
-        // Level-2 parallelism: run the same cycle loop with the compute
-        // phase fanned over a scoped worker pool. The apply phase (and
-        // everything downstream of it) is identical, so results are
-        // bit-identical to the serial path by construction.
-        let workers = match self.cfg.sm_workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n as usize,
-        }
-        .min(self.cfg.num_sms as usize);
         drop(prof_setup);
-        let outcome = if self.cfg.parallel_sms && workers > 1 {
-            std::thread::scope(|scope| {
-                let pool = CyclePool::start(scope, &ctx, workers);
-                self.run_cycles(&ctx, &mut st, Some(&pool))
-            })
-        } else {
-            self.run_cycles(&ctx, &mut st, None)
-        };
+        let outcome = self.run_cycles(&ctx, &mut st);
 
         let LoopState {
             mem,
@@ -321,7 +301,7 @@ impl Gpu {
         } = st;
         let _prof_finish = prof::scope(Phase::Finish);
         // Restore device memory even on error so the GPU stays usable.
-        self.mem = Arc::try_unwrap(mem).ok().expect("memory snapshot outstanding after launch");
+        self.mem = mem;
         let mut now = outcome?;
         // Idle time stops with the cycle loop: the detection epilogue
         // below is modeled, not simulated.
@@ -402,10 +382,9 @@ impl Gpu {
         })
     }
 
-    /// The per-launch cycle loop, shared by the serial and parallel
-    /// engines. Each cycle: dispatch → compute phase (possibly fanned
-    /// over `pool`) → serial apply phase in SM-id order → interconnect /
-    /// slices / responses → bookkeeping. Returns the final cycle count.
+    /// The per-launch cycle loop. Each cycle: dispatch → compute phase →
+    /// apply phase in SM-id order → interconnect / slices / responses →
+    /// bookkeeping. Returns the final cycle count.
     ///
     /// A cycle visits only the members of the loop's active sets (see
     /// [`LoopState`]), in ascending index order — the order of the full
@@ -414,12 +393,7 @@ impl Gpu {
     /// (`cycle_skip = false`) still computes every SM and cycles every
     /// slice on every cycle.
     #[allow(clippy::too_many_lines)]
-    fn run_cycles(
-        &mut self,
-        ctx: &LaunchContext,
-        st: &mut LoopState,
-        pool: Option<&CyclePool>,
-    ) -> Result<u64, SimError> {
+    fn run_cycles(&mut self, ctx: &LaunchContext, st: &mut LoopState) -> Result<u64, SimError> {
         let grid = ctx.grid;
         let tracing = self.tracer.on();
         let flit = self.cfg.icnt.flit_bytes;
@@ -465,7 +439,7 @@ impl Gpu {
             }
 
             // Compute phase: SMs advance one core cycle against the
-            // pre-cycle memory / clock snapshot, buffering their effects.
+            // pre-cycle memory and clocks, buffering their effects.
             // An SM is awake this cycle once its wake hint has come
             // (`now >= wake_hint`, in every mode); every other cycle of
             // the launch counts as idle. The dense loop computes every
@@ -488,37 +462,28 @@ impl Gpu {
             if !cycle_skip {
                 st.computed.extend(0..st.sms.len());
             }
-            match pool {
-                Some(p) => {
-                    let det = st.det.as_ref().map(|d| (&d.clocks, d.statics()));
-                    p.run_cycle(now, cycle_skip, &st.mem, det, &mut st.sms, &mut st.outs);
-                }
-                None => {
-                    for &i in &st.computed {
-                        let out = &mut st.outs[i];
-                        out.clear();
-                        let view = st.det.as_ref().map(LaunchDet::view);
-                        st.sms[i].cycle_compute(now, ctx, &st.mem, view, out);
-                    }
-                }
+            for &i in &st.computed {
+                let out = &mut st.outs[i];
+                out.clear();
+                let view = st.det.as_ref().map(LaunchDet::view);
+                st.sms[i].cycle_compute(now, ctx, &st.mem, view, out);
             }
             drop(prof_compute);
 
-            // Apply phase: merge buffered effects in SM-id order. This is
-            // the only place device memory, the clock file, the global RDU
-            // and the race log are mutated during a core cycle, so the
-            // parallel compute phase cannot perturb results.
+            // Apply phase: merge buffered effects in SM-id order, after
+            // every SM has computed. This is the only place device memory,
+            // the clock file, the global RDU and the race log are mutated
+            // during a core cycle, so no SM sees another SM's writes,
+            // clock bumps or global-RDU effects from the same cycle.
             {
                 let _prof = prof::scope(Phase::Apply);
-                let mem = Arc::get_mut(&mut st.mem)
-                    .expect("memory snapshot outstanding during apply phase");
                 for &i in &st.computed {
                     let sm = &mut st.sms[i];
                     apply_cycle_output(
                         sm,
                         &mut st.outs[i],
                         now,
-                        mem,
+                        &mut st.mem,
                         &mut st.det,
                         &mut self.tracer,
                         self.trace.as_mut(),
@@ -577,8 +542,6 @@ impl Gpu {
             // trace events, no DRAM work — see `MemSlice::wake_hint`).
             {
                 let _prof = prof::scope(Phase::SliceCycle);
-                let mem = Arc::get_mut(&mut st.mem)
-                    .expect("memory snapshot outstanding during slice phase");
                 let n = st.slices.len();
                 let next = |set: &ActiveSet, from: usize| {
                     if cycle_skip {
@@ -591,7 +554,7 @@ impl Gpu {
                 while let Some(s) = at {
                     let slice = &mut st.slices[s];
                     if !cycle_skip || now >= slice.wake_hint {
-                        for resp in slice.cycle(now, mem) {
+                        for resp in slice.cycle(now, &mut st.mem) {
                             let flits = resp.response_flits(flit);
                             st.slice_egress.push(s, now, flits, resp);
                         }
@@ -831,18 +794,16 @@ impl LinkArray {
     }
 }
 
-/// Everything the cycle loop owns for one launch, grouped so the loop body
-/// can run identically inside or outside a `thread::scope`.
+/// Everything the cycle loop owns for one launch.
 ///
 /// The active sets are worklists over component indices, kept exact at
 /// every cycle boundary: a component enters where work arrives (a placed
 /// block, a memory response, slice input, a link push) and leaves when its
 /// wake hint becomes `u64::MAX` or its queues drain.
 struct LoopState {
-    /// Device memory behind an [`Arc`] so compute workers can read the
-    /// pre-cycle snapshot; the coordinator regains `&mut` access via
-    /// [`Arc::get_mut`] once every worker has dropped its clone.
-    mem: Arc<DeviceMemory>,
+    /// Device memory, taken from the [`Gpu`] for the launch and handed
+    /// back when the loop ends, on success or error.
+    mem: DeviceMemory,
     det: Option<LaunchDet>,
     sms: Vec<Sm>,
     outs: Vec<CycleOutput>,
@@ -892,9 +853,8 @@ impl LoopState {
     }
 }
 
-/// Serial apply phase for one SM's buffered cycle output: replay its
-/// [`SmOp`]s in order. Called in SM-id order, which is what makes the
-/// parallel engine's results bit-identical to serial execution.
+/// Apply phase for one SM's buffered cycle output: replay its [`SmOp`]s
+/// in order. Called in SM-id order once every SM has computed.
 /// `tlb_trace`, when recording is on, collects the `(data line, shadow
 /// line)` pairs of L1-hit probes (§IV-B TLB ablation input) — probes no
 /// longer travel through the memory system, so they are recorded here.
@@ -915,17 +875,17 @@ fn apply_cycle_output(
             SmOp::MemWrite { addr, val, size } => mem.write(addr, val, size),
             SmOp::NoteGlobal { block } => {
                 if let Some(d) = det.as_mut() {
-                    d.clocks_mut().note_global_access(block);
+                    d.clocks.note_global_access(block);
                 }
             }
             SmOp::Barrier { block } => {
                 if let Some(d) = det.as_mut() {
-                    d.clocks_mut().on_barrier(block);
+                    d.clocks.on_barrier(block);
                 }
             }
             SmOp::Fence { gwarp } => {
                 if let Some(d) = det.as_mut() {
-                    d.clocks_mut().on_fence(gwarp);
+                    d.clocks.on_fence(gwarp);
                 }
             }
             SmOp::SharedRaces { log } => {

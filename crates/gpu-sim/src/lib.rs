@@ -65,7 +65,6 @@ pub(crate) mod active;
 pub mod config;
 pub mod detector;
 pub mod device;
-pub(crate) mod engine;
 pub mod exec;
 pub mod fuzzgen;
 pub mod gpu;

@@ -19,13 +19,9 @@
 //! `crates/bench/benches/e2e.rs`) covers this path, since every
 //! instrumented site runs under it.
 //!
-//! The accumulation tables are process-wide atomics, so the profiler
-//! composes with both levels of parallelism: sweep workers and
-//! `CyclePool` compute workers all fold into the same table. In parallel
-//! mode the compute phases are measured per worker thread, so their sum
-//! can legitimately exceed the coordinator's wall-clock; attribution
-//! percentages are meaningful on a serial run (`runbench --profile`
-//! without `--parallel-sms`).
+//! The accumulation tables are process-wide atomics, so sweep workers
+//! running launches on several threads all fold into the same table,
+//! each launch's phases nested under its own [`Phase::Launch`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +31,7 @@ use serde::Serialize;
 
 /// A named profiling phase. The hierarchy is implicit: each [`scope`]
 /// records the phase that was live on its thread when it opened, so the
-/// same table serves serial and fanned execution.
+/// same table serves launches on any number of threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// A whole `Gpu::launch` call (the root).
@@ -45,7 +41,7 @@ pub enum Phase {
     Setup,
     /// Block dispatcher placement scans.
     Dispatch,
-    /// The per-cycle SM compute phase (serial loop or one worker chunk).
+    /// The per-cycle SM compute phase.
     SmCompute,
     /// Warp instruction fetch/decode/execute ([`crate::sm`]'s `issue`).
     FetchExecute,
@@ -56,9 +52,9 @@ pub enum Phase {
     L1Access,
     /// Shared-memory RDU checks (compute phase, SM-local).
     ShadowShared,
-    /// The serial apply phase: replaying buffered cycle output.
+    /// The apply phase: replaying buffered cycle output.
     Apply,
-    /// Global RDU checks (apply phase, coordinator-side).
+    /// Global RDU checks (apply phase).
     ShadowGlobal,
     /// Interconnect routing: SM egress and slice ingress links.
     Icnt,
@@ -174,7 +170,7 @@ impl Counter {
 }
 
 /// Parent dimension: a phase index, or [`ROOT`] for "no enclosing phase
-/// on this thread" (top of a launch, or a worker thread's chunk).
+/// on this thread" (top of a launch).
 const ROOT: usize = NUM_PHASES;
 const SLOTS: usize = NUM_PHASES * (NUM_PHASES + 1);
 

@@ -13,14 +13,15 @@
 //!
 //! ## Two-phase execution
 //!
-//! The core cycle is split so SMs can run concurrently (see DESIGN.md,
-//! "Parallel execution engine"): [`Sm::cycle_compute`] reads device
-//! memory and the detector clocks as immutable snapshots, mutates only
-//! SM-owned state (warps, CTAs, L1, MSHRs, its shared RDU, its counters
-//! in `Sm::stats`), and buffers every cross-SM side effect into a
-//! [`CycleOutput`]. The coordinator then applies each computed SM's
-//! [`SmOp`]s in SM-id order — exactly the order the old serial loop
-//! produced them — so serial and parallel execution are bit-identical.
+//! The core cycle is split so that no SM sees another SM's effects from
+//! the same cycle (see DESIGN.md, "Two-phase cycle"):
+//! [`Sm::cycle_compute`] reads device memory and the detector clocks as
+//! they stood before the cycle, mutates only SM-owned state (warps,
+//! CTAs, L1, MSHRs, its shared RDU, its counters in `Sm::stats`), and
+//! buffers every cross-SM side effect into a [`CycleOutput`]. Once every
+//! SM has computed, the cycle loop applies each computed SM's
+//! [`SmOp`]s in SM-id order. The results therefore do not depend on the
+//! order in which SMs compute.
 
 use haccrg::prelude::*;
 
@@ -39,7 +40,7 @@ use crate::stats::SimStats;
 use crate::trace::{SimEvent, StallReason, Tracer};
 
 /// Buffered side effects of one SM core cycle — the compute phase's
-/// output, applied by the coordinator in SM-id order.
+/// output, applied by the cycle loop in SM-id order.
 pub struct CycleOutput {
     /// Whether tracer events should be buffered (mirrors `Tracer::on`).
     pub tracing: bool,
@@ -279,7 +280,8 @@ pub struct Sm {
     /// Cycles this SM was not quiescent (`now >= wake_hint`), counted by
     /// the cycle loop in every mode. Every other cycle of the launch —
     /// gated, jumped over or densely polled — is idle, so
-    /// [`Self::idle_cycles`] is identical across engines by construction.
+    /// [`Self::idle_cycles`] is identical for dense and skipping runs by
+    /// construction.
     pub(crate) awake_cycles: u64,
     /// This SM's counters for the launch: the compute phase, the global
     /// RDU batches applied on its behalf and its memory responses all
@@ -420,8 +422,9 @@ impl Sm {
     }
 
     /// One core cycle, compute phase: retire matured L1 hits, then try
-    /// to issue. Reads `mem` and the detector clocks as snapshots;
-    /// cross-SM side effects land in `out` for the serial apply phase.
+    /// to issue. Reads `mem` and the detector clocks as they stood
+    /// before the cycle; cross-SM side effects land in `out` for the
+    /// apply phase.
     /// Refreshes [`Self::wake_hint`] afterwards so the fast-forward layer
     /// knows the next cycle this SM can act.
     pub fn cycle_compute(
@@ -542,8 +545,8 @@ impl Sm {
         }
     }
 
-    /// A response arrived from the memory system. Runs coordinator-side
-    /// (after the compute phase), so it mutates detector clocks directly.
+    /// A response arrived from the memory system. Runs after the apply
+    /// phase, so it mutates detector clocks directly.
     pub fn handle_response(
         &mut self,
         resp: MemReq,
@@ -582,7 +585,7 @@ impl Sm {
                 if fence_done {
                     self.stats.fences += 1;
                     if let Some(d) = det.as_mut() {
-                        d.clocks_mut().on_fence(gwarp);
+                        d.clocks.on_fence(gwarp);
                     }
                     if tracer.on() {
                         tracer.emit(now, SimEvent::FenceComplete { sm: self.id, gwarp });
@@ -988,8 +991,8 @@ impl Sm {
     /// end plus all RDU hooks.
     ///
     /// Global stores are *not* applied to `mem` here: they are buffered as
-    /// [`SmOp::MemWrite`]s and applied by the coordinator in SM-id order,
-    /// so parallel SMs all read the same pre-cycle memory snapshot.
+    /// [`SmOp::MemWrite`]s and applied by the cycle loop in SM-id order,
+    /// so every SM reads the same pre-cycle memory.
     #[allow(clippy::too_many_arguments)]
     fn mem_access(
         &mut self,
@@ -1144,7 +1147,7 @@ impl Sm {
                                 },
                             );
                             // RDU checks for this transaction's lanes are
-                            // deferred to the serial apply phase (the
+                            // deferred to the apply phase (the
                             // global RDU is shared across SMs); here we
                             // only capture the access descriptors.
                             let batch = self.global_batch(
@@ -1281,7 +1284,7 @@ impl Sm {
     /// shadow-state checks, and (Fig. 8 mode) shared-shadow L1 traffic.
     ///
     /// The shared RDU is owned by this SM, so detection runs fully in the
-    /// compute phase; races land in a *local* log that the coordinator
+    /// compute phase; races land in a *local* log that the apply phase
     /// replays into the launch-wide log (see [`SmOp::SharedRaces`]) so
     /// cross-SM deduplication stays deterministic.
     #[allow(clippy::too_many_arguments)]
@@ -1386,7 +1389,7 @@ impl Sm {
                 |_| {},
             );
         }
-        // Race reports go through the coordinator, which knows whether a
+        // Race reports go through the apply phase, which knows whether a
         // record is fresh launch-wide (and emits RaceDetected events).
         if local.total() > 0 {
             out.ops.push(SmOp::SharedRaces { log: local });
@@ -1442,9 +1445,10 @@ impl Sm {
 
     /// Capture the access descriptors for one global transaction's lanes
     /// (compute phase). The global RDU is shared across SMs, so the actual
-    /// shadow-table lookups run serially in [`apply_global_batch`]; this
-    /// only snapshots what the RDU will need — addresses, thread coords,
-    /// clock values, lock signatures, and L1 residency.
+    /// shadow-table lookups run in the apply phase
+    /// ([`apply_global_batch`]); this only snapshots what the RDU will
+    /// need — addresses, thread coords, clock values, lock signatures,
+    /// and L1 residency.
     #[allow(clippy::too_many_arguments)]
     fn global_batch(
         &self,
@@ -1501,8 +1505,8 @@ impl Sm {
     }
 }
 
-/// Run one [`SmOp::GlobalBatch`] through the shared global RDU (serial
-/// apply phase) and charge the resulting shadow traffic to the passive
+/// Run one [`SmOp::GlobalBatch`] through the shared global RDU (apply
+/// phase) and charge the resulting shadow traffic to the passive
 /// timing model. [`ShadowSink::Attach`] additionally annotates the data
 /// request captured at issue (inert at the slice — TLB-trace input
 /// only); [`ShadowSink::Probe`] records the `(data, shadow)` pair into

@@ -92,7 +92,7 @@ impl DramStats {
 /// skipped, and how idle each SM was. Deliberately kept *outside*
 /// [`SimStats`]: skipping changes how the simulator spends wall-clock,
 /// never what it computes, so the bit-identity contract (`SimStats`
-/// equality across serial/parallel and dense/skip runs) must not see
+/// equality across dense and skipping runs) must not see
 /// these counters. `sm_idle_cycles` *is* mode-independent — an SM is
 /// counted idle whenever `now` is before its wake hint, whether the
 /// cycle was gated, jumped, or densely polled.
@@ -180,7 +180,7 @@ pub struct SimStats {
     /// detector can silently lose a race (Bloom aliasing, packed-ID
     /// truncation, race-log saturation) plus occupancy/outcome gauges.
     /// Deterministic per access stream, hence part of the bit-identity
-    /// contract across serial/parallel and dense/skip engines.
+    /// contract across dense and skipping runs.
     #[serde(default)]
     pub health: DetectorHealth,
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests: whole kernels through SMs, caches, interconnect,
 //! DRAM and the HAccRG detector.
 
+use gpu_sim::device::HEAP_BASE;
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
 use haccrg::prelude::{RaceCategory, RaceKind};
@@ -451,6 +452,64 @@ fn bad_launches_are_rejected() {
                 assert!(msg.contains("block 0 "), "wrong rejection: {msg}")
             }
             other => panic!("expected BadLaunch at block 0, got {other:?}"),
+        }
+    }
+}
+
+/// A launch that fails inside the cycle loop hands device memory back to
+/// the GPU untouched: the heap's bytes and allocation pointer are as
+/// before, and the next launch runs and writes its output.
+#[test]
+fn failed_launches_give_device_memory_back() {
+    let mut cfg = GpuConfig::test_small();
+    cfg.shared_mem_per_sm = 16_000;
+    cfg.watchdog_cycles = 20_000;
+    let mut gpu = Gpu::new(cfg);
+    let n = 256u32;
+    let inp = gpu.alloc(n * 4);
+    let outp = gpu.alloc(n * 4);
+    gpu.mem.copy_from_host_u32(inp, &(0..n).map(|i| i * 7 + 5).collect::<Vec<_>>());
+
+    // Spins forever without touching memory: the watchdog fires.
+    let mut b = KernelBuilder::new("spin");
+    let zero = b.mov(0u32);
+    b.while_loop(|b| b.setp(CmpOp::Eq, zero, 0u32), |b| b.assign(zero, 0u32));
+    let spin = b.build();
+    // The too-much-shared kernel of `bad_launches_are_rejected`: the
+    // no-progress guard rejects it at its first block.
+    let mut b = KernelBuilder::new("too_much_shared");
+    let sh = b.shared_alloc(15_900);
+    let t = b.tid();
+    let off = b.shl(t, 2u32);
+    let addr = b.add(off, sh);
+    b.st(Space::Shared, addr, 0, t, 4);
+    let unplaceable = b.build();
+
+    let cases: [(&Kernel, u32, fn(&SimError) -> bool); 2] = [
+        (&spin, 1, |e| matches!(e, SimError::Hang { .. })),
+        (&unplaceable, 4, |e| matches!(e, SimError::BadLaunch(m) if m.contains("block 0 "))),
+    ];
+    for (k, grid, expected) in cases {
+        let ptr = gpu.mem.alloc_ptr();
+        let heap = gpu.mem.copy_to_host_u8(HEAP_BASE, (ptr - HEAP_BASE) as usize);
+        match gpu.launch(k, grid, 32, &[]) {
+            Err(e) if expected(&e) => {}
+            other => panic!("{}: unexpected outcome {other:?}", k.name),
+        }
+        assert_eq!(gpu.mem.alloc_ptr(), ptr, "{}: allocation pointer moved", k.name);
+        assert_eq!(
+            gpu.mem.copy_to_host_u8(HEAP_BASE, (ptr - HEAP_BASE) as usize),
+            heap,
+            "{}: heap bytes changed",
+            k.name
+        );
+
+        gpu.mem.copy_from_host_u32(outp, &vec![0; n as usize]);
+        gpu.launch(&saxpyish_kernel(), n / 64, 64, &[inp, outp])
+            .unwrap_or_else(|e| panic!("launch after {} failed: {e}", k.name));
+        let out = gpu.mem.copy_to_host_u32(outp, n as usize);
+        for (i, &v) in out.iter().enumerate() {
+            assert_eq!(v, (i as u32 * 7 + 5) * 3 + 1, "after {}: element {i}", k.name);
         }
     }
 }

@@ -260,15 +260,11 @@ fn final_partial_window_sample_is_emitted_exactly() {
     assert_eq!(sum, stats, "partial-window deltas do not telescope");
 }
 
-/// Run the saxpyish kernel with a recorder + sampler under one engine
-/// configuration and export the counter-augmented Chrome trace.
-fn counter_trace_for(cycle_skip: bool, parallel: bool) -> Vec<u8> {
+/// Run the saxpyish kernel with a recorder + sampler, dense or
+/// skipping, and export the counter-augmented Chrome trace.
+fn counter_trace_for(cycle_skip: bool) -> Vec<u8> {
     let mut cfg = GpuConfig::test_small();
     cfg.cycle_skip = cycle_skip;
-    if parallel {
-        cfg.parallel_sms = true;
-        cfg.sm_workers = 3;
-    }
     let mut gpu = Gpu::with_detector(cfg, DetectorConfig::paper_default());
     let rec = RingRecorder::shared(1 << 18);
     gpu.tracer.install(Box::new(rec.clone()));
@@ -287,17 +283,14 @@ fn counter_trace_for(cycle_skip: bool, parallel: bool) -> Vec<u8> {
 
 /// The counter-augmented export must be well-formed JSON whose
 /// timestamps are monotonic per track — instant events per `(pid, tid)`
-/// lane, counter events per `(pid, name)` series — under every engine:
-/// serial dense, serial skipping, parallel skipping.
+/// lane, counter events per `(pid, name)` series — dense and skipping.
 #[test]
 fn counter_trace_is_well_formed_with_monotonic_tracks_in_every_engine() {
     if serde_is_stubbed() {
         return;
     }
-    for (mode, cycle_skip, parallel) in
-        [("serial", false, false), ("skip", true, false), ("parallel", true, true)]
-    {
-        let buf = counter_trace_for(cycle_skip, parallel);
+    for (mode, cycle_skip) in [("dense", false), ("skip", true)] {
+        let buf = counter_trace_for(cycle_skip);
         let doc: serde_json::Value = serde_json::from_slice(&buf)
             .unwrap_or_else(|e| panic!("{mode}: invalid JSON: {e}"));
         let tes = doc["traceEvents"].as_array().expect("traceEvents array");

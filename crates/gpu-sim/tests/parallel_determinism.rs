@@ -1,12 +1,10 @@
-//! The determinism contract of the cycle loop's engines, plus
-//! regression tests for the cycle-loop bugfixes that shipped with the
-//! parallel engine.
+//! The determinism contract of the cycle loop, plus regression tests
+//! for cycle-loop bugfixes.
 //!
-//! `GpuConfig::parallel_sms` fans the SM compute phase out over worker
-//! threads, and `GpuConfig::cycle_skip` fast-forwards over quiescent
-//! cycles; the contract is that both are *unobservable*: stats, cycle
-//! counts, race logs, traced event streams, per-SM idle time and
-//! functional memory are bit-identical to the dense serial loop.
+//! `GpuConfig::cycle_skip` fast-forwards over quiescent cycles; the
+//! contract is that it is *unobservable*: stats, cycle counts, race
+//! logs, traced event streams, per-SM idle time and functional memory
+//! are bit-identical to the dense loop.
 
 use gpu_sim::prelude::*;
 use haccrg::config::{DetectorConfig, SharedShadowPlacement};
@@ -17,17 +15,14 @@ struct Outcome {
     mem: Vec<u32>,
 }
 
-/// How the cycle loop runs: fast-forwarding or dense, SM compute phase
-/// on the worker pool or serial.
+/// How the cycle loop runs: fast-forwarding or dense.
 #[derive(Clone, Copy, Debug)]
 struct Engine {
     cycle_skip: bool,
-    parallel: bool,
 }
 
-const DENSE: Engine = Engine { cycle_skip: false, parallel: false };
-const SKIP: Engine = Engine { cycle_skip: true, parallel: false };
-const PARALLEL_SKIP: Engine = Engine { cycle_skip: true, parallel: true };
+const DENSE: Engine = Engine { cycle_skip: false };
+const SKIP: Engine = Engine { cycle_skip: true };
 
 fn assert_identical(name: &str, dense: &Outcome, other: &Outcome) {
     assert_eq!(dense.res.stats, other.res.stats, "{name}: stats differ");
@@ -44,13 +39,11 @@ fn assert_identical(name: &str, dense: &Outcome, other: &Outcome) {
     assert_eq!(dense.mem, other.mem, "{name}: functional memory differs");
 }
 
-/// Run `scenario` on the dense serial loop, the skipping serial loop and
-/// the skipping worker pool, and demand identical observable behavior.
+/// Run `scenario` on the dense loop and the skipping loop, and demand
+/// identical observable behavior.
 fn check<F: Fn(Engine) -> Outcome>(name: &str, scenario: F) {
     let dense = scenario(DENSE);
-    for engine in [SKIP, PARALLEL_SKIP] {
-        assert_identical(&format!("{name} {engine:?}"), &dense, &scenario(engine));
-    }
+    assert_identical(&format!("{name} {SKIP:?}"), &dense, &scenario(SKIP));
 }
 
 fn gpu(engine: Engine, det: Option<DetectorConfig>) -> Gpu {
@@ -59,10 +52,6 @@ fn gpu(engine: Engine, det: Option<DetectorConfig>) -> Gpu {
 
 fn gpu_on(mut cfg: GpuConfig, engine: Engine, det: Option<DetectorConfig>) -> Gpu {
     cfg.cycle_skip = engine.cycle_skip;
-    cfg.parallel_sms = engine.parallel;
-    // Pin the worker count so the pool genuinely runs (and interleaves)
-    // even on single-core CI machines.
-    cfg.sm_workers = 3;
     match det {
         Some(d) => Gpu::with_detector(cfg, d),
         None => Gpu::new(cfg),
@@ -162,7 +151,7 @@ fn lock_increment_kernel() -> Kernel {
 }
 
 #[test]
-fn parallel_sms_matches_serial_without_detection() {
+fn skipping_matches_dense_without_detection() {
     check("saxpyish/no-detector", |engine| {
         let mut g = gpu(engine, None);
         let n = 2048u32;
@@ -175,7 +164,7 @@ fn parallel_sms_matches_serial_without_detection() {
 }
 
 #[test]
-fn parallel_sms_matches_serial_with_barriers_and_detection() {
+fn skipping_matches_dense_with_barriers_and_detection() {
     check("reduction/barriers", |engine| {
         let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let n = 512u32;
@@ -189,7 +178,7 @@ fn parallel_sms_matches_serial_with_barriers_and_detection() {
 }
 
 #[test]
-fn parallel_sms_matches_serial_on_a_racy_kernel() {
+fn skipping_matches_dense_on_a_racy_kernel() {
     check("reduction/racy", |engine| {
         let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let n = 512u32;
@@ -205,7 +194,7 @@ fn parallel_sms_matches_serial_on_a_racy_kernel() {
 }
 
 #[test]
-fn parallel_sms_matches_serial_with_atomics_and_critical_sections() {
+fn skipping_matches_dense_with_atomics_and_critical_sections() {
     check("spinlock", |engine| {
         let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let lockp = g.alloc(4);
@@ -218,7 +207,7 @@ fn parallel_sms_matches_serial_with_atomics_and_critical_sections() {
 }
 
 #[test]
-fn parallel_sms_matches_serial_with_shared_shadow_in_global_memory() {
+fn skipping_matches_dense_with_shared_shadow_in_global_memory() {
     check("reduction/sw-shared-shadow", |engine| {
         let mut det = DetectorConfig::paper_default();
         det.shared_shadow = SharedShadowPlacement::GlobalMemory;
@@ -296,7 +285,7 @@ fn engines_agree_under_greedy_then_oldest() {
 }
 
 #[test]
-fn parallel_sms_produces_an_identical_event_stream() {
+fn skipping_produces_an_identical_event_stream() {
     let run = |engine| {
         let mut g = gpu(engine, Some(DetectorConfig::paper_default()));
         let rec = RingRecorder::shared(1 << 20);
@@ -311,11 +300,11 @@ fn parallel_sms_produces_an_identical_event_stream() {
         assert_eq!(rec.dropped(), 0, "ring must not overflow for this comparison");
         rec.events()
     };
-    let serial = run(SKIP);
-    let parallel = run(PARALLEL_SKIP);
-    assert_eq!(serial.len(), parallel.len(), "event counts differ");
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "event {i} differs");
+    let dense = run(DENSE);
+    let skip = run(SKIP);
+    assert_eq!(dense.len(), skip.len(), "event counts differ");
+    for (i, (d, s)) in dense.iter().zip(&skip).enumerate() {
+        assert_eq!(d, s, "event {i} differs");
     }
 }
 
