@@ -213,6 +213,7 @@ pub fn analyze_with(spec: &KernelSpec, shared_gran: u32, global_gran: u32) -> Or
 /// atomics on the data buffer — untracked by the detector, but needed
 /// for the schedule-hazard scan. Lock-word CAS traffic (a separate
 /// buffer) is dropped entirely.
+#[allow(clippy::too_many_arguments)]
 fn collect(
     stmts: &[FuzzStmt],
     top: bool,

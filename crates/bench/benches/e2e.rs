@@ -102,7 +102,7 @@ fn witness_overhead(c: &mut Criterion) {
         det.witness_capture = true;
         b.iter(|| {
             black_box(
-                run(&Scan::single_block(), &RunConfig::with_detector(Scale::Tiny, det.clone()))
+                run(&Scan::single_block(), &RunConfig::with_detector(Scale::Tiny, det))
                     .unwrap()
                     .stats
                     .cycles,

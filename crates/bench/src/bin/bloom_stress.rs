@@ -1,8 +1,10 @@
 //! Regenerate the §VI-A2 atomic-ID (Bloom signature) stress test over one
 //! million random lock pairs, writing the measured-vs-analytical miss
 //! rates to `BENCH_bloom.json`.
-//! Usage: `cargo run --release -p haccrg-bench --bin bloom_stress
-//! [OUT.json] [--pairs N]`
+//! Usage: `cargo run --release -p haccrg-bench --bin bloom_stress --
+//! [--out FILE] [--manifest-out FILE]` (default `BENCH_bloom.json` in the
+//! current directory — run from the repo root to refresh the committed
+//! snapshot).
 //!
 //! The binary asserts the acceptance floor as it writes the file: every
 //! measured miss rate within one percentage point of
@@ -11,26 +13,16 @@
 //! fields are bit-stable across hosts — diff the JSON after a change.
 
 use gpu_sim::{log_error, log_info};
-use haccrg_bench::figures::bloom_stress_rows;
+use haccrg_bench::cli::{MANIFEST_OUT, OUT};
+use haccrg_bench::figures::{bloom_stress, bloom_stress_rows, BLOOM_STRESS_PAIRS};
 
 fn main() {
-    let setup = haccrg_bench::RunSetup::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let pairs: u64 = args
-        .iter()
-        .position(|a| a == "--pairs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000_000);
-    let out_path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_bloom.json".into());
+    let setup = haccrg_bench::RunSetup::from_args("bloom_stress", &[OUT, MANIFEST_OUT]);
+    let out_path = setup.args.value(OUT.0).unwrap_or("BENCH_bloom.json");
 
-    println!("{}", haccrg_bench::figures::bloom_stress(pairs).render());
+    let rows = bloom_stress_rows();
+    println!("{}", bloom_stress(&rows).render());
 
-    let rows = bloom_stress_rows(pairs);
     let mut configs = String::new();
     for (i, (cfg, measured)) in rows.iter().enumerate() {
         let expected = cfg.expected_miss_rate();
@@ -49,24 +41,22 @@ fn main() {
     }
     let env = haccrg_bench::Environment::capture().to_json();
     let jobs = haccrg_bench::sweep::configured_jobs();
-    let cycle_skip = haccrg_workloads::runner::cycle_skip_enabled();
     let report = format!(
         r#"{{
   "benchmark": "bloom_stress",
   "produced_by": "cargo run --release -p haccrg-bench --bin bloom_stress",
   "environment": {env},
   "jobs": {jobs},
-  "cycle_skip": {cycle_skip},
-  "pairs": {pairs},
+  "pairs": {BLOOM_STRESS_PAIRS},
   "configs": [
 {configs}  ]
 }}
 "#
     );
-    if let Err(e) = std::fs::write(&out_path, report) {
+    if let Err(e) = std::fs::write(out_path, report) {
         log_error!("cannot write {out_path}: {e}");
         std::process::exit(1);
     }
     log_info!("wrote {} signature shapes to {out_path}", rows.len());
-    setup.write_manifest("bloom_stress", &[&out_path]);
+    setup.write_manifest(&[out_path]);
 }

@@ -14,15 +14,17 @@
 //!    paper-default detector, dense vs skipping, for context on realistic
 //!    instruction mixes (one timed pass each; treat as indicative).
 //!
-//! Usage: `cargo run --release -p haccrg-bench --bin cycleskip_bench
-//! [output.json]` (default `BENCH_cycleskip.json` in the current
-//! directory — run from the repo root to refresh the committed snapshot).
+//! Usage: `cargo run --release -p haccrg-bench --bin cycleskip_bench --
+//! [--out FILE] [--manifest-out FILE]` (default `BENCH_cycleskip.json` in
+//! the current directory — run from the repo root to refresh the
+//! committed snapshot).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use haccrg_bench::cycleskip::{barrier_storm, pointer_chase, run_micro, Micro};
-use haccrg_workloads::runner::{self, run, RunConfig};
+use haccrg_bench::cli::{MANIFEST_OUT, OUT};
+use haccrg_workloads::runner::{run, RunConfig};
 use haccrg_workloads::{all_benchmarks, Scale};
 
 /// Timed launches per microkernel per mode (the mean is reported).
@@ -74,19 +76,14 @@ fn measure_micro(m: &Micro) -> MicroRow {
 }
 
 fn main() {
-    let setup = haccrg_bench::RunSetup::from_args();
-    let out_path =
-        std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "BENCH_cycleskip.json".into());
+    let setup = haccrg_bench::RunSetup::from_args("cycleskip_bench", &[OUT, MANIFEST_OUT]);
+    let out_path = setup.args.value(OUT.0).unwrap_or("BENCH_cycleskip.json");
 
     let micros: Vec<MicroRow> =
         [pointer_chase(), barrier_storm()].iter().map(measure_micro).collect();
 
     // Table II suite at tiny scale, paper-default detection, one pass per
-    // mode. The RunConfig constructors read the process-wide default, so
-    // toggle it around each pass.
+    // mode.
     struct SuiteRow {
         name: String,
         dense_s: f64,
@@ -95,14 +92,15 @@ fn main() {
         skipped: u64,
     }
     let mut suite: Vec<SuiteRow> = Vec::new();
+    let mut dense_cfg = RunConfig::detecting(Scale::Tiny);
+    dense_cfg.gpu.cycle_skip = false;
+    let skip_cfg = RunConfig::detecting(Scale::Tiny);
     for b in all_benchmarks() {
-        runner::set_cycle_skip(false);
         let t0 = Instant::now();
-        let dense = run(b.as_ref(), &RunConfig::detecting(Scale::Tiny)).expect("runs");
+        let dense = run(b.as_ref(), &dense_cfg).expect("runs");
         let dense_s = t0.elapsed().as_secs_f64();
-        runner::set_cycle_skip(true);
         let t1 = Instant::now();
-        let skip = run(b.as_ref(), &RunConfig::detecting(Scale::Tiny)).expect("runs");
+        let skip = run(b.as_ref(), &skip_cfg).expect("runs");
         let skip_s = t1.elapsed().as_secs_f64();
         assert_eq!(dense.stats, skip.stats, "{}: suite run diverged", b.name());
         suite.push(SuiteRow {
@@ -113,7 +111,6 @@ fn main() {
             skipped: skip.skip.cycles_skipped,
         });
     }
-    runner::set_cycle_skip(true);
 
     // Rendered by hand: the offline serde_json stub has no real
     // serializer, and the shape is fixed anyway.
@@ -172,7 +169,6 @@ fn main() {
   "produced_by": "cargo run --release -p haccrg-bench --bin cycleskip_bench",
   "environment": {env},
   "jobs": {jobs},
-  "cycle_skip": {cycle_skip},
   "micro_iters": {MICRO_ITERS},
   "microkernels": [
 {rows}  ],
@@ -183,9 +179,8 @@ fn main() {
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
         jobs = haccrg_bench::sweep::configured_jobs(),
-        cycle_skip = runner::cycle_skip_enabled(),
     );
-    std::fs::write(&out_path, report).expect("write report");
+    std::fs::write(out_path, report).expect("write report");
     println!("wrote {out_path}");
     for r in &micros {
         println!(
@@ -208,5 +203,5 @@ fn main() {
         );
     }
     assert!(best >= 2.0, "best microkernel speedup {best:.2}x is below the 2x target");
-    setup.write_manifest("cycleskip_bench", &[&out_path]);
+    setup.write_manifest(&[out_path]);
 }

@@ -11,8 +11,8 @@
 //!     --seed 1 --budget 500 --jobs 4 --corpus-out crates/bench/corpus
 //! ```
 //!
-//! Flags (besides the common `--jobs`, `--progress-out`,
-//! `--manifest-out`):
+//! Flags (besides `--jobs N`, `--progress-out FILE`,
+//! `--progress-interval-ms N` and `--manifest-out FILE`):
 //!
 //! * `--seed N` — first campaign seed (default 1).
 //! * `--budget N` — number of seeds to fuzz (default 100).
@@ -24,36 +24,29 @@
 //!   through the matrix and report its findings.
 //!
 //! Exit status is 0 iff every seed cross-checked clean (so the CI smoke
-//! job is a plain invocation), 1 on findings, 2 on usage errors.
+//! job is a plain invocation), 1 on findings, 2 on usage errors (any
+//! flag not listed here, see [`haccrg_bench::cli`]).
 
 use std::io::Write as _;
 
 use gpu_sim::fuzzgen::{GenConfig, KernelSpec};
+use haccrg_bench::cli::{Arg, Flag, JOBS, MANIFEST_OUT, OUT, PROGRESS_INTERVAL_MS, PROGRESS_OUT};
 use haccrg_bench::fuzz::{self, FaultInjection, SeedOutcome};
 use haccrg_bench::progress::esc_json;
 use haccrg_bench::{parallel_map_labeled, RunSetup};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{name} needs a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn arg_u64(name: &str, default: u64) -> u64 {
-    match arg_value(name) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{name} needs an integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
+const FLAGS: [Flag; 10] = [
+    ("--seed", Arg::Number),
+    ("--budget", Arg::Number),
+    OUT,
+    ("--corpus-out", Arg::Value("DIR")),
+    ("--inject-fault", Arg::Switch),
+    ("--replay", Arg::Value("FILE")),
+    JOBS,
+    PROGRESS_OUT,
+    PROGRESS_INTERVAL_MS,
+    MANIFEST_OUT,
+];
 
 fn replay(path: &str, fault: FaultInjection) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -86,18 +79,17 @@ fn replay(path: &str, fault: FaultInjection) -> ! {
 }
 
 fn main() {
-    let setup = RunSetup::from_args();
-    let fault = FaultInjection {
-        drop_races: std::env::args().any(|a| a == "--inject-fault"),
-    };
-    if let Some(path) = arg_value("--replay") {
-        replay(&path, fault);
+    let setup = RunSetup::from_args("fuzz", &FLAGS);
+    let args = &setup.args;
+    let fault = FaultInjection { drop_races: args.switch("--inject-fault") };
+    if let Some(path) = args.value("--replay") {
+        replay(path, fault);
     }
 
-    let seed0 = arg_u64("--seed", 1);
-    let budget = arg_u64("--budget", 100);
-    let out_path = arg_value("--out").unwrap_or_else(|| "fuzz_campaign.jsonl".into());
-    let corpus_out = arg_value("--corpus-out");
+    let seed0 = args.number("--seed").unwrap_or(1);
+    let budget = args.number("--budget").unwrap_or(100);
+    let out_path = args.value(OUT.0).unwrap_or("fuzz_campaign.jsonl");
+    let corpus_out = args.value("--corpus-out");
     let gen = GenConfig::default();
 
     let seeds: Vec<u64> = (0..budget).map(|i| seed0.wrapping_add(i)).collect();
@@ -116,7 +108,7 @@ fn main() {
 
     let mut failing = 0usize;
     let mut racy = 0usize;
-    if let Some(dir) = &corpus_out {
+    if let Some(dir) = corpus_out {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             eprintln!("cannot create {dir}: {e}");
             std::process::exit(2);
@@ -131,7 +123,7 @@ fn main() {
             for f in &o.findings {
                 eprintln!("seed {}: [{}] {}", o.seed, f.check, f.detail);
             }
-            if let (Some(dir), Some((min, check))) = (&corpus_out, &o.minimized) {
+            if let (Some(dir), Some((min, check))) = (corpus_out, &o.minimized) {
                 let file = format!("{dir}/seed-{}-{}.kernel", o.seed, check);
                 let body = format!(
                     "# minimized repro: seed {} failed check '{}'\n{}",
@@ -157,14 +149,14 @@ fn main() {
         outcomes.len(),
         racy,
         failing,
-        match &corpus_out {
+        match corpus_out {
             Some(d) => format!("\"{}\"", esc_json(d)),
             None => "null".into(),
         },
         setup.wall_ms()
     ));
 
-    let mut f = std::fs::File::create(&out_path).unwrap_or_else(|e| {
+    let mut f = std::fs::File::create(out_path).unwrap_or_else(|e| {
         eprintln!("cannot create {out_path}: {e}");
         std::process::exit(2);
     });
@@ -178,6 +170,6 @@ fn main() {
         out_path,
         setup.wall_ms() as f64 / 1000.0
     );
-    setup.write_manifest("fuzz", &[&out_path]);
+    setup.write_manifest(&[out_path]);
     std::process::exit(if failing == 0 { 0 } else { 1 });
 }

@@ -7,44 +7,41 @@
 //! ```
 //!
 //! Options:
-//! * `--bench NAME`       — Table II name (required; see `--list`)
-//! * `--detector MODE`    — `off` | `shared` | `full` (default `full`)
-//! * `--scale SCALE`      — `paper` | `repro` | `tiny` (default `repro`)
-//! * `--multi-block`      — use the racy multi-block variants of SCAN/KMEANS
-//!                           and the buggy OFFT (the default); `--clean`
-//!                           selects the fixed variants
-//! * `--trace-out FILE`   — record structured events and write Chrome
-//!                           `trace-event` JSON (open at <https://ui.perfetto.dev>)
-//! * `--sample-every N`   — cut a metrics delta sample every N cycles
-//! * `--metrics-out FILE` — write the sampled metrics time series as JSON
-//!                           (requires `--sample-every`)
-//! * `--no-cycle-skip`    — run the dense cycle loop instead of
-//!                           event-driven fast-forwarding (bit-identical
-//!                           results either way; see DESIGN.md,
-//!                           "Event-driven cycle skipping")
-//! * `--jobs N`           — sweep worker count for multi-run harnesses
-//!                           (accepted here for a uniform CLI)
-//! * `--profile`          — enable the host-side phase profiler and print
-//!                           the attributed wall-time tree after the run
+//! * `--bench NAME` — Table II name (required; see `--list`)
+//! * `--detector MODE` — `off` | `shared` | `full` (default `full`)
+//! * `--scale SCALE` — `paper` | `repro` | `tiny` (default `repro`)
+//! * `--clean` — run the fixed single-block SCAN/KMEANS and the fixed
+//!   OFFT instead of the racy multi-block variants and the buggy OFFT of
+//!   Table II
+//! * `--trace-out FILE` — record structured events and write Chrome
+//!   `trace-event` JSON (open at <https://ui.perfetto.dev>)
+//! * `--sample-every N` — cut a metrics delta sample every N cycles
+//! * `--metrics-out FILE` — write the sampled metrics time series as
+//!   JSON (requires `--sample-every`)
+//! * `--profile` — enable the host-side phase profiler and print the
+//!   attributed wall-time tree after the run
 //! * `--profile-out FILE` — also write the profile report as JSON
-//!                           (implies `--profile`)
-//! * `--manifest-out FILE`— write a structured run manifest (workload /
-//!                           config hashes, toolchain, stats digest)
-//! * `--races-out FILE`   — write deduplicated race groups as JSON
-//! * `--list`             — list benchmarks and exit
+//!   (implies `--profile`)
+//! * `--manifest-out FILE` — write a structured run manifest (workload /
+//!   config hashes, toolchain, stats digest)
+//! * `--races-out FILE` — write deduplicated race groups as JSON
+//! * `--list` — list benchmarks and exit
 //!
-//! Any other argument, a flag without its value, or a `--detector` or
-//! `--scale` value not listed above exits with status 2.
+//! Any other argument, a repeated flag, a flag without its value, a
+//! malformed number, or a `--detector` or `--scale` value not listed
+//! above exits with status 2 (see [`haccrg_bench::cli`]).
 
 use std::fs::File;
 use std::io::BufWriter;
-use std::time::Instant;
+use std::path::Path;
 
 use gpu_sim::prelude::*;
 use gpu_sim::trace::metrics_json;
 use gpu_sim::trace::perfetto::{write_chrome_trace, write_chrome_trace_with_counters};
 use gpu_sim::{log_error, log_info, log_warn};
 use haccrg::config::DetectorConfig;
+use haccrg_bench::cli::{Arg, Flag, MANIFEST_OUT, SCALE};
+use haccrg_bench::RunSetup;
 use haccrg_workloads::kmeans::KMeans;
 use haccrg_workloads::offt::OffT;
 use haccrg_workloads::runner::{run_instance, RunConfig};
@@ -55,104 +52,56 @@ use haccrg_workloads::{all_benchmarks, benchmark_by_name, Benchmark};
 /// this keep the newest; the exporter records how many were dropped).
 const TRACE_CAPACITY: usize = 1 << 20;
 
-const USAGE: &str = "usage: runbench --bench NAME [--detector off|shared|full] \
-                     [--scale paper|repro|tiny] [--multi-block|--clean] [--trace-out FILE] \
-                     [--sample-every N] [--metrics-out FILE] [--no-cycle-skip] [--jobs N] \
-                     [--profile] [--profile-out FILE] [--manifest-out FILE] \
-                     [--races-out FILE] [--list]";
-
-/// The options of the module docs that take a value, and those that
-/// stand alone.
-const VALUE_FLAGS: [&str; 10] = [
-    "--bench",
-    "--detector",
-    "--scale",
-    "--trace-out",
-    "--sample-every",
-    "--metrics-out",
-    "--jobs",
-    "--profile-out",
-    "--manifest-out",
-    "--races-out",
+const FLAGS: [Flag; 13] = [
+    ("--bench", Arg::Value("NAME")),
+    ("--detector", Arg::OneOf(&["off", "shared", "full"])),
+    SCALE,
+    ("--clean", Arg::Switch),
+    ("--trace-out", Arg::Value("FILE")),
+    ("--sample-every", Arg::Number),
+    ("--metrics-out", Arg::Value("FILE")),
+    ("--profile", Arg::Switch),
+    ("--profile-out", Arg::Value("FILE")),
+    MANIFEST_OUT,
+    ("--races-out", Arg::Value("FILE")),
+    ("--list", Arg::Switch),
+    ("--parallel-sms", Arg::Retired("the SM worker pool was removed; SMs run in one cycle loop")),
 ];
-const BARE_FLAGS: [&str; 5] =
-    ["--multi-block", "--clean", "--no-cycle-skip", "--profile", "--list"];
-
-/// Exit with status 2 on an argument the module docs do not list, on a
-/// flag given twice, or on a value flag with nothing after it, so a typo
-/// never runs something other than what was asked.
-fn check_args(args: &[String]) {
-    let mut it = args.iter().skip(1);
-    let mut seen: Vec<&str> = Vec::new();
-    while let Some(a) = it.next() {
-        if seen.contains(&a.as_str()) {
-            log_error!("{a} given more than once");
-            std::process::exit(2);
-        }
-        seen.push(a);
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            if it.next().is_none() {
-                log_error!("{a} needs a value; {USAGE}");
-                std::process::exit(2);
-            }
-        } else if a == "--parallel-sms" {
-            log_error!("--parallel-sms: the SM worker pool was removed; SMs run in one cycle loop");
-            std::process::exit(2);
-        } else if !BARE_FLAGS.contains(&a.as_str()) {
-            log_error!("unknown argument {a:?}; {USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    check_args(&args);
-    let get = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-
-    if args.iter().any(|a| a == "--list") {
+    let setup = RunSetup::from_args("runbench", &FLAGS);
+    let args = &setup.args;
+    if args.switch("--list") {
         for b in all_benchmarks() {
             println!("{:8} {}", b.name(), b.paper_inputs());
         }
         return;
     }
 
-    let Some(name) = get("--bench") else {
-        log_error!("{USAGE}");
-        std::process::exit(2);
+    let Some(name) = args.value("--bench") else {
+        args.fail("--bench is required");
     };
-    let t0 = Instant::now();
-    let scale = haccrg_bench::scale_from_args();
-    let jobs = haccrg_bench::jobs_from_args();
-    let cycle_skip = haccrg_bench::cycle_skip_from_args();
-    let manifest_out = haccrg_bench::manifest_out_from_args();
-    let clean = args.iter().any(|a| a == "--clean");
-    let trace_out = get("--trace-out");
-    let metrics_out = get("--metrics-out");
-    let races_out = get("--races-out");
-    let profile_out = get("--profile-out");
-    let profile = args.iter().any(|a| a == "--profile") || profile_out.is_some();
+    let scale = setup.scale;
+    let clean = args.switch("--clean");
+    let trace_out = args.value("--trace-out");
+    let metrics_out = args.value("--metrics-out");
+    let races_out = args.value("--races-out");
+    let profile_out = args.value("--profile-out");
+    let profile = args.switch("--profile") || profile_out.is_some();
     if profile {
         gpu_sim::prof::reset();
         gpu_sim::prof::set_enabled(true);
     }
-    let sample_every: u64 = match get("--sample-every") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            log_error!("--sample-every: {v:?} is not a cycle count");
-            std::process::exit(2);
-        }),
-        None => 0,
-    };
+    let sample_every = args.number("--sample-every").unwrap_or(0);
     if metrics_out.is_some() && sample_every == 0 {
-        log_error!("--metrics-out needs --sample-every N");
-        std::process::exit(2);
+        args.fail("--metrics-out needs --sample-every N");
     }
 
     let bench: Box<dyn Benchmark> = match (name.to_uppercase().as_str(), clean) {
         ("SCAN", true) => Box::new(Scan::single_block()),
         ("KMEANS", true) => Box::new(KMeans::single_block()),
         ("OFFT", true) => Box::new(OffT::fixed()),
-        _ => match benchmark_by_name(&name) {
+        _ => match benchmark_by_name(name) {
             Some(b) => b,
             None => {
                 log_error!("unknown benchmark {name:?}; try --list");
@@ -161,21 +110,17 @@ fn main() {
         },
     };
 
-    let cfg = match get("--detector").as_deref() {
+    let cfg = match args.value("--detector") {
         Some("off") => RunConfig::base(scale),
         Some("shared") => RunConfig::with_detector(scale, DetectorConfig::shared_only()),
-        Some("full") | None => RunConfig::detecting(scale),
-        Some(v) => {
-            log_error!("--detector takes off, shared or full, not {v:?}");
-            std::process::exit(2);
-        }
+        _ => RunConfig::detecting(scale),
     };
 
     // Assemble the GPU by hand (rather than `runner::run`) so the tracer
     // can be configured between detector installation and kernel prep.
     let mut gpu = Gpu::new(cfg.gpu);
     gpu.set_detector(cfg.detector);
-    let recorder = trace_out.as_ref().map(|_| {
+    let recorder = trace_out.map(|_| {
         let rec = RingRecorder::shared(TRACE_CAPACITY);
         gpu.tracer.install(Box::new(rec.clone()));
         rec
@@ -190,7 +135,7 @@ fn main() {
         std::process::exit(1);
     });
 
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
+    if let (Some(path), Some(rec)) = (trace_out, &recorder) {
         let rec = rec.borrow();
         if rec.dropped() > 0 {
             log_warn!(
@@ -226,7 +171,7 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         let text = metrics_json(gpu.tracer.samples());
         if let Err(e) = std::fs::write(path, text) {
             log_error!("cannot write {path}: {e}");
@@ -297,7 +242,7 @@ fn main() {
             println!("  {g}");
         }
     }
-    if let Some(path) = &races_out {
+    if let Some(path) = races_out {
         let doc = haccrg_bench::report::races_json(
             &groups,
             out.races.distinct(),
@@ -316,7 +261,7 @@ fn main() {
         let rep = gpu_sim::prof::report();
         println!();
         print!("{}", rep.render());
-        if let Some(path) = &profile_out {
+        if let Some(path) = profile_out {
             if let Err(e) = std::fs::write(path, rep.to_json()) {
                 log_error!("cannot write {path}: {e}");
                 std::process::exit(1);
@@ -325,18 +270,13 @@ fn main() {
         }
     }
 
-    if let Some(path) = manifest_out {
-        let mut m = haccrg_bench::RunManifest::new("runbench");
-        m.scale = haccrg_bench::scale_name(scale).into();
-        m.jobs = jobs;
-        m.cycle_skip = cycle_skip;
+    if let Some(path) = args.value(MANIFEST_OUT.0) {
+        let mut m = setup.manifest();
         m.workloads.push(haccrg_bench::WorkloadRef::of(&inst));
         m.config_hash = haccrg_bench::manifest::config_hash(&gpu.cfg);
         m.stats_digest = haccrg_bench::manifest::stats_digest(&out.stats, &out.races);
-        m.wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-        for p in [&trace_out, &metrics_out, &races_out, &profile_out].into_iter().flatten() {
-            m.artifacts.push(p.clone());
-        }
-        m.write(&path);
+        m.artifacts =
+            [trace_out, metrics_out, races_out, profile_out].into_iter().flatten().map(String::from).collect();
+        m.write(Path::new(path));
     }
 }

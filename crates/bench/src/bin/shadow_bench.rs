@@ -15,9 +15,10 @@
 //!    reusable [`RaceScratch`] buffers; after warm-up the allocation
 //!    counter must not move.
 //!
-//! Usage: `cargo run --release -p haccrg-bench --bin shadow_bench
-//! [output.json]` (default `BENCH_shadow.json` in the current directory —
-//! run from the repo root to refresh the committed snapshot).
+//! Usage: `cargo run --release -p haccrg-bench --bin shadow_bench --
+//! [--out FILE] [--manifest-out FILE]` (default `BENCH_shadow.json` in the
+//! current directory — run from the repo root to refresh the committed
+//! snapshot).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -26,6 +27,7 @@ use std::time::Instant;
 use haccrg::prelude::*;
 use haccrg::shadow::FRESH;
 use haccrg::shadow_table::PAGE_ENTRIES;
+use haccrg_bench::cli::{Flag, MANIFEST_OUT, OUT};
 
 /// Allocation-counting wrapper around the system allocator.
 struct Counting;
@@ -52,6 +54,8 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTER: Counting = Counting;
+
+const FLAGS: [Flag; 2] = [OUT, MANIFEST_OUT];
 
 const TRACKED_MIB: u32 = 8;
 const SHARED_BYTES: u32 = 48 * 1024;
@@ -82,11 +86,8 @@ fn time_ns<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn main() {
-    let setup = haccrg_bench::RunSetup::from_args();
-    let out_path = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "BENCH_shadow.json".into());
+    let setup = haccrg_bench::RunSetup::from_args("shadow_bench", &FLAGS);
+    let out_path = setup.args.value(OUT.0).unwrap_or("BENCH_shadow.json");
     let tracked = TRACKED_MIB << 20;
     let entries = Granularity::GLOBAL_DEFAULT.entries_for(tracked);
 
@@ -157,7 +158,6 @@ fn main() {
   "produced_by": "cargo run --release -p haccrg-bench --bin shadow_bench",
   "environment": {env},
   "jobs": {jobs},
-  "cycle_skip": {cycle_skip},
   "config": {{
     "tracked_mib": {TRACKED_MIB},
     "global_entries": {entries},
@@ -193,12 +193,11 @@ fn main() {
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
         jobs = haccrg_bench::sweep::configured_jobs(),
-        cycle_skip = haccrg_workloads::runner::cycle_skip_enabled(),
         gran = Granularity::GLOBAL_DEFAULT.bytes(),
         reset_speedup = eager_reset_ns / epoch_reset_ns,
         pages = rdu.pages_allocated(),
     );
-    std::fs::write(&out_path, report).expect("write report");
+    std::fs::write(out_path, report).expect("write report");
     println!("wrote {out_path}");
     println!(
         "launch setup: eager {:.0} ns vs paged {:.0} ns ({setup_speedup:.1}x)",
@@ -211,5 +210,5 @@ fn main() {
     println!("steady state: {steady_ns:.0} ns/warp, {steady_allocs} allocations");
     assert!(setup_speedup >= 2.0, "launch-setup speedup below the 2x target");
     assert_eq!(steady_allocs, 0, "steady-state warp checks must not allocate");
-    setup.write_manifest("shadow_bench", &[&out_path]);
+    setup.write_manifest(&[out_path]);
 }

@@ -31,9 +31,10 @@
 //! - **`scalar_ns_per_warp`** — the pre-batch scalar pipeline
 //!   (`check_warp_stores` + per-lane `observe`).
 //!
-//! Usage: `cargo run --release -p haccrg-bench --bin warp_bench
-//! [output.json]` (default `BENCH_warp.json` in the current directory —
-//! run from the repo root to refresh the committed snapshot). With
+//! Usage: `cargo run --release -p haccrg-bench --bin warp_bench --
+//! [--out FILE] [--smoke] [--manifest-out FILE]` (default
+//! `BENCH_warp.json` in the current directory — run from the repo root to
+//! refresh the committed snapshot). With
 //! `--smoke` the iteration counts drop ~100x and the per-scenario floor
 //! asserts are skipped: CI uses it to prove the harness runs and the
 //! JSON parses, not to gate on shared-runner timing.
@@ -43,31 +44,17 @@ use std::time::Instant;
 use gpu_sim::isa::{BinOp, Reg, Src};
 use gpu_sim::lanes::{WarpLanes, LANES};
 use haccrg::bloom::BloomSig;
+use haccrg_bench::cli::{Arg, Flag, MANIFEST_OUT, OUT};
 use haccrg::prelude::*;
 
 /// `ns_per_warp` of the scalar pipeline in the committed
 /// `BENCH_shadow.json` snapshot taken before the vectorized tier.
 const BASELINE_NS_PER_WARP: f64 = 1465.2;
 
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
+const FLAGS: [Flag; 3] = [OUT, ("--smoke", Arg::Switch), MANIFEST_OUT];
 
-fn alu_iters() -> u32 {
-    if smoke() {
-        10_000
-    } else {
-        1_000_000
-    }
-}
-
-fn warp_iters() -> u32 {
-    if smoke() {
-        1_000
-    } else {
-        100_000
-    }
-}
+/// Nanoseconds per warp through the simd, batch and scalar pipelines.
+type Columns = (f64, f64, f64);
 
 fn rdu() -> GlobalRdu {
     GlobalRdu::new(
@@ -192,6 +179,7 @@ impl Bench {
 /// divide — and no rotation at all for single-shape scenarios.
 fn time_pipeline(
     shapes: &[Vec<MemAccess>],
+    iters: u32,
     force_scalar: bool,
     step: impl Fn(&mut Bench, &[MemAccess]) -> u64,
 ) -> f64 {
@@ -201,10 +189,10 @@ fn time_pipeline(
     }
     if shapes.len() == 1 {
         let only = &shapes[0];
-        time_ns(warp_iters(), || step(&mut b, only))
+        time_ns(iters, || step(&mut b, only))
     } else {
         let mut i = 0usize;
-        time_ns(warp_iters(), || {
+        time_ns(iters, || {
             i += 1;
             if i == shapes.len() {
                 i = 0;
@@ -216,8 +204,9 @@ fn time_pipeline(
 
 /// Time one warp shape through all three pipelines: the wide SWAR batch
 /// tier (simd), the batch entry point forced to the per-lane reference
-/// path (batch), and the pre-batch scalar pipeline (scalar).
-fn run_shape(lanes_of: impl Fn(u32) -> Vec<MemAccess>, alternate: bool) -> (f64, f64, f64) {
+/// path (batch), and the pre-batch scalar pipeline (scalar), `iters`
+/// warps each.
+fn run_shape(lanes_of: impl Fn(u32) -> Vec<MemAccess>, alternate: bool, iters: u32) -> Columns {
     let shapes: Vec<Vec<MemAccess>> =
         if alternate { vec![lanes_of(0), lanes_of(1)] } else { vec![lanes_of(0)] };
     // Three interleaved passes merged elementwise by min: the shared
@@ -226,25 +215,24 @@ fn run_shape(lanes_of: impl Fn(u32) -> Vec<MemAccess>, alternate: bool) -> (f64,
     // than skewing the column (and the simd/scalar ratio) it hit.
     let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        let simd_ns = time_pipeline(&shapes, false, |b, s| b.batch(s));
-        let batch_ns = time_pipeline(&shapes, true, |b, s| b.batch(s));
-        let scalar_ns = time_pipeline(&shapes, true, |b, s| b.scalar(s));
+        let simd_ns = time_pipeline(&shapes, iters, false, |b, s| b.batch(s));
+        let batch_ns = time_pipeline(&shapes, iters, true, |b, s| b.batch(s));
+        let scalar_ns = time_pipeline(&shapes, iters, true, |b, s| b.scalar(s));
         best = (best.0.min(simd_ns), best.1.min(batch_ns), best.2.min(scalar_ns));
     }
     best
 }
 
 fn main() {
-    let setup = haccrg_bench::RunSetup::from_args();
-    let out_path = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "BENCH_warp.json".into());
+    let setup = haccrg_bench::RunSetup::from_args("warp_bench", &FLAGS);
+    let out_path = setup.args.value(OUT.0).unwrap_or("BENCH_warp.json");
+    let smoke = setup.args.switch("--smoke");
+    let (alu_iters, warp_iters): (u32, u32) = if smoke { (10_000, 1_000) } else { (1_000_000, 100_000) };
 
     // 1. ALU-only warp instruction through the SoA lane engine.
     let lane_slots = 2 * LANES;
     let mut regs: Vec<u32> = (0..lane_slots * 8).map(|i| i as u32).collect();
-    let alu_ns = time_ns(alu_iters(), || {
+    let alu_ns = time_ns(alu_iters, || {
         let mut view = WarpLanes::new(&mut regs, lane_slots, 0);
         view.bin(
             BinOp::Add,
@@ -265,18 +253,18 @@ fn main() {
     // closest estimate of the uncontended cost.
     let measure = || {
         (
-            run_shape(|_| coalesced_lanes(), false),
-            run_shape(|_| scattered_lanes(), false),
-            run_shape(lockset_lanes, true),
+            run_shape(|_| coalesced_lanes(), false, warp_iters),
+            run_shape(|_| scattered_lanes(), false, warp_iters),
+            run_shape(lockset_lanes, true, warp_iters),
         )
     };
-    let min3 = |a: (f64, f64, f64), b: (f64, f64, f64)| (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2));
-    let targets_met = |c: &((f64, f64, f64), (f64, f64, f64), (f64, f64, f64))| {
+    let min3 = |a: Columns, b: Columns| (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2));
+    let targets_met = |c: &(Columns, Columns, Columns)| {
         c.0 .0 <= 220.0 && c.1 .2 / c.1 .0 >= 2.0 && c.2 .2 / c.2 .0 >= 2.0
     };
     let mut cols = measure();
     for _ in 0..4 {
-        if smoke() || targets_met(&cols) {
+        if smoke || targets_met(&cols) {
             break;
         }
         let again = measure();
@@ -296,7 +284,6 @@ fn main() {
   "produced_by": "cargo run --release -p haccrg-bench --bin warp_bench",
   "environment": {env},
   "jobs": {jobs},
-  "cycle_skip": {cycle_skip},
   "config": {{
     "warp_lanes": {LANES},
     "tracked_bytes": {tracked},
@@ -342,7 +329,6 @@ fn main() {
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
         jobs = haccrg_bench::sweep::configured_jobs(),
-        cycle_skip = haccrg_workloads::runner::cycle_skip_enabled(),
         tracked = 1u32 << 20,
         gran = Granularity::GLOBAL_DEFAULT.bytes(),
         coalesced_speedup = coalesced_scalar_ns / coalesced_ns,
@@ -351,10 +337,8 @@ fn main() {
         coalesced_batch_speedup = coalesced_batch_ns / coalesced_ns,
         scattered_batch_speedup = scattered_batch_ns / scattered_ns,
         lockset_batch_speedup = lockset_batch_ns / lockset_ns,
-        alu_iters = alu_iters(),
-        warp_iters = warp_iters(),
     );
-    std::fs::write(&out_path, report).expect("write report");
+    std::fs::write(out_path, report).expect("write report");
     println!("wrote {out_path}");
     println!("alu_only:        {alu_ns:.1} ns/warp");
     println!(
@@ -367,8 +351,8 @@ fn main() {
         "lockset_heavy:   {lockset_ns:.1} ns/warp (batch {lockset_batch_ns:.1}, scalar {lockset_scalar_ns:.1})"
     );
     println!("speedup vs committed baseline: {speedup_vs_baseline:.1}x");
-    setup.write_manifest("warp_bench", &[&out_path]);
-    if !smoke() {
+    setup.write_manifest(&[out_path]);
+    if !smoke {
         // Per-scenario regression gates for the SWAR tier. The retry
         // loop above aims at the calibration targets (coalesced <= 220
         // ns, scattered/lockset >= 2x their scalar columns — the fused

@@ -14,7 +14,7 @@ use crate::report::{geomean, pct, ratio, Table};
 /// Fig. 7 — execution time normalized to the unmodified GPU, for shared-
 /// only detection and combined shared+global detection, plus the §VI-B
 /// software comparison (HAccRG-SW and GRace-add on SCAN, HIST, KMEANS).
-pub fn fig7(scale: Scale, with_software: bool) -> Table {
+pub fn fig7(scale: Scale) -> Table {
     let rows = parallel_map_benches(all_benchmarks(), |b| {
         let base = run(b.as_ref(), &RunConfig::base(scale)).expect("base run");
         let shared =
@@ -37,25 +37,23 @@ pub fn fig7(scale: Scale, with_software: bool) -> Table {
     }
     t.row(vec!["GEOMEAN".into(), format!("{:.3}", geomean(&ss)), format!("{:.3}", geomean(&fs))]);
 
-    if with_software {
-        for (name, _, _) in rows.iter().filter(|(n, _, _)| matches!(n.as_str(), "SCAN" | "HIST" | "KMEANS")) {
-            let b = benchmark_by_name(name).expect("known benchmark");
-            let base = run(b.as_ref(), &RunConfig::base(scale)).expect("base");
-            let sw = run_baseline(b.as_ref(), BaselineKind::SwHaccrg, GpuConfig::quadro_fx5800(), scale)
-                .expect("sw");
-            let grace = run_baseline(b.as_ref(), BaselineKind::GraceAdd, GpuConfig::quadro_fx5800(), scale)
-                .expect("grace");
-            t.row(vec![
-                format!("{name} (HAccRG-SW)"),
-                "-".into(),
-                ratio(sw.stats.cycles as f64 / base.stats.cycles as f64),
-            ]);
-            t.row(vec![
-                format!("{name} (GRace-add)"),
-                "-".into(),
-                ratio(grace.stats.cycles as f64 / base.stats.cycles as f64),
-            ]);
-        }
+    for (name, _, _) in rows.iter().filter(|(n, _, _)| matches!(n.as_str(), "SCAN" | "HIST" | "KMEANS")) {
+        let b = benchmark_by_name(name).expect("known benchmark");
+        let base = run(b.as_ref(), &RunConfig::base(scale)).expect("base");
+        let sw = run_baseline(b.as_ref(), BaselineKind::SwHaccrg, GpuConfig::quadro_fx5800(), scale)
+            .expect("sw");
+        let grace = run_baseline(b.as_ref(), BaselineKind::GraceAdd, GpuConfig::quadro_fx5800(), scale)
+            .expect("grace");
+        t.row(vec![
+            format!("{name} (HAccRG-SW)"),
+            "-".into(),
+            ratio(sw.stats.cycles as f64 / base.stats.cycles as f64),
+        ]);
+        t.row(vec![
+            format!("{name} (GRace-add)"),
+            "-".into(),
+            ratio(grace.stats.cycles as f64 / base.stats.cycles as f64),
+        ]);
     }
     t
 }
@@ -191,21 +189,26 @@ pub const BLOOM_STRESS_CONFIGS: [BloomConfig; 6] = [
     BloomConfig { bits: 32, bins: 4 },
 ];
 
-/// Measured miss rate per stress config: `(config, measured)`. The
-/// analytical companion is `config.expected_miss_rate()`.
-pub fn bloom_stress_rows(pairs: u64) -> Vec<(BloomConfig, f64)> {
-    BLOOM_STRESS_CONFIGS.iter().map(|&cfg| (cfg, measure_miss_rate(cfg, pairs))).collect()
+/// Random distinct lock pairs the §VI-A2 stress test draws.
+pub const BLOOM_STRESS_PAIRS: u64 = 1_000_000;
+
+/// Measured miss rate per stress config over [`BLOOM_STRESS_PAIRS`]
+/// pairs: `(config, measured)`. The analytical companion is
+/// `config.expected_miss_rate()`.
+pub fn bloom_stress_rows() -> Vec<(BloomConfig, f64)> {
+    BLOOM_STRESS_CONFIGS.iter().map(|&cfg| (cfg, measure_miss_rate(cfg, BLOOM_STRESS_PAIRS))).collect()
 }
 
 /// §VI-A2 — the atomic-ID (Bloom signature) stress test: over a million
 /// random distinct lock pairs, the fraction whose signatures collide (a
-/// collision makes HAccRG *miss* that race).
-pub fn bloom_stress(pairs: u64) -> Table {
+/// collision makes HAccRG *miss* that race). `rows` are
+/// [`bloom_stress_rows`].
+pub fn bloom_stress(rows: &[(BloomConfig, f64)]) -> Table {
     let mut t = Table::new(
         "§VI-A2 — atomic-ID accuracy stress (missed races over random lock pairs)",
         &["signature", "bins", "measured miss", "analytical"],
     );
-    for (cfg, missed) in bloom_stress_rows(pairs) {
+    for &(cfg, missed) in rows {
         t.row(vec![
             format!("{}-bit", cfg.bits),
             cfg.bins.to_string(),

@@ -209,6 +209,7 @@ fn fmt_list<T: std::fmt::Debug>(items: &[T], cap: usize) -> String {
 /// Run one instrumented software baseline twice; check termination,
 /// determinism, and (when the oracle proves every interleaving yields the
 /// same memory) functional transparency against the base run.
+#[allow(clippy::too_many_arguments)]
 fn check_sw_baseline(
     name: &'static str,
     check: &'static str,

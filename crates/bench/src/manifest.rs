@@ -191,10 +191,9 @@ pub struct RunManifest {
     pub argv: Vec<String>,
     /// Input scale label (`paper` / `repro` / `tiny`).
     pub scale: String,
-    /// Sweep worker count used (`--jobs`).
+    /// Sweep worker count used (`--jobs`; 0 for a binary that runs no
+    /// sweeps).
     pub jobs: usize,
-    /// Whether event-driven cycle skipping was enabled.
-    pub cycle_skip: bool,
     /// Workload RNG seed (the suite pins per-benchmark seeds; 0 = those
     /// defaults).
     pub seed: u64,
@@ -216,16 +215,16 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// A manifest skeleton for `bin`, with argv and environment captured
-    /// and every content field zeroed.
+    /// A manifest skeleton for `bin`, with the environment captured and
+    /// every other field empty ([`crate::RunSetup::manifest`] fills in
+    /// argv, scale, worker count and wall clock).
     pub fn new(bin: &str) -> Self {
         RunManifest {
             schema: MANIFEST_SCHEMA,
             bin: bin.to_string(),
-            argv: std::env::args().skip(1).collect(),
+            argv: Vec::new(),
             scale: String::new(),
             jobs: 0,
-            cycle_skip: true,
             seed: 0,
             environment: Environment::capture(),
             workloads: Vec::new(),
@@ -250,7 +249,6 @@ impl RunManifest {
         let _ = writeln!(s, "  \"argv\": [{}],", argv.join(", "));
         let _ = writeln!(s, "  \"scale\": \"{}\",", esc_json(&self.scale));
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"cycle_skip\": {},", self.cycle_skip);
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"environment\": {},", self.environment.to_json());
         let _ = writeln!(s, "  \"workloads\": [");

@@ -322,7 +322,7 @@ pub fn esc_json(s: &str) -> String {
 }
 
 /// Process-wide progress configuration, pinned once by
-/// [`crate::progress_from_args`].
+/// [`crate::RunSetup::from_args`] from `--progress-out`.
 #[derive(Clone, Debug, Default)]
 pub struct ProgressConfig {
     /// JSONL destination (`--progress-out`).

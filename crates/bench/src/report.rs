@@ -111,39 +111,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Serialize any result to pretty JSON (for downstream plotting).
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("serializable")
-}
-
-/// Race analytics: render deduplicated [`RaceGroup`]s (one static racing
-/// pair per row, however many dynamic records it produced) as an aligned
-/// table — the per-family view of a run's race log.
-pub fn race_group_table(title: impl Into<String>, groups: &[haccrg::prelude::RaceGroup]) -> Table {
-    let mut t = Table::new(
-        title,
-        &["category", "kind", "space", "prev_pc", "pc", "records", "addrs", "addr range", "cycles"],
-    );
-    for g in groups {
-        t.row(vec![
-            g.category.to_string(),
-            g.kind.to_string(),
-            format!("{:?}", g.space),
-            format!("{:#x}", g.prev_pc),
-            format!("{:#x}", g.pc),
-            g.records.to_string(),
-            g.distinct_addrs.to_string(),
-            if g.addr_lo == g.addr_hi {
-                format!("{:#x}", g.addr_lo)
-            } else {
-                format!("{:#x}..{:#x}", g.addr_lo, g.addr_hi)
-            },
-            format!("{}..{}", g.first.cycle, g.last.cycle),
-        ]);
-    }
-    t
-}
-
 /// Hand-rolled JSON array of race groups for `--races-out` (stable field
 /// order; meaningful under the offline serde stubs).
 pub fn race_groups_json(groups: &[haccrg::prelude::RaceGroup]) -> String {

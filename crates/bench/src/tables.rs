@@ -186,6 +186,40 @@ pub fn variants_table(scale: Scale) -> Table {
     t
 }
 
+/// Extension: HAccRG's overhead under round-robin (Table I) versus
+/// greedy-then-oldest warp scheduling. Detection verdicts must not
+/// depend on the issue policy; the overhead ratios should be similar,
+/// since the detector burdens memory traffic, not the scheduler.
+pub fn sched_ablation(scale: Scale) -> Table {
+    use gpu_sim::config::SchedPolicy;
+
+    let rows = parallel_map_benches(all_benchmarks(), |b| {
+        let mut row = vec![b.name().to_string()];
+        let mut verdicts = Vec::new();
+        for policy in [SchedPolicy::RoundRobin, SchedPolicy::GreedyThenOldest] {
+            let mut base_cfg = RunConfig::base(scale);
+            base_cfg.gpu.sched = policy;
+            let mut det_cfg = RunConfig::detecting(scale);
+            det_cfg.gpu.sched = policy;
+            let base = run(b.as_ref(), &base_cfg).expect("base");
+            let det = run(b.as_ref(), &det_cfg).expect("detect");
+            row.push(base.stats.cycles.to_string());
+            row.push(format!("{:.3}", det.stats.cycles as f64 / base.stats.cycles as f64));
+            verdicts.push(det.races.any());
+        }
+        row.push(if verdicts[0] == verdicts[1] { "agree" } else { "DISAGREE" }.into());
+        row
+    });
+    let mut t = Table::new(
+        "Scheduler ablation — detection overhead under RR vs GTO",
+        &["benchmark", "RR base cycles", "RR overhead", "GTO base cycles", "GTO overhead", "verdicts"],
+    );
+    for r in rows {
+        t.row(r);
+    }
+    t
+}
+
 /// §VI-C2: the hardware storage/comparator budget, derived from the cost
 /// model for both the paper's Fermi sizing and the simulated FX5800.
 pub fn hardware_budget_table() -> Table {

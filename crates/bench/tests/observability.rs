@@ -133,7 +133,6 @@ fn manifest_is_deterministic_modulo_timing() {
         let mut m = RunManifest::new("observability-test");
         m.scale = "tiny".into();
         m.jobs = 3;
-        m.cycle_skip = true;
         m.workloads = manifest::suite_workloads(Scale::Tiny);
         m.config_hash = manifest::config_hash(&GpuConfig::quadro_fx5800());
         m.to_json()

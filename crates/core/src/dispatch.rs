@@ -22,9 +22,9 @@
 //!
 //! Setting the environment variable `HACCRG_FORCE_SCALAR_SHADOW`
 //! (`1`/`true`/`yes`/`on`) pins every lane of every RDU built afterwards
-//! to the scalar tier, mirroring `--no-cycle-skip` for the cycle-skip
-//! layer. Each RDU's `set_force_scalar` overrides that per instance,
-//! which is what tests and `warp_bench`'s reference columns use.
+//! to the scalar tier, mirroring `GpuConfig::cycle_skip = false` for the
+//! cycle-skip layer. Each RDU's `set_force_scalar` overrides that per
+//! instance, which is what tests and `warp_bench`'s reference columns use.
 
 /// Per-RDU counters of how many lanes each dispatch tier retired.
 ///

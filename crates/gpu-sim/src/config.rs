@@ -244,7 +244,7 @@ impl GpuConfig {
         if self.shared_banks == 0 {
             return Err("shared memory needs at least one bank".into());
         }
-        if self.warp_size % self.simd_width != 0 {
+        if !self.warp_size.is_multiple_of(self.simd_width) {
             return Err("warp size must be a multiple of SIMD width".into());
         }
         if !self.l2.line_bytes.is_power_of_two() || !self.l1.line_bytes.is_power_of_two() {
@@ -256,7 +256,7 @@ impl GpuConfig {
         if !self.num_mem_slices.is_power_of_two() {
             return Err("memory slices must be a power of two".into());
         }
-        if self.max_threads_per_sm % self.warp_size != 0 {
+        if !self.max_threads_per_sm.is_multiple_of(self.warp_size) {
             return Err("threads per SM must be a multiple of warp size".into());
         }
         if self.parallel_sms || self.sm_workers != 0 {
@@ -316,7 +316,7 @@ mod tests {
     fn cache_geometry() {
         let c = GpuConfig::quadro_fx5800().l2;
         assert_eq!(c.sets(), 64);
-        assert_eq!(c.line_of(0x1234), 0x1200 | 0x00); // 128-byte aligned
+        assert_eq!(c.line_of(0x1234), 0x1200); // 128-byte aligned
         assert_eq!(c.line_of(0x1234) % 128, 0);
     }
 

@@ -1,6 +1,6 @@
 //! Wiring between the simulator and the `haccrg` detector core.
 //!
-//! [`DetectorState`] owns the per-SM shared RDUs, the global RDU, the
+//! [`LaunchDet::new`] builds the per-SM shared RDUs, the global RDU, the
 //! logical clocks and the race log for one kernel launch. The
 //! [`DetectorMode`] distinguishes the *hardware* proposal (detection
 //! results **and** timing costs: shadow traffic, barrier reset stalls,
@@ -87,20 +87,27 @@ impl ShadowTimingModel {
     }
 }
 
-/// Per-launch detector state.
+/// The cycle loop's detector state during one launch: the global RDU,
+/// the logical clocks, the race log and the shadow timing model. The
+/// per-SM shared RDUs live inside the SMs for the duration (see
+/// [`LaunchDet::new`]).
 #[allow(missing_docs)]
-pub struct DetectorState {
+pub struct LaunchDet {
     pub cfg: DetectorConfig,
     pub mode: DetectorMode,
-    pub shared: Vec<SharedRdu>,
     pub global: Option<GlobalRdu>,
     pub clocks: ClockFile,
     pub log: RaceLog,
+    /// Passive timing model for global shadow traffic (mutated only in
+    /// the apply phase).
     pub shadow_timing: ShadowTimingModel,
 }
 
-impl DetectorState {
-    /// Build detector state for a launch.
+impl LaunchDet {
+    /// Build detector state for a launch, split for the two-phase cycle:
+    /// the launch-wide state, which the cycle loop mutates only in the
+    /// apply phase, and one shared RDU per SM, which each SM owns during
+    /// the compute phase.
     ///
     /// `tracked` is the `[base, base+len)` device region covered by the
     /// global shadow table (everything allocated before the launch);
@@ -119,7 +126,7 @@ impl DetectorState {
         tracked: (u32, u32),
         shadow_base: u32,
         slices: (u32, u32),
-    ) -> Self {
+    ) -> (Self, Vec<SharedRdu>) {
         cfg.validate().expect("invalid detector config");
         let shared = (0..num_sms)
             .map(|sm| {
@@ -132,63 +139,17 @@ impl DetectorState {
             .then(|| GlobalRdu::from_config(&cfg, Global, tracked.0, tracked.1, shadow_base));
         let span = haccrg::cost::global_shadow_footprint(u64::from(tracked.1), cfg.global_granularity)
             .allocated_bytes;
-        Self {
+        let det = Self {
             cfg,
             mode,
-            shared,
             global,
             clocks: ClockFile::new(blocks, total_warps),
             log: RaceLog::default(),
             shadow_timing: ShadowTimingModel::new(slices.0, shadow_base, span, slices.1),
-        }
+        };
+        (det, shared)
     }
 
-    /// Whether timing costs should be charged.
-    pub fn hardware(&self) -> bool {
-        self.mode == DetectorMode::Hardware
-    }
-
-    /// Whether shared-shadow entries live in global memory (Fig. 8).
-    pub fn sw_shared_shadow(&self) -> bool {
-        self.hardware() && self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
-    }
-
-    /// Split launch state for the two-phase cycle: the per-SM shared
-    /// RDUs move into the SMs (each SM owns its RDU during the compute
-    /// phase), while the launch-wide pieces — global RDU, clocks, race
-    /// log — stay with the cycle loop, which mutates them only in the
-    /// apply phase.
-    pub fn decompose(self) -> (LaunchDet, Vec<SharedRdu>) {
-        (
-            LaunchDet {
-                cfg: self.cfg,
-                mode: self.mode,
-                global: self.global,
-                clocks: self.clocks,
-                log: self.log,
-                shadow_timing: self.shadow_timing,
-            },
-            self.shared,
-        )
-    }
-}
-
-/// The cycle loop's detector state during one launch: everything in
-/// [`DetectorState`] except the per-SM shared RDUs, which live inside the
-/// SMs for the duration (see [`DetectorState::decompose`]).
-#[allow(missing_docs)]
-pub struct LaunchDet {
-    pub cfg: DetectorConfig,
-    pub mode: DetectorMode,
-    pub global: Option<GlobalRdu>,
-    pub clocks: ClockFile,
-    pub log: RaceLog,
-    /// Passive timing model for global shadow traffic (mutated only in
-    /// the apply phase).
-    pub shadow_timing: ShadowTimingModel,
-}
-
-impl LaunchDet {
     /// Whether timing costs should be charged.
     pub fn hardware(&self) -> bool {
         self.mode == DetectorMode::Hardware
@@ -228,7 +189,7 @@ mod tests {
 
     #[test]
     fn constructs_per_config() {
-        let d = DetectorState::new(
+        let (d, shared) = LaunchDet::new(
             DetectorConfig::paper_default(),
             DetectorMode::Hardware,
             4,
@@ -240,7 +201,7 @@ mod tests {
             0x100_0000,
             (8, 128),
         );
-        assert_eq!(d.shared.len(), 4);
+        assert_eq!(shared.len(), 4);
         assert!(d.global.is_some());
         assert_eq!(d.clocks.num_blocks(), 8);
         assert_eq!(d.clocks.num_warps(), 64);
@@ -250,7 +211,7 @@ mod tests {
 
     #[test]
     fn shared_only_config_has_no_global_rdu() {
-        let d = DetectorState::new(
+        let (d, _) = LaunchDet::new(
             DetectorConfig::shared_only(),
             DetectorMode::Hardware,
             2,
@@ -267,7 +228,7 @@ mod tests {
 
     #[test]
     fn oracle_mode_charges_nothing() {
-        let d = DetectorState::new(
+        let (d, _) = LaunchDet::new(
             DetectorConfig::paper_default(),
             DetectorMode::Oracle,
             1,

@@ -14,20 +14,8 @@ pub fn eval_bin(op: BinOp, a: u32, b: u32) -> u32 {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
         BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a / b
-            }
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a % b
-            }
-        }
+        BinOp::Div => a.checked_div(b).unwrap_or(0),
+        BinOp::Rem => a.checked_rem(b).unwrap_or(0),
         BinOp::Min => a.min(b),
         BinOp::Max => a.max(b),
         BinOp::And => a & b,

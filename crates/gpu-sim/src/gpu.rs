@@ -12,7 +12,7 @@ use haccrg::prelude::*;
 
 use crate::active::ActiveSet;
 use crate::config::GpuConfig;
-use crate::detector::{DetectorMode, DetectorState, LaunchDet};
+use crate::detector::{DetectorMode, LaunchDet};
 use crate::device::{DeviceMemory, HEAP_BASE};
 use crate::isa::Kernel;
 use crate::mem::icnt::{self, Link};
@@ -222,8 +222,12 @@ impl Gpu {
             shared_shadow_stride,
         };
 
-        let det_state: Option<DetectorState> = self.detector.map(|s| {
-            DetectorState::new(
+        // Split the detector for the two-phase cycle: each SM owns its
+        // shared RDU during the compute phase; global RDU / clocks / log
+        // stay with the cycle loop.
+        let mut sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
+        let det: Option<LaunchDet> = self.detector.map(|s| {
+            let (launch_det, rdus) = LaunchDet::new(
                 s.cfg,
                 s.mode,
                 self.cfg.num_sms,
@@ -234,14 +238,7 @@ impl Gpu {
                 (tracked_base, tracked_bytes),
                 shadow_base,
                 (self.cfg.num_mem_slices, self.cfg.l2.line_bytes),
-            )
-        });
-        // Split the detector for the two-phase cycle: each SM owns its
-        // shared RDU during the compute phase; global RDU / clocks / log
-        // stay with the cycle loop.
-        let mut sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
-        let det: Option<LaunchDet> = det_state.map(|d| {
-            let (launch_det, rdus) = d.decompose();
+            );
             for (sm, rdu) in sms.iter_mut().zip(rdus) {
                 sm.install_shared_rdu(rdu);
             }
@@ -914,7 +911,7 @@ fn apply_cycle_output(
                         now,
                         d,
                         tracer,
-                        tlb_trace.as_mut().map(|v| &mut **v),
+                        tlb_trace.as_deref_mut(),
                         &mut scratch.race,
                     );
                 }

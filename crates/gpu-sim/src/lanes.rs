@@ -229,8 +229,8 @@ impl<'a> WarpLanes<'a> {
     pub fn vote(&self, r: Reg, sense: bool, mask: u32) -> u32 {
         let v = self.reg(r);
         let mut taken = 0u32;
-        for l in 0..LANES {
-            taken |= u32::from((v[l] != 0) == sense) << l;
+        for (l, &x) in v.iter().enumerate() {
+            taken |= u32::from((x != 0) == sense) << l;
         }
         taken & mask
     }

@@ -80,7 +80,7 @@ pub mod trace;
 /// Commonly used types.
 pub mod prelude {
     pub use crate::config::GpuConfig;
-    pub use crate::detector::{DetectorMode, DetectorState};
+    pub use crate::detector::DetectorMode;
     pub use crate::device::DeviceMemory;
     pub use crate::gpu::{DetectorSetup, Gpu, LaunchResult, SimError};
     pub use crate::isa::builder::KernelBuilder;

@@ -383,13 +383,11 @@ mod tests {
         let mut m = mem();
         // Fill many distinct lines mapping across the small L2 with dirty
         // shadow accesses until evictions occur.
-        let mut id = 1;
         let mut now = 0;
-        for i in 0..512u32 {
+        for (id, i) in (1..).zip(0..512u32) {
             let mut r = load(id, 0x10_0000 + i * 128);
             r.kind = ReqKind::StoreData;
             s.push_input(r);
-            id += 1;
             // Drain periodically to keep queues small.
             let done = run(&mut s, &mut m, now, 4000);
             now = done.last().map(|(t, _)| *t + 1).unwrap_or(now) + 1;

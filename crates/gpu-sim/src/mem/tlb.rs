@@ -41,7 +41,7 @@ pub struct Tlb {
 impl Tlb {
     /// Build a TLB with `entries` total entries and `ways` associativity.
     pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(entries % ways == 0 && (entries / ways).is_power_of_two());
+        assert!(entries.is_multiple_of(ways) && (entries / ways).is_power_of_two());
         Self {
             sets: entries / ways,
             ways,

@@ -342,37 +342,30 @@ impl ProfReport {
             "{:<34} {:>12} {:>12} {:>12} {:>7}",
             "phase", "calls", "total ms", "self ms", "%"
         );
-        // Depth-first over the dominant-parent tree, keeping report order
-        // stable (declaration order within a level).
+        // Depth-first over the dominant-parent tree, in declaration order
+        // within a level: emit the first unemitted child of `parent`, then
+        // its subtree, then come back to `parent` for the next child.
         let mut stack: Vec<(usize, Option<&'static str>)> = vec![(0, None)];
         let mut emitted = vec![false; self.phases.len()];
         while let Some((depth, parent)) = stack.pop() {
-            let mut children: Vec<usize> = self
-                .phases
-                .iter()
-                .enumerate()
-                .filter(|(i, r)| !emitted[*i] && r.parent == parent)
-                .map(|(i, _)| i)
-                .collect();
-            // Reverse so the stack pops in declaration order.
-            children.reverse();
-            for i in children {
-                emitted[i] = true;
-                let r = &self.phases[i];
-                let name = format!("{}{}", "  ".repeat(depth), r.phase);
-                let _ = writeln!(
-                    out,
-                    "{:<34} {:>12} {:>12.3} {:>12.3} {:>6.1}%",
-                    name,
-                    r.calls,
-                    r.total_ns as f64 / 1e6,
-                    r.self_ns as f64 / 1e6,
-                    100.0 * r.total_ns as f64 / root_total as f64,
-                );
-                stack.push((depth, parent));
-                stack.push((depth + 1, Some(r.phase)));
-                break; // re-scan after marking, preserving tree order
-            }
+            let Some(i) = (0..self.phases.len()).find(|&i| !emitted[i] && self.phases[i].parent == parent)
+            else {
+                continue;
+            };
+            emitted[i] = true;
+            let r = &self.phases[i];
+            let name = format!("{}{}", "  ".repeat(depth), r.phase);
+            let _ = writeln!(
+                out,
+                "{:<34} {:>12} {:>12.3} {:>12.3} {:>6.1}%",
+                name,
+                r.calls,
+                r.total_ns as f64 / 1e6,
+                r.self_ns as f64 / 1e6,
+                100.0 * r.total_ns as f64 / root_total as f64,
+            );
+            stack.push((depth, parent));
+            stack.push((depth + 1, Some(r.phase)));
         }
         let unattributed = self.phases.iter().find(|r| r.phase == "launch").map_or(0, |r| r.self_ns);
         let _ = writeln!(
@@ -408,8 +401,9 @@ pub fn report() -> ProfReport {
             }
             total[p] += ns;
             calls[p] += n;
-            if par < NUM_PHASES {
-                child[par] += ns;
+            // `par == NUM_PHASES` is the root slot: no parent phase.
+            if let Some(c) = child.get_mut(par) {
+                *c += ns;
                 if best_parent[p].is_none_or(|(_, cnt)| n > cnt) {
                     best_parent[p] = Some((par, n));
                 }

@@ -485,7 +485,8 @@ fn failed_launches_give_device_memory_back() {
     b.st(Space::Shared, addr, 0, t, 4);
     let unplaceable = b.build();
 
-    let cases: [(&Kernel, u32, fn(&SimError) -> bool); 2] = [
+    type Expected = fn(&SimError) -> bool;
+    let cases: [(&Kernel, u32, Expected); 2] = [
         (&spin, 1, |e| matches!(e, SimError::Hang { .. })),
         (&unplaceable, 4, |e| matches!(e, SimError::BadLaunch(m) if m.contains("block 0 "))),
     ];

@@ -39,7 +39,7 @@ fn racy_reduction_kernel(block: u32) -> Kernel {
     let mut b = KernelBuilder::new("racy_reduce");
     let sh = b.shared_alloc(block * 4);
     let inp = b.param(0);
-    let outp = b.param(1);
+    let _outp = b.param(1);
     let tid = b.tid();
     let gt = b.global_tid();
     let goff = b.shl(gt, 2u32);

@@ -83,10 +83,7 @@ fn drop_matching(k: &mut Kernel, nth: Option<usize>, is_bar: bool) -> usize {
     let mut seen = 0;
     let mut dropped = 0;
     for pc in 0..k.instrs.len() {
-        let hit = match (is_bar, &k.instrs[pc].op) {
-            (true, Op::Bar) | (false, Op::Membar) => true,
-            _ => false,
-        };
+        let hit = matches!((is_bar, &k.instrs[pc].op), (true, Op::Bar) | (false, Op::Membar));
         if !hit {
             continue;
         }
@@ -113,7 +110,7 @@ fn prepend(k: &mut Kernel, extra: Vec<Instr>) {
         }
     }
     let mut instrs = extra;
-    instrs.extend(k.instrs.drain(..));
+    instrs.append(&mut k.instrs);
     k.instrs = instrs;
 }
 

@@ -178,7 +178,7 @@ impl Benchmark for KMeans {
         }
         let member_expected = member;
 
-        let block = ((k * d + 31) / 32) * 32;
+        let block = (k * d).div_ceil(32) * 32;
         BenchInstance {
             name: self.name(),
             inputs: format!("{n} points, {d} features, {k} clusters, {} update block(s)", self.update_blocks),

@@ -67,6 +67,9 @@ pub enum Scale {
     Tiny,
 }
 
+/// A functional check of device memory after a benchmark's launches.
+pub type Verify = Box<dyn Fn(&DeviceMemory) -> Result<(), String>>;
+
 /// A benchmark instance: device memory initialized, kernels built.
 pub struct BenchInstance {
     /// Benchmark name (Table II).
@@ -76,7 +79,7 @@ pub struct BenchInstance {
     /// The launches to execute, in order.
     pub launches: Vec<LaunchSpec>,
     /// Functional check against a host reference, run after all launches.
-    pub verify: Box<dyn Fn(&DeviceMemory) -> Result<(), String>>,
+    pub verify: Verify,
     /// Whether this instance is *expected* to contain real data races
     /// (the documented SCAN/KMEANS multi-block and OFFT bugs).
     pub expect_races: bool,

@@ -2,38 +2,12 @@
 //! configuration and collects merged statistics, races, and functional
 //! verification results.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use gpu_sim::detector::DetectorMode;
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
 use haccrg::prelude::RaceLog;
 
 use crate::{BenchInstance, Benchmark, Scale};
-
-/// Process-wide default for [`GpuConfig::cycle_skip`] as consumed by the
-/// [`RunConfig`] constructors. On by default; pinned off by the bench
-/// bins' `--no-cycle-skip` escape hatch so every harness can be bisected
-/// against the dense loop without threading a flag through each table
-/// and figure generator. Results are bit-identical either way.
-static CYCLE_SKIP: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide cycle-skip default (see [`CYCLE_SKIP`]).
-pub fn set_cycle_skip(on: bool) {
-    CYCLE_SKIP.store(on, Ordering::Relaxed);
-}
-
-/// The process-wide cycle-skip default.
-pub fn cycle_skip_enabled() -> bool {
-    CYCLE_SKIP.load(Ordering::Relaxed)
-}
-
-/// Table I hardware with the process-wide cycle-skip default applied.
-fn stock_gpu() -> GpuConfig {
-    let mut g = GpuConfig::quadro_fx5800();
-    g.cycle_skip = cycle_skip_enabled();
-    g
-}
 
 /// How to run a benchmark.
 pub struct RunConfig {
@@ -48,13 +22,13 @@ pub struct RunConfig {
 impl RunConfig {
     /// Baseline: detection off.
     pub fn base(scale: Scale) -> Self {
-        Self { gpu: stock_gpu(), detector: None, scale }
+        Self { gpu: GpuConfig::quadro_fx5800(), detector: None, scale }
     }
 
     /// HAccRG hardware detection with the paper-default configuration.
     pub fn detecting(scale: Scale) -> Self {
         Self {
-            gpu: stock_gpu(),
+            gpu: GpuConfig::quadro_fx5800(),
             detector: Some(DetectorSetup {
                 cfg: DetectorConfig::paper_default(),
                 mode: DetectorMode::Hardware,
@@ -66,7 +40,7 @@ impl RunConfig {
     /// HAccRG with a specific detector configuration (hardware mode).
     pub fn with_detector(scale: Scale, cfg: DetectorConfig) -> Self {
         Self {
-            gpu: stock_gpu(),
+            gpu: GpuConfig::quadro_fx5800(),
             detector: Some(DetectorSetup { cfg, mode: DetectorMode::Hardware }),
             scale,
         }
@@ -75,7 +49,7 @@ impl RunConfig {
     /// Oracle-mode detection (software baselines: results, no HW cost).
     pub fn oracle(scale: Scale, cfg: DetectorConfig) -> Self {
         Self {
-            gpu: stock_gpu(),
+            gpu: GpuConfig::quadro_fx5800(),
             detector: Some(DetectorSetup { cfg, mode: DetectorMode::Oracle }),
             scale,
         }
