@@ -16,9 +16,8 @@
 //! Both are built on [`instrument`], a general kernel-rewriting pass for
 //! the `gpu-sim` IR. [`runner`] prepares any Table II benchmark,
 //! instruments its kernels, allocates the auxiliary device structures and
-//! runs it; detection *results* for the baselines come from an
-//! oracle-mode HAccRG run (identical algorithm ⇒ identical reports),
-//! while their *cost* comes from the instrumented execution.
+//! runs it with no detector attached: the baselines are measured for
+//! their *cost*, which comes from the instrumented execution.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

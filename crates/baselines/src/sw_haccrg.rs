@@ -13,9 +13,10 @@
 //! sequence (the loads/stores hit the actual shadow region through the
 //! full cache hierarchy); the per-access ALU work is emitted as real
 //! instructions whose results feed the shadow store, so nothing can be
-//! dead-code-eliminated away. Detection *results* for the SW baseline are
-//! obtained from a separate oracle-mode run — the algorithm is identical,
-//! so the reports are identical (this is a documented modeling choice).
+//! dead-code-eliminated away. The SW baseline is measured for cost only:
+//! its algorithm is the hardware's, so its reports would equal a HAccRG
+//! run's, and no run computes them separately (a documented modeling
+//! choice).
 
 use gpu_sim::isa::{BinOp, Instr, Kernel, Op, Reg, Space, Src};
 

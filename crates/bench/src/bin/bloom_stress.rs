@@ -40,13 +40,11 @@ fn main() {
         ));
     }
     let env = haccrg_bench::Environment::capture().to_json();
-    let jobs = haccrg_bench::sweep::configured_jobs();
     let report = format!(
         r#"{{
   "benchmark": "bloom_stress",
   "produced_by": "cargo run --release -p haccrg-bench --bin bloom_stress",
   "environment": {env},
-  "jobs": {jobs},
   "pairs": {BLOOM_STRESS_PAIRS},
   "configs": [
 {configs}  ]

@@ -168,7 +168,6 @@ fn main() {
   "benchmark": "cycle_skip",
   "produced_by": "cargo run --release -p haccrg-bench --bin cycleskip_bench",
   "environment": {env},
-  "jobs": {jobs},
   "micro_iters": {MICRO_ITERS},
   "microkernels": [
 {rows}  ],
@@ -178,7 +177,6 @@ fn main() {
 }}
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
-        jobs = haccrg_bench::sweep::configured_jobs(),
     );
     std::fs::write(out_path, report).expect("write report");
     println!("wrote {out_path}");

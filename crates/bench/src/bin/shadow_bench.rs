@@ -1,8 +1,7 @@
 //! Measure the shadow-memory fast path and write `BENCH_shadow.json`.
 //!
-//! Three scenarios, mirroring the `shadow_fastpath` Criterion bench but
-//! with a counting allocator attached so allocation counts land in the
-//! snapshot next to the timings:
+//! Three scenarios, with a counting allocator attached so allocation
+//! counts land in the snapshot next to the timings:
 //!
 //! 1. **Launch setup** — building the global shadow table for an 8 MiB
 //!    tracked region: eager monolithic `Vec<ShadowEntry>` (the pre-paging
@@ -157,7 +156,6 @@ fn main() {
   "benchmark": "shadow_fastpath",
   "produced_by": "cargo run --release -p haccrg-bench --bin shadow_bench",
   "environment": {env},
-  "jobs": {jobs},
   "config": {{
     "tracked_mib": {TRACKED_MIB},
     "global_entries": {entries},
@@ -192,7 +190,6 @@ fn main() {
 }}
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
-        jobs = haccrg_bench::sweep::configured_jobs(),
         gran = Granularity::GLOBAL_DEFAULT.bytes(),
         reset_speedup = eager_reset_ns / epoch_reset_ns,
         pages = rdu.pages_allocated(),

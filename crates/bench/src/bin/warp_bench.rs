@@ -283,7 +283,6 @@ fn main() {
   "benchmark": "warp_exec",
   "produced_by": "cargo run --release -p haccrg-bench --bin warp_bench",
   "environment": {env},
-  "jobs": {jobs},
   "config": {{
     "warp_lanes": {LANES},
     "tracked_bytes": {tracked},
@@ -328,7 +327,6 @@ fn main() {
 }}
 "#,
         env = haccrg_bench::Environment::capture().to_json(),
-        jobs = haccrg_bench::sweep::configured_jobs(),
         tracked = 1u32 << 20,
         gran = Granularity::GLOBAL_DEFAULT.bytes(),
         coalesced_speedup = coalesced_scalar_ns / coalesced_ns,

@@ -1,6 +1,5 @@
 //! Microkernels and measurement helpers for the event-driven
-//! fast-forward benchmark (`cycleskip_bench` bin + the `cycle_skip`
-//! Criterion bench).
+//! fast-forward benchmark (the `cycleskip_bench` bin).
 //!
 //! Two workloads sit at the extremes the fast-forward layer targets:
 //!

@@ -105,14 +105,12 @@ fn engine_config(cycle_skip: bool) -> GpuConfig {
 fn run_engine(
     spec: &KernelSpec,
     k: &Kernel,
-    mode: Option<DetectorMode>,
+    detect: bool,
     cycle_skip: bool,
     fault: FaultInjection,
 ) -> Result<EngineRun, String> {
     let mut gpu = Gpu::new(engine_config(cycle_skip));
-    if let Some(mode) = mode {
-        gpu.set_detector(Some(DetectorSetup { cfg: detector_config(), mode }));
-    }
+    gpu.set_detector(detect.then(detector_config));
     let params = spec.alloc_params(&mut gpu);
     let res = gpu
         .launch(k, spec.grid, spec.block_dim, &params)
@@ -266,7 +264,7 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
     }
 
     // Base: detection off, dense.
-    let base = match run_engine(spec, &k, None, false, FaultInjection::default()) {
+    let base = match run_engine(spec, &k, false, false, FaultInjection::default()) {
         Ok(r) => r,
         Err(e) => return vec![Finding { check: "base-run", detail: e }],
     };
@@ -283,7 +281,7 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
 
     // Engine determinism and dense/skip equivalence, detection off.
     for (label, cycle_skip) in [("detoff-rerun", false), ("detoff-cycle-skip", true)] {
-        match run_engine(spec, &k, None, cycle_skip, FaultInjection::default()) {
+        match run_engine(spec, &k, false, cycle_skip, FaultInjection::default()) {
             Ok(r) => {
                 if r.stats != base.stats || r.out != base.out || r.data != base.data {
                     findings.push(Finding {
@@ -305,7 +303,7 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
     }
 
     // Detection on: architecturally passive, deterministic, never faster.
-    let hw = match run_engine(spec, &k, Some(DetectorMode::Hardware), false, fault) {
+    let hw = match run_engine(spec, &k, true, false, fault) {
         Ok(r) => r,
         Err(e) => {
             findings.push(Finding { check: "hw-run", detail: e });
@@ -336,7 +334,7 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
     }
 
     // Detection on, cycle skipping: bit-identical, detector included.
-    match run_engine(spec, &k, Some(DetectorMode::Hardware), true, fault) {
+    match run_engine(spec, &k, true, true, fault) {
         Ok(r) => {
             if r.stats != hw.stats || r.out != hw.out || r.races != hw.races {
                 findings.push(Finding {
@@ -355,28 +353,6 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
             check: "deton-engine-determinism",
             detail: format!("deton-cycle-skip: {e}"),
         }),
-    }
-
-    // Oracle-costed detector mode: identical verdicts, zero overhead.
-    match run_engine(spec, &k, Some(DetectorMode::Oracle), false, fault) {
-        Ok(r) => {
-            if r.races != hw.races {
-                findings.push(Finding {
-                    check: "mode-verdict-divergence",
-                    detail: "Oracle-mode race log differs from Hardware mode".into(),
-                });
-            }
-            if r.stats.cycles != base.stats.cycles {
-                findings.push(Finding {
-                    check: "oracle-mode-overhead",
-                    detail: format!(
-                        "zero-cost mode changed cycles: {} vs {}",
-                        r.stats.cycles, base.stats.cycles
-                    ),
-                });
-            }
-        }
-        Err(e) => findings.push(Finding { check: "mode-verdict-divergence", detail: e }),
     }
 
     // Detector verdicts vs the independent happens-before oracle.

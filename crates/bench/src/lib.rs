@@ -32,8 +32,9 @@
 //!
 //! Every binary checks its command line with [`cli`]: a flag it does not
 //! honour, a repeated or valueless flag, or a malformed number exits 2.
-//! Criterion micro-benchmarks for the detector and simulator hot paths
-//! live under `benches/`.
+//! The BENCH writers assert their own gates as they write; `--out FILE`
+//! leaves the committed snapshot alone. End-to-end host speed is the
+//! `e2ebench` ledger's job.
 
 #![forbid(unsafe_code)]
 

@@ -9,7 +9,6 @@
 //! counters, which are the only fields allowed to differ). See
 //! DESIGN.md, "Event-driven cycle skipping".
 
-use gpu_sim::detector::DetectorMode;
 use gpu_sim::device::HEAP_BASE;
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
@@ -43,7 +42,7 @@ fn observe(bench: &dyn Benchmark, detect: bool, cycle_skip: bool) -> Observed {
         // SimStats) are observables too, and must not depend on skipping.
         let mut det = DetectorConfig::paper_default();
         det.witness_capture = true;
-        gpu.set_detector(Some(DetectorSetup { cfg: det, mode: DetectorMode::Hardware }));
+        gpu.set_detector(Some(det));
     }
     let rec = RingRecorder::shared(1 << 20);
     gpu.tracer.install(Box::new(rec.clone()));

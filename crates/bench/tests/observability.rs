@@ -2,16 +2,18 @@
 //! stream and the run manifest must be deterministic functions of the
 //! work — not of the `--jobs` count, the engine, or the scheduling —
 //! modulo wall-clock fields. See `progress` / `manifest` module docs.
+//! Observers attached to a launch must not change what it reports.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gpu_sim::prelude::GpuConfig;
+use gpu_sim::prelude::{Gpu, GpuConfig, NullSink};
+use haccrg::config::DetectorConfig;
 use haccrg_bench::manifest::{self, RunManifest};
 use haccrg_bench::progress::SweepProgress;
 use haccrg_bench::SweepRunner;
-use haccrg_workloads::runner::{run, RunConfig};
+use haccrg_workloads::runner::{run, run_instance, RunConfig};
 use haccrg_workloads::{all_benchmarks, Scale};
 
 /// A `Vec<u8>` sink shared with the test through an `Arc<Mutex<_>>`.
@@ -175,4 +177,34 @@ fn stats_digest_is_engine_independent() {
     let digest =
         |o: &haccrg_workloads::runner::RunOutput| manifest::stats_digest(&o.stats, &o.races);
     assert_eq!(digest(&skip), digest(&dense), "dense engine changed the digest");
+}
+
+#[test]
+fn observers_leave_every_table2_launch_unchanged() {
+    // Witness capture and an installed event sink record what the
+    // detector sees; they must not change it. Every Table II benchmark,
+    // observed and plain, must report equal statistics and race records,
+    // and every record of the observed run must carry its timeline.
+    let mut racy = 0;
+    for b in all_benchmarks() {
+        let name = b.name();
+        let plain = run(b.as_ref(), &RunConfig::detecting(Scale::Tiny)).expect("plain run");
+
+        let det = DetectorConfig { witness_capture: true, ..DetectorConfig::paper_default() };
+        let cfg = RunConfig::with_detector(Scale::Tiny, det);
+        let mut gpu = Gpu::new(cfg.gpu);
+        gpu.set_detector(cfg.detector);
+        gpu.tracer.install(Box::new(NullSink));
+        let inst = b.prepare(&mut gpu, cfg.scale);
+        let observed = run_instance(&mut gpu, &inst).expect("observed run");
+
+        assert_eq!(observed.stats, plain.stats, "{name}: observers changed SimStats");
+        let records = observed.races.records();
+        assert_eq!(records, plain.races.records(), "{name}: observers changed the race records");
+        for i in 0..records.len() {
+            assert!(!observed.races.witness_of(i).is_empty(), "{name}: record {i} has no witness timeline");
+        }
+        racy += usize::from(!records.is_empty());
+    }
+    assert!(racy > 0, "no Table II benchmark races at tiny scale");
 }

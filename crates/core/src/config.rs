@@ -76,15 +76,6 @@ impl DetectorConfig {
         }
     }
 
-    /// Detection fully disabled (the baseline bars in Fig. 7/9).
-    pub fn disabled() -> Self {
-        Self {
-            shared_enabled: false,
-            global_enabled: false,
-            ..Self::paper_default()
-        }
-    }
-
     /// Shared-memory-only detection (Fig. 7's ≈1%-overhead configuration).
     pub fn shared_only() -> Self {
         Self {
@@ -92,17 +83,6 @@ impl DetectorConfig {
             global_enabled: false,
             ..Self::paper_default()
         }
-    }
-
-    /// Combined shared+global detection (Fig. 7's ≈27%-overhead
-    /// configuration). Identical to [`Self::paper_default`].
-    pub fn shared_and_global() -> Self {
-        Self::paper_default()
-    }
-
-    /// Whether any detection is active.
-    pub fn any_enabled(&self) -> bool {
-        self.shared_enabled || self.global_enabled
     }
 
     /// Validate cross-field invariants.
@@ -132,16 +112,13 @@ mod tests {
 
     #[test]
     fn presets_toggle_the_right_units() {
-        assert!(!DetectorConfig::disabled().any_enabled());
         let s = DetectorConfig::shared_only();
         assert!(s.shared_enabled && !s.global_enabled);
-        let sg = DetectorConfig::shared_and_global();
-        assert!(sg.shared_enabled && sg.global_enabled);
     }
 
     #[test]
     fn sw_shadow_requires_shared_detection() {
-        let mut c = DetectorConfig::disabled();
+        let mut c = DetectorConfig { shared_enabled: false, ..DetectorConfig::shared_only() };
         c.shared_shadow = SharedShadowPlacement::GlobalMemory;
         assert!(c.validate().is_err());
         c.shared_enabled = true;

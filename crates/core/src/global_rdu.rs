@@ -4,14 +4,17 @@
 //! reserves a *global shadow memory* region in device memory with a 1:1
 //! mapping (at the tracking granularity) onto the kernel's data structures.
 //! A hardware RDU in every memory slice generates the shadow fetches and
-//! updates; the requests travel through the same L2 slice and DRAM channel
-//! as ordinary data — which is exactly where the combined-detection
-//! overhead of Fig. 7/9 comes from.
+//! updates; in the paper the requests travel through the same L2 slice
+//! and DRAM channel as ordinary data, which is where the combined-detection
+//! overhead of Fig. 7/9 comes from. The simulator charges them
+//! arithmetically beside that path instead (`gpu_sim::detector::ShadowTimingModel`,
+//! folded into the cycle count at launch end); routing them through it is
+//! ROADMAP item 2.
 //!
 //! Functionally the sliced RDUs operate on one logical shadow table: a
 //! [`ShadowRegion`] over the heap, whose checks skip untracked addresses,
 //! count §VI-C2 truncated-ID collisions, and report the
-//! [`crate::region::ShadowTraffic`] the simulator replays into its L2/DRAM
+//! [`crate::region::ShadowTraffic`] the simulator charges to its timing
 //! model.
 
 use crate::bloom::BloomConfig;

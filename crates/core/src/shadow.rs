@@ -472,19 +472,7 @@ impl ShadowEntry {
         };
 
         if race.is_none() {
-            // Benign overlap: track writes, and read-sharing across warps.
-            if is_write {
-                self.modified = true;
-                // A lock-serialized write supersedes prior read-sharing;
-                // clearing S also keeps the entry from aliasing the fresh
-                // `M && S` encoding.
-                self.shared = false;
-                self.fence_id = a.fence_id;
-                self.write_cycle = a.cycle;
-                self.pc = a.pc;
-            } else if a.who.warp != self.warp || !p.warp_filter {
-                self.shared = true;
-            }
+            self.benign_lockset_epilogue(a, is_write, p);
         }
         race
     }
@@ -613,8 +601,9 @@ impl ShadowEntry {
         Some(self.benign_lockset_epilogue(a, is_write, p))
     }
 
-    /// The benign-overlap epilogue of [`Self::observe_lockset`], with
-    /// exact change tracking. Returns whether the entry changed.
+    /// The benign-overlap epilogue of [`Self::observe_lockset`] and
+    /// [`Self::observe_lockset_fast`]: track writes, and read-sharing
+    /// across warps. Returns whether the entry changed.
     #[inline]
     fn benign_lockset_epilogue(&mut self, a: &MemAccess, is_write: bool, p: &ShadowPolicy) -> bool {
         let mut changed = false;
@@ -625,6 +614,9 @@ impl ShadowEntry {
                 | (self.write_cycle != a.cycle)
                 | (self.pc != a.pc);
             self.modified = true;
+            // A lock-serialized write supersedes prior read-sharing;
+            // clearing S also keeps the entry from aliasing the fresh
+            // `M && S` encoding.
             self.shared = false;
             self.fence_id = a.fence_id;
             self.write_cycle = a.cycle;

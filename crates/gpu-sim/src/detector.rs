@@ -1,25 +1,14 @@
 //! Wiring between the simulator and the `haccrg` detector core.
 //!
 //! [`LaunchDet::new`] builds the per-SM shared RDUs, the global RDU, the
-//! logical clocks and the race log for one kernel launch. The
-//! [`DetectorMode`] distinguishes the *hardware* proposal (detection
-//! results **and** timing costs: shadow traffic, barrier reset stalls,
-//! probe packets) from an *oracle* mode that detects identically but
-//! charges nothing — used by the software baselines, whose cost comes
-//! from instrumentation instructions instead.
+//! logical clocks and the race log for one kernel launch. Detection is
+//! passive: it never changes the instruction or memory stream. Its
+//! timing cost (global shadow traffic, barrier reset stalls, Fig. 8
+//! spills) is counted on the side and added to the cycle count by the
+//! epilogue of `Gpu::launch`.
 
 use haccrg::config::{DetectorConfig, SharedShadowPlacement};
 use haccrg::prelude::*;
-
-/// How detection is costed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectorMode {
-    /// The paper's proposal: RDU hardware, with all timing side effects.
-    Hardware,
-    /// Detection logic only, zero timing cost (software baselines get
-    /// their cost from instrumentation).
-    Oracle,
-}
 
 /// Side model of the global RDU's shadow-memory timing, kept entirely
 /// outside the architectural memory system so detection stays passive:
@@ -80,11 +69,6 @@ impl ShadowTimingModel {
             .max()
             .unwrap_or(0)
     }
-
-    /// Total modeled first-touch DRAM fills (all slices).
-    pub fn total_fills(&self) -> u64 {
-        self.fills.iter().sum()
-    }
 }
 
 /// The cycle loop's detector state during one launch: the global RDU,
@@ -94,7 +78,6 @@ impl ShadowTimingModel {
 #[allow(missing_docs)]
 pub struct LaunchDet {
     pub cfg: DetectorConfig,
-    pub mode: DetectorMode,
     pub global: Option<GlobalRdu>,
     pub clocks: ClockFile,
     pub log: RaceLog,
@@ -117,7 +100,6 @@ impl LaunchDet {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: DetectorConfig,
-        mode: DetectorMode,
         num_sms: u32,
         shared_per_sm: u32,
         shared_banks: u32,
@@ -141,7 +123,6 @@ impl LaunchDet {
             .allocated_bytes;
         let det = Self {
             cfg,
-            mode,
             global,
             clocks: ClockFile::new(blocks, total_warps),
             log: RaceLog::default(),
@@ -150,21 +131,15 @@ impl LaunchDet {
         (det, shared)
     }
 
-    /// Whether timing costs should be charged.
-    pub fn hardware(&self) -> bool {
-        self.mode == DetectorMode::Hardware
-    }
-
     /// Whether shared-shadow entries live in global memory (Fig. 8).
     pub fn sw_shared_shadow(&self) -> bool {
-        self.hardware() && self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
+        self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
     }
 
     /// Read-only view for the compute phase.
     pub fn view(&self) -> DetView<'_> {
         DetView {
             cfg: self.cfg,
-            hardware: self.hardware(),
             sw_shared_shadow: self.sw_shared_shadow(),
             clocks: &self.clocks,
         }
@@ -178,7 +153,6 @@ impl LaunchDet {
 #[allow(missing_docs)]
 pub struct DetView<'a> {
     pub cfg: DetectorConfig,
-    pub hardware: bool,
     pub sw_shared_shadow: bool,
     pub clocks: &'a ClockFile,
 }
@@ -191,7 +165,6 @@ mod tests {
     fn constructs_per_config() {
         let (d, shared) = LaunchDet::new(
             DetectorConfig::paper_default(),
-            DetectorMode::Hardware,
             4,
             16 * 1024,
             16,
@@ -205,7 +178,6 @@ mod tests {
         assert!(d.global.is_some());
         assert_eq!(d.clocks.num_blocks(), 8);
         assert_eq!(d.clocks.num_warps(), 64);
-        assert!(d.hardware());
         assert!(!d.sw_shared_shadow());
     }
 
@@ -213,7 +185,6 @@ mod tests {
     fn shared_only_config_has_no_global_rdu() {
         let (d, _) = LaunchDet::new(
             DetectorConfig::shared_only(),
-            DetectorMode::Hardware,
             2,
             16 * 1024,
             16,
@@ -224,23 +195,5 @@ mod tests {
             (8, 128),
         );
         assert!(d.global.is_none());
-    }
-
-    #[test]
-    fn oracle_mode_charges_nothing() {
-        let (d, _) = LaunchDet::new(
-            DetectorConfig::paper_default(),
-            DetectorMode::Oracle,
-            1,
-            16 * 1024,
-            16,
-            1,
-            1,
-            (0x1000, 0x1000),
-            0x100_0000,
-            (8, 128),
-        );
-        assert!(!d.hardware());
-        assert!(!d.sw_shared_shadow());
     }
 }

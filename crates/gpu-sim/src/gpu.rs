@@ -12,7 +12,7 @@ use haccrg::prelude::*;
 
 use crate::active::ActiveSet;
 use crate::config::GpuConfig;
-use crate::detector::{DetectorMode, LaunchDet};
+use crate::detector::LaunchDet;
 use crate::device::{DeviceMemory, HEAP_BASE};
 use crate::isa::Kernel;
 use crate::mem::icnt::{self, Link};
@@ -72,20 +72,12 @@ pub struct LaunchResult {
     pub skip: SkipStats,
 }
 
-/// How the detector should run for subsequent launches.
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)]
-pub struct DetectorSetup {
-    pub cfg: DetectorConfig,
-    pub mode: DetectorMode,
-}
-
 /// The GPU device.
 #[allow(missing_docs)]
 pub struct Gpu {
     pub cfg: GpuConfig,
     pub mem: DeviceMemory,
-    detector: Option<DetectorSetup>,
+    detector: Option<DetectorConfig>,
     /// When enabled, global transactions are recorded as
     /// `(data line address, shadow line base if any)` pairs — input for
     /// the §IV-B TLB ablation.
@@ -113,7 +105,7 @@ impl Gpu {
     /// A GPU with HAccRG hardware detection enabled.
     pub fn with_detector(cfg: GpuConfig, det: DetectorConfig) -> Self {
         let mut g = Self::new(cfg);
-        g.set_detector(Some(DetectorSetup { cfg: det, mode: DetectorMode::Hardware }));
+        g.set_detector(Some(det));
         g
     }
 
@@ -128,9 +120,9 @@ impl Gpu {
     }
 
     /// Install / remove / switch the detector for future launches.
-    pub fn set_detector(&mut self, det: Option<DetectorSetup>) {
+    pub fn set_detector(&mut self, det: Option<DetectorConfig>) {
         if let Some(d) = &det {
-            d.cfg.validate().expect("invalid detector config");
+            d.validate().expect("invalid detector config");
         }
         self.detector = det;
     }
@@ -180,7 +172,7 @@ impl Gpu {
         let shadow_base = self.cfg.device_mem_bytes;
         let shadow_alloc = cost::global_shadow_footprint(
             u64::from(tracked_bytes),
-            self.detector.map_or(Granularity::GLOBAL_DEFAULT, |d| d.cfg.global_granularity),
+            self.detector.map_or(Granularity::GLOBAL_DEFAULT, |d| d.global_granularity),
         )
         .allocated_bytes as u32;
         let shared_shadow_stride =
@@ -226,10 +218,9 @@ impl Gpu {
         // shared RDU during the compute phase; global RDU / clocks / log
         // stay with the cycle loop.
         let mut sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
-        let det: Option<LaunchDet> = self.detector.map(|s| {
+        let det: Option<LaunchDet> = self.detector.map(|cfg| {
             let (launch_det, rdus) = LaunchDet::new(
-                s.cfg,
-                s.mode,
+                cfg,
                 self.cfg.num_sms,
                 self.cfg.shared_mem_per_sm,
                 self.cfg.shared_banks,
@@ -323,7 +314,7 @@ impl Gpu {
         // modeled window appended after the architectural timeline, so
         // detection-on runs retire the exact same instruction stream as
         // detection-off and differ only in this deterministic epilogue.
-        if let Some(d) = det.as_ref().filter(|d| d.hardware()) {
+        if let Some(d) = det.as_ref() {
             let det_busy = sms.iter().map(|s| s.det_busy_cycles).max().unwrap_or(0);
             let overhead = det_busy + d.shadow_timing.max_slice_cycles();
             now += overhead;
@@ -365,7 +356,7 @@ impl Gpu {
         };
         let shadow = cost::global_shadow_footprint(
             u64::from(tracked_bytes),
-            self.detector.map_or(Granularity::GLOBAL_DEFAULT, |d| d.cfg.global_granularity),
+            self.detector.map_or(Granularity::GLOBAL_DEFAULT, |d| d.global_granularity),
         );
 
         Ok(LaunchResult {

@@ -18,9 +18,12 @@
 //!   hardware atomics executed *at the memory slice*, which serializes
 //!   contended locks exactly like the real machine — [`gpu`], [`sm`];
 //! * hooks for the `haccrg` Race Detection Units: per-access shared/global
-//!   checks, shadow-memory traffic charged through the same L2/DRAM path,
-//!   barrier-time shadow invalidation stalls, L1-hit detection probes, and
-//!   the Fig. 8 shared-shadow-in-global-memory mode — [`detector`].
+//!   checks, L1-hit detection probes, and the Fig. 8
+//!   shared-shadow-in-global-memory mode — [`detector`]. Detection is
+//!   passive: shadow-memory traffic, barrier-time shadow invalidation and
+//!   Fig. 8 spills are charged arithmetically beside the memory system,
+//!   and the end of each launch adds them to its cycle count (routing
+//!   the traffic through L2/DRAM is ROADMAP item 2).
 //! * an opt-in observability layer: structured event tracing with a
 //!   bounded ring recorder, cycle-sampled per-SM/per-slice metrics, and
 //!   a Chrome/Perfetto trace exporter — [`trace`]. Zero-cost when
@@ -80,9 +83,8 @@ pub mod trace;
 /// Commonly used types.
 pub mod prelude {
     pub use crate::config::GpuConfig;
-    pub use crate::detector::DetectorMode;
     pub use crate::device::DeviceMemory;
-    pub use crate::gpu::{DetectorSetup, Gpu, LaunchResult, SimError};
+    pub use crate::gpu::{Gpu, LaunchResult, SimError};
     pub use crate::isa::builder::KernelBuilder;
     pub use crate::isa::{AtomOp, BinOp, CmpOp, Kernel, Op, Reg, Space, Src, UnOp};
     pub use crate::stats::{SimStats, SkipStats};

@@ -14,10 +14,9 @@
 //!
 //! **Zero-cost when disabled** (the default): [`scope`] reads one
 //! relaxed atomic and returns an inert guard — no clock read, no
-//! thread-local traffic, no allocation. The existing Criterion
-//! tracing-overhead guard (`tracing_overhead_scan_tiny` in
-//! `crates/bench/benches/e2e.rs`) covers this path, since every
-//! instrumented site runs under it.
+//! thread-local traffic, no allocation. Every untraced `e2ebench` pass
+//! runs this path at every instrumented site, so the ledger's timings
+//! include its cost.
 //!
 //! The accumulation tables are process-wide atomics, so sweep workers
 //! running launches on several threads all fold into the same table,

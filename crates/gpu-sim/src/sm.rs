@@ -926,7 +926,7 @@ impl Sm {
             if v.cfg.shared_enabled && shared_size > 0 {
                 if let Some(rdu) = self.shared_rdu.as_mut() {
                     let cycles = rdu.reset_block_range(shared_base, shared_base + shared_size);
-                    if v.hardware && !v.sw_shared_shadow {
+                    if !v.sw_shared_shadow {
                         stall = cycles;
                         self.stats.shadow_reset_stall_cycles += cycles;
                         self.det_busy_cycles += cycles;
@@ -1579,7 +1579,7 @@ pub(crate) fn apply_global_batch(
         }
     }
 
-    let shadow = if det.hardware() && !shadow_lines.is_empty() {
+    let shadow = if !shadow_lines.is_empty() {
         sm.stats.shadow_l2_accesses += shadow_lines.len() as u64;
         shadow_lines.sort_unstable();
         // Charge every shadow line to its slice's modeled port/fill

@@ -20,8 +20,9 @@
 //! and event construction sits behind that branch at every emission
 //! site, so an untraced run performs no allocation or formatting and its
 //! [`crate::stats::SimStats`] are bit-identical to an uninstrumented
-//! build (enforced by `tests/observability.rs` and the e2e criterion
-//! guard).
+//! build (enforced by `tests/observability.rs` here and, for every
+//! Table II launch with a sink installed, by haccrg-bench's
+//! `tests/observability.rs`).
 
 pub mod event;
 pub mod heartbeat;

@@ -394,24 +394,6 @@ fn detection_overhead_is_positive_but_bounded() {
 }
 
 #[test]
-fn oracle_mode_detects_without_cost() {
-    let kernel = reduction_kernel(128, false);
-    let run = |mode: DetectorMode| {
-        let mut gpu = small_gpu();
-        gpu.set_detector(Some(DetectorSetup { cfg: DetectorConfig::paper_default(), mode }));
-        let inp = gpu.alloc(512 * 4);
-        let outp = gpu.alloc(16);
-        gpu.mem.copy_from_host_u32(inp, &vec![1u32; 512]);
-        gpu.launch(&kernel, 2, 128, &[inp, outp]).unwrap()
-    };
-    let hw = run(DetectorMode::Hardware);
-    let oracle = run(DetectorMode::Oracle);
-    assert_eq!(hw.races.distinct(), oracle.races.distinct(), "same detection results");
-    assert!(oracle.stats.shadow_l2_accesses == 0, "oracle charges no shadow traffic");
-    assert!(oracle.stats.cycles <= hw.stats.cycles);
-}
-
-#[test]
 fn partial_warps_and_odd_block_sizes_work() {
     let mut gpu = small_gpu();
     let n = 80u32; // 80 threads in blocks of 40: partial warps of 8

@@ -122,10 +122,7 @@ fn detection_overhead_shape_holds_on_fermi_as_well() {
     // near-free on the second machine generation too.
     let base = run(GpuConfig::fermi(), false).0;
     let mut shared_only = Gpu::new(GpuConfig::fermi());
-    shared_only.set_detector(Some(gpu_sim::prelude::DetectorSetup {
-        cfg: DetectorConfig::shared_only(),
-        mode: gpu_sim::detector::DetectorMode::Hardware,
-    }));
+    shared_only.set_detector(Some(DetectorConfig::shared_only()));
     let n = 1024u32;
     let inp = shared_only.alloc(n * 4);
     let outp = shared_only.alloc((n / 128) * 4);

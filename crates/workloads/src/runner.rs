@@ -2,7 +2,6 @@
 //! configuration and collects merged statistics, races, and functional
 //! verification results.
 
-use gpu_sim::detector::DetectorMode;
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
 use haccrg::prelude::RaceLog;
@@ -13,8 +12,8 @@ use crate::{BenchInstance, Benchmark, Scale};
 pub struct RunConfig {
     /// GPU hardware configuration (Table I by default).
     pub gpu: GpuConfig,
-    /// Detector setup; `None` = the unmodified-GPU baseline.
-    pub detector: Option<DetectorSetup>,
+    /// HAccRG detector; `None` = the unmodified-GPU baseline.
+    pub detector: Option<DetectorConfig>,
     /// Input scale.
     pub scale: Scale,
 }
@@ -27,32 +26,12 @@ impl RunConfig {
 
     /// HAccRG hardware detection with the paper-default configuration.
     pub fn detecting(scale: Scale) -> Self {
-        Self {
-            gpu: GpuConfig::quadro_fx5800(),
-            detector: Some(DetectorSetup {
-                cfg: DetectorConfig::paper_default(),
-                mode: DetectorMode::Hardware,
-            }),
-            scale,
-        }
+        Self::with_detector(scale, DetectorConfig::paper_default())
     }
 
-    /// HAccRG with a specific detector configuration (hardware mode).
+    /// HAccRG with a specific detector configuration.
     pub fn with_detector(scale: Scale, cfg: DetectorConfig) -> Self {
-        Self {
-            gpu: GpuConfig::quadro_fx5800(),
-            detector: Some(DetectorSetup { cfg, mode: DetectorMode::Hardware }),
-            scale,
-        }
-    }
-
-    /// Oracle-mode detection (software baselines: results, no HW cost).
-    pub fn oracle(scale: Scale, cfg: DetectorConfig) -> Self {
-        Self {
-            gpu: GpuConfig::quadro_fx5800(),
-            detector: Some(DetectorSetup { cfg, mode: DetectorMode::Oracle }),
-            scale,
-        }
+        Self { gpu: GpuConfig::quadro_fx5800(), detector: Some(cfg), scale }
     }
 }
 

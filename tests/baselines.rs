@@ -10,8 +10,6 @@ use haccrg_workloads::Scale;
 
 #[test]
 fn hardware_beats_software_beats_grace_on_scan() {
-    use gpu_sim::detector::DetectorMode;
-    use gpu_sim::prelude::DetectorSetup;
     let bench = Scan::single_block();
     let gpu = GpuConfig::test_small();
     let base = run(&bench, &RunConfig { gpu, detector: None, scale: Scale::Tiny }).unwrap();
@@ -19,10 +17,7 @@ fn hardware_beats_software_beats_grace_on_scan() {
         &bench,
         &RunConfig {
             gpu,
-            detector: Some(DetectorSetup {
-                cfg: haccrg::config::DetectorConfig::paper_default(),
-                mode: DetectorMode::Hardware,
-            }),
+            detector: Some(haccrg::config::DetectorConfig::paper_default()),
             scale: Scale::Tiny,
         },
     )
