@@ -112,8 +112,6 @@ fn main() {
         });
     }
 
-    // Rendered by hand: the offline serde_json stub has no real
-    // serializer, and the shape is fixed anyway.
     let mut rows = String::new();
     for (i, r) in micros.iter().enumerate() {
         let sep = if i + 1 < micros.len() { "," } else { "" };

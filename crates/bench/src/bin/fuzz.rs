@@ -30,9 +30,9 @@
 use std::io::Write as _;
 
 use gpu_sim::fuzzgen::{GenConfig, KernelSpec};
+use haccrg::json::esc_json;
 use haccrg_bench::cli::{Arg, Flag, JOBS, MANIFEST_OUT, OUT, PROGRESS_INTERVAL_MS, PROGRESS_OUT};
 use haccrg_bench::fuzz::{self, FaultInjection, SeedOutcome};
-use haccrg_bench::progress::esc_json;
 use haccrg_bench::{parallel_map_labeled, RunSetup};
 
 const FLAGS: [Flag; 10] = [

@@ -149,8 +149,6 @@ fn main() {
     });
     let steady_allocs = ALLOCS.load(Relaxed) - allocs_before;
 
-    // Rendered by hand: the offline serde_json stub has no real
-    // serializer, and the shape is fixed anyway.
     let report = format!(
         r#"{{
   "benchmark": "shadow_fastpath",

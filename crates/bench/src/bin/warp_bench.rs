@@ -276,8 +276,6 @@ fn main() {
 
     let speedup_vs_baseline = BASELINE_NS_PER_WARP / coalesced_ns;
 
-    // Rendered by hand: the offline serde_json stub has no real
-    // serializer, and the shape is fixed anyway.
     let report = format!(
         r#"{{
   "benchmark": "warp_exec",

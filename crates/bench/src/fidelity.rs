@@ -32,13 +32,13 @@
 use std::fmt::Write as _;
 
 use haccrg::config::DetectorConfig;
+use haccrg::json::esc_json;
 use haccrg::prelude::{BloomConfig, DetectorHealth};
 use haccrg_workloads::hash::{hash_of, Hash};
 use haccrg_workloads::inject::Injection;
 use haccrg_workloads::{benchmark_by_name, Scale};
 
 use crate::effectiveness::{run_plan_with, InjKind, InjectionResult, Plan};
-use crate::progress::esc_json;
 use crate::scale_name;
 
 /// Schema version stamped into every fidelity report.
@@ -216,9 +216,8 @@ fn detector_json(d: &DetectorConfig) -> String {
     )
 }
 
-/// Hand-rolled JSON for one or more audit sections (the offline serde
-/// stubs cannot serialize, and the shape is fixed anyway). Stable key
-/// order; validated structurally by the CI observability job.
+/// JSON for one or more audit sections. Stable key order; validated
+/// structurally by the CI observability job.
 pub fn fidelity_json(scale: Scale, sections: &[Section]) -> String {
     let mut s = String::with_capacity(4096);
     let _ = writeln!(s, "{{");

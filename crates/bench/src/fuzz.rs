@@ -41,12 +41,11 @@ use gpu_sim::device::HEAP_BASE;
 use gpu_sim::fuzzgen::{FuzzStmt, GenConfig, KernelSpec, GLOBAL_WORDS};
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
+use haccrg::json::esc_json;
 use haccrg::prelude::{MemSpace, RaceRecord};
 use haccrg_baselines::grace::{instrument_grace, GraceConfig};
 use haccrg_baselines::oracle::{self, OracleReport};
 use haccrg_baselines::sw_haccrg::{instrument_sw, SwConfig};
-
-use crate::progress::esc_json;
 
 /// Watchdog for fuzz launches: generous, because instrumented spin-lock
 /// kernels under contention legitimately run long.
@@ -612,8 +611,7 @@ pub fn fuzz_one(seed: u64, gen: &GenConfig, fault: FaultInjection) -> SeedOutcom
     }
 }
 
-/// One JSONL campaign line for `o` (hand-rolled: the workspace
-/// `serde_json` is an offline stub).
+/// One JSONL campaign line for `o`.
 pub fn outcome_json(o: &SeedOutcome) -> String {
     let findings: Vec<String> = o
         .findings

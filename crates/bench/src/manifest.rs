@@ -10,18 +10,17 @@
 //! cover simulated state, never scheduling.
 //!
 //! All hashing is FNV-1a-64 over `Debug`-formatted canonical strings and
-//! all JSON is emitted by hand, so manifests stay real (and stable)
-//! under the offline serde stubs.
+//! all JSON is emitted by hand in a fixed key order, so manifests stay
+//! stable.
 
 use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::SimStats;
+use haccrg::json::esc_json;
 use haccrg::prelude::RaceLog;
 use haccrg_workloads::BenchInstance;
-
-use crate::progress::esc_json;
 
 /// Version stamped into every manifest.
 pub const MANIFEST_SCHEMA: u32 = 1;
@@ -346,9 +345,7 @@ mod tests {
         assert!(j.contains("\"workload_hash\": \"0000000000001234\""), "{j}");
         assert!(j.contains("\"artifacts\": [\"out/table2.md\"]"), "{j}");
         assert!(!m.environment.rustc.is_empty());
-        // The manifest must be real JSON even offline: it never goes
-        // through serde. Sanity-check the envelope the cheap way.
-        assert!(j.trim_start().starts_with('{') && j.trim_end().ends_with('}'));
+        assert!(haccrg::json::parse(&j).is_ok(), "{j}");
     }
 
     #[test]

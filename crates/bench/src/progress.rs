@@ -17,8 +17,7 @@
 //! simulator's counters don't depend on scheduling), so two sweeps of
 //! the same battery agree on every non-timing field for any `--jobs`
 //! count. `progress` events are sampling-time snapshots and carry the
-//! only scheduling-dependent data. All JSON is emitted by hand (no
-//! serde) so the stream is real even under the offline stub crates.
+//! only scheduling-dependent data.
 //!
 //! A `running` entry whose heartbeat stops advancing between two ticks
 //! is flagged `stalled: true` — visible wedge telemetry long before the
@@ -31,6 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gpu_sim::trace::heartbeat::Heartbeat;
+use haccrg::json::esc_json;
 
 /// Version stamped into `sweep_start` events.
 pub const PROGRESS_SCHEMA: u32 = 1;
@@ -303,24 +303,6 @@ impl SweepProgress {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// enough for benchmark labels and panic messages.
-pub fn esc_json(s: &str) -> String {
-    let mut o = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\r' => o.push_str("\\r"),
-            '\t' => o.push_str("\\t"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o
-}
-
 /// Process-wide progress configuration, pinned once by
 /// [`crate::RunSetup::from_args`] from `--progress-out`.
 #[derive(Clone, Debug, Default)]
@@ -468,12 +450,5 @@ mod tests {
         let ticks: Vec<_> = ls.iter().filter(|l| l.contains("\"event\":\"progress\"")).collect();
         assert!(ticks[0].contains("\"stalled\":false"), "{}", ticks[0]);
         assert!(ticks[1].contains("\"stalled\":true"), "{}", ticks[1]);
-    }
-
-    #[test]
-    fn json_escaping_covers_the_awkward_cases() {
-        assert_eq!(esc_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc_json("\u{1}"), "\\u0001");
-        assert_eq!(esc_json("plain"), "plain");
     }
 }

@@ -2,10 +2,8 @@
 
 use std::fmt::Write as _;
 
-use serde::Serialize;
-
 /// A rectangular results table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     pub title: String,
     pub headers: Vec<String>,
@@ -111,8 +109,8 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Hand-rolled JSON array of race groups for `--races-out` (stable field
-/// order; meaningful under the offline serde stubs).
+/// JSON array of race groups for `--races-out`, fields in a stable
+/// order.
 pub fn race_groups_json(groups: &[haccrg::prelude::RaceGroup]) -> String {
     let mut out = String::from("[\n");
     for (i, g) in groups.iter().enumerate() {

@@ -8,9 +8,8 @@
 //! the detector is completely decoupled from how the access stream is
 //! produced (cycle-level simulator, trace replay, or unit test).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bloom::BloomSig;
+use crate::json::Value;
 use crate::locktable::LockTable;
 
 /// Identity of the accessing thread in the GPU thread hierarchy.
@@ -19,7 +18,7 @@ use crate::locktable::LockTable;
 /// in different blocks always have different `warp` values, which lets the
 /// detector treat "different warp or different thread-block" (§IV-B) as a
 /// single comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ThreadCoord {
     /// Global thread ID (`blockIdx * blockDim + threadIdx`).
     pub tid: u32,
@@ -52,10 +51,26 @@ impl ThreadCoord {
             sm: block % sms.max(1),
         }
     }
+
+    /// The trace-format object `{"tid","warp","block","sm"}`.
+    pub(crate) fn to_json(self) -> Value {
+        crate::json_object!(ThreadCoord { tid, warp, block, sm } = self)
+    }
+
+    /// Inverse of [`Self::to_json`]; rejects a missing or out-of-range
+    /// field.
+    pub(crate) fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            tid: v.int_field("tid")?,
+            warp: v.int_field("warp")?,
+            block: v.int_field("block")?,
+            sm: v.int_field("sm")?,
+        })
+    }
 }
 
 /// The kind of memory operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AccessKind {
     Read,
@@ -81,7 +96,7 @@ impl AccessKind {
 
 /// Which memory space an access targets. Local memory is thread-private and
 /// can never race, so the RDUs only ever see `Shared` and `Global`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum MemSpace {
     Shared,
@@ -90,7 +105,7 @@ pub enum MemSpace {
 }
 
 /// One memory access as observed by an RDU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct MemAccess {
     /// Byte address. For the shared-memory RDU this is an offset into the
@@ -114,7 +129,6 @@ pub struct MemAccess {
     /// populated by producers that track it (simulator, replayer).
     /// Empty-while-in-critical-section means the producer did not supply
     /// exact information and only the Bloom signature can be trusted.
-    #[serde(default)]
     pub locks: LockTable<4>,
     /// True when issued between critical-section markers.
     pub in_critical_section: bool,
@@ -196,6 +210,42 @@ impl MemAccess {
     pub fn at_cycle(mut self, cycle: u64) -> Self {
         self.cycle = cycle;
         self
+    }
+
+    /// The trace-format object: every field under its own name, `kind`
+    /// as its variant name and `atomic_sig` as an integer.
+    pub(crate) fn to_json(self) -> Value {
+        crate::json_object!(MemAccess {
+            addr, size, kind: format!("{kind:?}"), who: who.to_json(), pc, sync_id, fence_id,
+            atomic_sig: atomic_sig.0, locks: locks.to_json(), in_critical_section, l1_hit,
+            l1_fill_cycle, cycle,
+        } = self)
+    }
+
+    /// Inverse of [`Self::to_json`]. `locks` may be absent (an empty
+    /// table); every other field must be present and in range.
+    pub(crate) fn from_json(v: &Value) -> Result<Self, String> {
+        let kind = match v.str_field("kind")? {
+            "Read" => AccessKind::Read,
+            "Write" => AccessKind::Write,
+            "Atomic" => AccessKind::Atomic,
+            other => return Err(format!("unknown access kind `{other}`")),
+        };
+        Ok(Self {
+            addr: v.int_field("addr")?,
+            size: v.int_field("size")?,
+            kind,
+            who: ThreadCoord::from_json(v.field("who")?)?,
+            pc: v.int_field("pc")?,
+            sync_id: v.int_field("sync_id")?,
+            fence_id: v.int_field("fence_id")?,
+            atomic_sig: BloomSig(v.int_field("atomic_sig")?),
+            locks: v.get("locks").map_or(Ok(LockTable::EMPTY), LockTable::from_json)?,
+            in_critical_section: v.bool_field("in_critical_section")?,
+            l1_hit: v.bool_field("l1_hit")?,
+            l1_fill_cycle: v.int_field("l1_fill_cycle")?,
+            cycle: v.int_field("cycle")?,
+        })
     }
 }
 

@@ -19,10 +19,8 @@
 //! 2 bins), which [`BloomConfig::expected_miss_rate`] mirrors and the
 //! `bloom_stress` harness measures.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the atomic-ID signature: total bit width and number of bins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BloomConfig {
     /// Total signature width in bits: 8, 16 or 32 (§VI-A2).
     pub bits: u8,
@@ -80,7 +78,7 @@ impl Default for BloomConfig {
 
 /// A Bloom-filter signature value. The backing store is a `u32` regardless
 /// of the configured width; bits above `config.bits` are always zero.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct BloomSig(pub u32);
 
 impl BloomSig {

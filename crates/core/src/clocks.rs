@@ -8,8 +8,6 @@
 //! the paper's optimization to keep increments rare. The fence ID advances
 //! every time a warp completes a memory-fence instruction.
 
-use serde::{Deserialize, Serialize};
-
 /// Width of sync and fence IDs in bits (§VI-A2: "we set sync and fence ID
 /// sizes to 8 bits each").
 pub const ID_BITS: u32 = 8;
@@ -21,7 +19,7 @@ pub const ID_BITS: u32 = 8;
 /// into every memory slice's *race register file*. Functionally they form
 /// one table indexed by global block/warp ID, which is what this struct
 /// models; the simulator charges the replication/transport costs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ClockFile {
     sync: Vec<u8>,
     fence: Vec<u8>,

@@ -1,13 +1,11 @@
 //! Detector configuration knobs, defaulting to the paper's evaluated
 //! setup (§V–VI).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bloom::BloomConfig;
 use crate::granularity::Granularity;
 
 /// Where the shared-memory shadow entries live (Fig. 8 experiment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SharedShadowPlacement {
     /// Dedicated SRAM next to the shared-memory banks (the default HAccRG
     /// design): checks are free, barriers pay a bulk-reset cost.
@@ -19,7 +17,7 @@ pub enum SharedShadowPlacement {
 }
 
 /// Full detector configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DetectorConfig {
     /// Enable the per-SM shared-memory RDUs.
     pub shared_enabled: bool,
@@ -43,12 +41,10 @@ pub struct DetectorConfig {
     /// of the Bloom signature wherever exact information is available.
     /// No aliasing, hence no aliasing-induced misses; accesses lacking
     /// exact lockset data fall back to the Bloom check.
-    #[serde(default)]
     pub exact_lockset: bool,
     /// Record a windowed access history in each RDU and attach bounded
     /// witness timelines to detected races (fidelity introspection; off
     /// in the paper's hardware, hence off by default).
-    #[serde(default)]
     pub witness_capture: bool,
 }
 

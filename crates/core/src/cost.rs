@@ -7,8 +7,6 @@
 //! `table4` harness and the documentation can derive every number from the
 //! configuration instead of hard-coding it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::granularity::Granularity;
 
 /// Shared-memory shadow entry width: 1-bit modified + 1-bit shared +
@@ -51,7 +49,7 @@ pub const FENCE_ID_BITS: u32 = 8;
 pub const ATOMIC_ID_BITS: u32 = 16;
 
 /// Storage budget summary for a GPU configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HardwareBudget {
     /// Shared shadow storage per SM, bytes.
     pub shared_shadow_bytes_per_sm: u64,
@@ -68,7 +66,7 @@ pub struct HardwareBudget {
 }
 
 /// Parameters the budget depends on.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 #[allow(missing_docs)]
 pub struct BudgetParams {
     #[allow(missing_docs)]
@@ -170,7 +168,7 @@ pub fn shadow_slice_cycles(port_accesses: u64, fills: u64) -> u64 {
 /// footprint of `tracked_bytes` (Table IV). Reported both as packed bits
 /// (the paper's accounting) and as the addressable stride the simulator
 /// actually allocates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShadowFootprint {
     /// Number of shadow entries.
     pub entries: u64,

@@ -6,10 +6,8 @@
 //! coarser mappings shrink shadow storage at the cost of *false* races when
 //! unrelated threads touch different bytes of the same chunk.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-of-two tracking granularity in bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Granularity(u32);
 
 impl Granularity {

@@ -17,15 +17,13 @@
 //! fires, the most recent events touching the racy chunk are attached to
 //! the race log as a bounded witness timeline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{AccessKind, ThreadCoord};
 use crate::shadow::ShadowState;
 
 /// Counters for every channel through which the detector can silently
 /// lose (or come close to losing) a race. All counters are cumulative
 /// and deterministic per access stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetectorHealth {
     /// Lock acquisitions whose Bloom insert set no new bit: a *distinct*
     /// lock became indistinguishable from the set already held (§VI-A2
@@ -107,7 +105,7 @@ pub const WITNESS_RING_DEPTH: usize = 64;
 
 /// One recorded access in a witness timeline: who touched the racy
 /// chunk, with which instruction, and how the Fig. 3 state machine moved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WitnessEvent {
     /// Issue cycle of the access (0 for untimed streams).
     pub cycle: u64,

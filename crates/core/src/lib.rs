@@ -64,6 +64,7 @@ pub mod granularity;
 pub mod health;
 pub mod hotwords;
 pub mod intra_warp;
+pub mod json;
 pub mod lockset;
 pub mod locktable;
 pub mod packed;

@@ -7,20 +7,17 @@
 //! (impossible in a plain Bloom filter) the register is simply cleared
 //! when the thread releases all locks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bloom::{BloomConfig, BloomSig};
 use crate::locktable::LockTable;
 
 /// One thread's lock-tracking register.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AtomicIdRegister {
     sig: BloomSig,
     depth: u32,
     /// Exact shadow of the held locks (§III-B's lookup-table alternative),
     /// maintained alongside the signature so exact-lockset mode and the
     /// insert-aliasing health counter both have ground truth.
-    #[serde(default)]
     locks: LockTable<4>,
 }
 

@@ -7,7 +7,7 @@
 //! thread, with exact set semantics (no aliasing, hence no missed races)
 //! but bounded capacity and much larger storage per thread.
 
-use serde::{Deserialize, Serialize};
+use crate::json::Value;
 
 /// Exact lockset held in a small content-addressable table.
 ///
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// locks (§III-B cites [22, 28]); overflow falls back to *saturated*
 /// state, which conservatively intersects as "maybe common" so the
 /// detector never gains false positives from overflow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LockTable<const CAP: usize = 4> {
     entries: [u32; CAP],
     len: u8,
@@ -121,6 +121,32 @@ impl<const CAP: usize> LockTable<CAP> {
     /// argument, quantified.
     pub fn storage_bits() -> u32 {
         (CAP as u32) * 32 + 8
+    }
+
+    /// The trace-format object `{"entries":[..CAP],"len":n,"saturated":b}`.
+    /// Slots past `len` are written too, so the table round-trips exactly.
+    pub(crate) fn to_json(self) -> Value {
+        crate::json_object!(LockTable { entries: entries.to_vec(), len, saturated } = self)
+    }
+
+    /// Inverse of [`Self::to_json`]. Rejects a missing field, an entry
+    /// outside `u32`, an entry count other than `CAP` and a `len` above
+    /// `CAP`.
+    pub(crate) fn from_json(v: &Value) -> Result<Self, String> {
+        let list = v.field("entries")?.as_array().ok_or("field `entries`: expected an array")?;
+        if list.len() != CAP {
+            return Err(format!("field `entries`: expected {CAP} entries, got {}", list.len()));
+        }
+        let mut entries = [0u32; CAP];
+        for (slot, e) in entries.iter_mut().zip(list) {
+            let entry = e.as_u64().and_then(|n| u32::try_from(n).ok());
+            *slot = entry.ok_or("field `entries`: expected u32 entries")?;
+        }
+        let len: u8 = v.int_field("len")?;
+        if usize::from(len) > CAP {
+            return Err(format!("field `len`: {len} exceeds the table depth {CAP}"));
+        }
+        Ok(Self { entries, len, saturated: v.bool_field("saturated")? })
     }
 }
 

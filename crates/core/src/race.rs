@@ -5,13 +5,12 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{MemSpace, ThreadCoord};
 use crate::health::WitnessEvent;
+use crate::json::Value;
 
 /// Hazard kind, named as in Fig. 3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RaceKind {
     /// Read-after-write.
     Raw,
@@ -33,7 +32,7 @@ impl fmt::Display for RaceKind {
 
 /// Which of HAccRG's detection mechanisms flagged the race. These map to
 /// the four categories of §VI-A's effectiveness evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RaceCategory {
     /// Happens-before violation between two barrier synchronizations
     /// (§III-A): concurrent epochs touched the same location.
@@ -65,7 +64,7 @@ impl fmt::Display for RaceCategory {
 }
 
 /// One detected data race.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct RaceRecord {
     pub kind: RaceKind,
@@ -89,6 +88,16 @@ pub struct RaceRecord {
 }
 
 impl RaceRecord {
+    /// JSON object of every field: the enums as their variant names, the
+    /// two threads as `{"tid","warp","block","sm"}` objects.
+    pub fn to_json(&self) -> Value {
+        crate::json_object!(RaceRecord {
+            kind: format!("{kind:?}"), category: format!("{category:?}"),
+            space: format!("{space:?}"), addr, pc, prev_pc, cycle, prev: prev.to_json(),
+            cur: cur.to_json(),
+        } = *self)
+    }
+
     /// Multi-line human-readable provenance report: what raced, where,
     /// when (cycle), and the SM / warp / PC of both conflicting accesses.
     pub fn provenance(&self) -> String {
@@ -146,21 +155,18 @@ impl fmt::Display for RaceRecord {
 /// dynamic occurrence; for reporting, the paper counts *distinct* races.
 /// The log stores every record (bounded by `capacity`) and tracks distinct
 /// races keyed by `(space, addr, kind, category, pc)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RaceLog {
     records: Vec<RaceRecord>,
     /// Witness timeline per retained record (empty unless witness
     /// capture was enabled at detection time); kept index-aligned with
     /// `records`.
-    #[serde(default)]
     witnesses: Vec<Vec<WitnessEvent>>,
-    #[serde(skip)]
     seen: HashSet<(MemSpace, u32, RaceKind, RaceCategory, u32)>,
     distinct: usize,
     total: u64,
     /// New distinct races whose records could not be retained because
     /// the log was at capacity. Silent before; now counted and surfaced.
-    #[serde(default)]
     dropped: u64,
     capacity: usize,
 }
@@ -298,7 +304,7 @@ impl RaceLog {
 /// space) — folded into one row with its address range and first/last
 /// provenance. This is the unit a developer debugs: one buggy instruction
 /// pair produces one group, no matter how many addresses it raced on.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RaceGroup {
     /// Hazard kind shared by the group.
     pub kind: RaceKind,
@@ -657,21 +663,6 @@ mod tests {
         assert!(s.contains("3 records"), "{s}");
         assert!(s.contains("3 addresses"), "{s}");
         assert!(s.contains("0x6 -> 0x9"), "{s}");
-    }
-
-    #[test]
-    fn groups_serialize_round_trip() {
-        // The offline stub crates can't round-trip; this test is
-        // meaningful only against real serde_json (CI).
-        if serde_json::from_str::<u32>("1").is_err() {
-            return;
-        }
-        let mut log = RaceLog::default();
-        log.push(rec(4, 1, RaceKind::Raw));
-        let groups = log.groups();
-        let json = serde_json::to_string(&groups).unwrap();
-        let back: Vec<RaceGroup> = serde_json::from_str(&json).unwrap();
-        assert_eq!(groups, back);
     }
 
     #[test]

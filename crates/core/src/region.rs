@@ -17,8 +17,6 @@
 //! witness events, so an attached tracer or witness ring observes the
 //! same code path an unobserved run executes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{MemAccess, MemSpace};
 use crate::clocks::ClockFile;
 use crate::config::DetectorConfig;
@@ -41,7 +39,7 @@ pub type TransitionSink<'a> = &'a mut dyn FnMut(u32, ShadowState, ShadowState);
 /// Shadow-memory accesses generated by one detection check, for the timing
 /// model to replay. Each entry check is a read-modify-write of the packed
 /// shadow word at `shadow_addr`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShadowTraffic {
     /// Device address of the first shadow word touched.
     pub shadow_addr: u32,
@@ -52,7 +50,7 @@ pub struct ShadowTraffic {
 }
 
 /// Counters the evaluation harness reads off an RDU.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RduStats {
     /// Accesses checked against shadow entries.
     pub checks: u64,

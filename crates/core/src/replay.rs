@@ -8,18 +8,18 @@
 //! real GPU profiler, and it is also the substrate for the repository's
 //! ablation studies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{MemAccess, MemSpace};
 use crate::clocks::ClockFile;
 use crate::config::DetectorConfig;
 use crate::global_rdu::{Global, GlobalRdu};
 use crate::health::DetectorHealth;
+use crate::json::Value;
+use crate::json_object;
 use crate::race::RaceLog;
 use crate::shared_rdu::{Shared, SharedRdu};
 
 /// One trace event, in program order.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A memory access. `space` selects the RDU; shared accesses carry
     /// SM-local shared addresses.
@@ -49,7 +49,7 @@ pub enum TraceEvent {
 }
 
 /// Geometry the replayer needs up front.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceGeometry {
     /// SMs with shared-memory RDUs.
     pub num_sms: u32,
@@ -65,6 +65,73 @@ pub struct TraceGeometry {
     pub global_base: u32,
     /// Tracked global region length.
     pub global_len: u32,
+}
+
+impl TraceEvent {
+    /// The trace-file line for this event, externally tagged by variant:
+    /// `{"Fence":{"warp":0}}` (the format of the `haccrg-trace` crate).
+    pub fn to_json(&self) -> Value {
+        match *self {
+            TraceEvent::Access { space, access } => json_object!(
+                Access: json_object!(space: format!("{space:?}"), access: access.to_json())
+            ),
+            TraceEvent::Barrier { block, sm, shared_lo, shared_hi } => {
+                json_object!(Barrier: json_object!(block, sm, shared_lo, shared_hi))
+            }
+            TraceEvent::Fence { warp } => json_object!(Fence: json_object!(warp)),
+        }
+    }
+
+    /// Inverse of [`Self::to_json`]. Rejects an unknown variant, a missing
+    /// field and any number out of range for its field.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let Some([(tag, body)]) = v.as_object() else {
+            return Err("expected an object with one variant tag".into());
+        };
+        match tag.as_str() {
+            "Access" => {
+                let space = match body.str_field("space")? {
+                    "Shared" => MemSpace::Shared,
+                    "Global" => MemSpace::Global,
+                    "Local" => MemSpace::Local,
+                    other => return Err(format!("unknown memory space `{other}`")),
+                };
+                let access = MemAccess::from_json(body.field("access")?)?;
+                Ok(TraceEvent::Access { space, access })
+            }
+            "Barrier" => Ok(TraceEvent::Barrier {
+                block: body.int_field("block")?,
+                sm: body.int_field("sm")?,
+                shared_lo: body.int_field("shared_lo")?,
+                shared_hi: body.int_field("shared_hi")?,
+            }),
+            "Fence" => Ok(TraceEvent::Fence { warp: body.int_field("warp")? }),
+            other => Err(format!("unknown event `{other}`")),
+        }
+    }
+}
+
+impl TraceGeometry {
+    /// The trace-file header line: one object of the seven fields.
+    pub fn to_json(&self) -> Value {
+        json_object!(TraceGeometry {
+            num_sms, shared_bytes_per_sm, shared_banks, blocks, warps, global_base, global_len,
+        } = *self)
+    }
+
+    /// Inverse of [`Self::to_json`]; rejects a missing or out-of-range
+    /// field.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            num_sms: v.int_field("num_sms")?,
+            shared_bytes_per_sm: v.int_field("shared_bytes_per_sm")?,
+            shared_banks: v.int_field("shared_banks")?,
+            blocks: v.int_field("blocks")?,
+            warps: v.int_field("warps")?,
+            global_base: v.int_field("global_base")?,
+            global_len: v.int_field("global_len")?,
+        })
+    }
 }
 
 /// Replays traces through the detector.
@@ -272,8 +339,37 @@ mod tests {
     #[test]
     fn trace_events_serialize() {
         let e = acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
+        let json = e.to_json().to_string();
+        let back = TraceEvent::from_json(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn every_field_round_trips_through_the_trace_format() {
+        use crate::bloom::BloomSig;
+        use crate::json::parse;
+        use crate::locktable::LockTable;
+        let mut locks = LockTable::new();
+        for lock in [0x40, 0x80, 0xc0] {
+            locks.insert(lock);
+        }
+        locks.remove(0x40); // leaves a stale slot past `len`
+        let access = MemAccess::plain(u32::MAX, 8, AccessKind::Atomic, ThreadCoord::new(1, 2, 3, 4))
+            .at_pc(7)
+            .with_clocks(255, 9)
+            .locked(BloomSig(u32::MAX))
+            .with_locks(locks)
+            .l1_filled_at(u64::MAX)
+            .at_cycle(12);
+        for e in [
+            TraceEvent::Access { space: MemSpace::Local, access },
+            TraceEvent::Barrier { block: 1, sm: 2, shared_lo: 3, shared_hi: u32::MAX },
+            TraceEvent::Fence { warp: 5 },
+        ] {
+            assert_eq!(TraceEvent::from_json(&parse(&e.to_json().to_string()).unwrap()), Ok(e));
+        }
+        let header = geo().to_json();
+        let back = TraceGeometry::from_json(&parse(&header.to_string()).unwrap()).unwrap();
+        assert_eq!(back.to_json(), header);
     }
 }

@@ -10,8 +10,6 @@
 //! except through an explicit reset (barrier for shared memory, sync-ID
 //! mismatch for global memory, kernel launch for both).
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{MemAccess, MemSpace};
 use crate::bloom::{BloomConfig, BloomSig};
 use crate::clocks::ClockFile;
@@ -80,7 +78,7 @@ impl ShadowPolicy {
 /// 10-bit `tid`, 3-bit `bid`, 5-bit `sid`, 8-bit `sync_id`, 8-bit
 /// `fence_id`, 16-bit `atomic_sig`. We store them unpacked; the cost model
 /// (`cost.rs`) accounts for the packed widths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShadowEntry {
     /// Written in the current epoch. `modified && shared` encodes "fresh".
     pub modified: bool,
@@ -102,13 +100,11 @@ pub struct ShadowEntry {
     /// all-zero means "unprotected so far".
     pub atomic_sig: BloomSig,
     /// Exact counterpart of `atomic_sig` (lookup-table lockset).
-    #[serde(default)]
     pub locks: LockTable<4>,
     /// Whether `locks` is authoritative. `false` means the epoch opener
     /// carried no exact lockset (Bloom only); `true` with an *empty*
     /// table means successive protected accesses refined the exact
     /// lockset to nothing — known-disjoint, unlike merely unknown.
-    #[serde(default)]
     pub locks_known: bool,
     /// Whether the epoch-opening access was inside a critical section.
     pub protected: bool,
@@ -122,7 +118,7 @@ pub struct ShadowEntry {
 
 /// The four states of the Fig. 3 shadow state machine, decoded from the
 /// `(modified, shared)` bit pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShadowState {
     /// `M=1, S=1`: the reset state — no access in the current epoch.
     Fresh,

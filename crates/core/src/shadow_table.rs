@@ -37,8 +37,8 @@ pub const PAGE_ENTRIES: usize = 128;
 
 /// One materialized shadow page.
 ///
-/// Besides the AoS `entries` (always authoritative — serde, witness
-/// capture and the cold path read it directly), each page carries the
+/// Besides the AoS `entries` (always authoritative — witness capture
+/// and the cold path read it directly), each page carries the
 /// SoA *hot words* of [`crate::hotwords`]: three parallel `u64` arrays
 /// holding the packed fast-path bail predicate (`hot0`/`hot1`) and the
 /// store-elision fields (`hot2`) per entry. The batch pipeline screens a

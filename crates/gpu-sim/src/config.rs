@@ -4,10 +4,8 @@
 //! configured as, with Fermi-style non-coherent L1 data caches and a
 //! banked, coherent unified L2 (§V).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing-model cache parameters (tag-store only; data is functional).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct CacheConfig {
     pub size_bytes: u32,
@@ -33,7 +31,7 @@ impl CacheConfig {
 
 /// GDDR3 DRAM timing, in core cycles (§V: "GPGPU-Sim simulates timing for
 /// ... the memory controllers, and the GDDR3 memory").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct DramConfig {
     pub banks: u32,
@@ -55,7 +53,7 @@ pub struct DramConfig {
 
 /// Interconnection-network parameters (Table I's flit/VC entries,
 /// collapsed into a latency + per-port bandwidth model).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IcntConfig {
     /// One-way traversal latency in cycles.
     pub latency: u32,
@@ -64,7 +62,7 @@ pub struct IcntConfig {
 }
 
 /// Warp scheduling policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Table I's policy: rotate fairly through ready warps.
     RoundRobin,
@@ -75,7 +73,7 @@ pub enum SchedPolicy {
 }
 
 /// Full GPU configuration (Table I).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct GpuConfig {
     /// Streaming multiprocessors (Table I: 30, in 10 clusters).
@@ -115,11 +113,9 @@ pub struct GpuConfig {
     /// Retired: the SM worker pool it selected is gone (see DESIGN.md,
     /// "Two-phase cycle"). Must be `false`; [`Self::validate`] rejects
     /// anything else.
-    #[serde(default)]
     pub parallel_sms: bool,
     /// Retired with `parallel_sms`. Must be `0`; [`Self::validate`]
     /// rejects anything else.
-    #[serde(default)]
     pub sm_workers: u32,
     /// Event-driven fast forwarding: gate quiescent components out of
     /// active cycles and jump the global clock over windows where no
@@ -128,15 +124,7 @@ pub struct GpuConfig {
     /// stats, race logs and trace streams never depend on this flag —
     /// so it exists purely as an escape hatch for bisecting the
     /// fast-forward machinery against the dense loop.
-    #[serde(default = "default_cycle_skip")]
     pub cycle_skip: bool,
-}
-
-// Referenced from the `Deserialize` expansion only (the offline stub
-// derive expands to nothing, so rustc can't see the use).
-#[allow(dead_code)]
-fn default_cycle_skip() -> bool {
-    true
 }
 
 impl GpuConfig {
@@ -281,7 +269,6 @@ mod tests {
         assert!(GpuConfig::quadro_fx5800().cycle_skip);
         assert!(GpuConfig::test_small().cycle_skip);
         assert!(GpuConfig::default().cycle_skip);
-        assert!(default_cycle_skip());
     }
 
     #[test]

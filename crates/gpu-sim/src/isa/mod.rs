@@ -11,15 +11,13 @@
 pub mod builder;
 pub mod disasm;
 
-use serde::{Deserialize, Serialize};
-
 /// A per-thread 32-bit register.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Reg(pub u16);
 
 /// An ALU operand: register or 32-bit immediate (floats are passed as
 /// their IEEE-754 bit patterns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Src {
     /// A register operand.
     Reg(Reg),
@@ -52,7 +50,7 @@ impl From<f32> for Src {
 }
 
 /// Integer/float binary ALU operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum BinOp {
     Add,
@@ -79,7 +77,7 @@ pub enum BinOp {
 }
 
 /// Unary ALU operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum UnOp {
     Mov,
@@ -98,7 +96,7 @@ pub enum UnOp {
 }
 
 /// Comparison predicates for `SetP`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum CmpOp {
     Eq,
@@ -119,7 +117,7 @@ pub enum CmpOp {
 
 /// Hardware atomic read-modify-write operations (§II-A: "GPUs also
 /// support atomic operations in hardware").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum AtomOp {
     Add,
@@ -135,7 +133,7 @@ pub enum AtomOp {
 }
 
 /// Special registers readable by `Sreg`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecialReg {
     /// Thread index within the block (`threadIdx.x`).
     Tid,
@@ -152,7 +150,7 @@ pub enum SpecialReg {
 }
 
 /// Memory spaces addressable by loads/stores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Space {
     /// Per-SM on-chip shared memory; addresses are offsets into the
     /// block's shared allocation.
@@ -162,7 +160,7 @@ pub enum Space {
 }
 
 /// One instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[allow(missing_docs)]
 pub enum Op {
     /// `d = a <op> b`
@@ -240,7 +238,7 @@ impl Op {
 }
 
 /// An instruction plus a source tag for race reports ("line number").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[allow(missing_docs)]
 pub struct Instr {
     pub op: Op,
@@ -250,7 +248,7 @@ pub struct Instr {
 }
 
 /// A compiled kernel.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 #[allow(missing_docs)]
 pub struct Kernel {
     pub name: String,

@@ -17,8 +17,6 @@
 //! through both mechanisms and reports the capacity effect the paper
 //! predicts.
 
-use serde::{Deserialize, Serialize};
-
 /// Page size for translation (4 KB, as in the Sandy Bridge / Fusion
 /// systems the paper cites).
 pub const PAGE_SHIFT: u32 = 12;
@@ -96,7 +94,7 @@ impl Tlb {
 }
 
 /// Which §IV-B dual-translation mechanism to model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TlbMechanism {
     /// One TLB; shadow translations carry an appended tag bit and share
     /// capacity with regular translations.
@@ -109,7 +107,7 @@ pub enum TlbMechanism {
 }
 
 /// Result of replaying an address stream through a mechanism.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 #[allow(missing_docs)] // counter names are self-describing
 pub struct TlbAblation {
     pub data_hits: u64,

@@ -26,8 +26,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use serde::Serialize;
-
 /// A named profiling phase. The hierarchy is implicit: each [`scope`]
 /// records the phase that was live on its thread when it opened, so the
 /// same table serves launches on any number of threads.
@@ -249,7 +247,7 @@ pub fn count(c: Counter, n: u64) {
 }
 
 /// One aggregated phase in a [`ProfReport`].
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PhaseRow {
     /// Phase name.
     pub phase: &'static str,
@@ -265,7 +263,7 @@ pub struct PhaseRow {
 }
 
 /// One counter in a [`ProfReport`].
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CounterRow {
     /// Counter name.
     pub counter: &'static str,
@@ -274,7 +272,7 @@ pub struct CounterRow {
 }
 
 /// A snapshot of the accumulated profile.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ProfReport {
     /// Phases with at least one recorded call.
     pub phases: Vec<PhaseRow>,
@@ -298,10 +296,8 @@ impl ProfReport {
         }
     }
 
-    /// Serialize as pretty-printed JSON. Hand-rolled rather than via
-    /// `serde_json` so the output is real even under the offline stub
-    /// crates; every value is a bare identifier or integer, so no
-    /// escaping is needed.
+    /// Render as pretty-printed JSON, written by hand: every value is
+    /// a bare identifier or integer, so no escaping is needed.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut o = String::from("{\n  \"phases\": [");

@@ -10,15 +10,13 @@
 //! inside a retry loop) make forward progress, because the winning lanes
 //! run and release the lock before the losers retry.
 
-use serde::{Deserialize, Serialize};
-
 /// A 32-lane activity mask.
 pub type Mask = u32;
 
 /// Reconvergence PC of the bottom entry (never popped by reconvergence).
 pub const NO_RECONV: u32 = u32::MAX;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     pc: u32,
     rpc: u32,
@@ -26,7 +24,7 @@ struct Entry {
 }
 
 /// Per-warp SIMT stack.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimtStack {
     entries: Vec<Entry>,
 }

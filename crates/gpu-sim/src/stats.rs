@@ -4,10 +4,9 @@
 //! traffic counters.
 
 use haccrg::prelude::DetectorHealth;
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one cache level.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // counter names are self-describing
 pub struct CacheStats {
     pub accesses: u64,
@@ -51,7 +50,7 @@ impl CacheStats {
 }
 
 /// DRAM counters per memory slice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // counter names are self-describing
 pub struct DramStats {
     pub reads: u64,
@@ -96,7 +95,7 @@ impl DramStats {
 /// these counters. `sm_idle_cycles` *is* mode-independent — an SM is
 /// counted idle whenever `now` is before its wake hint, whether the
 /// cycle was gated, jumped, or densely polled.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SkipStats {
     /// Cycles the global clock jumped over without polling any component.
     pub cycles_skipped: u64,
@@ -127,7 +126,7 @@ impl SkipStats {
 }
 
 /// Full launch statistics.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct SimStats {
     /// Total kernel cycles (launch to last block retiring).
@@ -174,14 +173,12 @@ pub struct SimStats {
     pub mem_faults: u64,
     /// Detector checks/resets skipped because a launch was misconfigured
     /// (e.g. no shared RDU installed); always 0 on a healthy run.
-    #[serde(default)]
     pub detector_skipped_checks: u64,
     /// Detector-fidelity health counters: every channel through which the
     /// detector can silently lose a race (Bloom aliasing, packed-ID
     /// truncation, race-log saturation) plus occupancy/outcome gauges.
     /// Deterministic per access stream, hence part of the bit-identity
     /// contract across dense and skipping runs.
-    #[serde(default)]
     pub health: DetectorHealth,
 }
 

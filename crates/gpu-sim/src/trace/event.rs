@@ -8,14 +8,15 @@
 //!
 //! [`Tracer`]: crate::trace::Tracer
 
+use haccrg::json::Value;
+use haccrg::json_object;
 use haccrg::prelude::{MemSpace, RaceRecord};
 use haccrg::shadow::ShadowState;
-use serde::Serialize;
 
 use crate::mem::ReqKind;
 
 /// Why a warp left the runnable state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StallReason {
     /// Waiting for outstanding load/atomic responses.
     Memory,
@@ -27,7 +28,7 @@ pub enum StallReason {
 }
 
 /// A [`ReqKind`] stripped to a copyable, serializable tag for events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReqTag {
     /// Global load transaction.
     Load,
@@ -35,13 +36,6 @@ pub enum ReqTag {
     Store,
     /// Atomic read-modify-write executed at the slice.
     Atomic,
-    /// Detection-only probe for an L1 read hit (§IV-B). Retained for
-    /// trace-schema stability: passive detection no longer sends probe
-    /// requests, so current traces never emit this tag.
-    ShadowProbe,
-    /// Fig. 8 mode shared-shadow line fill. Retained for trace-schema
-    /// stability; never emitted by passive detection.
-    SharedShadowFill,
 }
 
 impl From<&ReqKind> for ReqTag {
@@ -56,11 +50,10 @@ impl From<&ReqKind> for ReqTag {
 
 /// One structured simulator event.
 ///
-/// Serialized with an internal `"type"` tag, so a JSON stream of events
-/// is self-describing:
+/// [`SimEvent::to_json`] writes it with an internal `"type"` tag, so a
+/// JSON stream of events is self-describing:
 /// `{"type":"WarpIssue","sm":0,"gwarp":3,"pc":7}`.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-#[serde(tag = "type")]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SimEvent {
     /// A kernel launch began (cycle 0 of the launch).
     KernelLaunch {
@@ -235,6 +228,55 @@ impl SimEvent {
         }
     }
 
+    /// The event as a JSON object: `"type"` (the variant name) first,
+    /// then the variant's fields.
+    pub fn to_json(&self) -> Value {
+        let mut v = self.args();
+        if let Value::Object(members) = &mut v {
+            members.insert(0, ("type".into(), self.name().into()));
+        }
+        v
+    }
+
+    /// The variant's fields as a JSON object (the Perfetto `args`):
+    /// enums as their variant names, a race as [`RaceRecord::to_json`].
+    pub(crate) fn args(&self) -> Value {
+        match *self {
+            SimEvent::KernelLaunch { launch, grid, block_dim } => {
+                json_object!(launch, grid, block_dim)
+            }
+            SimEvent::KernelEnd { launch } => json_object!(launch),
+            SimEvent::WarpIssue { sm, gwarp, pc } => json_object!(sm, gwarp, pc),
+            SimEvent::WarpStall { sm, gwarp, reason } => {
+                json_object!(sm, gwarp, reason: format!("{reason:?}"))
+            }
+            SimEvent::BarrierArrive { sm, block, gwarp } => json_object!(sm, block, gwarp),
+            SimEvent::BarrierRelease { sm, block, stall_cycles } => {
+                json_object!(sm, block, stall_cycles)
+            }
+            SimEvent::FenceComplete { sm, gwarp } => json_object!(sm, gwarp),
+            SimEvent::MemCoalesce { sm, gwarp, pc, lanes, transactions } => {
+                json_object!(sm, gwarp, pc, lanes, transactions)
+            }
+            SimEvent::L1Access { sm, line, hit, write } => json_object!(sm, line, hit, write),
+            SimEvent::ReqDepart { sm, id, line, kind }
+            | SimEvent::RespArrive { sm, id, line, kind } => {
+                json_object!(sm, id, line, kind: format!("{kind:?}"))
+            }
+            SimEvent::L2Access { slice, line, hit, shadow } => {
+                json_object!(slice, line, hit, shadow)
+            }
+            SimEvent::DramAccess { slice, line, write, row_hit } => {
+                json_object!(slice, line, write, row_hit)
+            }
+            SimEvent::ShadowTransition { space, sm, chunk_addr, from, to } => json_object!(
+                space: format!("{space:?}"), sm, chunk_addr, from: format!("{from:?}"),
+                to: format!("{to:?}")
+            ),
+            SimEvent::RaceDetected { record } => json_object!(record: record.to_json()),
+        }
+    }
+
     /// The variant name, as used for the Perfetto event `name` field.
     pub fn name(&self) -> &'static str {
         match self {
@@ -274,7 +316,7 @@ mod tests {
     #[test]
     fn events_serialize_with_type_tag() {
         let ev = SimEvent::WarpIssue { sm: 2, gwarp: 5, pc: 9 };
-        let v = serde_json::to_value(&ev).unwrap();
+        let v = ev.to_json();
         assert_eq!(v["type"], "WarpIssue");
         assert_eq!(v["sm"], 2);
         assert_eq!(v["gwarp"], 5);

@@ -1,6 +1,6 @@
 //! Cycle-sampled metrics: periodic delta snapshots of the launch's
-//! statistics, per SM and per memory slice, serialized as a JSON time
-//! series.
+//! statistics, per SM and per memory slice, written as a JSON time
+//! series by [`metrics_json`].
 //!
 //! Every sample covers the half-open cycle interval
 //! `(start_cycle, end_cycle]` and holds the counter *deltas* accumulated
@@ -8,12 +8,14 @@
 //! reproduces the launch's final aggregate exactly (the sampler always
 //! flushes a final partial interval).
 
-use serde::Serialize;
+use haccrg::json::Value;
+use haccrg::json_object;
+use haccrg::prelude::DetectorHealth;
 
 use crate::stats::{CacheStats, DramStats, SimStats};
 
 /// One sampling interval of a launch.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSample {
     /// Launch sequence number the interval belongs to.
     pub launch: u32,
@@ -43,9 +45,12 @@ pub struct MetricsSample {
     pub per_sm_idle_cycles: Vec<u64>,
 }
 
-/// Serialize a time series of samples as pretty-printed JSON.
+/// A time series of samples as a JSON array, one sample per line; each
+/// sample's `delta` carries every [`SimStats`] counter under its field
+/// name.
 pub fn metrics_json(samples: &[MetricsSample]) -> String {
-    serde_json::to_string_pretty(samples).expect("samples serialize")
+    let rows: Vec<String> = samples.iter().map(|s| sample_json(s).to_string()).collect();
+    format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
 /// Delta bookkeeping for one launch: remembers the previous aggregate
@@ -139,6 +144,40 @@ impl LaunchSampler {
     }
 }
 
+fn sample_json(s: &MetricsSample) -> Value {
+    let caches = |v: &[CacheStats]| v.iter().map(cache_json).collect::<Vec<_>>();
+    json_object!(MetricsSample {
+        launch: *launch, start_cycle: *start_cycle, end_cycle: *end_cycle, delta: stats_json(delta),
+        per_sm_l1: caches(per_sm_l1), per_slice_l2: caches(per_slice_l2),
+        per_slice_dram: per_slice_dram.iter().map(dram_json).collect::<Vec<_>>(),
+        icnt_in_flight: *icnt_in_flight, cycles_skipped: *cycles_skipped, skip_jumps: *skip_jumps,
+        per_sm_idle_cycles: per_sm_idle_cycles.clone(),
+    } = s)
+}
+
+fn cache_json(c: &CacheStats) -> Value {
+    json_object!(CacheStats { accesses, hits, misses, evictions, dirty_writebacks } = *c)
+}
+
+fn dram_json(d: &DramStats) -> Value {
+    json_object!(DramStats { reads, writes, row_hits, row_misses, activates, bus_busy_cycles } = *d)
+}
+
+fn stats_json(s: &SimStats) -> Value {
+    json_object!(SimStats {
+        cycles, warp_instructions, thread_instructions, shared_insts, global_insts, shared_loads,
+        shared_stores, global_loads, global_stores, atomics, barriers, fences, bank_conflict_cycles,
+        global_transactions, l1: cache_json(&l1), l2: cache_json(&l2), dram: dram_json(&dram),
+        icnt_flits, shadow_l2_accesses, probe_packets, shared_shadow_l1_accesses,
+        shadow_reset_stall_cycles, l1_mshr_full_stalls, mem_faults, detector_skipped_checks,
+        health: json_object!(DetectorHealth {
+            bloom_insert_aliased, bloom_null_intersections, bloom_nonnull_intersections,
+            bloom_suppressed_conflicts, id_truncation_collisions, shadow_fresh_on_mismatch,
+            shadow_pages_allocated, log_dropped,
+        } = health),
+    } = *s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +241,7 @@ mod tests {
         let mut s = LaunchSampler::new(1, 2, 1, 1);
         let smp = s.snap(5, &agg(5, 3), &[CacheStats::default()], &[CacheStats::default()], &[DramStats::default()], 0, (0, 0), &[0; 1]);
         let text = metrics_json(&[smp]);
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let v = haccrg::json::parse(&text).unwrap();
         assert_eq!(v[0]["launch"], 2);
         assert_eq!(v[0]["end_cycle"], 5);
         assert_eq!(v[0]["delta"]["warp_instructions"], 3);

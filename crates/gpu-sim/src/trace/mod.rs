@@ -128,11 +128,6 @@ impl Tracer {
         &self.samples
     }
 
-    /// Take ownership of the collected samples, leaving none.
-    pub fn take_samples(&mut self) -> Vec<MetricsSample> {
-        std::mem::take(&mut self.samples)
-    }
-
     pub(crate) fn push_sample(&mut self, s: MetricsSample) {
         self.samples.push(s);
     }

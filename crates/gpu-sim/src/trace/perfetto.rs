@@ -9,124 +9,93 @@
 
 use std::io::{self, Write};
 
-use serde_json::{json, Map, Value};
+use haccrg::json::Value;
+use haccrg::json_object;
 
 use crate::trace::event::SimEvent;
 use crate::trace::MetricsSample;
 
-/// Build the Chrome `trace-event` JSON document for a recorded event
-/// stream. `dropped` (from [`RingRecorder::dropped`]) is recorded under
-/// `otherData` so truncated traces are never mistaken for complete ones.
+/// Write the Chrome `trace-event` JSON document for a recorded event
+/// stream into `w`. `dropped` (from [`RingRecorder::dropped`]) is
+/// recorded under `otherData` so truncated traces are never mistaken for
+/// complete ones.
 ///
 /// [`RingRecorder::dropped`]: crate::trace::RingRecorder::dropped
-pub fn chrome_trace(events: &[(u64, SimEvent)], dropped: u64) -> Value {
-    document(instant_events(events), dropped)
+pub fn write_chrome_trace<W: Write>(
+    w: W,
+    events: &[(u64, SimEvent)],
+    dropped: u64,
+) -> io::Result<()> {
+    write_document(w, instant_events(events), dropped)
 }
 
-/// The instant-event (`ph: "i"`) rows for a recorded event stream.
-fn instant_events(events: &[(u64, SimEvent)]) -> Vec<Value> {
-    let mut trace_events = Vec::with_capacity(events.len());
-    for (cycle, ev) in events {
-        let (pid, tid) = ev.track();
-        let args = match serde_json::to_value(ev).expect("event serializes") {
-            Value::Object(mut m) => {
-                m.remove("type");
-                Value::Object(m)
-            }
-            _ => Value::Object(Map::new()),
-        };
-        trace_events.push(json!({
-            "name": ev.name(),
-            "ph": "i",
-            "s": "t",
-            "ts": cycle,
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        }));
-    }
-    trace_events
-}
-
-/// Wrap finished `traceEvents` rows in the document envelope.
-fn document(trace_events: Vec<Value>, dropped: u64) -> Value {
-    json!({
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "generator": "gpu-sim tracer",
-            "clock": "gpu-cycles (1 cycle = 1 us timestamp)",
-            "dropped_events": dropped,
-        },
-    })
-}
-
-/// Build the trace document with counter tracks (`ph: "C"`) folded in
+/// Write the trace document with counter tracks (`ph: "C"`) folded in
 /// from a cycle-sampled metrics series: instructions and fast-forward
 /// activity per interval plus the interconnect-occupancy gauge, stamped
 /// at each interval's end cycle on the kernel-scope track (pid 0).
 /// Perfetto renders each as a step chart under the event timeline.
-pub fn chrome_trace_with_counters(
-    events: &[(u64, SimEvent)],
-    dropped: u64,
-    samples: &[MetricsSample],
-) -> Value {
-    let mut tes = instant_events(events);
-    for s in samples {
-        let idle: u64 = s.per_sm_idle_cycles.iter().sum();
-        let h = &s.delta.health;
-        let counters = [
-            ("warp_instructions", s.delta.warp_instructions),
-            ("cycles_skipped", s.cycles_skipped),
-            ("skip_jumps", s.skip_jumps),
-            ("sm_idle_cycles", idle),
-            ("icnt_in_flight", s.icnt_in_flight),
-            // Detector-fidelity health: loss channels and check outcomes
-            // per interval, so saturation or aliasing bursts line up with
-            // the instant-event timeline above them.
-            ("det_bloom_insert_aliased", h.bloom_insert_aliased),
-            ("det_bloom_suppressed_conflicts", h.bloom_suppressed_conflicts),
-            ("det_bloom_null_intersections", h.bloom_null_intersections),
-            ("det_id_truncation_collisions", h.id_truncation_collisions),
-            ("det_shadow_pages_allocated", h.shadow_pages_allocated),
-            ("det_log_dropped", h.log_dropped),
-        ];
-        for (name, value) in counters {
-            let mut args = Map::new();
-            args.insert(name.to_string(), json!(value));
-            tes.push(json!({
-                "name": name,
-                "ph": "C",
-                "ts": s.end_cycle,
-                "pid": 0,
-                "tid": 0,
-                "args": Value::Object(args),
-            }));
-        }
-    }
-    document(tes, dropped)
-}
-
-/// Serialize the Chrome trace for an event stream into `w`.
-pub fn write_chrome_trace<W: Write>(
-    mut w: W,
-    events: &[(u64, SimEvent)],
-    dropped: u64,
-) -> io::Result<()> {
-    let doc = chrome_trace(events, dropped);
-    serde_json::to_writer(&mut w, &doc)?;
-    w.flush()
-}
-
-/// Serialize the Chrome trace with metric counter tracks into `w`.
 pub fn write_chrome_trace_with_counters<W: Write>(
-    mut w: W,
+    w: W,
     events: &[(u64, SimEvent)],
     dropped: u64,
     samples: &[MetricsSample],
 ) -> io::Result<()> {
-    let doc = chrome_trace_with_counters(events, dropped, samples);
-    serde_json::to_writer(&mut w, &doc)?;
+    let rows = instant_events(events).chain(samples.iter().flat_map(counter_events));
+    write_document(w, rows, dropped)
+}
+
+/// The instant-event (`ph: "i"`) rows for a recorded event stream.
+fn instant_events(events: &[(u64, SimEvent)]) -> impl Iterator<Item = Value> + '_ {
+    events.iter().map(|(cycle, ev)| {
+        let (pid, tid) = ev.track();
+        json_object!(name: ev.name(), ph: "i", s: "t", ts: *cycle, pid, tid, args: ev.args())
+    })
+}
+
+/// The counter rows for one metrics sample.
+fn counter_events(s: &MetricsSample) -> impl Iterator<Item = Value> {
+    let idle: u64 = s.per_sm_idle_cycles.iter().sum();
+    let h = &s.delta.health;
+    let counters = [
+        ("warp_instructions", s.delta.warp_instructions),
+        ("cycles_skipped", s.cycles_skipped),
+        ("skip_jumps", s.skip_jumps),
+        ("sm_idle_cycles", idle),
+        ("icnt_in_flight", s.icnt_in_flight),
+        // Detector-fidelity health: loss channels and check outcomes
+        // per interval, so saturation or aliasing bursts line up with
+        // the instant-event timeline above them.
+        ("det_bloom_insert_aliased", h.bloom_insert_aliased),
+        ("det_bloom_suppressed_conflicts", h.bloom_suppressed_conflicts),
+        ("det_bloom_null_intersections", h.bloom_null_intersections),
+        ("det_id_truncation_collisions", h.id_truncation_collisions),
+        ("det_shadow_pages_allocated", h.shadow_pages_allocated),
+        ("det_log_dropped", h.log_dropped),
+    ];
+    let ts = s.end_cycle;
+    counters.into_iter().map(move |(name, value)| {
+        let args = Value::object([(name, value.into())]);
+        json_object!(name, ph: "C", ts, pid: 0u32, tid: 0u32, args)
+    })
+}
+
+/// Write `rows` as `traceEvents` inside the document envelope, one row at
+/// a time, so a full event ring never becomes one JSON tree in memory.
+fn write_document<W: Write>(
+    mut w: W,
+    rows: impl Iterator<Item = Value>,
+    dropped: u64,
+) -> io::Result<()> {
+    w.write_all(b"{\"traceEvents\":[")?;
+    for (i, row) in rows.enumerate() {
+        write!(w, "{}{row}", if i > 0 { "," } else { "" })?;
+    }
+    let other = json_object!(
+        generator: "gpu-sim tracer",
+        clock: "gpu-cycles (1 cycle = 1 us timestamp)",
+        dropped_events: dropped,
+    );
+    write!(w, "],\"displayTimeUnit\":\"ns\",\"otherData\":{other}}}")?;
     w.flush()
 }
 
@@ -134,13 +103,20 @@ pub fn write_chrome_trace_with_counters<W: Write>(
 mod tests {
     use super::*;
 
+    /// Parse what `write` emits.
+    fn written(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Value {
+        let mut out = Vec::new();
+        write(&mut out).unwrap();
+        haccrg::json::parse(std::str::from_utf8(&out).unwrap()).unwrap()
+    }
+
     #[test]
     fn exports_instant_events_with_args() {
         let events = vec![
             (0, SimEvent::KernelLaunch { launch: 0, grid: 2, block_dim: 32 }),
             (5, SimEvent::WarpIssue { sm: 1, gwarp: 3, pc: 7 }),
         ];
-        let doc = chrome_trace(&events, 0);
+        let doc = written(|w| write_chrome_trace(w, &events, 0));
         let tes = doc["traceEvents"].as_array().unwrap();
         assert_eq!(tes.len(), 2);
         assert_eq!(tes[0]["name"], "KernelLaunch");
@@ -170,7 +146,7 @@ mod tests {
             per_sm_idle_cycles: vec![3, 4],
         };
         let samples = [mk(100, 40, 1), mk(200, 0, 0)];
-        let doc = chrome_trace_with_counters(&[], 0, &samples);
+        let doc = written(|w| write_chrome_trace_with_counters(w, &[], 0, &samples));
         let tes = doc["traceEvents"].as_array().unwrap();
         // 11 counters per sample (5 engine + 6 detector health), no
         // instant events.
@@ -192,11 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn writer_round_trips_through_serde() {
+    fn writer_round_trips_through_the_parser() {
         let events = vec![(9, SimEvent::FenceComplete { sm: 0, gwarp: 1 })];
-        let mut out = Vec::new();
-        write_chrome_trace(&mut out, &events, 4).unwrap();
-        let v: Value = serde_json::from_slice(&out).unwrap();
+        let v = written(|w| write_chrome_trace(w, &events, 4));
         assert_eq!(v["traceEvents"][0]["name"], "FenceComplete");
         assert_eq!(v["otherData"]["dropped_events"], 4);
     }

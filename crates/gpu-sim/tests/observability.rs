@@ -9,14 +9,8 @@ use gpu_sim::prelude::*;
 use gpu_sim::trace::heartbeat::{self, Heartbeat};
 use gpu_sim::trace::perfetto::{write_chrome_trace, write_chrome_trace_with_counters};
 use haccrg::config::{DetectorConfig, SharedShadowPlacement};
+use haccrg::json;
 use haccrg::prelude::RaceCategory;
-
-/// The offline build stubs `serde_json` (no real serializer), which the
-/// Perfetto exporter needs. Tests that serialize bail out there and run
-/// for real in CI.
-fn serde_is_stubbed() -> bool {
-    serde_json::to_value(0u32).is_err()
-}
 
 /// out[i] = in[i] * 3 + 1
 fn saxpyish_kernel() -> Kernel {
@@ -286,12 +280,9 @@ fn counter_trace_for(cycle_skip: bool) -> Vec<u8> {
 /// lane, counter events per `(pid, name)` series — dense and skipping.
 #[test]
 fn counter_trace_is_well_formed_with_monotonic_tracks_in_every_engine() {
-    if serde_is_stubbed() {
-        return;
-    }
     for (mode, cycle_skip) in [("dense", false), ("skip", true)] {
         let buf = counter_trace_for(cycle_skip);
-        let doc: serde_json::Value = serde_json::from_slice(&buf)
+        let doc = json::parse(std::str::from_utf8(&buf).unwrap())
             .unwrap_or_else(|e| panic!("{mode}: invalid JSON: {e}"));
         let tes = doc["traceEvents"].as_array().expect("traceEvents array");
         let mut counters = 0usize;
@@ -336,7 +327,7 @@ fn perfetto_export_is_valid_chrome_trace_json() {
     let rec = rec.borrow();
     let mut buf = Vec::new();
     write_chrome_trace(&mut buf, &rec.events(), rec.dropped()).unwrap();
-    let doc: serde_json::Value = serde_json::from_slice(&buf).expect("valid JSON");
+    let doc = json::parse(std::str::from_utf8(&buf).unwrap()).expect("valid JSON");
     let tes = doc["traceEvents"].as_array().expect("traceEvents array");
     assert_eq!(tes.len(), rec.len());
     assert!(tes.iter().any(|e| e["name"] == "KernelLaunch"));

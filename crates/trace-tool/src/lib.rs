@@ -17,7 +17,15 @@
 //!
 //! Sync/fence clock fields inside access records are ignored — the
 //! replayer stamps them from the `Barrier`/`Fence` events, so traces only
-//! need raw accesses plus synchronization markers.
+//! need raw accesses plus synchronization markers. Every field shown is
+//! required except an access's optional `locks`, the exact lockset
+//! `{"entries":[a,b,c,d],"len":n,"saturated":false}` that
+//! [`haccrg::replay::TraceEvent::to_json`] writes in full.
+//!
+//! The reader never truncates: a line with an unknown variant, a missing
+//! field, or a number a field cannot hold (negative, fractional or too
+//! wide) is skipped and counted, like a line that is not JSON at all. A
+//! malformed header is an error.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +33,7 @@
 use std::io::BufRead;
 
 use haccrg::config::DetectorConfig;
+use haccrg::json;
 use haccrg::replay::{Replayer, TraceEvent, TraceGeometry};
 
 /// Outcome of analysing one trace.
@@ -37,7 +46,9 @@ pub struct Analysis {
     pub skipped: u64,
 }
 
-/// Parse and replay a JSON-lines trace from a reader.
+/// Parse and replay a JSON-lines trace from a reader. Malformed event
+/// lines are counted in [`Analysis::skipped`]; a malformed header is an
+/// `Err`.
 pub fn analyze(
     input: impl BufRead,
     cfg: &DetectorConfig,
@@ -47,8 +58,9 @@ pub fn analyze(
         .next()
         .ok_or("empty trace: expected a TraceGeometry header line")?
         .map_err(|e| format!("read error: {e}"))?;
-    let geo: TraceGeometry =
-        serde_json::from_str(&header).map_err(|e| format!("bad geometry header: {e}"))?;
+    let geo = json::parse(&header)
+        .and_then(|v| TraceGeometry::from_json(&v))
+        .map_err(|e| format!("bad geometry header: {e}"))?;
 
     let mut replayer = Replayer::new(cfg, &geo);
     let mut skipped = 0u64;
@@ -57,7 +69,7 @@ pub fn analyze(
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<TraceEvent>(&line) {
+        match json::parse(&line).and_then(|v| TraceEvent::from_json(&v)) {
             Ok(ev) => replayer.feed(&ev),
             Err(_) => skipped += 1,
         }
@@ -226,18 +238,8 @@ mod tests {
         assert!(rep.contains("groups   : 1 static racing pair(s)"), "{rep}");
     }
 
-    /// The offline build stubs `serde_json` (no real deserializer), which
-    /// makes `analyze` reject every line. Tests that need real parsing
-    /// bail out there and run for real in CI.
-    fn serde_is_stubbed() -> bool {
-        serde_json::from_str::<u32>("1").is_err()
-    }
-
     #[test]
     fn quiet_report_keeps_the_grouped_summary_only() {
-        if serde_is_stubbed() {
-            return;
-        }
         let trace = format!(
             "{GEO}\n{}\n{}\n{}\n",
             access("Write", 0, 0, 0, 0, 1),
@@ -258,9 +260,6 @@ mod tests {
 
     #[test]
     fn race_free_trace_reports_no_group_section() {
-        if serde_is_stubbed() {
-            return;
-        }
         let trace = format!("{GEO}\n{}\n", access("Write", 0, 0, 0, 0, 1));
         let a = analyze(Cursor::new(trace), &DetectorConfig::paper_default()).unwrap();
         let rep = report_with(&a, true);
@@ -281,10 +280,81 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_counted_not_fatal() {
-        let trace = format!("{GEO}\nnot json\n{}\n", access("Write", 0, 0, 0, 0, 1));
-        let a = analyze(Cursor::new(trace), &DetectorConfig::paper_default()).unwrap();
-        assert_eq!(a.skipped, 1);
-        assert_eq!(a.events, 1);
+        let good = access("Write", 0, 0, 0, 0, 1);
+        let edit = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            good.replacen(from, to, 1)
+        };
+        let bad = [
+            "not json".to_string(),
+            edit(r#""addr":4096"#, r#""addr":4294967296"#),
+            edit(r#""tid":0"#, r#""tid":-1"#),
+            edit(r#""size":4"#, r#""size":4.5"#),
+            r#"{"Flush":{}}"#.to_string(),
+            edit(r#""who":{"tid":0,"warp":0,"block":0,"sm":0},"#, ""),
+            good[..good.len() - 3].to_string(),
+            edit(r#""kind":"Write""#, r#""kind":"Wr\u00zzte""#),
+        ];
+        for line in &bad {
+            let trace = format!("{GEO}\n{line}\n{good}\n");
+            let a = analyze(Cursor::new(trace), &DetectorConfig::paper_default()).unwrap();
+            assert_eq!(a.skipped, 1, "{line}");
+            assert_eq!(a.events, 1, "{line}");
+        }
+        let header = GEO.replacen(r#""warps":4,"#, "", 1);
+        assert_ne!(header, GEO);
+        let trace = format!("{header}\n{good}\n");
+        assert!(analyze(Cursor::new(trace), &DetectorConfig::paper_default()).is_err());
+    }
+
+    /// The Fig. 1 trace of `examples/trace_pipeline.rs`: every thread
+    /// writes `out[tid]`, then (after a barrier, if asked) the last
+    /// thread reads the whole array.
+    fn fig1(with_barrier: bool) -> (TraceGeometry, Vec<TraceEvent>) {
+        use haccrg::prelude::{AccessKind, MemAccess, MemSpace, ThreadCoord};
+        const OUT: u32 = 0x1000;
+        const THREADS: u32 = 64;
+        let geo = TraceGeometry {
+            num_sms: 1,
+            shared_bytes_per_sm: 16 * 1024,
+            shared_banks: 16,
+            blocks: 1,
+            warps: THREADS / 32,
+            global_base: OUT,
+            global_len: THREADS * 4,
+        };
+        let access = |tid, addr, kind, pc| {
+            let who = ThreadCoord::from_flat(tid, THREADS, 32, 1);
+            let access = MemAccess::plain(addr, 4, kind, who).at_pc(pc);
+            TraceEvent::Access { space: MemSpace::Global, access }
+        };
+        let writes = (0..THREADS).map(|tid| access(tid, OUT + tid * 4, AccessKind::Write, 6));
+        let mut t: Vec<_> = writes.collect();
+        if with_barrier {
+            t.push(TraceEvent::Barrier { block: 0, sm: 0, shared_lo: 0, shared_hi: 0 });
+        }
+        t.extend((0..THREADS).map(|i| access(THREADS - 1, OUT + i * 4, AccessKind::Read, 9)));
+        (geo, t)
+    }
+
+    #[test]
+    fn written_traces_replay_to_the_same_race_groups() {
+        let cfg = DetectorConfig::paper_default();
+        for with_barrier in [false, true] {
+            let (geo, events) = fig1(with_barrier);
+            let mut trace = format!("{}\n", geo.to_json());
+            for e in &events {
+                trace += &format!("{}\n", e.to_json());
+            }
+            let a = analyze(Cursor::new(trace), &cfg).unwrap();
+            let mut direct = Replayer::new(&cfg, &geo);
+            direct.replay(events.iter());
+            assert_eq!((a.events, a.skipped), (events.len() as u64, 0));
+            assert_eq!(a.replayer.races().distinct(), direct.races().distinct());
+            assert_eq!(a.replayer.races().groups(), direct.races().groups());
+            let races = direct.races().distinct() > 0;
+            assert_eq!(races, !with_barrier, "only the missing barrier races");
+        }
     }
 
     #[test]
@@ -293,9 +363,9 @@ mod tests {
         assert!(analyze(Cursor::new("{}"), &DetectorConfig::paper_default()).is_err());
     }
 
-    /// Build an analysis without JSON parsing so the explain tests run
-    /// under the offline serde stubs too: feed [`TraceEvent`]s straight
-    /// into a [`Replayer`] with witness capture toggled by the caller.
+    /// Build an analysis without JSON parsing: feed [`TraceEvent`]s
+    /// straight into a [`Replayer`] with witness capture toggled by the
+    /// caller.
     fn replayed_raw(witness_capture: bool) -> Analysis {
         use haccrg::prelude::{AccessKind, MemAccess, MemSpace, ThreadCoord};
         let geo = TraceGeometry {

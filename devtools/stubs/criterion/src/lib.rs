@@ -1,129 +1,1 @@
-//! Offline mini-`criterion`: runs each benchmark closure a fixed number of
-//! iterations and prints a rough ns/iter figure. Enough to execute `cargo
-//! bench` targets and catch panics/regressions in bench code without the
-//! real statistical engine.
-
-use std::time::Instant;
-
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    Elements(u64),
-    Bytes(u64),
-}
-
-pub struct Bencher {
-    iters: u64,
-    last_ns_per_iter: f64,
-}
-
-impl Bencher {
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(f());
-        }
-        self.last_ns_per_iter = start.elapsed().as_nanos() as f64 / self.iters as f64;
-    }
-
-    pub fn iter_with_setup<S, O, FS: FnMut() -> S, F: FnMut(S) -> O>(
-        &mut self,
-        mut setup: FS,
-        mut routine: F,
-    ) {
-        let mut total = 0u128;
-        for _ in 0..self.iters {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            total += start.elapsed().as_nanos();
-        }
-        self.last_ns_per_iter = total as f64 / self.iters as f64;
-    }
-
-    pub fn iter_batched<S, O, FS: FnMut() -> S, F: FnMut(S) -> O>(
-        &mut self,
-        setup: FS,
-        routine: F,
-        _size: BatchSize,
-    ) {
-        self.iter_with_setup(setup, routine)
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
-}
-
-pub struct Criterion {
-    iters: u64,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { iters: 32 }
-    }
-}
-
-impl Criterion {
-    pub fn bench_function<I: AsRef<str>, F: FnMut(&mut Bencher)>(&mut self, id: I, mut f: F) -> &mut Self {
-        let id = id.as_ref();
-        let mut b = Bencher { iters: self.iters, last_ns_per_iter: 0.0 };
-        f(&mut b);
-        println!("bench {id:<40} {:>12.1} ns/iter (stub)", b.last_ns_per_iter);
-        self
-    }
-
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { parent: self, name: name.to_string() }
-    }
-}
-
-pub struct BenchmarkGroup<'a> {
-    parent: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
-        self
-    }
-
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    pub fn bench_function<I: AsRef<str>, F: FnMut(&mut Bencher)>(&mut self, id: I, f: F) -> &mut Self {
-        let id = id.as_ref();
-        let full = format!("{}/{}", self.name, id);
-        self.parent.bench_function(&full, f);
-        self
-    }
-
-    pub fn finish(self) {}
-}
-
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::Criterion::default();
-            $($target(&mut c);)+
-        }
-    };
-}
-
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

@@ -1,39 +1,1 @@
-//! Offline stub for `crossbeam`: a sequential `thread::scope` with the same
-//! call shape (spawn closures take `&Scope`, handles `join()`), executing
-//! spawned closures eagerly on the calling thread. Parallel speed-up is
-//! absent locally; correctness and ordering of `parallel_map`-style callers
-//! are preserved.
-
-pub mod thread {
-    use std::any::Any;
-
-    pub struct Scope {
-        _priv: (),
-    }
-
-    pub struct ScopedJoinHandle<T> {
-        result: Option<T>,
-    }
-
-    impl<T> ScopedJoinHandle<T> {
-        pub fn join(mut self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            Ok(self.result.take().expect("join called once"))
-        }
-    }
-
-    impl Scope {
-        pub fn spawn<'s, F, T>(&'s self, f: F) -> ScopedJoinHandle<T>
-        where
-            F: FnOnce(&Scope) -> T,
-        {
-            ScopedJoinHandle { result: Some(f(self)) }
-        }
-    }
-
-    pub fn scope<F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: FnOnce(&Scope) -> R,
-    {
-        Ok(f(&Scope { _priv: () }))
-    }
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

@@ -1,36 +1,1 @@
-//! Offline stub for `parking_lot`: thin wrappers over `std::sync` that
-//! panic-propagate instead of poisoning, matching the parking_lot guard
-//! API shape for the simple `lock()/read()/write()` call patterns.
-
-use std::sync;
-
-pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

@@ -1,137 +1,1 @@
-//! Offline stub for `rand` 0.8: a real, deterministic SplitMix64 generator
-//! behind the subset of the API the workspace uses (`SmallRng`,
-//! `SeedableRng::seed_from_u64`, `Rng::gen`, `Rng::gen_range`).
-
-pub trait RngCore {
-    fn next_u64(&mut self) -> u64;
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
-pub trait SeedableRng: Sized {
-    fn seed_from_u64(state: u64) -> Self;
-}
-
-/// Types `Rng::gen()` can produce in this stub.
-pub trait StubUniform {
-    fn from_u64(v: u64) -> Self;
-}
-
-macro_rules! uniform_int {
-    ($($t:ty),*) => {$(
-        impl StubUniform for $t {
-            fn from_u64(v: u64) -> Self { v as $t }
-        }
-    )*};
-}
-uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl StubUniform for bool {
-    fn from_u64(v: u64) -> Self {
-        v & 1 == 1
-    }
-}
-impl StubUniform for f32 {
-    fn from_u64(v: u64) -> Self {
-        ((v >> 40) as f32) / ((1u64 << 24) as f32)
-    }
-}
-impl StubUniform for f64 {
-    fn from_u64(v: u64) -> Self {
-        ((v >> 11) as f64) / ((1u64 << 53) as f64)
-    }
-}
-
-/// Ranges usable with `Rng::gen_range` in this stub.
-pub trait StubSampleRange {
-    type Output;
-    fn sample(self, raw: u64) -> Self::Output;
-}
-
-macro_rules! range_int {
-    ($($t:ty),*) => {$(
-        impl StubSampleRange for core::ops::Range<$t> {
-            type Output = $t;
-            fn sample(self, raw: u64) -> $t {
-                assert!(self.start < self.end, "empty gen_range");
-                let span = (self.end - self.start) as u128;
-                self.start + ((raw as u128 % span) as $t)
-            }
-        }
-        impl StubSampleRange for core::ops::RangeInclusive<$t> {
-            type Output = $t;
-            fn sample(self, raw: u64) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty gen_range");
-                let span = (hi - lo) as u128 + 1;
-                lo + ((raw as u128 % span) as $t)
-            }
-        }
-    )*};
-}
-range_int!(u8, u16, u32, u64, usize, i32, i64);
-
-impl StubSampleRange for core::ops::Range<f32> {
-    type Output = f32;
-    fn sample(self, raw: u64) -> f32 {
-        let unit = f32::from_u64(raw);
-        self.start + unit * (self.end - self.start)
-    }
-}
-impl StubSampleRange for core::ops::Range<f64> {
-    type Output = f64;
-    fn sample(self, raw: u64) -> f64 {
-        let unit = f64::from_u64(raw);
-        self.start + unit * (self.end - self.start)
-    }
-}
-
-pub trait Rng: RngCore {
-    fn gen<T: StubUniform>(&mut self) -> T {
-        T::from_u64(self.next_u64())
-    }
-    fn gen_range<R: StubSampleRange>(&mut self, range: R) -> R::Output {
-        range.sample(self.next_u64())
-    }
-    fn gen_bool(&mut self, p: f64) -> bool {
-        f64::from_u64(self.next_u64()) < p
-    }
-}
-impl<T: RngCore> Rng for T {}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-pub mod rngs {
-    use super::{splitmix64, RngCore, SeedableRng};
-
-    #[derive(Clone, Debug)]
-    pub struct SmallRng {
-        state: u64,
-    }
-
-    impl SeedableRng for SmallRng {
-        fn seed_from_u64(state: u64) -> Self {
-            SmallRng { state: state ^ 0x5851_f42d_4c95_7f2d }
-        }
-    }
-
-    impl RngCore for SmallRng {
-        fn next_u64(&mut self) -> u64 {
-            splitmix64(&mut self.state)
-        }
-    }
-
-    pub type StdRng = SmallRng;
-}
-
-pub mod prelude {
-    pub use crate::rngs::{SmallRng, StdRng};
-    pub use crate::{Rng, RngCore, SeedableRng};
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

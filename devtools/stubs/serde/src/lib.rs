@@ -1,29 +1,1 @@
-//! Offline type-check stub for `serde`. Blanket-implements the two traits so
-//! every `T: Serialize` / `T: Deserialize` bound in the workspace is
-//! satisfied. Runtime (de)serialisation lives in the `serde_json` stub and
-//! returns errors; tests that need real round-trips are expected to fail
-//! locally and pass in a networked environment with the real crates.
-
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-pub trait Deserialize<'de>: Sized {
-    /// Stub hook so `from_str` etc. can "construct" nothing; never called.
-    fn __stub() -> Option<Self> {
-        None
-    }
-}
-impl<'de, T> Deserialize<'de> for T {}
-
-pub mod ser {
-    pub use crate::Serialize;
-}
-
-pub mod de {
-    pub use crate::Deserialize;
-    pub trait DeserializeOwned: for<'de> crate::Deserialize<'de> {}
-    impl<T> DeserializeOwned for T where T: for<'de> crate::Deserialize<'de> {}
-}
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

@@ -1,15 +1,1 @@
-//! Offline stub: the derives expand to nothing (the trait impls come from
-//! the blanket impls in the `serde` stub). `attributes(serde)` keeps
-//! `#[serde(...)]` helper attributes legal on decorated items.
-
-use proc_macro::TokenStream;
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.

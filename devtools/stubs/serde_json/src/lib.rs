@@ -1,283 +1,1 @@
-//! Offline type-check stub for `serde_json`. Mirrors the API surface the
-//! workspace uses. Because the `serde` stub has no real data model, the
-//! conversion entry points return `Err`/placeholder values at runtime —
-//! tests exercising real round-trips fail locally and pass with the real
-//! crates.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-#[derive(Debug)]
-pub struct Error(pub String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (serde_json offline stub)", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-pub type Result<T> = std::result::Result<T, Error>;
-
-/// Mirrors `serde_json::Map<String, Value>` closely enough for call sites.
-pub type Map<K, V> = BTreeMap<K, V>;
-
-#[derive(Clone, Debug, PartialEq)]
-pub struct Number(f64);
-
-impl Number {
-    pub fn from(v: u64) -> Self {
-        Number(v as f64)
-    }
-    pub fn as_u64(&self) -> Option<u64> {
-        if self.0 >= 0.0 && self.0.fract() == 0.0 {
-            Some(self.0 as u64)
-        } else {
-            None
-        }
-    }
-    pub fn as_f64(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(Number),
-    String(String),
-    Array(Vec<Value>),
-    Object(Map<String, Value>),
-}
-
-impl Value {
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) => n.as_u64(),
-            _ => None,
-        }
-    }
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => n.as_f64(),
-            _ => None,
-        }
-    }
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-    pub fn as_object(&self) -> Option<&Map<String, Value>> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-    pub fn as_object_mut(&mut self) -> Option<&mut Map<String, Value>> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-    pub fn is_object(&self) -> bool {
-        matches!(self, Value::Object(_))
-    }
-    pub fn is_u64(&self) -> bool {
-        self.as_u64().is_some()
-    }
-    pub fn is_string(&self) -> bool {
-        matches!(self, Value::String(_))
-    }
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object().and_then(|m| m.get(key))
-    }
-}
-
-static NULL: Value = Value::Null;
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, idx: usize) -> &Value {
-        self.as_array().and_then(|a| a.get(idx)).unwrap_or(&NULL)
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == Some(other)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == Some(*other)
-    }
-}
-
-macro_rules! eq_num {
-    ($($t:ty),*) => {$(
-        impl PartialEq<$t> for Value {
-            #[allow(clippy::cast_precision_loss, clippy::cast_lossless)]
-            fn eq(&self, other: &$t) -> bool {
-                self.as_f64() == Some(*other as f64)
-            }
-        }
-    )*};
-}
-eq_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
-
-fn stub_err<T>(what: &str) -> Result<T> {
-    Err(Error(format!("{what}: unavailable offline")))
-}
-
-pub fn from_str<'a, T: serde::Deserialize<'a>>(_s: &'a str) -> Result<T> {
-    stub_err("from_str")
-}
-
-pub fn from_slice<'a, T: serde::Deserialize<'a>>(_v: &'a [u8]) -> Result<T> {
-    stub_err("from_slice")
-}
-
-pub fn to_string<T: ?Sized + serde::Serialize>(_value: &T) -> Result<String> {
-    Ok("{}".to_string())
-}
-
-pub fn to_string_pretty<T: ?Sized + serde::Serialize>(_value: &T) -> Result<String> {
-    Ok("{}".to_string())
-}
-
-pub fn to_value<T: serde::Serialize>(_value: T) -> Result<Value> {
-    stub_err("to_value")
-}
-
-pub fn from_value<T: for<'de> serde::Deserialize<'de>>(_value: Value) -> Result<T> {
-    stub_err("from_value")
-}
-
-pub fn to_writer<W: std::io::Write, T: ?Sized + serde::Serialize>(
-    _writer: W,
-    _value: &T,
-) -> Result<()> {
-    Ok(())
-}
-
-impl From<Error> for std::io::Error {
-    fn from(e: Error) -> Self {
-        std::io::Error::other(e)
-    }
-}
-
-/// Conversion helper behind the stub `json!` macro.
-pub trait IntoJson {
-    fn into_json(self) -> Value;
-}
-
-impl IntoJson for Value {
-    fn into_json(self) -> Value {
-        self
-    }
-}
-impl IntoJson for &Value {
-    fn into_json(self) -> Value {
-        self.clone()
-    }
-}
-impl IntoJson for bool {
-    fn into_json(self) -> Value {
-        Value::Bool(self)
-    }
-}
-impl IntoJson for &str {
-    fn into_json(self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-impl IntoJson for String {
-    fn into_json(self) -> Value {
-        Value::String(self)
-    }
-}
-impl IntoJson for &String {
-    fn into_json(self) -> Value {
-        Value::String(self.clone())
-    }
-}
-impl IntoJson for f64 {
-    fn into_json(self) -> Value {
-        Value::Number(Number(self))
-    }
-}
-impl IntoJson for Vec<Value> {
-    fn into_json(self) -> Value {
-        Value::Array(self)
-    }
-}
-macro_rules! into_json_uint {
-    ($($t:ty),*) => {$(
-        impl IntoJson for $t {
-            fn into_json(self) -> Value {
-                Value::Number(Number::from(self as u64))
-            }
-        }
-        impl IntoJson for &$t {
-            fn into_json(self) -> Value {
-                Value::Number(Number::from(*self as u64))
-            }
-        }
-    )*};
-}
-into_json_uint!(u8, u16, u32, u64, usize, i32, i64);
-
-/// Stub `json!`: object/array/expression literals, enough for the
-/// workspace's call sites.
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ({}) => { $crate::Value::Object($crate::Map::new()) };
-    ({ $($tt:tt)+ }) => {{
-        let mut m = $crate::Map::new();
-        $crate::json_internal_obj!(m; $($tt)+);
-        $crate::Value::Object(m)
-    }};
-    ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![$($crate::IntoJson::into_json($elem)),*])
-    };
-    ($other:expr) => { $crate::IntoJson::into_json($other) };
-}
-
-/// Implementation detail of the stub `json!` macro.
-#[macro_export]
-macro_rules! json_internal_obj {
-    ($m:ident; $k:literal : { $($inner:tt)* } $(, $($rest:tt)*)?) => {
-        $m.insert(($k).to_string(), $crate::json!({ $($inner)* }));
-        $($crate::json_internal_obj!($m; $($rest)*);)?
-    };
-    ($m:ident; $k:literal : $v:expr $(, $($rest:tt)*)?) => {
-        $m.insert(($k).to_string(), $crate::IntoJson::into_json($v));
-        $($crate::json_internal_obj!($m; $($rest)*);)?
-    };
-    ($m:ident;) => {};
-}
+//! Placeholder: unused; kept while `e2ebench/Cargo.lock` records this package.
