@@ -224,6 +224,11 @@ fn main() {
         out.skip.skip_jumps,
         out.skip.total_idle_cycles()
     );
+    let d = &out.dispatch;
+    println!(
+        "tiers     : {} wide, {} cs-fast, {} scalar shadow-check lanes",
+        d.wide_lanes, d.cs_fast_lanes, d.scalar_lanes
+    );
     println!("max IDs   : sync {}, fence {}", out.max_sync_id, out.max_fence_id);
     println!("shadow mem: {} bytes packed over {} tracked", out.shadow_packed_bytes, out.tracked_bytes);
     println!("races     : {} distinct ({} dynamic)", out.races.distinct(), out.races.total());

@@ -183,8 +183,9 @@ fn stats_digest_is_engine_independent() {
 fn observers_leave_every_table2_launch_unchanged() {
     // Witness capture and an installed event sink record what the
     // detector sees; they must not change it. Every Table II benchmark,
-    // observed and plain, must report equal statistics and race records,
-    // and every record of the observed run must carry its timeline.
+    // observed and plain, must report equal statistics, race records and
+    // shadow-check tiers, and every record of the observed run must
+    // carry its timeline.
     let mut racy = 0;
     for b in all_benchmarks() {
         let name = b.name();
@@ -199,6 +200,8 @@ fn observers_leave_every_table2_launch_unchanged() {
         let observed = run_instance(&mut gpu, &inst).expect("observed run");
 
         assert_eq!(observed.stats, plain.stats, "{name}: observers changed SimStats");
+        assert_eq!(observed.dispatch, plain.dispatch, "{name}: observers moved the dispatch tiers");
+        assert!(plain.dispatch.total() > 0, "{name}: no shadow-check lane was counted");
         let records = observed.races.records();
         assert_eq!(records, plain.races.records(), "{name}: observers changed the race records");
         for i in 0..records.len() {

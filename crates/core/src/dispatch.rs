@@ -3,22 +3,29 @@
 //! The batch kernel ([`crate::region::ShadowRegion::check_warp_batch`])
 //! retires each lane on one of three rungs:
 //!
-//! * **wide** — the SWAR hot-word screen passed and the lane was applied
-//!   vectorized (no per-entry branch chain, no AoS touch on the steady
-//!   store path);
+//! * **wide** — the SWAR hot-word screen passed (the lane is the
+//!   recorded thread, or under the §III-A warp filter another lane of
+//!   the recorded warp) and the lane was applied vectorized (no
+//!   per-entry branch chain, no AoS touch on the steady store path), or
+//!   the lane was the first touch of a fresh entry outside a critical
+//!   section and opened it;
 //! * **cs-fast** — the lane screened out because it is in a critical
 //!   section, but the batched lockset path
 //!   ([`crate::shadow::ShadowEntry::observe_lockset_fast`]) settled the
 //!   §III-B verdict without the full check;
-//! * **scalar** — the full Fig. 3 check, also taken by multi-chunk and
-//!   page-straddling lanes and by every lane when the escape hatch pins it.
+//! * **scalar** — the full Fig. 3 check: cross-warp conflicts, sync-ID
+//!   epoch reopens, critical-section lanes the batched path declines
+//!   (first touches included), multi-chunk and page-straddling lanes,
+//!   and every lane when the escape hatch pins it.
 //!
 //! Tracing and witness capture run on whichever rung retires the lane —
 //! each rung reports its own Fig. 3 edges and witness events — so
 //! attaching an observer never changes the tier. [`DispatchStats`] counts
 //! lanes per tier so tests (and bisection) can assert which path actually
 //! ran; detection results are bit-identical across tiers by construction,
-//! so nothing else observable moves.
+//! so nothing else observable moves. A launch reports the sum over its
+//! RDUs (`gpu_sim::gpu::LaunchResult::dispatch`; `runbench` prints it as
+//! its `tiers` line).
 //!
 //! Setting the environment variable `HACCRG_FORCE_SCALAR_SHADOW`
 //! (`1`/`true`/`yes`/`on`) pins every lane of every RDU built afterwards
@@ -46,6 +53,13 @@ impl DispatchStats {
     /// Total lanes dispatched through any tier.
     pub fn total(&self) -> u64 {
         self.wide_lanes + self.cs_fast_lanes + self.scalar_lanes
+    }
+
+    /// Add another RDU's (or launch's) tallies into these.
+    pub fn accumulate(&mut self, o: &DispatchStats) {
+        self.wide_lanes += o.wide_lanes;
+        self.cs_fast_lanes += o.cs_fast_lanes;
+        self.scalar_lanes += o.scalar_lanes;
     }
 }
 
@@ -78,7 +92,9 @@ mod tests {
 
     #[test]
     fn dispatch_totals_sum_all_tiers() {
-        let d = DispatchStats { wide_lanes: 5, cs_fast_lanes: 2, scalar_lanes: 1 };
+        let mut d = DispatchStats { wide_lanes: 5, cs_fast_lanes: 2, scalar_lanes: 1 };
         assert_eq!(d.total(), 8);
+        d.accumulate(&DispatchStats { wide_lanes: 1, cs_fast_lanes: 0, scalar_lanes: 3 });
+        assert_eq!(d, DispatchStats { wide_lanes: 6, cs_fast_lanes: 2, scalar_lanes: 4 });
     }
 }

@@ -1,15 +1,18 @@
 //! Packed per-entry *hot words* for the SIMD/SWAR shadow-check tier.
 //!
-//! The same-thread fast path ([`crate::shadow::ShadowEntry::observe_same_thread_fast`])
+//! The ordered-lane fast path ([`crate::shadow::ShadowEntry::observe_ordered_fast`])
 //! bails on a predicate over seven entry fields (fresh/tid/warp/block/sm/
-//! protected/sync-ID). Walking the unpacked ~64-byte AoS entry to evaluate
-//! it costs one cache line and a branch chain per lane. This module packs
-//! exactly the fields that predicate reads into two `u64` *hot words* —
-//! stored as parallel arrays per shadow page (see
-//! [`crate::shadow_table`]) — so the batch pipeline can screen a whole
-//! run of lanes with two wide compares per entry:
+//! protected/sync-ID), where the tid compare ignores the bits a lane of
+//! the recorded warp may differ in when the §III-A warp filter is on.
+//! Walking the unpacked ~64-byte AoS entry to evaluate it costs one cache
+//! line and a branch chain per lane. This module packs exactly the fields
+//! that predicate reads into two `u64` *hot words* — stored as parallel
+//! arrays per shadow page (see [`crate::shadow_table`]) — so the batch
+//! pipeline can screen a whole run of lanes with two wide compares per
+//! entry:
 //!
-//! * `h0` = `tid | warp << 32` — the per-lane identity half.
+//! * `h0` = `tid | warp << 32` — the per-lane identity half, compared
+//!   under the policy's identity mask ([`ScreenMasks::h0`]).
 //! * `h1` = `block | sync_id << 32 | sm << 40` plus the
 //!   `protected`/`fresh`/`shared`/`modified` flag bits — the warp-uniform
 //!   half, compared under a policy/kind-specific mask.
@@ -154,14 +157,43 @@ pub fn key2(fence_id: u8, cycle: u64, pc: u32) -> u64 {
     u64::from(fence_id) | (u64::from(pc) << 8) | (cycle << 40)
 }
 
-/// The `(write, read)` compare masks for a policy: sync IDs participate
-/// only when the policy runs the §IV-B epoch filter (global memory).
+/// The tid bits a passing lane must share with the recorded accessor.
+/// With the §III-A warp filter on, a lane of the recorded warp is ordered
+/// with it, so the §VI-C2 10-bit tid field (the bits one warp's lanes
+/// differ in) is left out of the compare: two tids that agree above it
+/// differ inside it iff they differ at all, so the packed-ID truncation
+/// counter can never fire on a passing lane. Without the filter only
+/// the recorded thread itself passes.
 #[inline]
-pub fn screen_masks(p: &ShadowPolicy) -> (u64, u64) {
-    if p.sync_id_epochs {
-        (H1_WRITE_MASK, H1_READ_MASK)
+pub fn tid_mask(p: &ShadowPolicy) -> u32 {
+    if p.warp_filter {
+        !0x3FF
     } else {
-        (H1_WRITE_MASK & H1_SYNC_STRIP, H1_READ_MASK & H1_SYNC_STRIP)
+        !0
+    }
+}
+
+/// The compare masks of one policy's screen.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScreenMasks {
+    /// `h0` mask: the warp half exact, the tid half under [`tid_mask`].
+    pub h0: u64,
+    /// `h1` mask for write accesses.
+    pub write: u64,
+    /// `h1` mask for reads.
+    pub read: u64,
+}
+
+/// The screen masks for a policy: sync IDs participate only when the
+/// policy runs the §IV-B epoch filter (global memory), and same-warp tids
+/// pass only under the warp filter.
+#[inline]
+pub fn screen_masks(p: &ShadowPolicy) -> ScreenMasks {
+    let h0 = u64::from(tid_mask(p)) | (u64::from(u32::MAX) << 32);
+    if p.sync_id_epochs {
+        ScreenMasks { h0, write: H1_WRITE_MASK, read: H1_READ_MASK }
+    } else {
+        ScreenMasks { h0, write: H1_WRITE_MASK & H1_SYNC_STRIP, read: H1_READ_MASK & H1_SYNC_STRIP }
     }
 }
 
@@ -182,23 +214,38 @@ mod tests {
     }
 
     /// The packed screen must pass exactly when the scalar bail predicate
-    /// of `observe_same_thread_fast` passes, over a grid of mismatches.
+    /// of `observe_ordered_fast` passes, over a grid of mismatches, with
+    /// the warp filter on and off.
     #[test]
     fn screen_equals_the_scalar_bail_predicate() {
         let base = ThreadCoord::new(7, 3, 1, 2);
         let perturbed = [
             base,
-            ThreadCoord::new(8, 3, 1, 2),
+            ThreadCoord::new(8, 3, 1, 2),        // a sibling lane
+            ThreadCoord::new(31, 3, 1, 2),       // another sibling lane
+            ThreadCoord::new(7 + 1024, 3, 1, 2), // agrees in the tid field
+            ThreadCoord::new(8 + 4096, 3, 1, 2),
             ThreadCoord::new(7, 4, 1, 2),
+            ThreadCoord::new(8, 4, 1, 2),
             ThreadCoord::new(7, 3, 2, 2),
+            ThreadCoord::new(8, 3, 2, 2),
             ThreadCoord::new(7, 3, 1, 9),
             ThreadCoord::new(7, 3, 1, 1 << 17), // unpackable SM
         ];
-        for policy in [
-            ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT),
-            ShadowPolicy::shared(true, BloomConfig::PAPER_DEFAULT),
-        ] {
-            let (wm, rm) = screen_masks(&policy);
+        let mut policies = Vec::new();
+        for warp_filter in [true, false] {
+            policies.push(ShadowPolicy::global(warp_filter, true, BloomConfig::PAPER_DEFAULT));
+            policies.push(ShadowPolicy::shared(warp_filter, BloomConfig::PAPER_DEFAULT));
+        }
+        let mut siblings_passed = [0u32; 2];
+        for policy in policies {
+            let masks = screen_masks(&policy);
+            let screen = |e: &ShadowEntry, a: &MemAccess| {
+                let m = if a.kind.is_write() { masks.write } else { masks.read };
+                (((pack_h0(e) ^ key0(&a.who)) & masks.h0)
+                    | ((pack_h1(e) ^ key1(&a.who, a.sync_id, a.in_critical_section)) & m))
+                    == 0
+            };
             for opener in [AccessKind::Read, AccessKind::Write] {
                 let mut e = entry_for(base, opener);
                 for who in perturbed {
@@ -211,16 +258,17 @@ mod tests {
                                 } else {
                                     a
                                 };
-                                let m = if kind.is_write() { wm } else { rm };
-                                let pass = (pack_h0(&e) == key0(&a.who))
-                                    && ((pack_h1(&e) ^ key1(&a.who, a.sync_id, a.in_critical_section)) & m == 0);
+                                let pass = screen(&e, &a);
                                 let mut probe = e;
-                                let fast = probe.observe_same_thread_fast(&a, &policy);
+                                let fast = probe.observe_ordered_fast(&a, &policy);
                                 if pass {
                                     assert!(
                                         fast.is_some(),
                                         "screen passed but scalar bailed: {who:?} sync={sync} cs={cs} {kind:?}"
                                     );
+                                    if who.tid != base.tid {
+                                        siblings_passed[usize::from(policy.warp_filter)] += 1;
+                                    }
                                 } else if fast.is_some() {
                                     // The screen may only be stricter on
                                     // the shared-for-reads and
@@ -239,11 +287,11 @@ mod tests {
                 e.shared = true;
                 e.modified = false;
                 let a = MemAccess::plain(0, 4, AccessKind::Write, base).with_clocks(3, 0);
-                let pass = (pack_h0(&e) == key0(&a.who))
-                    && ((pack_h1(&e) ^ key1(&a.who, a.sync_id, false)) & wm == 0);
-                assert!(!pass, "ReadShared write must go cold");
+                assert!(!screen(&e, &a), "ReadShared write must go cold");
             }
         }
+        assert_eq!(siblings_passed[0], 0, "a sibling lane passed without the warp filter");
+        assert!(siblings_passed[1] > 0, "no sibling lane passed under the warp filter");
     }
 
     #[test]

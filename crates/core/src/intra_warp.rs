@@ -57,15 +57,16 @@ pub fn check_intra_warp_waw_into(
 /// overlap, so the exact check would report nothing. Conservative — a
 /// `false` only means "possible overlap, run the exact comparison".
 ///
-/// The write footprint `[min, max_end)` is mapped onto a 2048-bit window
-/// at the smallest power-of-two chunk size (≥4 bytes) that fits; each
+/// The write footprint `[min, max_end)` is mapped onto a 4096-bit window
+/// at the smallest power-of-two chunk size (≥1 byte) that fits; each
 /// lane sets the bits of the chunks it touches, and a set-bit collision
-/// (two lanes in one chunk) falls back to the exact path. At 4-byte
-/// chunks the screen is within one word of byte-exact; wider spans use
-/// coarser chunks, trading a rare false fallback for O(lanes) screening
-/// of arbitrarily scattered warps.
+/// (two lanes in one chunk) falls back to the exact path. A footprint of
+/// up to 4 KiB — a whole block's shared array of one-byte counters, as
+/// in HIST — gets 1-byte chunks, where the screen is byte-exact; wider
+/// spans use coarser chunks, trading a rare false fallback for O(lanes)
+/// screening of arbitrarily scattered warps.
 fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
-    const WINDOW_BITS: u32 = 2048;
+    const WINDOW_BITS: u32 = 4096;
     // Ascending non-overlapping lanes (the coalescer's natural order)
     // are proven disjoint in this single pass: intervals sorted by start
     // with consecutive pairs disjoint are pairwise disjoint.
@@ -94,7 +95,7 @@ fn writes_provably_disjoint(lanes: &[MemAccess], base: u32) -> bool {
         max_end = max_end.max(a.addr + u32::from(a.size.max(1)));
     }
     let span = max_end - min;
-    let mut shift = 2u32;
+    let mut shift = 0u32;
     while (span >> shift) >= WINDOW_BITS {
         shift += 1;
     }
@@ -269,13 +270,31 @@ mod tests {
         // Straddling 8-byte store overlapping a word store.
         let straddle = vec![lane_store(4, 8, 0, 0, 0), lane_store(8, 4, 1, 0, 0)];
         assert_into_matches(&straddle, 0, MemSpace::Global);
-        // Byte stores sharing a word but not a byte: screen may fall
-        // back (4-byte chunks collide) but the exact path stays silent.
+        // Byte stores sharing a word but not a byte: the exact path
+        // stays silent.
         let bytes = vec![lane_store(8, 1, 0, 0, 0), lane_store(9, 1, 1, 0, 0)];
         assert_into_matches(&bytes, 0, MemSpace::Shared);
         // Untracked lanes below base are invisible to both paths.
         let below = vec![lane_store(8, 4, 0, 0, 0), lane_store(8, 4, 1, 0, 0)];
         assert_into_matches(&below, 0x100, MemSpace::Global);
+    }
+
+    /// HIST's accumulation store: 32 one-byte counters, lane `l` at
+    /// `bin * 64 + l` of a 4 KiB array, bins in data order (not
+    /// ascending). The screen must prove it disjoint byte-exactly, so it
+    /// never reaches the pairwise compare; a lane repeating another's
+    /// byte must still fall through to it.
+    #[test]
+    fn scattered_byte_counters_screen_byte_exact() {
+        let bins = |l: u32| (l * 37 + 11) % 64;
+        let hist: Vec<_> = (0..32).map(|l| lane_store(bins(l) * 64 + l, 1, l, 0, 0)).collect();
+        assert!(!hist.windows(2).all(|w| w[0].addr < w[1].addr), "lanes must not be ascending");
+        assert!(writes_provably_disjoint(&hist, 0));
+        assert_into_matches(&hist, 0, MemSpace::Shared);
+        let mut clash = hist.clone();
+        clash[9].addr = clash[3].addr;
+        assert!(!writes_provably_disjoint(&clash, 0));
+        assert_into_matches(&clash, 0, MemSpace::Shared);
     }
 
     #[test]

@@ -340,10 +340,12 @@ impl<S: Space> ShadowRegion<S> {
                 'run: loop {
                     if wide && lo == hi {
                         // Fused per lane: stamp-check + SWAR screen +
-                        // hot-word apply in one slot resolution. Each lane
-                        // screens against the current hot words at its
-                        // own turn, so cold-lane mutations are observed by
-                        // later lanes exactly as in the scalar pipeline.
+                        // hot-word apply in one slot resolution, and a
+                        // screened-out first touch opened on the same
+                        // tier. Each lane screens against the current hot
+                        // words at its own turn, so cold-lane mutations
+                        // are observed by later lanes exactly as in the
+                        // scalar pipeline.
                         // The inner loop consumes consecutive single-chunk
                         // lanes with the 3-op window test alone; anything
                         // it can't prove simple falls out to the generic
@@ -351,7 +353,10 @@ impl<S: Space> ShadowRegion<S> {
                         loop {
                             let a = &accesses[j];
                             let idx = lo;
-                            let changed = match pe.lane_screen_apply(idx, a, masks, h) {
+                            let wide_lane = pe
+                                .lane_screen_apply(idx, a, masks, h)
+                                .or_else(|| pe.lane_first_touch(idx, a));
+                            let changed = match wide_lane {
                                 Some((c, before, after)) => {
                                     wide_n += 1;
                                     ck.note(a, chunk_addr(idx), before, after);
@@ -615,7 +620,7 @@ impl<const OBSERVED: bool> Checker<'_, '_, OBSERVED> {
         }
     }
 
-    /// One chunk through the same-thread fast path, falling back to the
+    /// One chunk through the ordered-lane fast path, falling back to the
     /// full check. Returns whether the entry changed (the
     /// `ShadowTraffic::writes` signal; conservatively `true` after a full
     /// check when `traffic` is off).
@@ -627,7 +632,7 @@ impl<const OBSERVED: bool> Checker<'_, '_, OBSERVED> {
         chunk_addr: u32,
         h: &mut DetectorHealth,
     ) -> bool {
-        if let Some((changed, before, after)) = entry.observe_same_thread_fast(a, self.policy) {
+        if let Some((changed, before, after)) = entry.observe_ordered_fast(a, self.policy) {
             self.note(a, chunk_addr, before, after);
             return changed;
         }
@@ -743,38 +748,48 @@ mod tests {
         }
     }
 
-    /// Two rounds through the scalar reference: `observe_health` per
-    /// access, with Fig. 3 edges taken from state snapshots around each
-    /// call. The second round hits the same-thread steady state.
-    fn run_scalar<S: Space>(
-        mut r: ShadowRegion<S>,
-        accesses: &[MemAccess],
-        is_store: bool,
-    ) -> Outcome {
+    /// One step of a replayed sequence: a warp's accesses (a store
+    /// instruction when the flag is set), or a whole-region reset.
+    enum Step {
+        Warp(Vec<MemAccess>, bool),
+        Reset,
+    }
+
+    /// Two rounds of `steps` through the scalar reference:
+    /// `observe_health` per access, with Fig. 3 edges taken from state
+    /// snapshots around each call. The second round hits the ordered-lane
+    /// steady state.
+    fn run_scalar<S: Space>(mut r: ShadowRegion<S>, steps: &[Step]) -> Outcome {
         let c = ClockFile::new(8, 64);
         let (mut log, mut h, mut scratch) =
             (RaceLog::default(), DetectorHealth::default(), RaceScratch::default());
         let (mut events, mut traffic) = (Vec::new(), Vec::new());
         for _ in 0..2 {
-            if is_store {
-                r.check_warp_stores(accesses, &mut scratch, &mut log);
-            }
-            for a in accesses {
-                let watch = r.chunk_range(a.addr, a.size);
-                let states: Vec<ShadowState> = watch
-                    .map(|(lo, hi)| (lo..=hi).map(|i| r.entry(i).state()).collect())
-                    .unwrap_or_default();
-                let t = r.observe_health(a, &c, &mut log, &mut h);
-                if let Some((lo, hi)) = watch {
-                    for (k, i) in (lo..=hi).enumerate() {
-                        let to = r.entry(i).state();
-                        if to != states[k] {
-                            events.push((r.chunk_addr(i), states[k], to));
+            for step in steps {
+                let Step::Warp(accesses, is_store) = step else {
+                    r.reset_all();
+                    continue;
+                };
+                if *is_store {
+                    r.check_warp_stores(accesses, &mut scratch, &mut log);
+                }
+                for a in accesses {
+                    let watch = r.chunk_range(a.addr, a.size);
+                    let states: Vec<ShadowState> = watch
+                        .map(|(lo, hi)| (lo..=hi).map(|i| r.entry(i).state()).collect())
+                        .unwrap_or_default();
+                    let t = r.observe_health(a, &c, &mut log, &mut h);
+                    if let Some((lo, hi)) = watch {
+                        for (k, i) in (lo..=hi).enumerate() {
+                            let to = r.entry(i).state();
+                            if to != states[k] {
+                                events.push((r.chunk_addr(i), states[k], to));
+                            }
                         }
                     }
-                }
-                if t.reads > 0 {
-                    traffic.push(t);
+                    if t.reads > 0 {
+                        traffic.push(t);
+                    }
                 }
             }
         }
@@ -783,31 +798,32 @@ mod tests {
 
     /// The same two rounds through `check_warp_batch`, with or without a
     /// transition sink.
-    fn run_batch<S: Space>(
-        r: &mut ShadowRegion<S>,
-        accesses: &[MemAccess],
-        is_store: bool,
-        traced: bool,
-    ) -> Outcome {
+    fn run_batch<S: Space>(r: &mut ShadowRegion<S>, steps: &[Step], traced: bool) -> Outcome {
         let c = ClockFile::new(8, 64);
         let (mut log, mut h, mut scratch) =
             (RaceLog::default(), DetectorHealth::default(), RaceScratch::default());
         let (mut events, mut traffic) = (Vec::new(), Vec::new());
         for _ in 0..2 {
-            let mut sink =
-                |addr: u32, from: ShadowState, to: ShadowState| events.push((addr, from, to));
-            let on_transition: Option<TransitionSink<'_>> =
-                if traced { Some(&mut sink) } else { None };
-            r.check_warp_batch(
-                accesses,
-                is_store,
-                &c,
-                &mut scratch,
-                &mut log,
-                &mut h,
-                on_transition,
-                |t| traffic.push(t),
-            );
+            for step in steps {
+                let Step::Warp(accesses, is_store) = step else {
+                    r.reset_all();
+                    continue;
+                };
+                let mut sink =
+                    |addr: u32, from: ShadowState, to: ShadowState| events.push((addr, from, to));
+                let on_transition: Option<TransitionSink<'_>> =
+                    if traced { Some(&mut sink) } else { None };
+                r.check_warp_batch(
+                    accesses,
+                    *is_store,
+                    &c,
+                    &mut scratch,
+                    &mut log,
+                    &mut h,
+                    on_transition,
+                    |t| traffic.push(t),
+                );
+            }
         }
         outcome(r, &log, h, events, traffic)
     }
@@ -820,16 +836,15 @@ mod tests {
     /// default dispatch counts.
     fn assert_batch_matches_scalar<S: Space>(
         mk: impl Fn() -> ShadowRegion<S>,
-        accesses: &[MemAccess],
-        is_store: bool,
+        steps: &[Step],
     ) -> DispatchStats {
         let mut plain = mk();
-        let untraced = run_batch(&mut plain, accesses, is_store, false);
-        let reference = run_scalar(mk(), accesses, is_store);
+        let untraced = run_batch(&mut plain, steps, false);
+        let reference = run_scalar(mk(), steps);
         assert_eq!(untraced, Outcome { events: Vec::new(), ..reference }, "untraced batch");
         let mut forced = mk();
         forced.set_force_scalar(true);
-        assert_eq!(run_batch(&mut forced, accesses, is_store, false), untraced, "forced scalar");
+        assert_eq!(run_batch(&mut forced, steps, false), untraced, "forced scalar");
         let (d, p) = (forced.dispatch, plain.dispatch);
         assert!(d.scalar_lanes == d.total() && d.total() == p.total(), "{d:?} vs {p:?}");
         for (witness, traced) in [(false, true), (true, false), (true, true)] {
@@ -837,12 +852,12 @@ mod tests {
             observed.set_witness_capture(witness);
             let mut scalar = mk();
             scalar.set_witness_capture(witness);
-            let mut reference = run_scalar(scalar, accesses, is_store);
+            let mut reference = run_scalar(scalar, steps);
             if !traced {
                 reference.events.clear();
             }
             assert_eq!(
-                run_batch(&mut observed, accesses, is_store, traced),
+                run_batch(&mut observed, steps, traced),
                 reference,
                 "observed batch, witness={witness}, traced={traced}"
             );
@@ -854,16 +869,24 @@ mod tests {
         plain.dispatch
     }
 
+    /// [`assert_batch_matches_scalar`] in both spaces over the steps
+    /// `steps(base, granule bytes, SM of the second block)` builds; the
+    /// shared RDU belongs to SM 0.
+    fn assert_steps_in_both_spaces(
+        steps: impl Fn(u32, u32, u32) -> Vec<Step>,
+    ) -> [DispatchStats; 2] {
+        [
+            assert_batch_matches_scalar(global, &steps(HEAP, 4, 1)),
+            assert_batch_matches_scalar(shared, &steps(0, 16, 0)),
+        ]
+    }
+
+    /// One warp instruction's lanes in both spaces.
     fn assert_both_spaces(
         lanes: impl Fn(u32, u32, u32) -> Vec<MemAccess>,
         is_store: bool,
     ) -> [DispatchStats; 2] {
-        // (base, granule bytes, SM of the second block) per space; the
-        // shared RDU belongs to SM 0.
-        [
-            assert_batch_matches_scalar(global, &lanes(HEAP, 4, 1), is_store),
-            assert_batch_matches_scalar(shared, &lanes(0, 16, 0), is_store),
-        ]
+        assert_steps_in_both_spaces(|base, g, sm| vec![Step::Warp(lanes(base, g, sm), is_store)])
     }
 
     #[test]
@@ -940,7 +963,7 @@ mod tests {
         }
         let mut r = global();
         r.set_witness_capture(true);
-        let out = run_batch(&mut r, &lanes(HEAP, 4, 1), false, true);
+        let out = run_batch(&mut r, &[Step::Warp(lanes(HEAP, 4, 1), false)], true);
         assert!(out.events.contains(&(HEAP, ShadowState::ReadSingle, ShadowState::Written)));
         let pcs: Vec<u32> = out.witnesses[0].iter().map(|w| w.pc).collect();
         assert_eq!(pcs, [0x20, 0x24, 0x28], "the wide lane belongs to the race's timeline");
@@ -982,8 +1005,8 @@ mod tests {
             ]
         };
         for (events, base) in [
-            (run_batch(&mut global(), &lanes(HEAP, 4, 0), false, true).events, HEAP),
-            (run_batch(&mut shared(), &lanes(0, 16, 0), false, true).events, 0),
+            (run_batch(&mut global(), &[Step::Warp(lanes(HEAP, 4, 0), false)], true).events, HEAP),
+            (run_batch(&mut shared(), &[Step::Warp(lanes(0, 16, 0), false)], true).events, 0),
         ] {
             let edge = (base, ShadowState::Written, ShadowState::Fresh);
             assert!(events.contains(&edge), "{events:?}");
@@ -993,5 +1016,71 @@ mod tests {
             g.cs_fast_lanes > 0 && s.cs_fast_lanes > 0,
             "the batched lockset rung must run: {g:?} {s:?}"
         );
+    }
+
+    /// HIST's accumulation: one warp's 32 one-byte counters, lane `l` at
+    /// byte `l` — sixteen lanes per 16-byte shared granule, four per
+    /// 4-byte global one — loaded, then stored. Every lane after a
+    /// granule's first is another lane of the recording warp, so the
+    /// whole sequence, first touches included, retires on the wide tier.
+    #[test]
+    fn warp_batch_matches_scalar_same_warp_bytes() {
+        let d = assert_steps_in_both_spaces(|base, _, _| {
+            let lane = |l: u32, kind| {
+                let mut a = acc(base + l, kind, ThreadCoord::new(l, 0, 0, 0));
+                a.size = 1;
+                a.at_pc(0x30 + u32::from(kind.is_write()) * 4)
+            };
+            vec![
+                Step::Warp((0..32).map(|l| lane(l, AccessKind::Read)).collect(), false),
+                Step::Warp((0..32).map(|l| lane(l, AccessKind::Write)).collect(), true),
+            ]
+        });
+        for d in d {
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (0, 4 * 32), "{d:?}");
+        }
+    }
+
+    /// A partner exchange: every lane stores its word, then lane `l`
+    /// loads the word lane `l ^ 1` stored — an ordered same-warp RAW —
+    /// and a second warp's load of one of the words still races. Only
+    /// the cross-warp lanes go scalar: the racing load in each round, and
+    /// the second round's first store to the chunk the race re-opened.
+    #[test]
+    fn warp_batch_matches_scalar_partner_exchange() {
+        let d = assert_steps_in_both_spaces(|base, _, sm| {
+            let warp0 = |l: u32| ThreadCoord::new(l, 0, 0, 0);
+            let stores = (0..32).map(|l| acc(base + l * 4, AccessKind::Write, warp0(l)));
+            let loads = (0..32).map(|l| acc(base + (l ^ 1) * 4, AccessKind::Read, warp0(l)));
+            let other = ThreadCoord::new(64, 2, 1, sm);
+            vec![
+                Step::Warp(stores.map(|a| a.at_pc(0x50)).collect(), true),
+                Step::Warp(loads.map(|a| a.at_pc(0x54)).collect(), false),
+                Step::Warp(vec![acc(base + 8, AccessKind::Read, other).at_pc(0x58)], false),
+            ]
+        });
+        for d in d {
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (3, 2 * 64 - 1), "{d:?}");
+        }
+    }
+
+    /// First touches after a reset: stale-stamped slots (a generation
+    /// bump) open on the wide tier with the scalar check's health
+    /// counts; a first touch inside a critical section stays scalar.
+    #[test]
+    fn warp_batch_matches_scalar_first_touch_after_reset() {
+        let sig = BloomSig::of_lock(0x100, BloomConfig::PAPER_DEFAULT);
+        let d = assert_steps_in_both_spaces(|base, g, _| {
+            let who = |l: u32| ThreadCoord::new(l, 0, 0, 0);
+            let mut loads: Vec<_> =
+                (0..8).map(|l| acc(base + l * g, AccessKind::Read, who(l)).at_pc(0x60)).collect();
+            loads.push(acc(base + 64 * g, AccessKind::Read, who(8)).at_pc(0x64).locked(sig));
+            let stores =
+                (0..8).map(|l| acc(base + l * g, AccessKind::Write, who(l)).at_pc(0x68)).collect();
+            vec![Step::Warp(stores, true), Step::Reset, Step::Warp(loads, false)]
+        });
+        for d in d {
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (2, 2 * 16), "{d:?}");
+        }
     }
 }

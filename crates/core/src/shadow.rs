@@ -194,7 +194,9 @@ impl ShadowEntry {
         *self = FRESH;
     }
 
-    fn init_from(&mut self, a: &MemAccess) {
+    /// State 1: open an epoch with `a` as its first access. Overwrites
+    /// every field, so the result does not depend on what the entry held.
+    pub(crate) fn init_from(&mut self, a: &MemAccess) {
         self.shared = false;
         self.modified = a.kind.is_write();
         self.tid = a.who.tid;
@@ -285,21 +287,23 @@ impl ShadowEntry {
         race
     }
 
-    /// Same-thread steady-state fast path for the batch check pipeline.
+    /// Ordered-lane steady-state fast path for the batch check pipeline.
     ///
-    /// Handles the overwhelmingly common case — the recorded thread
-    /// re-accessing its own location outside any critical section, in the
-    /// same epoch — without copying the entry or running the full
-    /// dispatch. Returns `Some(entry_changed)` when the access is fully
+    /// Handles the overwhelmingly common case — an access the Fig. 3
+    /// rules order with the recorded one (the recorded thread itself, or
+    /// another lane of its warp when the §III-A warp filter is on),
+    /// outside any critical section, in the same epoch — without copying
+    /// the entry or running the full dispatch. Returns
+    /// `Some((entry_changed, before, after))` when the access is fully
     /// handled (never a race, never a witness-state ambiguity), `None`
     /// when the caller must fall back to [`Self::observe_health`]. The
     /// handled cases are an exact transliteration of
-    /// `observe_happens_before` with `same_thread = true`:
+    /// `observe_happens_before` with `ordered_with_prev = true`:
     /// `entry_changed` is true iff the full path would have left the
     /// entry bitwise different (the signal `ShadowTraffic::writes`
     /// counts).
     #[inline(always)]
-    pub fn observe_same_thread_fast(
+    pub fn observe_ordered_fast(
         &mut self,
         a: &MemAccess,
         p: &ShadowPolicy,
@@ -308,14 +312,15 @@ impl ShadowEntry {
             let st = self.state();
             return Some((false, st, st));
         }
-        // Identity must match on every recorded coordinate — not just
-        // `tid` — so the truncated-ID collision counter, the lockset
-        // dispatch, and the sync-ID epoch filter all provably see
-        // nothing to do. Non-short-circuit `|` on purpose: every operand
-        // is a cheap flag/field compare, and folding them into one branch
-        // beats seven predicted-not-taken jumps in the batch loop.
+        // Identity must match on every recorded coordinate but the tid
+        // bits a same-warp lane may differ in (`hotwords::tid_mask`), so
+        // the truncated-ID collision counter, the lockset dispatch, and
+        // the sync-ID epoch filter all provably see nothing to do.
+        // Non-short-circuit `|` on purpose: every operand is a cheap
+        // flag/field compare, and folding them into one branch beats
+        // seven predicted-not-taken jumps in the batch loop.
         if self.is_fresh()
-            | (a.who.tid != self.tid)
+            | (((a.who.tid ^ self.tid) & crate::hotwords::tid_mask(p)) != 0)
             | (a.who.warp != self.warp)
             | (a.who.block != self.block)
             | (a.who.sm != self.sm)
@@ -329,11 +334,13 @@ impl ShadowEntry {
         }
         let is_write = a.kind.is_write();
         match (self.modified, self.shared) {
-            // State 2: own read recorded. A write promotes to Written
-            // (the identity fields are already ours); a read is a no-op.
+            // State 2: a read by this thread or warp recorded. A write
+            // promotes to Written and takes over the identity (only the
+            // tid can differ); a read is a no-op.
             (false, false) => {
                 if is_write {
                     self.modified = true;
+                    self.tid = a.who.tid;
                     self.fence_id = a.fence_id;
                     self.write_cycle = a.cycle;
                     self.pc = a.pc;
@@ -342,16 +349,19 @@ impl ShadowEntry {
                     Some((false, ShadowState::ReadSingle, ShadowState::ReadSingle))
                 }
             }
-            // State 3: own write recorded. A write refreshes the
-            // provenance fields; an ordered read changes nothing. The
-            // stores are skipped when the fields already match — the
-            // steady state is then read-only on the entry.
+            // State 3: a write by this thread or warp recorded. A write
+            // refreshes the writer and provenance fields; an ordered read
+            // changes nothing. The stores are skipped when the fields
+            // already match — the steady state is then read-only on the
+            // entry.
             (true, false) => {
                 if is_write {
-                    let changed = self.fence_id != a.fence_id
+                    let changed = self.tid != a.who.tid
+                        || self.fence_id != a.fence_id
                         || self.write_cycle != a.cycle
                         || self.pc != a.pc;
                     if changed {
+                        self.tid = a.who.tid;
                         self.fence_id = a.fence_id;
                         self.write_cycle = a.cycle;
                         self.pc = a.pc;
@@ -1259,12 +1269,19 @@ mod tests {
     }
 
     #[test]
-    fn same_thread_fast_path_matches_full_dispatch() {
+    fn ordered_fast_path_matches_full_dispatch() {
         // Everywhere the fast path claims to handle an access, the full
-        // dispatch must produce the identical entry, no race, and a
-        // bitwise-change flag equal to the fast path's return.
+        // dispatch must produce the identical entry, no race, no health
+        // count and a bitwise-change flag equal to the fast path's
+        // return — with the warp filter on (same-warp lanes handled) and
+        // off (only the recorded thread handled).
         let c = clocks();
-        for p in [shared_policy(), global_policy()] {
+        let unfiltered = |mut p: ShadowPolicy| {
+            p.warp_filter = false;
+            p
+        };
+        let policies = [shared_policy(), global_policy()];
+        for p in policies.into_iter().chain(policies.map(unfiltered)) {
             let opener_read = rd(t(5, 2)).with_clocks(3, 0).at_pc(10);
             let opener_write = wr(t(5, 2)).with_clocks(3, 0).at_pc(11).at_cycle(7);
             let mut setups: Vec<ShadowEntry> = Vec::new();
@@ -1279,23 +1296,41 @@ mod tests {
             shared_state.observe(&rd(t(90, 4)).with_clocks(3, 0), &c, &p);
             setups.push(shared_state);
 
+            // Lane 6 of the opener's warp, and a thread 1024 tids away
+            // that claims the same warp: it agrees with the recorded tid
+            // in the §VI-C2 10-bit field, so packed hardware would
+            // conflate the two and the full check counts a collision.
+            let sibling = t(6, 2);
+            let far = ThreadCoord::new(5 + 1024, 2, 1, 1);
             let followups = [
                 rd(t(5, 2)).with_clocks(3, 0).at_pc(20),
                 wr(t(5, 2)).with_clocks(3, 0).at_pc(21).at_cycle(9),
                 wr(t(5, 2)).with_clocks(3, 1).at_pc(11).at_cycle(7),
                 MemAccess::plain(0, 4, AccessKind::Atomic, t(5, 2)).with_clocks(3, 0),
-                // Cases the fast path must refuse: other thread, new
-                // epoch, critical section.
+                rd(sibling).with_clocks(3, 0).at_pc(22),
+                wr(sibling).with_clocks(3, 0).at_pc(11).at_cycle(7),
+                wr(sibling).with_clocks(3, 0).at_pc(23).at_cycle(9),
+                // Cases the fast path must refuse: another warp, new
+                // epoch, critical section, the far thread.
                 wr(t(90, 4)).with_clocks(3, 0),
                 wr(t(5, 2)).with_clocks(4, 0),
+                wr(sibling).with_clocks(4, 0),
                 locked_access(0x100, t(5, 2), AccessKind::Write),
+                locked_access(0x100, sibling, AccessKind::Read),
+                wr(far).with_clocks(3, 0),
+                rd(far).with_clocks(3, 0),
             ];
             for setup in &setups {
                 for a in &followups {
                     let mut fast = *setup;
-                    let verdict = fast.observe_same_thread_fast(a, &p);
+                    let verdict = fast.observe_ordered_fast(a, &p);
                     let mut full = *setup;
                     let mut h = DetectorHealth::default();
+                    if p.space == MemSpace::Global
+                        && crate::packed::id_truncation_collision(setup, &a.who)
+                    {
+                        h.id_truncation_collisions += 1;
+                    }
                     let race = full.observe_health(a, &c, &p, &mut h);
                     if let Some((changed, before, after)) = verdict {
                         assert_eq!(fast, full, "entry mismatch for {a:?} from {setup:?}");
@@ -1304,11 +1339,18 @@ mod tests {
                         assert_eq!(before, setup.state(), "before state for {a:?}");
                         assert_eq!(after, full.state(), "after state for {a:?}");
                         assert_eq!(h, DetectorHealth::default(), "fast path hid health");
+                        if a.who.tid != setup.tid && a.kind.is_tracked() {
+                            assert!(p.warp_filter, "a sibling lane passed without the warp filter");
+                        }
                     } else {
                         assert_eq!(fast, *setup, "refusal must not mutate");
                     }
                 }
             }
+            // The sibling lanes do take the fast path under the filter.
+            let mut e = setups[0];
+            let handled = e.observe_ordered_fast(&wr(sibling).with_clocks(3, 0), &p).is_some();
+            assert_eq!(handled, p.warp_filter);
         }
     }
 

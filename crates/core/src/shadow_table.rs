@@ -97,17 +97,25 @@ impl ShadowPage {
 
     /// Apply a screened-pass *write* lane at slot `o` entirely through
     /// the hot words: `ReadSingle -> Written` promotion, or store elision
-    /// against the packed `h2` word for an already-`Written` entry.
-    /// Returns whether the entry changed — exactly the `*entry != before`
-    /// the scalar path computes, because `h2` equality is exact for
-    /// packable fields and unpackable ones fall back to the AoS compare.
+    /// against the packed `h2` word for an already-`Written` entry. When
+    /// the writer is another lane of the recorded warp (its identity key
+    /// `k0` differs from `h0`, in the tid half only), it takes over `tid`
+    /// and `h0`, as the full check's ordered write does. Returns whether
+    /// the entry changed — exactly the `*entry != before` the scalar path
+    /// computes, because `h2` equality is exact for packable fields and
+    /// unpackable ones fall back to the AoS compare.
     #[inline]
-    fn fast_write_at(&mut self, o: usize, a: &MemAccess, h1: u64) -> bool {
+    fn fast_write_at(&mut self, o: usize, a: &MemAccess, h1: u64, k0: u64) -> bool {
+        let other_lane = self.hot0[o] != k0;
+        if other_lane {
+            self.entries[o].tid = a.who.tid;
+            self.hot0[o] = k0;
+        }
         if h1 & hotwords::H1_MODIFIED != 0 {
             // Written + write: the steady store-elision state.
             let k2 = hotwords::key2(a.fence_id, a.cycle, a.pc);
             if self.hot2[o] == k2 {
-                return false;
+                return other_lane;
             }
             if (self.hot2[o] | k2) & hotwords::H2_POISON_BIT != 0 {
                 // One side is unpackable: decide on the exact fields.
@@ -120,7 +128,7 @@ impl ShadowPage {
                     e.pc = a.pc;
                     self.hot2[o] = hotwords::pack_h2(a.fence_id, a.cycle, a.pc);
                 }
-                return changed;
+                return changed | other_lane;
             }
             let e = &mut self.entries[o];
             e.fence_id = a.fence_id;
@@ -129,7 +137,7 @@ impl ShadowPage {
             self.hot2[o] = k2;
             true
         } else {
-            // ReadSingle + same-thread write: promote to Written.
+            // ReadSingle + ordered write: promote to Written.
             let e = &mut self.entries[o];
             e.modified = true;
             e.fence_id = a.fence_id;
@@ -139,6 +147,20 @@ impl ShadowPage {
             self.hot2[o] = hotwords::pack_h2(a.fence_id, a.cycle, a.pc);
             true
         }
+    }
+
+    /// Open a fresh slot `o` with `a`'s first touch: the full check's
+    /// State 1 (no lockset outside a critical section, no truncated-ID
+    /// check on a fresh entry, always a change), then the repack. Cold
+    /// and out of line: a first touch happens once per slot and epoch,
+    /// so it stays off the steady-state lanes' code path.
+    #[cold]
+    #[inline(never)]
+    fn open_at(&mut self, o: usize, a: &MemAccess) -> (bool, ShadowState, ShadowState) {
+        self.entries[o].init_from(a);
+        self.repack(o);
+        let after = if a.kind.is_write() { ShadowState::Written } else { ShadowState::ReadSingle };
+        (true, ShadowState::Fresh, after)
     }
 
     /// Bump the epoch, invalidating every entry lazily.
@@ -360,16 +382,19 @@ impl PageEntries<'_> {
     /// exactly the scalar fast path's outcome, with the Fig. 3 states
     /// read from the hot-word flags (a passing lane's only possible edge
     /// is a write promoting `ReadSingle` to `Written`) — or `None` for a
-    /// cold lane, which is left stamp-checked for [`Self::cold_entry`].
-    /// Because each lane screens against the *current* hot words at its
-    /// own turn, a run walked through this method observes mutations
-    /// from earlier cold lanes exactly as the scalar pipeline would.
-    #[inline]
+    /// lane that screened out, which is left stamp-checked for
+    /// [`Self::lane_first_touch`] and [`Self::cold_entry`]. Because each
+    /// lane screens against the *current* hot words at its own turn, a
+    /// run walked through this method observes mutations from earlier
+    /// cold lanes exactly as the scalar pipeline would. Always inlined
+    /// into the batch loop: as an out-of-line call it cost the coalesced
+    /// steady state about 40%.
+    #[inline(always)]
     pub fn lane_screen_apply(
         &mut self,
         idx: usize,
         a: &MemAccess,
-        masks: (u64, u64),
+        masks: hotwords::ScreenMasks,
         h: &mut DetectorHealth,
     ) -> Option<(bool, ShadowState, ShadowState)> {
         let o = (idx - self.base) % PAGE_ENTRIES;
@@ -393,16 +418,36 @@ impl PageEntries<'_> {
         let k0 = hotwords::key0(&a.who);
         let k1 = hotwords::key1(&a.who, a.sync_id, a.in_critical_section);
         let is_write = a.kind.is_write();
-        let m = if is_write { masks.0 } else { masks.1 };
+        let m = if is_write { masks.write } else { masks.read };
         // Folded into one word so the screen is a single branch source.
-        if ((p.hot0[o] ^ k0) | ((h1 ^ k1) & m)) != 0 {
+        if (((p.hot0[o] ^ k0) & masks.h0) | ((h1 ^ k1) & m)) != 0 {
             return None;
         }
         Some(if is_write {
-            (p.fast_write_at(o, a, h1), before, ShadowState::Written)
+            (p.fast_write_at(o, a, h1, k0), before, ShadowState::Written)
         } else {
             (false, before, before)
         })
+    }
+
+    /// The wide tier's second chance for a lane that screened out: the
+    /// first touch of a fresh slot by a tracked access outside a
+    /// critical section opens the epoch exactly as the full check's
+    /// State 1 does, returning `Some((true, Fresh, after))`. `None`
+    /// leaves the lane (critical-section first touches included) to the
+    /// cold path. Must follow [`Self::lane_screen_apply`] on the same
+    /// lane, which stamp-checked the slot.
+    #[inline(always)]
+    pub fn lane_first_touch(
+        &mut self,
+        idx: usize,
+        a: &MemAccess,
+    ) -> Option<(bool, ShadowState, ShadowState)> {
+        let o = (idx - self.base) % PAGE_ENTRIES;
+        let p = &mut *self.page;
+        debug_assert_eq!(p.stamps[o], p.generation, "first touch not stamp-checked");
+        let fresh = p.hot1[o] & hotwords::H1_FRESH != 0;
+        (fresh && a.kind.is_tracked() && !a.in_critical_section).then(|| p.open_at(o, a))
     }
 
     /// Raw entry access for a screened-out (cold) lane. Unlike
@@ -614,15 +659,34 @@ mod tests {
         let e = t.get(2);
         assert_eq!((e.write_cycle, e.pc), (9, 0x44));
         // A partial-page reset walks entries and hot words together: the
-        // slot screens cold as a fresh entry, with no lazy re-init left.
+        // slot reads fresh with no lazy re-init left, and its first touch
+        // opens the epoch on the wide tier — the entry and health counts
+        // the full check's State 1 leaves, and hot words that mirror it.
         t.reset_range(0, 10);
-        let stale_before = h.shadow_fresh_on_mismatch;
+        let health_before = h;
+        let mut reference = FRESH;
+        let mut h_ref = DetectorHealth::default();
+        assert!(reference.observe_health(&w2, &c, &p, &mut h_ref).is_none());
         t.with_page(2, &mut h, |pe, h| {
             pe.ensure_hot();
-            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), None);
+            let opened = (true, ShadowState::Fresh, ShadowState::Written);
+            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), None, "a fresh slot screens out");
+            assert_eq!(pe.lane_first_touch(2, &w2), Some(opened));
+            assert_eq!(*pe.cold_entry(2), reference);
+            // The mirror was repacked: the owner's repeat elides.
+            assert_eq!(pe.lane_screen_apply(2, &w2, masks, h), Some((false, written.0, written.1)));
+        });
+        assert_eq!(t.get(2), reference);
+        assert_eq!(h_ref, DetectorHealth::default());
+        assert_eq!(h, health_before, "a walked reset leaves no lazy re-init to count");
+        // A critical-section first touch stays on the scalar path.
+        t.reset_range(0, 10);
+        let locked = w2.locked(crate::bloom::BloomSig::of_lock(0x100, p.bloom));
+        t.with_page(2, &mut h, |pe, h| {
+            assert_eq!(pe.lane_screen_apply(2, &locked, masks, h), None);
+            assert_eq!(pe.lane_first_touch(2, &locked), None);
             assert!(pe.cold_entry(2).is_fresh());
         });
-        assert_eq!(h.shadow_fresh_on_mismatch, stale_before);
     }
 
     #[test]

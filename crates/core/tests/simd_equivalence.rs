@@ -4,10 +4,12 @@
 //! Random same-page runs mix thread identities, critical-section
 //! membership (Bloom-only and exact-table locksets), sync-ID epochs,
 //! cycles past the packable range (h2 poison), SM ids past the packable
-//! range (h1 poison), atomics and chunk-straddling accesses. Each batch
-//! is replayed for three rounds — the later rounds sit in the
-//! same-thread steady state the wide tier is built for — through a
-//! default RDU and a `set_force_scalar(true)` twin, with witness
+//! range (h1 poison), atomics and chunk-straddling accesses, as
+//! generated, behind an owner's read, or behind another lane of the
+//! warp (see `variants`). Each batch is replayed for three rounds — the
+//! later rounds sit in the ordered-lane steady state the wide tier is
+//! built for — through a default RDU and a `set_force_scalar(true)`
+//! twin, both with the §III-A warp filter on and both off, with witness
 //! capture off and on, and with a transition sink absent and attached to
 //! both twins (the wide tier stays engaged under either observer). Every
 //! observable must match bit-for-bit: shadow entries, race records,
@@ -196,12 +198,14 @@ fn assert_twins_match<S: Space>(
     );
 }
 
-fn global_rdu() -> GlobalRdu {
-    GlobalRdu::new(HEAP, 4096, SHADOW, Granularity::GLOBAL_DEFAULT, true, true, BloomConfig::PAPER_DEFAULT)
+fn global_rdu(warp_filter: bool) -> GlobalRdu {
+    let gran = Granularity::GLOBAL_DEFAULT;
+    GlobalRdu::new(HEAP, 4096, SHADOW, gran, warp_filter, true, BloomConfig::PAPER_DEFAULT)
 }
 
-fn shared_rdu() -> SharedRdu {
-    SharedRdu::new(0, 16 * 1024, 16, Granularity::SHARED_DEFAULT, true, BloomConfig::PAPER_DEFAULT)
+fn shared_rdu(warp_filter: bool) -> SharedRdu {
+    let gran = Granularity::SHARED_DEFAULT;
+    SharedRdu::new(0, 16 * 1024, 16, gran, warp_filter, BloomConfig::PAPER_DEFAULT)
 }
 
 proptest! {
@@ -212,7 +216,9 @@ proptest! {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| global_access(l, i)).collect();
         for (accesses, witness) in variants(&accesses) {
-            assert_twins_match(global_rdu, &accesses, witness);
+            for warp_filter in [true, false] {
+                assert_twins_match(|| global_rdu(warp_filter), &accesses, witness);
+            }
         }
     }
 
@@ -221,22 +227,36 @@ proptest! {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| shared_access(l, i)).collect();
         for (accesses, witness) in variants(&accesses) {
-            assert_twins_match(shared_rdu, &accesses, witness);
+            for warp_filter in [true, false] {
+                assert_twins_match(|| shared_rdu(warp_filter), &accesses, witness);
+            }
         }
     }
 }
 
-/// Each batch with witness capture off and on, both as generated and
-/// with every lane preceded by a read from the same thread — so writes
-/// by a location's owner promote `ReadSingle` to `Written` on the wide
-/// tier, the one Fig. 3 edge it can take.
+/// Each batch with witness capture off and on, in three shapes: as
+/// generated; `owned`, with every lane preceded by a read from the same
+/// thread, so writes by a location's owner promote `ReadSingle` to
+/// `Written` on the wide tier; and `sibling`, with every lane preceded
+/// by a read (even lanes) or write (odd lanes) from another lane of its
+/// warp, so the lane meets an entry its warp recorded — ordered under
+/// the warp filter, a race without it.
 fn variants(accesses: &[MemAccess]) -> Vec<(Vec<MemAccess>, bool)> {
     let owned: Vec<MemAccess> = accesses
         .iter()
         .flat_map(|a| [MemAccess { kind: AccessKind::Read, ..*a }, *a])
         .collect();
+    let sibling: Vec<MemAccess> = accesses
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| {
+            let kind = if i % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
+            let who = ThreadCoord { tid: a.who.tid ^ 1, ..a.who };
+            [MemAccess { kind, who, ..*a }, *a]
+        })
+        .collect();
     [false, true]
         .into_iter()
-        .flat_map(|w| [(accesses.to_vec(), w), (owned.clone(), w)])
+        .flat_map(|w| [(accesses.to_vec(), w), (owned.clone(), w), (sibling.clone(), w)])
         .collect()
 }

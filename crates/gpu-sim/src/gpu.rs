@@ -70,6 +70,12 @@ pub struct LaunchResult {
     /// `skip.cycles_skipped`/`skip_jumps` are zero in dense mode by
     /// definition (`skip.sm_idle_cycles` is mode-independent).
     pub skip: SkipStats,
+    /// Shadow-check lanes per dispatch tier, summed over the shared and
+    /// global RDUs (all zero with detection off). Outside `stats` on
+    /// purpose: the tiers are bit-identical by construction, so these
+    /// tallies move when a tier widens (or `HACCRG_FORCE_SCALAR_SHADOW`
+    /// pins the scalar one) while every result stays put.
+    pub dispatch: DispatchStats,
 }
 
 /// The GPU device.
@@ -350,6 +356,13 @@ impl Gpu {
             self.tracer.emit(now, SimEvent::KernelEnd { launch: launch_id });
         }
 
+        let mut dispatch = DispatchStats::default();
+        for rdu in sms.iter().filter_map(|s| s.shared_rdu.as_ref()) {
+            dispatch.accumulate(&rdu.dispatch);
+        }
+        if let Some(rdu) = det.as_ref().and_then(|d| d.global.as_ref()) {
+            dispatch.accumulate(&rdu.dispatch);
+        }
         let (races, max_sync, max_fence) = match det {
             Some(d) => (d.log, d.clocks.max_sync_id(), d.clocks.max_fence_id()),
             None => (RaceLog::default(), 0, 0),
@@ -367,6 +380,7 @@ impl Gpu {
             shadow_packed_bytes: shadow.packed_bytes,
             tracked_bytes,
             skip,
+            dispatch,
         })
     }
 

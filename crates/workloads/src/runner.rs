@@ -4,7 +4,7 @@
 
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
-use haccrg::prelude::RaceLog;
+use haccrg::prelude::{DispatchStats, RaceLog};
 
 use crate::{BenchInstance, Benchmark, Scale};
 
@@ -58,6 +58,10 @@ pub struct RunOutput {
     /// Fast-forward accounting summed across launches (empty-equivalent
     /// when `cycle_skip` is off; never part of result comparisons).
     pub skip: SkipStats,
+    /// Shadow-check lanes per dispatch tier summed across launches
+    /// (which tier ran, not what it found; never part of result
+    /// comparisons).
+    pub dispatch: DispatchStats,
 }
 
 /// Run a prepared instance on an existing GPU.
@@ -65,6 +69,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
     let mut stats = SimStats::default();
     let mut races = RaceLog::default();
     let mut skip = SkipStats::default();
+    let mut dispatch = DispatchStats::default();
     let mut tracked = 0;
     let mut shadow = 0;
     let mut max_sync = 0u8;
@@ -74,6 +79,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
         stats.accumulate(&r.stats);
         races.absorb(&r.races);
         skip.accumulate(&r.skip);
+        dispatch.accumulate(&r.dispatch);
         tracked = r.tracked_bytes;
         shadow = r.shadow_packed_bytes;
         max_sync = max_sync.max(r.max_sync_id);
@@ -90,6 +96,7 @@ pub fn run_instance(gpu: &mut Gpu, inst: &BenchInstance) -> Result<RunOutput, Si
         max_fence_id: max_fence,
         launches: inst.launches.len(),
         skip,
+        dispatch,
     })
 }
 
