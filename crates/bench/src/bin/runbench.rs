@@ -226,8 +226,8 @@ fn main() {
     );
     let d = &out.dispatch;
     println!(
-        "tiers     : {} wide, {} cs-fast, {} scalar shadow-check lanes",
-        d.wide_lanes, d.cs_fast_lanes, d.scalar_lanes
+        "tiers     : {} wide, {} scalar shadow-check lanes",
+        d.wide_lanes, d.scalar_lanes
     );
     println!("max IDs   : sync {}, fence {}", out.max_sync_id, out.max_fence_id);
     println!("shadow mem: {} bytes packed over {} tracked", out.shadow_packed_bytes, out.tracked_bytes);

@@ -36,6 +36,7 @@ use haccrg::json::esc_json;
 use haccrg::prelude::{BloomConfig, DetectorHealth};
 use haccrg_workloads::hash::{hash_of, Hash};
 use haccrg_workloads::inject::Injection;
+use haccrg_workloads::runner::RunConfig;
 use haccrg_workloads::{benchmark_by_name, Scale};
 
 use crate::effectiveness::{run_plan_with, InjKind, InjectionResult, Plan};
@@ -137,29 +138,43 @@ pub fn audit_under(plans: &[Plan], scale: Scale, det: DetectorConfig) -> Vec<Aud
 /// under the *wrong* lock, `+16` bytes from the bucket's own lock — the
 /// two locks share a §VI-A2 signature index whenever the bin width is
 /// ≤ 4 (e.g. 8-bit/2-bin), and distinct indices at the paper default.
+///
+/// `LockedWrite` plants from thread 0 of every block, and at `tiny` (the
+/// scale the tests and CI audit) block 0's plant opens the victim's
+/// shadow entry, so the victims are keys owned by threads outside block
+/// 0's first warp: the §III-A warp filter orders every pair within one
+/// warp, so a victim in the planting warp meets no race to detect (the
+/// lockset check finds the null intersection and the filter drops it).
+/// Each victim's bucket is also hashed by a key of that first warp,
+/// whose critical section fences the warp before it releases the bucket
+/// lock: by the time the victim holds the lock, the planted write is
+/// published, so only the lockset rule can flag the pair. A victim alone
+/// in its bucket reads the unfenced plant, and the §III-C fence rule
+/// reports that read under any signature width — as it does at `repro`,
+/// where another block's plant opens the entry first.
 pub fn aliasing_probes(scale: Scale) -> Vec<Plan> {
     let (table_n, keys_n, _) = Hash::geometry(scale);
     let keys = Hash::keys(keys_n);
-    // Same victim buckets as the campaign's critical-section plans:
-    // owned by keys[1..3], so thread 0 never makes the pair same-thread.
-    keys.iter()
-        .skip(1)
+    let bucket = |k: u32| hash_of(k, table_n - 1);
+    let warp = RunConfig::detecting(scale).gpu.warp_size as usize;
+    let first_warp: Vec<u32> = keys[..warp].iter().map(|&k| bucket(k)).collect();
+    keys[warp..]
+        .iter()
+        .map(|&k| bucket(k))
+        .filter(|b| first_warp.contains(b))
         .take(2)
-        .map(|&k| {
-            let bucket = hash_of(k, table_n - 1);
-            Plan {
-                label: format!("HASH/LockedWrite(bucket={bucket},alias=+16)"),
-                bench: benchmark_by_name("HASH").expect("HASH benchmark"),
-                launch: 0,
-                injection: Injection::LockedWrite {
-                    lock_param_idx: 2,
-                    lock_offset: bucket * 4,
-                    alias_offset: 16,
-                    data_param_idx: 1,
-                    data_offset: bucket * 4,
-                },
-                kind: InjKind::CriticalSection,
-            }
+        .map(|bucket| Plan {
+            label: format!("HASH/LockedWrite(bucket={bucket},alias=+16)"),
+            bench: benchmark_by_name("HASH").expect("HASH benchmark"),
+            launch: 0,
+            injection: Injection::LockedWrite {
+                lock_param_idx: 2,
+                lock_offset: bucket * 4,
+                alias_offset: 16,
+                data_param_idx: 1,
+                data_offset: bucket * 4,
+            },
+            kind: InjKind::CriticalSection,
         })
         .collect()
 }

@@ -48,8 +48,8 @@ struct Pipeline {
     global_lanes: Vec<MemAccess>,
     shared_lanes: Vec<MemAccess>,
     /// Two warps alternately writing the same words under a common lock:
-    /// every batch round drives the batched lockset path (§III-B) in its
-    /// cross-thread steady state.
+    /// every batch round drives the full check's §III-B lockset path in
+    /// its cross-thread steady state.
     lockset_warps: [Vec<MemAccess>; 2],
     /// Round parity selecting which lockset warp goes next.
     tick: usize,
@@ -155,8 +155,8 @@ impl Pipeline {
         );
         // The same batches with a transition sink attached, as a traced
         // launch runs them: the global warp in its same-thread steady
-        // state (wide rung), the shared warp after another reset, so it
-        // finds every entry fresh again (full check).
+        // state (wide tier), the shared warp after another reset, so it
+        // finds every entry fresh again (the wide tier's first touches).
         let edges = &mut self.edges;
         let mut sink = |_addr: u32, _from: ShadowState, _to: ShadowState| *edges += 1;
         self.grdu.check_warp_batch(
@@ -180,9 +180,9 @@ impl Pipeline {
             Some(&mut sink),
             |_traffic| {},
         );
-        // Batched lockset path: cross-warp writes under a common lock are
-        // benign, so the Bloom intersection verdict is hoisted per run
-        // and must never touch the allocator once warm.
+        // Critical-section lanes: cross-warp writes under a common lock
+        // are benign, and the full check's lockset intersection must
+        // never touch the allocator once warm.
         let lockset_warp = &self.lockset_warps[self.tick & 1];
         self.tick += 1;
         self.grdu.check_warp_batch(

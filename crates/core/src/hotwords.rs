@@ -1,15 +1,15 @@
 //! Packed per-entry *hot words* for the SIMD/SWAR shadow-check tier.
 //!
-//! The ordered-lane fast path ([`crate::shadow::ShadowEntry::observe_ordered_fast`])
-//! bails on a predicate over seven entry fields (fresh/tid/warp/block/sm/
-//! protected/sync-ID), where the tid compare ignores the bits a lane of
-//! the recorded warp may differ in when the §III-A warp filter is on.
-//! Walking the unpacked ~64-byte AoS entry to evaluate it costs one cache
-//! line and a branch chain per lane. This module packs exactly the fields
-//! that predicate reads into two `u64` *hot words* — stored as parallel
-//! arrays per shadow page (see [`crate::shadow_table`]) — so the batch
-//! pipeline can screen a whole run of lanes with two wide compares per
-//! entry:
+//! The wide tier of the batch kernel retires a lane without the full
+//! Fig. 3 check when the rules order it with the recorded access: a
+//! predicate over seven entry fields (fresh/tid/warp/block/sm/protected/
+//! sync-ID), where the tid compare ignores the bits a lane of the
+//! recorded warp may differ in when the §III-A warp filter is on.
+//! Walking the unpacked ~64-byte AoS entry to evaluate it would cost one
+//! cache line and a branch chain per lane. This module packs exactly the
+//! fields that predicate reads into two `u64` *hot words* — stored as
+//! parallel arrays per shadow page (see [`crate::shadow_table`]) — so the
+//! batch pipeline screens each lane with two wide compares per entry:
 //!
 //! * `h0` = `tid | warp << 32` — the per-lane identity half, compared
 //!   under the policy's identity mask ([`ScreenMasks::h0`]).
@@ -23,10 +23,10 @@
 //! The packing is **conservative by construction**: a value that does not
 //! fit its lane (an SM ID above 16 bits, a write cycle above 23 bits)
 //! poisons the word with a bit the key side can never match, forcing the
-//! lane onto the exact cold path. A screen mismatch therefore never
-//! skips work that the scalar predicate would have done; only exact
-//! matches take the fast path, so the mask semantics are *identical* to
-//! the scalar bail predicate (DESIGN.md §9 spells out the argument).
+//! lane onto the full check. A screen mismatch therefore only costs
+//! time; only exact matches take the wide tier, and on those the full
+//! check finds an ordered lane with nothing to report (DESIGN.md §9
+//! spells out the argument).
 
 use crate::access::ThreadCoord;
 use crate::shadow::{ShadowEntry, ShadowPolicy};
@@ -52,8 +52,8 @@ pub const H1_SHARED: u64 = 1 << 58;
 /// and the store-elision check.
 pub const H1_MODIFIED: u64 = 1 << 59;
 /// Key-side flag for `MemAccess::in_critical_section`. The entry side
-/// never sets it, so an in-CS access always mismatches (the scalar
-/// predicate bails on `a.in_critical_section` unconditionally).
+/// never sets it, so an in-CS access always mismatches (the §III-B
+/// lockset rules of the full check handle every critical-section lane).
 pub const H1_KEY_CS: u64 = 1 << 61;
 /// Entry-side poison: some entry field did not fit its lane.
 pub const H1_ENTRY_POISON: u64 = 1 << 62;
@@ -68,7 +68,8 @@ pub const H1_WRITE_MASK: u64 =
 /// every non-fresh state, including `ReadShared`).
 pub const H1_READ_MASK: u64 = H1_WRITE_MASK & !H1_SHARED;
 /// Strip mask for policies without sync-ID epochs (shared memory): the
-/// scalar predicate gates the sync compare on `p.sync_id_epochs`.
+/// full check reopens an epoch on a sync-ID mismatch only under
+/// `p.sync_id_epochs`.
 const H1_SYNC_STRIP: u64 = !(0xFFu64 << H1_SYNC_SHIFT);
 
 // ---- h2 (store elision) ----
@@ -201,28 +202,36 @@ pub fn screen_masks(p: &ShadowPolicy) -> ScreenMasks {
 mod tests {
     use super::*;
     use crate::access::{AccessKind, MemAccess};
-    use crate::bloom::BloomConfig;
-    use crate::shadow::FRESH;
+    use crate::bloom::{BloomConfig, BloomSig};
+    use crate::clocks::ClockFile;
+    use crate::health::DetectorHealth;
+    use crate::shadow::{reference_check, FRESH};
 
     fn entry_for(who: ThreadCoord, kind: AccessKind) -> ShadowEntry {
         let mut e = FRESH;
-        let c = crate::clocks::ClockFile::new(4, 16);
+        let c = ClockFile::new(4, 16);
         let p = ShadowPolicy::global(true, true, BloomConfig::PAPER_DEFAULT);
         let a = MemAccess::plain(0, 4, kind, who).with_clocks(3, 0);
         e.observe(&a, &c, &p).map(|_| ()).unwrap_or(());
         e
     }
 
-    /// The packed screen must pass exactly when the scalar bail predicate
-    /// of `observe_ordered_fast` passes, over a grid of mismatches, with
-    /// the warp filter on and off.
+    /// The packed screen over a grid of identity, sync-epoch and
+    /// critical-section perturbations, with the warp filter on and off,
+    /// against the full check: wherever the screen passes, the full
+    /// check orders the lane with the recorded access — no race, no
+    /// health count (the §VI-C2 truncated-ID count included), no epoch
+    /// reopen. And the screen passes where it must: the recorded thread
+    /// passes, sibling lanes pass with the warp filter and never without,
+    /// and a write to a read-shared entry screens out.
     #[test]
     fn screen_equals_the_scalar_bail_predicate() {
         let base = ThreadCoord::new(7, 3, 1, 2);
+        let siblings = [ThreadCoord::new(8, 3, 1, 2), ThreadCoord::new(31, 3, 1, 2)];
         let perturbed = [
             base,
-            ThreadCoord::new(8, 3, 1, 2),        // a sibling lane
-            ThreadCoord::new(31, 3, 1, 2),       // another sibling lane
+            siblings[0],
+            siblings[1],
             ThreadCoord::new(7 + 1024, 3, 1, 2), // agrees in the tid field
             ThreadCoord::new(8 + 4096, 3, 1, 2),
             ThreadCoord::new(7, 4, 1, 2),
@@ -232,12 +241,12 @@ mod tests {
             ThreadCoord::new(7, 3, 1, 9),
             ThreadCoord::new(7, 3, 1, 1 << 17), // unpackable SM
         ];
+        let c = ClockFile::new(4, 16);
         let mut policies = Vec::new();
         for warp_filter in [true, false] {
             policies.push(ShadowPolicy::global(warp_filter, true, BloomConfig::PAPER_DEFAULT));
             policies.push(ShadowPolicy::shared(warp_filter, BloomConfig::PAPER_DEFAULT));
         }
-        let mut siblings_passed = [0u32; 2];
         for policy in policies {
             let masks = screen_masks(&policy);
             let screen = |e: &ShadowEntry, a: &MemAccess| {
@@ -254,31 +263,29 @@ mod tests {
                             for kind in [AccessKind::Read, AccessKind::Write] {
                                 let a = MemAccess::plain(0, 4, kind, who).with_clocks(sync, 0);
                                 let a = if cs {
-                                    a.locked(crate::bloom::BloomSig::of_lock(0x100, policy.bloom))
+                                    a.locked(BloomSig::of_lock(0x100, policy.bloom))
                                 } else {
                                     a
                                 };
                                 let pass = screen(&e, &a);
-                                let mut probe = e;
-                                let fast = probe.observe_ordered_fast(&a, &policy);
+                                let at = format!("{who:?} sync={sync} cs={cs} {kind:?}");
                                 if pass {
-                                    assert!(
-                                        fast.is_some(),
-                                        "screen passed but scalar bailed: {who:?} sync={sync} cs={cs} {kind:?}"
-                                    );
-                                    if who.tid != base.tid {
-                                        siblings_passed[usize::from(policy.warp_filter)] += 1;
-                                    }
-                                } else if fast.is_some() {
-                                    // The screen may only be stricter on
-                                    // the shared-for-reads and
-                                    // unpackable lanes, never looser.
-                                    assert!(
-                                        !kind.is_write() || who.sm >= H1_SM_LIMIT,
-                                        "screen was looser than the scalar predicate"
-                                    );
+                                    let (mut full, mut h) = (e, DetectorHealth::default());
+                                    let race = reference_check(&mut full, &a, &c, &policy, &mut h);
+                                    assert!(race.is_none(), "screen passed a race: {at}");
+                                    assert_eq!(h, DetectorHealth::default(), "{at}");
+                                    let epoch = |e: &ShadowEntry| {
+                                        (e.warp, e.block, e.sm, e.sync_id, e.protected)
+                                    };
+                                    assert_eq!(epoch(&full), epoch(&e), "epoch reopened: {at}");
                                 }
-                                let _ = e; // entry untouched by the probe copy
+                                if !cs && sync == 3 {
+                                    if who == base {
+                                        assert!(pass, "the recorded thread screened out: {at}");
+                                    } else if siblings.contains(&who) {
+                                        assert_eq!(pass, policy.warp_filter, "{at}");
+                                    }
+                                }
                             }
                         }
                     }
@@ -290,8 +297,6 @@ mod tests {
                 assert!(!screen(&e, &a), "ReadShared write must go cold");
             }
         }
-        assert_eq!(siblings_passed[0], 0, "a sibling lane passed without the warp filter");
-        assert!(siblings_passed[1] > 0, "no sibling lane passed under the warp filter");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! (heap base, shadow-region addresses) and [`crate::shared_rdu::Shared`]
 //! (SM id, banked barrier resets).
 //!
-//! The batch kernel retires each lane on one of three rungs (see
-//! [`crate::dispatch`]): the wide SWAR screen, the batched lockset path,
-//! or the full Fig. 3 check. Every rung reports its own Fig. 3 edges and
-//! witness events, so an attached tracer or witness ring observes the
+//! The batch kernel retires each lane on one of two tiers (see
+//! [`crate::dispatch`]): the wide SWAR screen (with its first-touch
+//! step), or the full Fig. 3 check. Both report their own Fig. 3 edges
+//! and witness events, so an attached tracer or witness ring observes the
 //! same code path an unobserved run executes.
 
 use crate::access::{MemAccess, MemSpace};
@@ -105,12 +105,9 @@ pub struct ShadowRegion<S> {
     /// Opt-in windowed access recorder feeding per-race witness timelines.
     capture_witness: bool,
     ring: WitnessRing,
-    /// Escape hatch: pin every batch lane to the scalar reference path
-    /// (`HACCRG_FORCE_SCALAR_SHADOW`, [`crate::dispatch`]).
-    force_scalar: bool,
     /// Check and traffic counters.
     pub stats: RduStats,
-    /// Lanes retired per dispatch tier (wide / cs-fast / scalar).
+    /// Lanes retired per dispatch tier (wide / scalar).
     pub dispatch: DispatchStats,
 }
 
@@ -136,7 +133,6 @@ impl<S: Space> ShadowRegion<S> {
             policy,
             capture_witness: cfg.witness_capture,
             ring: WitnessRing::with_depth(WITNESS_RING_DEPTH),
-            force_scalar: crate::dispatch::force_scalar_shadow_default(),
             stats: RduStats::default(),
             dispatch: DispatchStats::default(),
         }
@@ -185,7 +181,7 @@ impl<S: Space> ShadowRegion<S> {
         };
         for idx in lo..=hi {
             let chunk_addr = self.base + ((idx as u32) << self.gran.shift());
-            let changed = ck.check_chunk_slow(self.table.get_mut_counted(idx, h), a, chunk_addr, h);
+            let changed = ck.full_check(self.table.get_mut_counted(idx, h), a, chunk_addr, h);
             traffic.reads += 1;
             traffic.writes += u8::from(changed);
         }
@@ -209,11 +205,12 @@ impl<S: Space> ShadowRegion<S> {
     /// (never called in a space without [`Space::TRAFFIC`]).
     /// `on_transition` receives every Fig. 3 edge in that same order.
     /// The speedup comes from amortization, not reordering: *maximal
-    /// consecutive runs* of accesses on one shadow page resolve the page
-    /// once ([`ShadowTable::with_page`]), and each single-chunk lane
-    /// climbs a ladder — the wide SWAR screen, then the batched lockset
-    /// path, then the full Fig. 3 check — whatever observers are
-    /// attached. Accesses are never physically sorted.
+    /// consecutive runs* of single-chunk accesses on one shadow page
+    /// resolve the page once ([`ShadowTable::with_page`]), and each lane
+    /// of a run climbs one ladder — the wide SWAR screen, then the
+    /// first-touch step, then the full Fig. 3 check — whatever observers
+    /// are attached. A multi-chunk access ends the run and takes the full
+    /// check chunk by chunk. Accesses are never physically sorted.
     #[allow(clippy::too_many_arguments)]
     pub fn check_warp_batch(
         &mut self,
@@ -259,13 +256,11 @@ impl<S: Space> ShadowRegion<S> {
             policy,
             capture_witness,
             ring,
-            force_scalar,
             stats,
             dispatch,
         } = self;
         let policy: &ShadowPolicy = policy;
         let (base, shadow_base, shift, tlen) = (*base, *shadow_base, gran.shift(), table.len());
-        let wide = !*force_scalar;
         let masks = hotwords::screen_masks(policy);
         let mut ck = Checker::<OBSERVED> {
             clocks,
@@ -279,6 +274,8 @@ impl<S: Space> ShadowRegion<S> {
         let shadow_addr_at =
             |idx: usize| shadow_base + (idx as u32) * cost::GLOBAL_SHADOW_STRIDE_BYTES;
         let chunk_addr = |idx: usize| base + ((idx as u32) << shift);
+        let gsize = 1u32 << shift;
+        let gmask = gsize - 1;
         let mut i = 0usize;
         while i < accesses.len() {
             let a = &accesses[i];
@@ -287,15 +284,15 @@ impl<S: Space> ShadowRegion<S> {
                 i += 1;
                 continue;
             };
-            let page = ShadowTable::page_of(lo);
-            if ShadowTable::page_of(hi) != page {
-                // Page-straddling accesses resolve per chunk.
+            if lo != hi {
+                // A multi-chunk access, page-straddling or not: the full
+                // check per chunk.
                 stats.checks += 1;
                 let mut traffic =
                     ShadowTraffic { shadow_addr: shadow_addr_at(lo), reads: 0, writes: 0 };
                 for idx in lo..=hi {
                     let changed =
-                        ck.check_chunk(table.get_mut_counted(idx, h), a, chunk_addr(idx), h);
+                        ck.full_check(table.get_mut_counted(idx, h), a, chunk_addr(idx), h);
                     traffic.reads += 1;
                     traffic.writes += u8::from(changed);
                 }
@@ -309,164 +306,78 @@ impl<S: Space> ShadowRegion<S> {
                 i += 1;
                 continue;
             }
-            // Maximal run of consecutive accesses fully on `page`:
-            // resolve the page once, then consume accesses while they
-            // stay on it, counters accumulated in locals and flushed per
-            // run.
+            // Maximal run of consecutive single-chunk accesses on `lo`'s
+            // page: resolve the page once, then consume accesses while
+            // they stay on it, counters accumulated in locals and flushed
+            // per run.
             //
-            // Precomputed address window of the page: a lane stays on the
-            // fused path iff `addr - page_addr < page_span` (one wrapping
-            // subtract covers "tracked, on this page, within the table")
-            // and its chunk-offset plus size fits one granule.
-            let page_base_idx = page * PAGE_ENTRIES;
+            // Precomputed address window of the page: a lane joins the run
+            // iff `addr - page_addr < page_span` (one wrapping subtract
+            // covers "tracked, on this page, within the table") and its
+            // chunk-offset plus size fits one granule.
+            let page_base_idx = ShadowTable::page_of(lo) * PAGE_ENTRIES;
             let page_addr = chunk_addr(page_base_idx);
             let page_span = ((tlen - page_base_idx).min(PAGE_ENTRIES) as u32) << shift;
-            let gsize = 1u32 << shift;
-            let gmask = gsize - 1;
             let (next, l1, reads, writes) = table.with_page(lo, h, |pe, h| {
-                if wide {
-                    pe.ensure_hot();
-                }
+                // The full check of a multi-chunk access invalidates the
+                // page mirror; restore it before the first lane screens.
+                pe.ensure_hot();
                 let (mut l1, mut reads, mut writes) = (0u64, 0u64, 0u64);
                 // Dispatch tallies in run-local registers; flushed once
                 // per run (the counters are run diagnostics, not per-lane
                 // observables).
-                let (mut wide_n, mut cs_n, mut scalar_n) = (0u64, 0u64, 0u64);
-                let (mut lo, mut hi) = (lo, hi);
-                let mut j = i;
-                // Once-per-run §III-B Bloom verdict memo for the batched
-                // lockset path.
-                let mut bloom_memo: Option<(u32, u32, bool)> = None;
-                'run: loop {
-                    if wide && lo == hi {
-                        // Fused per lane: stamp-check + SWAR screen +
-                        // hot-word apply in one slot resolution, and a
-                        // screened-out first touch opened on the same
-                        // tier. Each lane screens against the current hot
-                        // words at its own turn, so cold-lane mutations
-                        // are observed by later lanes exactly as in the
-                        // scalar pipeline.
-                        // The inner loop consumes consecutive single-chunk
-                        // lanes with the 3-op window test alone; anything
-                        // it can't prove simple falls out to the generic
-                        // continuation check below.
-                        loop {
-                            let a = &accesses[j];
-                            let idx = lo;
-                            let wide_lane = pe
-                                .lane_screen_apply(idx, a, masks, h)
-                                .or_else(|| pe.lane_first_touch(idx, a));
-                            let changed = match wide_lane {
-                                Some((c, before, after)) => {
-                                    wide_n += 1;
-                                    ck.note(a, chunk_addr(idx), before, after);
-                                    c
-                                }
-                                None => {
-                                    let entry = pe.cold_entry(idx);
-                                    let before = entry.state();
-                                    // Batched lockset path: the §III-B
-                                    // benign verdict without the full
-                                    // check, if the lane qualifies.
-                                    let cs_fast = a.kind.is_tracked()
-                                        && !entry.is_fresh()
-                                        && (a.in_critical_section || entry.protected)
-                                        && !(policy.sync_id_epochs
-                                            && a.who.block == entry.block
-                                            && a.sync_id != entry.sync_id);
-                                    let fast = if cs_fast {
-                                        entry.observe_lockset_fast(
-                                            a,
-                                            clocks,
-                                            policy,
-                                            h,
-                                            &mut bloom_memo,
-                                        )
-                                    } else {
-                                        None
-                                    };
-                                    let c = match fast {
-                                        Some(c) => {
-                                            cs_n += 1;
-                                            ck.note(a, chunk_addr(idx), before, entry.state());
-                                            c
-                                        }
-                                        None => {
-                                            scalar_n += 1;
-                                            ck.check_chunk_slow(entry, a, chunk_addr(idx), h)
-                                        }
-                                    };
-                                    if c {
-                                        pe.repack_entry(idx);
-                                    }
-                                    c
-                                }
-                            };
-                            if S::TRAFFIC {
-                                l1 += u64::from(a.l1_hit);
-                                reads += 1;
-                                writes += u64::from(changed);
-                                per_traffic(ShadowTraffic {
-                                    shadow_addr: shadow_addr_at(idx),
-                                    reads: 1,
-                                    writes: u8::from(changed),
-                                });
+                let (mut wide_n, mut scalar_n) = (0u64, 0u64);
+                let (mut j, mut idx) = (i, lo);
+                loop {
+                    // Fused per lane: stamp-check + SWAR screen + hot-word
+                    // apply in one slot resolution, a screened-out first
+                    // touch opened on the same tier, and the full check
+                    // for the rest. Each lane screens against the current
+                    // hot words at its own turn, so full-check mutations
+                    // are observed by later lanes exactly as in the scalar
+                    // pipeline.
+                    let a = &accesses[j];
+                    let wide_lane = pe
+                        .lane_screen_apply(idx, a, masks, h)
+                        .or_else(|| pe.lane_first_touch(idx, a));
+                    let changed = match wide_lane {
+                        Some((c, before, after)) => {
+                            wide_n += 1;
+                            ck.note(a, chunk_addr(idx), before, after);
+                            c
+                        }
+                        None => {
+                            scalar_n += 1;
+                            let c = ck.full_check(pe.cold_entry(idx), a, chunk_addr(idx), h);
+                            if c {
+                                pe.repack_entry(idx);
                             }
-                            j += 1;
-                            if j >= accesses.len() {
-                                break 'run;
-                            }
-                            let b = &accesses[j];
-                            let d = b.addr.wrapping_sub(page_addr);
-                            if d < page_span && (d & gmask) + u32::from(b.size.max(1)) <= gsize {
-                                lo = page_base_idx + (d >> shift) as usize;
-                            } else {
-                                break;
-                            }
+                            c
                         }
-                    } else {
-                        let a = &accesses[j];
-                        let mut traffic =
-                            ShadowTraffic { shadow_addr: shadow_addr_at(lo), reads: 0, writes: 0 };
-                        // `lo..hi + 1`, not `lo..=hi`: RangeInclusive keeps a
-                        // done-flag the optimizer doesn't remove in this loop.
-                        for idx in lo..hi + 1 {
-                            let changed =
-                                ck.check_chunk(pe.entry_counted(idx, h), a, chunk_addr(idx), h);
-                            traffic.reads += 1;
-                            traffic.writes += u8::from(changed);
-                        }
-                        if wide {
-                            // The scalar accessor invalidated the page
-                            // mirror — restore it before the next lane
-                            // screens.
-                            pe.ensure_hot();
-                        }
-                        scalar_n += u64::from(traffic.reads);
-                        if S::TRAFFIC {
-                            l1 += u64::from(a.l1_hit);
-                            reads += u64::from(traffic.reads);
-                            writes += u64::from(traffic.writes);
-                            per_traffic(traffic);
-                        }
-                        j += 1;
+                    };
+                    if S::TRAFFIC {
+                        l1 += u64::from(a.l1_hit);
+                        reads += 1;
+                        writes += u64::from(changed);
+                        per_traffic(ShadowTraffic {
+                            shadow_addr: shadow_addr_at(idx),
+                            reads: 1,
+                            writes: u8::from(changed),
+                        });
                     }
+                    j += 1;
                     if j >= accesses.len() {
                         break;
                     }
                     let b = &accesses[j];
-                    match chunk_span(base, shift, tlen, b.addr, b.size) {
-                        Some((blo, bhi))
-                            if ShadowTable::page_of(blo) == page
-                                && ShadowTable::page_of(bhi) == page =>
-                        {
-                            (lo, hi) = (blo, bhi);
-                        }
-                        _ => break,
+                    let d = b.addr.wrapping_sub(page_addr);
+                    if d < page_span && (d & gmask) + u32::from(b.size.max(1)) <= gsize {
+                        idx = page_base_idx + (d >> shift) as usize;
+                    } else {
+                        break;
                     }
                 }
                 dispatch.wide_lanes += wide_n;
-                dispatch.cs_fast_lanes += cs_n;
                 dispatch.scalar_lanes += scalar_n;
                 (j, l1, reads, writes)
             });
@@ -480,14 +391,6 @@ impl<S: Space> ShadowRegion<S> {
 }
 
 impl<S> ShadowRegion<S> {
-    /// Pin (`true`) or re-enable (`false`) the wide SWAR tier for this
-    /// RDU only, overriding the `HACCRG_FORCE_SCALAR_SHADOW` default the
-    /// constructor read. Detection results are identical either way;
-    /// only [`Self::dispatch`] moves.
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
-    }
-
     /// Enable/disable the windowed access recorder. When enabled, every
     /// detected race carries a bounded witness timeline of recent accesses
     /// to the racy chunk.
@@ -574,7 +477,7 @@ fn chunk_span(base: u32, shift: u32, len: usize, addr: u32, size: u8) -> Option<
 }
 
 /// One call's view of a region for the per-chunk checks: the rules, the
-/// observers and the race log. Every rung reports through
+/// observers and the race log. Both tiers report through
 /// [`Checker::note`], which compiles to nothing unless `OBSERVED`.
 struct Checker<'a, 's, const OBSERVED: bool> {
     clocks: &'a ClockFile,
@@ -620,32 +523,15 @@ impl<const OBSERVED: bool> Checker<'_, '_, OBSERVED> {
         }
     }
 
-    /// One chunk through the ordered-lane fast path, falling back to the
-    /// full check. Returns whether the entry changed (the
-    /// `ShadowTraffic::writes` signal; conservatively `true` after a full
-    /// check when `traffic` is off).
-    #[inline(always)]
-    fn check_chunk(
-        &mut self,
-        entry: &mut ShadowEntry,
-        a: &MemAccess,
-        chunk_addr: u32,
-        h: &mut DetectorHealth,
-    ) -> bool {
-        if let Some((changed, before, after)) = entry.observe_ordered_fast(a, self.policy) {
-            self.note(a, chunk_addr, before, after);
-            return changed;
-        }
-        self.check_chunk_slow(entry, a, chunk_addr, h)
-    }
-
     /// The full Fig. 3 check of one chunk, with its accounting: §VI-C2
     /// truncated-ID collisions (global entries), observers, and the race
-    /// push. Kept out of line so the steady state inlines into the batch
-    /// loop.
+    /// push. Returns whether the entry changed (the
+    /// `ShadowTraffic::writes` signal; conservatively `true` when
+    /// `traffic` is off). Kept out of line so the wide tier inlines into
+    /// the batch loop.
     #[cold]
     #[inline(never)]
-    fn check_chunk_slow(
+    fn full_check(
         &mut self,
         entry: &mut ShadowEntry,
         a: &MemAccess,
@@ -831,9 +717,8 @@ mod tests {
     /// Batch kernel vs scalar reference on one space: every observable
     /// bitwise equal with the transition sink, witness capture, or both
     /// attached, and each observed run retiring every lane on the same
-    /// dispatch tier as an unobserved one; the force-scalar hatch moves
-    /// every lane to the scalar tier and nothing else. Returns the
-    /// default dispatch counts.
+    /// dispatch tier as an unobserved one. Returns the unobserved
+    /// dispatch counts.
     fn assert_batch_matches_scalar<S: Space>(
         mk: impl Fn() -> ShadowRegion<S>,
         steps: &[Step],
@@ -842,11 +727,6 @@ mod tests {
         let untraced = run_batch(&mut plain, steps, false);
         let reference = run_scalar(mk(), steps);
         assert_eq!(untraced, Outcome { events: Vec::new(), ..reference }, "untraced batch");
-        let mut forced = mk();
-        forced.set_force_scalar(true);
-        assert_eq!(run_batch(&mut forced, steps, false), untraced, "forced scalar");
-        let (d, p) = (forced.dispatch, plain.dispatch);
-        assert!(d.scalar_lanes == d.total() && d.total() == p.total(), "{d:?} vs {p:?}");
         for (witness, traced) in [(false, true), (true, false), (true, true)] {
             let mut observed = mk();
             observed.set_witness_capture(witness);
@@ -940,8 +820,8 @@ mod tests {
         );
     }
 
-    /// The owner reads, then writes (a promotion on the wide rung), then
-    /// another warp writes: the wide rung's ReadSingle -> Written edge and
+    /// The owner reads, then writes (a promotion on the wide tier), then
+    /// another warp writes: the wide tier's ReadSingle -> Written edge and
     /// witness event must reach the observers, and the race's timeline
     /// must include the wide lane.
     #[test]
@@ -959,7 +839,7 @@ mod tests {
                 .collect()
         };
         for d in assert_both_spaces(lanes, false) {
-            assert!(d.wide_lanes > 0, "the promotions must take the wide rung: {d:?}");
+            assert!(d.wide_lanes > 0, "the promotions must take the wide tier: {d:?}");
         }
         let mut r = global();
         r.set_witness_capture(true);
@@ -989,8 +869,10 @@ mod tests {
 
     /// A benign locked read from another warp sets `shared` on a Written
     /// entry, which then encodes Fresh (a known defect kept bit-for-bit;
-    /// see ROADMAP). The batched lockset rung must report the same
-    /// Written -> Fresh edge the full check does.
+    /// see ROADMAP). The batch kernel's full-check lanes must report the
+    /// same Written -> Fresh edge the reference does, and the unlocked
+    /// write that follows meets an entry that reads fresh, so the wide
+    /// tier opens it as a first touch.
     #[test]
     fn warp_batch_matches_scalar_lockset_read_of_written_entry() {
         let sig = BloomSig::of_lock(0x100, BloomConfig::PAPER_DEFAULT);
@@ -1011,11 +893,10 @@ mod tests {
             let edge = (base, ShadowState::Written, ShadowState::Fresh);
             assert!(events.contains(&edge), "{events:?}");
         }
-        let [g, s] = assert_both_spaces(lanes, false);
-        assert!(
-            g.cs_fast_lanes > 0 && s.cs_fast_lanes > 0,
-            "the batched lockset rung must run: {g:?} {s:?}"
-        );
+        for d in assert_both_spaces(lanes, false) {
+            // Per round: both critical-section lanes take the full check.
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (2 * 2, 2), "{d:?}");
+        }
     }
 
     /// HIST's accumulation: one warp's 32 one-byte counters, lane `l` at
@@ -1081,6 +962,33 @@ mod tests {
         });
         for d in d {
             assert_eq!((d.scalar_lanes, d.wide_lanes), (2, 2 * 16), "{d:?}");
+        }
+    }
+
+    /// A multi-chunk access between single-chunk lanes on one page: it
+    /// ends the run and takes the full check per chunk, racing with and
+    /// re-opening two entries the wide tier opened. The run after it must
+    /// repack the page mirror its full check invalidated — with stale hot
+    /// words, warp 0's next writes to those entries would pass the screen
+    /// as their owner and their races would go unreported.
+    #[test]
+    fn warp_batch_matches_scalar_multi_chunk_lane_mid_run() {
+        let d = assert_steps_in_both_spaces(|base, g, sm| {
+            let write = |l: u32, pc: u32| {
+                acc(base + l * g, AccessKind::Write, ThreadCoord::new(l, 0, 0, 0)).at_pc(pc)
+            };
+            let other = ThreadCoord::new(64, 2, 1, sm);
+            let mut straddle = acc(base + 2 * g - 4, AccessKind::Write, other).at_pc(0x74);
+            straddle.size = 8;
+            let mut lanes: Vec<_> = (0..3).map(|l| write(l, 0x70)).collect();
+            lanes.push(straddle);
+            lanes.extend((1..4).map(|l| write(l, 0x78)));
+            vec![Step::Warp(lanes, false)]
+        });
+        for d in d {
+            // Per round: the two chunks of the multi-chunk lane and the
+            // two racing writes after it take the full check.
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (2 * 4, 2 * 4), "{d:?}");
         }
     }
 }

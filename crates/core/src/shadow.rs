@@ -287,103 +287,6 @@ impl ShadowEntry {
         race
     }
 
-    /// Ordered-lane steady-state fast path for the batch check pipeline.
-    ///
-    /// Handles the overwhelmingly common case — an access the Fig. 3
-    /// rules order with the recorded one (the recorded thread itself, or
-    /// another lane of its warp when the §III-A warp filter is on),
-    /// outside any critical section, in the same epoch — without copying
-    /// the entry or running the full dispatch. Returns
-    /// `Some((entry_changed, before, after))` when the access is fully
-    /// handled (never a race, never a witness-state ambiguity), `None`
-    /// when the caller must fall back to [`Self::observe_health`]. The
-    /// handled cases are an exact transliteration of
-    /// `observe_happens_before` with `ordered_with_prev = true`:
-    /// `entry_changed` is true iff the full path would have left the
-    /// entry bitwise different (the signal `ShadowTraffic::writes`
-    /// counts).
-    #[inline(always)]
-    pub fn observe_ordered_fast(
-        &mut self,
-        a: &MemAccess,
-        p: &ShadowPolicy,
-    ) -> Option<(bool, ShadowState, ShadowState)> {
-        if !a.kind.is_tracked() {
-            let st = self.state();
-            return Some((false, st, st));
-        }
-        // Identity must match on every recorded coordinate but the tid
-        // bits a same-warp lane may differ in (`hotwords::tid_mask`), so
-        // the truncated-ID collision counter, the lockset dispatch, and
-        // the sync-ID epoch filter all provably see nothing to do.
-        // Non-short-circuit `|` on purpose: every operand is a cheap
-        // flag/field compare, and folding them into one branch beats
-        // seven predicted-not-taken jumps in the batch loop.
-        if self.is_fresh()
-            | (((a.who.tid ^ self.tid) & crate::hotwords::tid_mask(p)) != 0)
-            | (a.who.warp != self.warp)
-            | (a.who.block != self.block)
-            | (a.who.sm != self.sm)
-            | a.in_critical_section
-            | self.protected
-            // Same block (just checked), different barrier epoch: the
-            // full path re-opens the entry.
-            | (p.sync_id_epochs & (a.sync_id != self.sync_id))
-        {
-            return None;
-        }
-        let is_write = a.kind.is_write();
-        match (self.modified, self.shared) {
-            // State 2: a read by this thread or warp recorded. A write
-            // promotes to Written and takes over the identity (only the
-            // tid can differ); a read is a no-op.
-            (false, false) => {
-                if is_write {
-                    self.modified = true;
-                    self.tid = a.who.tid;
-                    self.fence_id = a.fence_id;
-                    self.write_cycle = a.cycle;
-                    self.pc = a.pc;
-                    Some((true, ShadowState::ReadSingle, ShadowState::Written))
-                } else {
-                    Some((false, ShadowState::ReadSingle, ShadowState::ReadSingle))
-                }
-            }
-            // State 3: a write by this thread or warp recorded. A write
-            // refreshes the writer and provenance fields; an ordered read
-            // changes nothing. The stores are skipped when the fields
-            // already match — the steady state is then read-only on the
-            // entry.
-            (true, false) => {
-                if is_write {
-                    let changed = self.tid != a.who.tid
-                        || self.fence_id != a.fence_id
-                        || self.write_cycle != a.cycle
-                        || self.pc != a.pc;
-                    if changed {
-                        self.tid = a.who.tid;
-                        self.fence_id = a.fence_id;
-                        self.write_cycle = a.cycle;
-                        self.pc = a.pc;
-                    }
-                    Some((changed, ShadowState::Written, ShadowState::Written))
-                } else {
-                    Some((false, ShadowState::Written, ShadowState::Written))
-                }
-            }
-            // State 4: read-shared. A write races even from the recorded
-            // thread — full path. Reads stay silent.
-            (false, true) => {
-                if is_write {
-                    None
-                } else {
-                    Some((false, ShadowState::ReadShared, ShadowState::ReadShared))
-                }
-            }
-            (true, true) => unreachable!("fresh entries bail above"),
-        }
-    }
-
     /// Lockset rules (§III-B), plus the Fig. 2(b) check: even with a
     /// common lock, a consumer inside a critical section can read stale
     /// data on this non-coherent machine if the producer released the
@@ -483,142 +386,10 @@ impl ShadowEntry {
         race
     }
 
-    /// Batched-lockset fast path for critical-section lanes in the batch
-    /// pipeline (§III-B verdicts without the `#[cold]` scalar fallback).
-    ///
-    /// The caller has already established the cold-dispatch preamble of
-    /// `observe_health`: the access is tracked, the entry is not fresh,
-    /// the lane is CS-related (`a.in_critical_section || self.protected`)
-    /// and no sync-ID epoch reopen applies. This method is
-    /// **all-or-nothing**: every check that can still route the lane to
-    /// the scalar path runs *before* any counter or mutation, so a `None`
-    /// return leaves the entry and health bit-identical for the fallback
-    /// to replay from scratch. It returns `None` for every outcome the
-    /// scalar path handles specially — a race verdict, the Fig. 2(b)
-    /// fence race, or any exact-lockset involvement (miss attribution and
-    /// table refinement live in [`Self::observe_lockset`]) — and
-    /// `Some(entry_changed)` for the benign cases, with `entry_changed`
-    /// exactly the `*entry != before` the scalar path would compute.
-    ///
-    /// `bloom_memo` caches the §III-B null-intersection verdict keyed on
-    /// both signatures: when a run's lanes share one lockset (the
-    /// whole-warp-in-CS case this path exists for), the intersection is
-    /// computed once per run and replayed lane-wise. The health counters
-    /// still tick per lane, as the scalar path counts per check, and
-    /// global entries count truncated-ID collisions as the full check
-    /// does.
-    pub fn observe_lockset_fast(
-        &mut self,
-        a: &MemAccess,
-        clocks: &ClockFile,
-        p: &ShadowPolicy,
-        h: &mut DetectorHealth,
-        bloom_memo: &mut Option<(u32, u32, bool)>,
-    ) -> Option<bool> {
-        debug_assert!(a.kind.is_tracked() && !self.is_fresh());
-        debug_assert!(a.in_critical_section || self.protected);
-        let is_write = a.kind.is_write();
-        let truncated = p.space == MemSpace::Global
-            && crate::packed::id_truncation_collision(self, &a.who);
-
-        if a.who.tid == self.tid {
-            // Same thread: never a race; refine and track.
-            if truncated {
-                h.id_truncation_collisions += 1;
-            }
-            let mut changed = false;
-            if self.protected && a.in_critical_section {
-                let sig = self.atomic_sig.intersect(a.atomic_sig);
-                changed |= sig != self.atomic_sig;
-                self.atomic_sig = sig;
-                if self.locks_known && !a.locks.is_empty() {
-                    let t = self.locks.intersect(&a.locks);
-                    changed |= t != self.locks;
-                    self.locks = t;
-                }
-            }
-            if is_write {
-                changed |= !self.modified
-                    | self.shared
-                    | (self.fence_id != a.fence_id)
-                    | (self.write_cycle != a.cycle)
-                    | (self.pc != a.pc);
-                self.modified = true;
-                self.shared = false;
-                self.fence_id = a.fence_id;
-                self.write_cycle = a.cycle;
-                self.pc = a.pc;
-            }
-            return Some(changed);
-        }
-
-        let conflicting = self.modified || is_write;
-        let ordered_warp = p.warp_filter && a.who.warp == self.warp;
-
-        if self.protected && a.in_critical_section {
-            // Exact locksets bring miss attribution, the exact-mode
-            // verdict, and table refinement — scalar path's business.
-            if p.exact_lockset || (self.locks_known && !a.locks.is_empty()) {
-                return None;
-            }
-            let bloom_null = match *bloom_memo {
-                Some((s, k, v)) if s == self.atomic_sig.0 && k == a.atomic_sig.0 => v,
-                _ => {
-                    let v = self.atomic_sig.is_null_intersection(a.atomic_sig, p.bloom);
-                    *bloom_memo = Some((self.atomic_sig.0, a.atomic_sig.0, v));
-                    v
-                }
-            };
-            if bloom_null && conflicting && !ordered_warp {
-                return None; // race verdict
-            }
-            if !bloom_null
-                && self.modified
-                && !is_write
-                && p.fence_check
-                && a.who.warp != self.warp
-                && clocks.fence_id(self.warp) == self.fence_id
-            {
-                return None; // Fig. 2(b) fence race
-            }
-            // Benign: commit counters and refinement.
-            if truncated {
-                h.id_truncation_collisions += 1;
-            }
-            if bloom_null {
-                h.bloom_null_intersections += 1;
-            } else {
-                h.bloom_nonnull_intersections += 1;
-            }
-            let sig = self.atomic_sig.intersect(a.atomic_sig);
-            let mut changed = sig != self.atomic_sig;
-            self.atomic_sig = sig;
-            changed |= self.benign_lockset_epilogue(a, is_write, p);
-            return Some(changed);
-        }
-
-        // Protected/unprotected mix.
-        if conflicting && !ordered_warp {
-            return None; // race verdict
-        }
-        if truncated {
-            h.id_truncation_collisions += 1;
-        }
-        Some(self.benign_lockset_epilogue(a, is_write, p))
-    }
-
-    /// The benign-overlap epilogue of [`Self::observe_lockset`] and
-    /// [`Self::observe_lockset_fast`]: track writes, and read-sharing
-    /// across warps. Returns whether the entry changed.
-    #[inline]
-    fn benign_lockset_epilogue(&mut self, a: &MemAccess, is_write: bool, p: &ShadowPolicy) -> bool {
-        let mut changed = false;
+    /// The benign-overlap epilogue of [`Self::observe_lockset`]: track
+    /// writes, and read-sharing across warps.
+    fn benign_lockset_epilogue(&mut self, a: &MemAccess, is_write: bool, p: &ShadowPolicy) {
         if is_write {
-            changed |= !self.modified
-                | self.shared
-                | (self.fence_id != a.fence_id)
-                | (self.write_cycle != a.cycle)
-                | (self.pc != a.pc);
             self.modified = true;
             // A lock-serialized write supersedes prior read-sharing;
             // clearing S also keeps the entry from aliasing the fresh
@@ -628,10 +399,8 @@ impl ShadowEntry {
             self.write_cycle = a.cycle;
             self.pc = a.pc;
         } else if a.who.warp != self.warp || !p.warp_filter {
-            changed |= !self.shared;
             self.shared = true;
         }
-        changed
     }
 
     /// Happens-before rules between barriers (§III-A States 2–4) with the
@@ -746,6 +515,27 @@ impl ShadowEntry {
             (false, false) => None,
         }
     }
+}
+
+/// The full check of one chunk as the equivalence tests replay it:
+/// the §VI-C2 truncated-ID count the region's full check adds for a
+/// global entry, then [`ShadowEntry::observe_health`].
+#[cfg(test)]
+pub(crate) fn reference_check(
+    e: &mut ShadowEntry,
+    a: &MemAccess,
+    clocks: &ClockFile,
+    p: &ShadowPolicy,
+    h: &mut DetectorHealth,
+) -> Option<RaceRecord> {
+    if p.space == MemSpace::Global
+        && a.kind.is_tracked()
+        && !e.is_fresh()
+        && crate::packed::id_truncation_collision(e, &a.who)
+    {
+        h.id_truncation_collisions += 1;
+    }
+    e.observe_health(a, clocks, p, h)
 }
 
 #[cfg(test)]
@@ -1266,92 +1056,6 @@ mod tests {
         assert!(e
             .observe_health(&exact_locked(0x100, t(200, 6), AccessKind::Write, cfg), &c, &p, &mut h)
             .is_some());
-    }
-
-    #[test]
-    fn ordered_fast_path_matches_full_dispatch() {
-        // Everywhere the fast path claims to handle an access, the full
-        // dispatch must produce the identical entry, no race, no health
-        // count and a bitwise-change flag equal to the fast path's
-        // return — with the warp filter on (same-warp lanes handled) and
-        // off (only the recorded thread handled).
-        let c = clocks();
-        let unfiltered = |mut p: ShadowPolicy| {
-            p.warp_filter = false;
-            p
-        };
-        let policies = [shared_policy(), global_policy()];
-        for p in policies.into_iter().chain(policies.map(unfiltered)) {
-            let opener_read = rd(t(5, 2)).with_clocks(3, 0).at_pc(10);
-            let opener_write = wr(t(5, 2)).with_clocks(3, 0).at_pc(11).at_cycle(7);
-            let mut setups: Vec<ShadowEntry> = Vec::new();
-            for opener in [&opener_read, &opener_write] {
-                let mut e = FRESH;
-                e.observe(opener, &c, &p);
-                setups.push(e);
-            }
-            // Read-shared state: reader from another warp after a read.
-            let mut shared_state = FRESH;
-            shared_state.observe(&opener_read, &c, &p);
-            shared_state.observe(&rd(t(90, 4)).with_clocks(3, 0), &c, &p);
-            setups.push(shared_state);
-
-            // Lane 6 of the opener's warp, and a thread 1024 tids away
-            // that claims the same warp: it agrees with the recorded tid
-            // in the §VI-C2 10-bit field, so packed hardware would
-            // conflate the two and the full check counts a collision.
-            let sibling = t(6, 2);
-            let far = ThreadCoord::new(5 + 1024, 2, 1, 1);
-            let followups = [
-                rd(t(5, 2)).with_clocks(3, 0).at_pc(20),
-                wr(t(5, 2)).with_clocks(3, 0).at_pc(21).at_cycle(9),
-                wr(t(5, 2)).with_clocks(3, 1).at_pc(11).at_cycle(7),
-                MemAccess::plain(0, 4, AccessKind::Atomic, t(5, 2)).with_clocks(3, 0),
-                rd(sibling).with_clocks(3, 0).at_pc(22),
-                wr(sibling).with_clocks(3, 0).at_pc(11).at_cycle(7),
-                wr(sibling).with_clocks(3, 0).at_pc(23).at_cycle(9),
-                // Cases the fast path must refuse: another warp, new
-                // epoch, critical section, the far thread.
-                wr(t(90, 4)).with_clocks(3, 0),
-                wr(t(5, 2)).with_clocks(4, 0),
-                wr(sibling).with_clocks(4, 0),
-                locked_access(0x100, t(5, 2), AccessKind::Write),
-                locked_access(0x100, sibling, AccessKind::Read),
-                wr(far).with_clocks(3, 0),
-                rd(far).with_clocks(3, 0),
-            ];
-            for setup in &setups {
-                for a in &followups {
-                    let mut fast = *setup;
-                    let verdict = fast.observe_ordered_fast(a, &p);
-                    let mut full = *setup;
-                    let mut h = DetectorHealth::default();
-                    if p.space == MemSpace::Global
-                        && crate::packed::id_truncation_collision(setup, &a.who)
-                    {
-                        h.id_truncation_collisions += 1;
-                    }
-                    let race = full.observe_health(a, &c, &p, &mut h);
-                    if let Some((changed, before, after)) = verdict {
-                        assert_eq!(fast, full, "entry mismatch for {a:?} from {setup:?}");
-                        assert!(race.is_none(), "fast path claimed a non-race");
-                        assert_eq!(changed, full != *setup, "changed flag for {a:?}");
-                        assert_eq!(before, setup.state(), "before state for {a:?}");
-                        assert_eq!(after, full.state(), "after state for {a:?}");
-                        assert_eq!(h, DetectorHealth::default(), "fast path hid health");
-                        if a.who.tid != setup.tid && a.kind.is_tracked() {
-                            assert!(p.warp_filter, "a sibling lane passed without the warp filter");
-                        }
-                    } else {
-                        assert_eq!(fast, *setup, "refusal must not mutate");
-                    }
-                }
-            }
-            // The sibling lanes do take the fast path under the filter.
-            let mut e = setups[0];
-            let handled = e.observe_ordered_fast(&wr(sibling).with_clocks(3, 0), &p).is_some();
-            assert_eq!(handled, p.warp_filter);
-        }
     }
 
     #[test]

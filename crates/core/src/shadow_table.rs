@@ -379,10 +379,11 @@ impl PageEntries<'_> {
     /// Fused per-lane wide tier: stamp-check, SWAR screen, and (for a
     /// passing write) the hot-word apply, in one slot resolution. Returns
     /// `Some((changed, before, after))` when the lane passed the screen —
-    /// exactly the scalar fast path's outcome, with the Fig. 3 states
-    /// read from the hot-word flags (a passing lane's only possible edge
-    /// is a write promoting `ReadSingle` to `Written`) — or `None` for a
-    /// lane that screened out, which is left stamp-checked for
+    /// exactly the full check's outcome for a lane the Fig. 3 rules order
+    /// with the recorded access, with the Fig. 3 states read from the
+    /// hot-word flags (a passing lane's only possible edge is a write
+    /// promoting `ReadSingle` to `Written`) — or `None` for a lane that
+    /// screened out, which is left stamp-checked for
     /// [`Self::lane_first_touch`] and [`Self::cold_entry`]. Because each
     /// lane screens against the *current* hot words at its own turn, a
     /// run walked through this method observes mutations from earlier
@@ -435,7 +436,7 @@ impl PageEntries<'_> {
     /// critical section opens the epoch exactly as the full check's
     /// State 1 does, returning `Some((true, Fresh, after))`. `None`
     /// leaves the lane (critical-section first touches included) to the
-    /// cold path. Must follow [`Self::lane_screen_apply`] on the same
+    /// full check. Must follow [`Self::lane_screen_apply`] on the same
     /// lane, which stamp-checked the slot.
     #[inline(always)]
     pub fn lane_first_touch(
@@ -450,7 +451,7 @@ impl PageEntries<'_> {
         (fresh && a.kind.is_tracked() && !a.in_critical_section).then(|| p.open_at(o, a))
     }
 
-    /// Raw entry access for a screened-out (cold) lane. Unlike
+    /// Raw entry access for a lane the wide tier declined. Unlike
     /// [`Self::entry_counted`] this neither stamp-checks (the lane was
     /// stamp-checked by [`Self::lane_screen_apply`]) nor
     /// invalidates the page mirror — the caller repacks the entry via
@@ -462,7 +463,7 @@ impl PageEntries<'_> {
         &mut self.page.entries[o]
     }
 
-    /// Recompute entry `idx`'s hot words after a cold-path mutation.
+    /// Recompute entry `idx`'s hot words after a full-check mutation.
     #[inline]
     pub fn repack_entry(&mut self, idx: usize) {
         let o = (idx - self.base) % PAGE_ENTRIES;
@@ -474,9 +475,9 @@ impl PageEntries<'_> {
 mod tests {
     use super::*;
     use crate::access::{AccessKind, MemAccess, ThreadCoord};
-    use crate::bloom::BloomConfig;
+    use crate::bloom::{BloomConfig, BloomSig};
     use crate::clocks::ClockFile;
-    use crate::shadow::ShadowPolicy;
+    use crate::shadow::{reference_check, ShadowPolicy};
 
     fn dirty(t: &mut ShadowTable, idx: usize) {
         let c = ClockFile::new(4, 16);
@@ -681,12 +682,127 @@ mod tests {
         assert_eq!(h, health_before, "a walked reset leaves no lazy re-init to count");
         // A critical-section first touch stays on the scalar path.
         t.reset_range(0, 10);
-        let locked = w2.locked(crate::bloom::BloomSig::of_lock(0x100, p.bloom));
+        let locked = w2.locked(BloomSig::of_lock(0x100, p.bloom));
         t.with_page(2, &mut h, |pe, h| {
             assert_eq!(pe.lane_screen_apply(2, &locked, masks, h), None);
             assert_eq!(pe.lane_first_touch(2, &locked), None);
             assert!(pe.cold_entry(2).is_fresh());
         });
+    }
+
+    /// The wide tier — `lane_screen_apply`, then `lane_first_touch` —
+    /// against the full check, over a grid of recorded entries (fresh,
+    /// opened by a read, opened by a write, read-shared) and follow-up
+    /// lanes, in both spaces, with the §III-A warp filter on and off.
+    /// Wherever the tier claims a lane, the full check must leave the
+    /// identical entry, report no race and count no health event, the
+    /// tier's change flag and Fig. 3 states must be the full check's, and
+    /// the hot words must mirror the entry. A declined lane must leave
+    /// the entry as it was, for the full check.
+    #[test]
+    fn wide_tier_matches_the_full_check() {
+        const IDX: usize = 2;
+        let c = ClockFile::new(8, 64);
+        let t = |tid: u32, warp: u32| ThreadCoord::new(tid, warp, warp / 2, (warp / 2) % 4);
+        let rd = |who| MemAccess::plain(0, 4, AccessKind::Read, who);
+        let wr = |who| MemAccess::plain(0, 4, AccessKind::Write, who);
+        let lock = BloomSig::of_lock(0x100, BloomConfig::PAPER_DEFAULT);
+        let locked = |who, kind| MemAccess::plain(0, 4, kind, who).locked(lock);
+        let mut policies = Vec::new();
+        for warp_filter in [true, false] {
+            policies.push(ShadowPolicy::shared(warp_filter, BloomConfig::PAPER_DEFAULT));
+            policies.push(ShadowPolicy::global(warp_filter, true, BloomConfig::PAPER_DEFAULT));
+        }
+        for p in policies {
+            let masks = crate::hotwords::screen_masks(&p);
+            // The tier's verdict on one lane against a slot holding
+            // `setup`, and the entry the slot holds afterwards.
+            let wide = |setup: ShadowEntry, a: &MemAccess| {
+                let mut table = ShadowTable::new(PAGE_ENTRIES);
+                *table.get_mut(IDX) = setup;
+                let mut h = DetectorHealth::default();
+                let verdict = table.with_page(IDX, &mut h, |pe, h| {
+                    pe.ensure_hot();
+                    pe.lane_screen_apply(IDX, a, masks, h).or_else(|| pe.lane_first_touch(IDX, a))
+                });
+                let page = table.pages[0].as_deref().expect("materialized");
+                let hot = (page.hot0[IDX], page.hot1[IDX], page.hot2[IDX]);
+                (verdict, table.get(IDX), hot, h)
+            };
+            let opener_read = rd(t(5, 2)).with_clocks(3, 0).at_pc(10);
+            let opener_write = wr(t(5, 2)).with_clocks(3, 0).at_pc(11).at_cycle(7);
+            let mut setups = vec![FRESH];
+            for opener in [&opener_read, &opener_write] {
+                let mut e = FRESH;
+                e.observe(opener, &c, &p);
+                setups.push(e);
+            }
+            // Read-shared: a reader from another warp after the read.
+            let mut read_shared = setups[1];
+            read_shared.observe(&rd(t(90, 4)).with_clocks(3, 0), &c, &p);
+            setups.push(read_shared);
+
+            // Lane 6 of the opener's warp, and a thread 1024 tids away
+            // that claims the same warp: it agrees with the recorded tid
+            // in the §VI-C2 10-bit field, so packed hardware would
+            // conflate the two and the full check counts a collision.
+            let sibling = t(6, 2);
+            let far = ThreadCoord::new(5 + 1024, 2, 1, 1);
+            let followups = [
+                opener_read,
+                opener_write,
+                rd(t(5, 2)).with_clocks(3, 0).at_pc(20),
+                wr(t(5, 2)).with_clocks(3, 0).at_pc(21).at_cycle(9),
+                wr(t(5, 2)).with_clocks(3, 1).at_pc(11).at_cycle(7),
+                MemAccess::plain(0, 4, AccessKind::Atomic, t(5, 2)).with_clocks(3, 0),
+                rd(sibling).with_clocks(3, 0).at_pc(22),
+                wr(sibling).with_clocks(3, 0).at_pc(11).at_cycle(7),
+                wr(sibling).with_clocks(3, 0).at_pc(23).at_cycle(9),
+                // Lanes the tier must leave to the full check once the
+                // entry is open: another warp, a new epoch, a critical
+                // section, the far thread.
+                wr(t(90, 4)).with_clocks(3, 0),
+                wr(t(5, 2)).with_clocks(4, 0),
+                wr(sibling).with_clocks(4, 0),
+                locked(t(5, 2), AccessKind::Write),
+                locked(sibling, AccessKind::Read),
+                wr(far).with_clocks(3, 0),
+                rd(far).with_clocks(3, 0),
+            ];
+            for setup in &setups {
+                for a in &followups {
+                    let (verdict, after, hot, h) = wide(*setup, a);
+                    let Some((changed, before, to)) = verdict else {
+                        assert_eq!(after, *setup, "a declined lane was mutated: {a:?}");
+                        continue;
+                    };
+                    let mut full = *setup;
+                    let mut h_full = DetectorHealth::default();
+                    let race = reference_check(&mut full, a, &c, &p, &mut h_full);
+                    assert_eq!(after, full, "entry mismatch for {a:?} from {setup:?}");
+                    assert!(race.is_none(), "the tier claimed a race: {a:?} from {setup:?}");
+                    assert_eq!(h_full, DetectorHealth::default(), "the tier hid health: {a:?}");
+                    assert_eq!(h, DetectorHealth::default(), "the tier counted health: {a:?}");
+                    assert_eq!(changed, full != *setup, "changed flag for {a:?}");
+                    assert_eq!((before, to), (setup.state(), full.state()), "states for {a:?}");
+                    let packed = (
+                        hotwords::pack_h0(&full),
+                        hotwords::pack_h1(&full),
+                        hotwords::pack_h2(full.fence_id, full.write_cycle, full.pc),
+                    );
+                    assert_eq!(hot, packed, "hot words out of step with the entry: {a:?}");
+                    if !setup.is_fresh() && a.kind.is_tracked() && a.who.tid != setup.tid {
+                        assert!(p.warp_filter, "a sibling lane passed without the warp filter");
+                    }
+                }
+            }
+            // Every first touch outside a critical section opens on the
+            // tier; a sibling's write takes it exactly under the filter.
+            assert!(wide(FRESH, &opener_write).0.is_some());
+            assert!(wide(FRESH, &locked(t(5, 2), AccessKind::Write)).0.is_none());
+            let claimed = wide(setups[1], &wr(sibling).with_clocks(3, 0)).0.is_some();
+            assert_eq!(claimed, p.warp_filter);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property test: the wide SWAR dispatch tier is observationally
-//! identical to the forced-scalar reference path.
+//! Property test: the batch kernel, wide SWAR tier and all, is
+//! observationally identical to the per-access reference.
 //!
 //! Random same-page runs mix thread identities, critical-section
 //! membership (Bloom-only and exact-table locksets), sync-ID epochs,
@@ -8,14 +8,15 @@
 //! generated, behind an owner's read, or behind another lane of the
 //! warp (see `variants`). Each batch is replayed for three rounds — the
 //! later rounds sit in the ordered-lane steady state the wide tier is
-//! built for — through a default RDU and a `set_force_scalar(true)`
-//! twin, both with the §III-A warp filter on and both off, with witness
-//! capture off and on, and with a transition sink absent and attached to
-//! both twins (the wide tier stays engaged under either observer). Every
-//! observable must match bit-for-bit: shadow entries, race records,
-//! witness timelines, health counters, the stats block and the Fig. 3
-//! event stream. Attaching the sink must add the event stream and change
-//! nothing else.
+//! built for — through `check_warp_batch` and through the reference
+//! (`check_warp_stores`, then `observe_health` per access, Fig. 3 edges
+//! taken from state snapshots around each call), with the §III-A warp
+//! filter on and off, with witness capture off and on, and with a
+//! transition sink absent and attached to the batch run (the wide tier
+//! stays engaged under either observer). Every observable must match
+//! bit-for-bit: shadow entries, race records, witness timelines, health
+//! counters, the stats block and the Fig. 3 event stream, which the
+//! untraced batch run leaves empty.
 
 use haccrg::prelude::*;
 use proptest::prelude::*;
@@ -121,8 +122,8 @@ fn shared_access(l: &Lane, lane: usize) -> MemAccess {
     with_lockset(a, l.cs)
 }
 
-/// Everything one twin's run can be observed through.
-#[derive(Debug, PartialEq)]
+/// Everything one run can be observed through.
+#[derive(Clone, Debug, PartialEq)]
 struct Observables {
     entries: Vec<ShadowEntry>,
     races: Vec<RaceRecord>,
@@ -134,18 +135,35 @@ struct Observables {
     traffic: Vec<ShadowTraffic>,
 }
 
+fn observables<S: Space>(
+    r: &ShadowRegion<S>,
+    log: &RaceLog,
+    health: DetectorHealth,
+    events: Vec<(u32, ShadowState, ShadowState)>,
+    traffic: Vec<ShadowTraffic>,
+) -> Observables {
+    Observables {
+        entries: (0..r.num_entries()).map(|i| r.entry(i)).collect(),
+        races: log.records().to_vec(),
+        witnesses: (0..log.records().len()).map(|k| log.witness_of(k).to_vec()).collect(),
+        total: log.total(),
+        health,
+        stats: format!("{:?}", r.stats),
+        events,
+        traffic,
+    }
+}
+
 /// `ROUNDS` batches through `r`, with a transition sink attached when
 /// `traced`.
 fn drive<S: Space>(
     mut r: ShadowRegion<S>,
     accesses: &[MemAccess],
     witness: bool,
-    force: bool,
     traced: bool,
 ) -> Observables {
     let clocks = ClockFile::new(8, 64);
     r.set_witness_capture(witness);
-    r.set_force_scalar(force);
     let mut log = RaceLog::default();
     let mut h = DetectorHealth::default();
     let mut scratch = RaceScratch::default();
@@ -165,36 +183,60 @@ fn drive<S: Space>(
             |t| traffic.push(t),
         );
     }
-    Observables {
-        entries: (0..r.num_entries()).map(|i| r.entry(i)).collect(),
-        races: log.records().to_vec(),
-        witnesses: (0..log.records().len()).map(|k| log.witness_of(k).to_vec()).collect(),
-        total: log.total(),
-        health: h,
-        stats: format!("{:?}", r.stats),
-        events,
-        traffic,
-    }
+    observables(&r, &log, h, events, traffic)
 }
 
-/// The default twin against its forced-scalar twin, with the sink absent
-/// and present; then the untraced run against the traced one with its
-/// event stream removed.
-fn assert_twins_match<S: Space>(
+/// The same `ROUNDS` through the per-access reference: the intra-warp
+/// store check, then `observe_health` per access, with Fig. 3 edges
+/// taken from state snapshots around each call.
+fn reference<S: Space>(
+    mut r: ShadowRegion<S>,
+    accesses: &[MemAccess],
+    witness: bool,
+) -> Observables {
+    let clocks = ClockFile::new(8, 64);
+    r.set_witness_capture(witness);
+    let mut log = RaceLog::default();
+    let mut h = DetectorHealth::default();
+    let mut scratch = RaceScratch::default();
+    let (mut events, mut traffic) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        r.check_warp_stores(accesses, &mut scratch, &mut log);
+        for a in accesses {
+            let watch = r.chunk_range(a.addr, a.size);
+            let states: Vec<ShadowState> = watch
+                .map(|(lo, hi)| (lo..=hi).map(|i| r.entry(i).state()).collect())
+                .unwrap_or_default();
+            let t = r.observe_health(a, &clocks, &mut log, &mut h);
+            if let Some((lo, hi)) = watch {
+                for (k, i) in (lo..=hi).enumerate() {
+                    let to = r.entry(i).state();
+                    if to != states[k] {
+                        events.push((r.chunk_addr(i), states[k], to));
+                    }
+                }
+            }
+            if t.reads > 0 {
+                traffic.push(t);
+            }
+        }
+    }
+    observables(&r, &log, h, events, traffic)
+}
+
+/// The batch run, untraced and traced, against the reference; the
+/// untraced run must match it with the event stream removed.
+fn assert_matches_reference<S: Space>(
     mk: impl Fn() -> ShadowRegion<S>,
     accesses: &[MemAccess],
     witness: bool,
 ) {
-    let [untraced, traced] = [false, true].map(|traced| {
-        let wide = drive(mk(), accesses, witness, false, traced);
-        let scalar = drive(mk(), accesses, witness, true, traced);
-        assert_eq!(wide, scalar, "witness={witness}, traced={traced}");
-        wide
-    });
+    let reference = reference(mk(), accesses, witness);
+    assert_eq!(drive(mk(), accesses, witness, true), reference, "witness={witness}, traced");
     assert_eq!(
-        untraced,
-        Observables { events: Vec::new(), ..traced },
-        "the sink changed more than the event stream, witness={witness}"
+        drive(mk(), accesses, witness, false),
+        Observables { events: Vec::new(), ..reference },
+        "witness={witness}, untraced"
     );
 }
 
@@ -212,23 +254,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn global_wide_tier_matches_forced_scalar(lanes in prop::collection::vec(arb_lane(), 1..25)) {
+    fn global_batch_matches_the_per_access_reference(
+        lanes in prop::collection::vec(arb_lane(), 1..25)
+    ) {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| global_access(l, i)).collect();
         for (accesses, witness) in variants(&accesses) {
             for warp_filter in [true, false] {
-                assert_twins_match(|| global_rdu(warp_filter), &accesses, witness);
+                assert_matches_reference(|| global_rdu(warp_filter), &accesses, witness);
             }
         }
     }
 
     #[test]
-    fn shared_wide_tier_matches_forced_scalar(lanes in prop::collection::vec(arb_lane(), 1..25)) {
+    fn shared_batch_matches_the_per_access_reference(
+        lanes in prop::collection::vec(arb_lane(), 1..25)
+    ) {
         let accesses: Vec<MemAccess> =
             lanes.iter().enumerate().map(|(i, l)| shared_access(l, i)).collect();
         for (accesses, witness) in variants(&accesses) {
             for warp_filter in [true, false] {
-                assert_twins_match(|| shared_rdu(warp_filter), &accesses, witness);
+                assert_matches_reference(|| shared_rdu(warp_filter), &accesses, witness);
             }
         }
     }

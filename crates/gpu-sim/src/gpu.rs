@@ -70,11 +70,12 @@ pub struct LaunchResult {
     /// `skip.cycles_skipped`/`skip_jumps` are zero in dense mode by
     /// definition (`skip.sm_idle_cycles` is mode-independent).
     pub skip: SkipStats,
-    /// Shadow-check lanes per dispatch tier, summed over the shared and
-    /// global RDUs (all zero with detection off). Outside `stats` on
-    /// purpose: the tiers are bit-identical by construction, so these
-    /// tallies move when a tier widens (or `HACCRG_FORCE_SCALAR_SHADOW`
-    /// pins the scalar one) while every result stays put.
+    /// Shadow-check lanes per dispatch tier — the wide SWAR tier and the
+    /// full Fig. 3 check — summed over the shared and global RDUs (all
+    /// zero with detection off). Outside `stats` on purpose: both tiers
+    /// give the per-access reference's results bit for bit, so these
+    /// tallies move when the wide tier widens while every result stays
+    /// put.
     pub dispatch: DispatchStats,
 }
 

@@ -1316,44 +1316,14 @@ impl Sm {
             return;
         }
         let sm_id = self.id;
-        let warp_size = self.cfg.warp_size;
-        let cta = self.ctas[cta_slot].as_ref().expect("cta live");
-        let shared_base = cta.shared_base;
+        let warp = self.warp_access(
+            cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx, v.clocks,
+        );
+        let shared_base = warp.cta.shared_base;
 
         let mut accesses = std::mem::take(&mut out.scratch.accesses);
         accesses.clear();
-        accesses.extend(lanes
-            .iter()
-            .map(|la| {
-                let t = warp_in_block * warp_size + u32::from(la.lane);
-                let who = ThreadCoord::new(
-                    block_id * ctx.block_dim + t,
-                    gwarp,
-                    block_id,
-                    sm_id,
-                );
-                let akind = match kind {
-                    MemOpKind::Load { .. } => AccessKind::Read,
-                    MemOpKind::Store => AccessKind::Write,
-                    MemOpKind::Atomic { .. } => AccessKind::Atomic,
-                };
-                let lk = &cta.locks[t as usize];
-                MemAccess {
-                    addr: shared_base + la.addr,
-                    size: la.size,
-                    kind: akind,
-                    who,
-                    pc: line_tag,
-                    sync_id: v.clocks.sync_id(block_id),
-                    fence_id: v.clocks.fence_id(gwarp),
-                    atomic_sig: lk.signature(),
-                    locks: *lk.locks(),
-                    in_critical_section: lk.in_critical_section(),
-                    l1_hit: false,
-                    l1_fill_cycle: 0,
-                    cycle: now,
-                }
-            }));
+        accesses.extend(lanes.iter().map(|la| warp.lane(la, shared_base + la.addr, None)));
 
         // Whole-warp batch check: the RDU resolves each shadow page once
         // per run of same-page lanes and reports Fig. 3 edges through the
@@ -1471,37 +1441,93 @@ impl Sm {
         if !v.cfg.global_enabled {
             return None;
         }
-        let cta = self.ctas[cta_slot].as_ref().expect("cta live");
-        let warp_size = self.cfg.warp_size;
-
-        let akind = match kind {
-            MemOpKind::Load { .. } => AccessKind::Read,
-            MemOpKind::Store => AccessKind::Write,
-            MemOpKind::Atomic { .. } => AccessKind::Atomic,
-        };
-
+        let warp = self.warp_access(
+            cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx, v.clocks,
+        );
         let start = arena.len() as u32;
-        for la in lanes.iter().filter(|la| tx_lanes.contains(la.lane)) {
-            let t = warp_in_block * warp_size + u32::from(la.lane);
-            let who = ThreadCoord::new(block_id * ctx.block_dim + t, gwarp, block_id, self.id);
-            let lk = &cta.locks[t as usize];
-            arena.push(MemAccess {
-                addr: la.addr,
-                size: la.size,
-                kind: akind,
-                who,
-                pc: line_tag,
-                sync_id: v.clocks.sync_id(block_id),
-                fence_id: v.clocks.fence_id(gwarp),
-                atomic_sig: lk.signature(),
-                locks: *lk.locks(),
-                in_critical_section: lk.in_critical_section(),
-                l1_hit: l1_fill.is_some(),
-                l1_fill_cycle: l1_fill.unwrap_or(0),
-                cycle: now,
-            });
-        }
+        arena.extend(
+            lanes
+                .iter()
+                .filter(|la| tx_lanes.contains(la.lane))
+                .map(|la| warp.lane(la, la.addr, l1_fill)),
+        );
         Some((start, arena.len() as u32))
+    }
+
+    /// The half of a lane's [`MemAccess`] its whole warp instruction
+    /// shares, for both RDU hooks: the access kind, the warp's place in
+    /// its block, the block's lockset registers, and the detector clocks
+    /// as this cycle reads them.
+    #[allow(clippy::too_many_arguments)]
+    fn warp_access<'a>(
+        &'a self,
+        cta_slot: usize,
+        gwarp: u32,
+        block_id: u32,
+        warp_in_block: u32,
+        kind: MemOpKind,
+        line_tag: u32,
+        now: u64,
+        ctx: &LaunchContext,
+        clocks: &ClockFile,
+    ) -> WarpAccess<'a> {
+        WarpAccess {
+            cta: self.ctas[cta_slot].as_ref().expect("cta live"),
+            kind: kind.access_kind(),
+            first_thread: warp_in_block * self.cfg.warp_size,
+            block_tid: block_id * ctx.block_dim,
+            gwarp,
+            block_id,
+            sm: self.id,
+            pc: line_tag,
+            sync_id: clocks.sync_id(block_id),
+            fence_id: clocks.fence_id(gwarp),
+            cycle: now,
+        }
+    }
+}
+
+/// What every lane of one warp memory instruction tells an RDU, built
+/// once per instruction by [`Sm::warp_access`].
+struct WarpAccess<'a> {
+    cta: &'a Cta,
+    kind: AccessKind,
+    /// The block-local index of the warp's lane 0.
+    first_thread: u32,
+    /// The global thread ID of the block's thread 0.
+    block_tid: u32,
+    gwarp: u32,
+    block_id: u32,
+    sm: u32,
+    pc: u32,
+    sync_id: u8,
+    fence_id: u8,
+    cycle: u64,
+}
+
+impl WarpAccess<'_> {
+    /// Lane `la`'s access at `addr` (a shared access carries its CTA's
+    /// base, a global one the device address), with the fill cycle of the
+    /// L1 line a global load hit (`None`: no L1 hit).
+    #[inline]
+    fn lane(&self, la: &LaneAddr, addr: u32, l1_fill: Option<u64>) -> MemAccess {
+        let t = self.first_thread + u32::from(la.lane);
+        let lk = &self.cta.locks[t as usize];
+        MemAccess {
+            addr,
+            size: la.size,
+            kind: self.kind,
+            who: ThreadCoord::new(self.block_tid + t, self.gwarp, self.block_id, self.sm),
+            pc: self.pc,
+            sync_id: self.sync_id,
+            fence_id: self.fence_id,
+            atomic_sig: lk.signature(),
+            locks: *lk.locks(),
+            in_critical_section: lk.in_critical_section(),
+            l1_hit: l1_fill.is_some(),
+            l1_fill_cycle: l1_fill.unwrap_or(0),
+            cycle: self.cycle,
+        }
     }
 }
 
@@ -1620,6 +1646,17 @@ enum MemOpKind {
     Load { d: crate::isa::Reg },
     Store,
     Atomic { op: crate::isa::AtomOp, d: crate::isa::Reg },
+}
+
+impl MemOpKind {
+    /// The detector's view of the operation.
+    fn access_kind(self) -> AccessKind {
+        match self {
+            MemOpKind::Load { .. } => AccessKind::Read,
+            MemOpKind::Store => AccessKind::Write,
+            MemOpKind::Atomic { .. } => AccessKind::Atomic,
+        }
+    }
 }
 
 fn read_shared(data: &[u8], addr: u32, size: u8, stats: &mut SimStats) -> u32 {
