@@ -2,19 +2,24 @@
 //! stream and the run manifest must be deterministic functions of the
 //! work — not of the `--jobs` count, the engine, or the scheduling —
 //! modulo wall-clock fields. See `progress` / `manifest` module docs.
-//! Observers attached to a launch must not change what it reports.
+//! Observers attached to a launch must not change what it reports, and
+//! what a traced launch emits, in which order, is pinned.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gpu_sim::prelude::{Gpu, GpuConfig, NullSink};
+use gpu_sim::prelude::{Gpu, GpuConfig, NullSink, RingRecorder, SimEvent};
+use haccrg::access::MemSpace;
 use haccrg::config::DetectorConfig;
-use haccrg_bench::manifest::{self, RunManifest};
+use haccrg_bench::effectiveness::campaign;
+use haccrg_bench::manifest::{self, Fnv, RunManifest};
 use haccrg_bench::progress::SweepProgress;
 use haccrg_bench::SweepRunner;
+use haccrg_workloads::inject::{apply, Injection};
 use haccrg_workloads::runner::{run, run_instance, RunConfig};
-use haccrg_workloads::{all_benchmarks, Scale};
+use haccrg_workloads::{all_benchmarks, benchmark_by_name, Benchmark, Scale};
 
 /// A `Vec<u8>` sink shared with the test through an `Arc<Mutex<_>>`.
 #[derive(Clone, Default)]
@@ -210,4 +215,99 @@ fn observers_leave_every_table2_launch_unchanged() {
         racy += usize::from(!records.is_empty());
     }
     assert!(racy > 0, "no Table II benchmark races at tiny scale");
+}
+
+/// What one traced, witness-capturing run of a benchmark produced: the
+/// FNV-64 digest over every `(cycle, event)` the tracer saw, in order,
+/// then each launch's race records with their witness timelines, its
+/// dispatch tiers, max IDs and statistics; plus the counts the pin
+/// below checks its cases against.
+#[derive(Default)]
+struct Traced {
+    digest: u64,
+    shared_races: usize,
+    global_races: usize,
+    barriers: usize,
+    fences: usize,
+    lockset_checks: u64,
+}
+
+/// Run `bench` at `tiny` with witness capture and a recorder that drops
+/// nothing, optionally with `plant` applied to one launch's kernel.
+fn traced(bench: &dyn Benchmark, plant: Option<(usize, Injection)>) -> Traced {
+    let det = DetectorConfig { witness_capture: true, ..DetectorConfig::paper_default() };
+    let cfg = RunConfig::with_detector(Scale::Tiny, det);
+    let mut gpu = Gpu::new(cfg.gpu);
+    gpu.set_detector(cfg.detector);
+    let mut inst = bench.prepare(&mut gpu, cfg.scale);
+    if let Some((launch, injection)) = plant {
+        let (mutated, planted) = apply(&inst.launches[launch].kernel, injection);
+        assert!(planted > 0, "{injection:?}: injection site missing");
+        inst.launches[launch].kernel = mutated;
+    }
+    let rec = RingRecorder::shared(1 << 24);
+    gpu.tracer.install(Box::new(rec.clone()));
+    let mut h = Fnv::new();
+    let mut t = Traced::default();
+    let mut results = Vec::new();
+    for l in &inst.launches {
+        results.push(gpu.launch(&l.kernel, l.grid, l.block, &l.params).expect("launch runs"));
+    }
+    let rec = rec.borrow();
+    assert_eq!(rec.dropped(), 0, "the recorder dropped events");
+    for (cycle, ev) in rec.events() {
+        let _ = write!(h, "{cycle}:{ev:?}\x1f");
+        match ev {
+            SimEvent::BarrierRelease { .. } => t.barriers += 1,
+            SimEvent::FenceComplete { .. } => t.fences += 1,
+            _ => {}
+        }
+    }
+    for r in &results {
+        for (rec, witness) in r.races.records().iter().zip(r.races.witnesses()) {
+            let _ = write!(h, "{rec:?}\x1f{witness:?}\x1f");
+        }
+        let _ = write!(
+            h,
+            "{:?}\x1f{}\x1f{}\x1f{:?}\x1f",
+            r.dispatch, r.max_sync_id, r.max_fence_id, r.stats
+        );
+        t.shared_races += r.races.count_space(MemSpace::Shared);
+        t.global_races += r.races.count_space(MemSpace::Global);
+        let health = r.stats.health;
+        t.lockset_checks += health.bloom_null_intersections + health.bloom_nonnull_intersections;
+    }
+    t.digest = h.finish();
+    t
+}
+
+/// The whole traced stream of three detecting runs, pinned: moving a
+/// detector operation between the compute and apply phases, or
+/// reordering the events one check emits, must leave every event, race
+/// record, witness timeline and dispatch tally where it was. SCAN's
+/// racy multi-block run has global races and barriers, a SCAN
+/// barrier-removal plant has shared races (no Table II run does at
+/// `tiny`), and HASH has locks and fences.
+#[test]
+fn traced_event_stream_is_pinned() {
+    let scan = benchmark_by_name("SCAN").expect("SCAN");
+    let racy = traced(scan.as_ref(), None);
+    assert!(racy.global_races > 0 && racy.barriers > 0, "SCAN: no global race or barrier");
+
+    let plant = campaign(Scale::Tiny)
+        .into_iter()
+        .find(|p| p.label == "SCAN/DropBarrier(0)")
+        .expect("SCAN barrier plant");
+    let planted = traced(plant.bench.as_ref(), Some((plant.launch, plant.injection)));
+    assert!(planted.shared_races > 0, "the SCAN plant raced in no shared memory");
+
+    let hash = benchmark_by_name("HASH").expect("HASH");
+    let locked = traced(hash.as_ref(), None);
+    assert!(locked.fences > 0 && locked.lockset_checks > 0, "HASH: no fence or lockset check");
+
+    // Recorded when the shared checks still ran at issue, in the compute
+    // phase: moving them to the apply phase moved nothing.
+    let digests = [racy.digest, planted.digest, locked.digest];
+    let want = [0xd5a1_d607_b4bb_6c44, 0x8ddf_2081_3de6_51f1, 0x564a_1cc8_a6da_827b];
+    assert_eq!(digests, want, "traced event stream moved: {digests:#018x?}");
 }

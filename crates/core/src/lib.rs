@@ -24,10 +24,12 @@
 //!   [`granularity`];
 //! * the **hardware/memory cost model** (§VI-C / Table IV) — see [`cost`].
 //!
-//! The detector is driven purely by [`access::MemAccess`] records, so it
-//! can be attached to the cycle-level GPU simulator in the companion
-//! `gpu-sim` crate (which charges the timing costs), replayed over traces,
-//! or unit-tested directly.
+//! The detector is driven purely by [`access::MemAccess`] records plus
+//! barrier and fence events. A [`detector::Detector`] holds one launch's
+//! RDUs, clocks and race log behind those operations; the cycle-level GPU
+//! simulator in the companion `gpu-sim` crate (which charges the timing
+//! costs) and the trace replayer in [`replay`] drive it through the same
+//! calls. The RDUs can also be unit-tested directly.
 //!
 //! ## Quick example
 //!
@@ -58,6 +60,7 @@ pub mod bloom;
 pub mod clocks;
 pub mod config;
 pub mod cost;
+pub mod detector;
 pub mod dispatch;
 pub mod global_rdu;
 pub mod granularity;
@@ -82,6 +85,7 @@ pub mod prelude {
     pub use crate::bloom::{BloomConfig, BloomSig};
     pub use crate::clocks::ClockFile;
     pub use crate::config::{DetectorConfig, SharedShadowPlacement};
+    pub use crate::detector::Detector;
     pub use crate::dispatch::DispatchStats;
     pub use crate::global_rdu::{Global, GlobalRdu};
     pub use crate::granularity::Granularity;

@@ -284,14 +284,6 @@ impl RaceLog {
         self.dropped += other.dropped;
     }
 
-    /// Fold `n` extra dynamic occurrences into the total without touching
-    /// the distinct set. Callers that replay another log's records through
-    /// [`RaceLog::push`] one by one (to learn which were globally fresh)
-    /// use this for the occurrences the other log had already deduplicated.
-    pub fn add_dynamic(&mut self, n: u64) {
-        self.total += n;
-    }
-
     /// Aggregate the retained records into deduplicated [`RaceGroup`]s
     /// (see [`group_races`]).
     pub fn groups(&self) -> Vec<RaceGroup> {

@@ -1,22 +1,22 @@
-//! Trace replay: drive the RDUs from a recorded event stream instead of a
-//! live simulator.
+//! Trace replay: drive the detector from a recorded event stream instead
+//! of a live simulator.
 //!
 //! The detector core is completely decoupled from how accesses are
 //! produced, so a program trace — memory accesses plus synchronization
 //! events in program order — is enough to reproduce HAccRG's verdicts.
 //! This is how one would use the library against traces captured from a
 //! real GPU profiler, and it is also the substrate for the repository's
-//! ablation studies.
+//! ablation studies. The [`Replayer`] only decodes events and stamps
+//! clock fields; the [`Detector`] it feeds is the one the cycle-level
+//! simulator drives, through the same calls.
 
 use crate::access::{MemAccess, MemSpace};
-use crate::clocks::ClockFile;
 use crate::config::DetectorConfig;
-use crate::global_rdu::{Global, GlobalRdu};
+use crate::detector::Detector;
 use crate::health::DetectorHealth;
 use crate::json::Value;
 use crate::json_object;
 use crate::race::RaceLog;
-use crate::shared_rdu::{Shared, SharedRdu};
 
 /// One trace event, in program order.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,7 +48,8 @@ pub enum TraceEvent {
     },
 }
 
-/// Geometry the replayer needs up front.
+/// Geometry the detector needs up front: the trace header, and the
+/// launch geometry the simulator builds its [`Detector`] from.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceGeometry {
     /// SMs with shared-memory RDUs.
@@ -79,6 +80,33 @@ impl TraceEvent {
                 json_object!(Barrier: json_object!(block, sm, shared_lo, shared_hi))
             }
             TraceEvent::Fence { warp } => json_object!(Fence: json_object!(warp)),
+        }
+    }
+
+    /// Whether every id the event names lies inside `geo`: its block and
+    /// warp, and the SM of a shared access or a barrier.
+    fn within(&self, geo: &TraceGeometry) -> Result<(), String> {
+        let check = |what: &str, id: u32, n: u32| {
+            if id < n {
+                Ok(())
+            } else {
+                Err(format!("{what} {id} is outside the geometry (0..{n})"))
+            }
+        };
+        match *self {
+            TraceEvent::Access { space, access } => {
+                check("block", access.who.block, geo.blocks)?;
+                check("warp", access.who.warp, geo.warps)?;
+                if space == MemSpace::Shared {
+                    check("sm", access.who.sm, geo.num_sms)?;
+                }
+                Ok(())
+            }
+            TraceEvent::Barrier { block, sm, .. } => {
+                check("block", block, geo.blocks)?;
+                check("sm", sm, geo.num_sms)
+            }
+            TraceEvent::Fence { warp } => check("warp", warp, geo.warps),
         }
     }
 
@@ -136,10 +164,8 @@ impl TraceGeometry {
 
 /// Replays traces through the detector.
 pub struct Replayer {
-    shared: Vec<SharedRdu>,
-    global: Option<GlobalRdu>,
-    clocks: ClockFile,
-    log: RaceLog,
+    geo: TraceGeometry,
+    det: Detector,
     health: DetectorHealth,
     events: u64,
 }
@@ -149,77 +175,61 @@ impl Replayer {
     /// region is addressed immediately after the tracked region (replay
     /// has no timing, so only distinctness matters).
     pub fn new(cfg: &DetectorConfig, geo: &TraceGeometry) -> Self {
-        cfg.validate().expect("valid detector config");
+        let shadow_base = geo.global_base.saturating_add(geo.global_len);
         Self {
-            shared: (0..geo.num_sms)
-                .map(|sm| {
-                    let space = Shared { sm, banks: geo.shared_banks };
-                    SharedRdu::from_config(cfg, space, 0, geo.shared_bytes_per_sm, 0)
-                })
-                .collect(),
-            global: cfg.global_enabled.then(|| {
-                let shadow_base = geo.global_base.saturating_add(geo.global_len);
-                GlobalRdu::from_config(cfg, Global, geo.global_base, geo.global_len, shadow_base)
-            }),
-            clocks: ClockFile::new(geo.blocks, geo.warps),
-            log: RaceLog::default(),
+            geo: *geo,
+            det: Detector::new(*cfg, geo, shadow_base),
             health: DetectorHealth::default(),
             events: 0,
         }
     }
 
     /// Feed one event. Access events get their sync/fence clock fields
-    /// stamped from the replayer's clock state (so traces do not need to
-    /// carry them).
-    pub fn feed(&mut self, ev: &TraceEvent) {
+    /// stamped from the detector's clocks (so traces do not need to
+    /// carry them). An event naming a block or warp — or, for a shared
+    /// access or a barrier, an SM — outside the geometry is rejected
+    /// unreplayed.
+    pub fn feed(&mut self, ev: &TraceEvent) -> Result<(), String> {
+        ev.within(&self.geo)?;
         self.events += 1;
         match *ev {
             TraceEvent::Access { space, mut access } => {
-                access.sync_id = self.clocks.sync_id(access.who.block);
-                access.fence_id = self.clocks.fence_id(access.who.warp);
-                match space {
-                    MemSpace::Shared => {
-                        let sm = access.who.sm as usize;
-                        if let Some(rdu) = self.shared.get_mut(sm) {
-                            rdu.observe_health(&access, &self.clocks, &mut self.log, &mut self.health);
-                        }
-                    }
-                    MemSpace::Global => {
-                        self.clocks.note_global_access(access.who.block);
-                        if let Some(rdu) = self.global.as_mut() {
-                            rdu.observe_health(&access, &self.clocks, &mut self.log, &mut self.health);
-                        }
-                    }
-                    MemSpace::Local => {}
+                let who = access.who;
+                access.sync_id = self.det.clocks().sync_id(who.block);
+                access.fence_id = self.det.clocks().fence_id(who.warp);
+                if space == MemSpace::Global {
+                    self.det.note_global(who.block);
                 }
+                self.det.observe_health(space, &access, &mut self.health);
             }
             TraceEvent::Barrier { block, sm, shared_lo, shared_hi } => {
-                self.clocks.on_barrier(block);
-                if let Some(rdu) = self.shared.get_mut(sm as usize) {
-                    rdu.reset_block_range(shared_lo, shared_hi);
-                }
+                self.det.barrier(block, sm, shared_lo, shared_hi);
             }
-            TraceEvent::Fence { warp } => self.clocks.on_fence(warp),
+            TraceEvent::Fence { warp } => self.det.fence(warp),
         }
+        Ok(())
     }
 
-    /// Feed a whole trace.
-    pub fn replay<'a>(&mut self, events: impl IntoIterator<Item = &'a TraceEvent>) -> &RaceLog {
+    /// Feed a whole trace, stopping at the first rejected event.
+    pub fn replay<'a>(
+        &mut self,
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+    ) -> Result<&RaceLog, String> {
         for e in events {
-            self.feed(e);
+            self.feed(e)?;
         }
-        &self.log
+        Ok(self.races())
     }
 
     /// Races detected so far.
     pub fn races(&self) -> &RaceLog {
-        &self.log
+        self.det.races()
     }
 
     /// Fidelity health counters accumulated so far (drops folded in).
     pub fn health(&self) -> DetectorHealth {
         let mut h = self.health;
-        h.log_dropped += self.log.dropped();
+        h.log_dropped += self.races().dropped();
         h
     }
 
@@ -261,7 +271,7 @@ mod tests {
             acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Shared, 64, AccessKind::Read, 40, 1, 0, 0),
         ];
-        let log = r.replay(trace.iter());
+        let log = r.replay(trace.iter()).unwrap();
         assert_eq!(log.distinct(), 1);
         assert_eq!(log.records()[0].kind, RaceKind::Raw);
         assert_eq!(r.events(), 2);
@@ -275,7 +285,7 @@ mod tests {
             TraceEvent::Barrier { block: 0, sm: 0, shared_lo: 0, shared_hi: 4096 },
             acc(MemSpace::Shared, 64, AccessKind::Read, 40, 1, 0, 0),
         ];
-        assert_eq!(r.replay(trace.iter()).distinct(), 0);
+        assert_eq!(r.replay(trace.iter()).unwrap().distinct(), 0);
     }
 
     #[test]
@@ -285,7 +295,7 @@ mod tests {
             acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Global, 0x1040, AccessKind::Read, 100, 4, 1, 1),
         ];
-        assert_eq!(r.replay(racy.iter()).distinct(), 1);
+        assert_eq!(r.replay(racy.iter()).unwrap().distinct(), 1);
 
         let mut r2 = Replayer::new(&DetectorConfig::paper_default(), &geo());
         let fenced = [
@@ -293,7 +303,7 @@ mod tests {
             TraceEvent::Fence { warp: 0 },
             acc(MemSpace::Global, 0x1040, AccessKind::Read, 100, 4, 1, 1),
         ];
-        assert_eq!(r2.replay(fenced.iter()).distinct(), 0);
+        assert_eq!(r2.replay(fenced.iter()).unwrap().distinct(), 0);
     }
 
     #[test]
@@ -306,7 +316,7 @@ mod tests {
             TraceEvent::Barrier { block: 0, sm: 0, shared_lo: 0, shared_hi: 0 },
             acc(MemSpace::Global, 0x1000, AccessKind::Read, 33, 1, 0, 0),
         ];
-        assert_eq!(r.replay(trace.iter()).distinct(), 0, "barrier separated epochs");
+        assert_eq!(r.replay(trace.iter()).unwrap().distinct(), 0, "barrier separated epochs");
     }
 
     #[test]
@@ -316,7 +326,7 @@ mod tests {
             acc(MemSpace::Local, 0x10, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Local, 0x10, AccessKind::Write, 40, 1, 0, 0),
         ];
-        assert_eq!(r.replay(trace.iter()).distinct(), 0);
+        assert_eq!(r.replay(trace.iter()).unwrap().distinct(), 0);
     }
 
     #[test]
@@ -328,12 +338,33 @@ mod tests {
             acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Shared, 64, AccessKind::Read, 40, 1, 0, 0),
         ];
-        let log = r.replay(trace.iter());
+        let log = r.replay(trace.iter()).unwrap();
         assert_eq!(log.distinct(), 1);
         assert_eq!(log.witness_of(0).len(), 2, "witness timeline rides the race");
         let h = r.health();
         assert_eq!(h.log_dropped, 0);
         assert!(h.shadow_pages_allocated >= 1, "occupancy gauge counts the touched page");
+    }
+
+    #[test]
+    fn events_outside_the_geometry_are_rejected_unreplayed() {
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let outside = [
+            acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 4, 0),
+            acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 16, 0, 0),
+            acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 2),
+            TraceEvent::Barrier { block: 4, sm: 0, shared_lo: 0, shared_hi: 64 },
+            TraceEvent::Barrier { block: 0, sm: 2, shared_lo: 0, shared_hi: 64 },
+            TraceEvent::Fence { warp: 16 },
+        ];
+        for e in &outside {
+            assert!(r.feed(e).is_err(), "{e:?}");
+        }
+        assert_eq!(r.events(), 0);
+        // A global access names its SM for provenance only.
+        assert_eq!(r.feed(&acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 0, 9)), Ok(()));
+        assert_eq!(r.events(), 1);
+        assert!(r.replay(outside.iter()).is_err());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! entries live in dedicated storage next to the banks and every access is
 //! checked *in parallel* with the data access — detection itself costs no
 //! cycles. The only timing effect is the bulk invalidation of a block's
-//! entries when it passes a barrier, which the simulator charges using
-//! [`SharedRdu::reset_block_range`]'s returned cycle count.
+//! entries when it passes a barrier, whose cycle count
+//! [`SharedRdu::reset_block_range`] returns. A launch's shared RDUs, one
+//! per SM, live in its [`crate::detector::Detector`], which routes each
+//! shared access by its SM and returns that count from
+//! [`crate::detector::Detector::barrier`] for the simulator to charge.
 
 use crate::access::MemAccess;
 use crate::bloom::BloomConfig;

@@ -1,14 +1,18 @@
 //! Wiring between the simulator and the `haccrg` detector core.
 //!
-//! [`LaunchDet::new`] builds the per-SM shared RDUs, the global RDU, the
-//! logical clocks and the race log for one kernel launch. Detection is
-//! passive: it never changes the instruction or memory stream. Its
-//! timing cost (global shadow traffic, barrier reset stalls, Fig. 8
-//! spills) is counted on the side and added to the cycle count by the
-//! epilogue of `Gpu::launch`.
+//! A launch's RDUs, logical clocks and race log are one
+//! [`haccrg::Detector`], the front end the trace replayer drives too.
+//! The compute phase reads its clocks to stamp captured accesses; the
+//! apply phase makes every call on it, in SM-id order. [`LaunchDet`]
+//! adds only what the simulator models beside it: the timing of global
+//! shadow traffic. Detection is passive: it never changes the
+//! instruction or memory stream. Its timing cost (global shadow
+//! traffic, barrier reset stalls, Fig. 8 spills) is counted on the side
+//! and added to the cycle count by the epilogue of `Gpu::launch`.
 
-use haccrg::config::{DetectorConfig, SharedShadowPlacement};
-use haccrg::prelude::*;
+use haccrg::config::DetectorConfig;
+use haccrg::replay::TraceGeometry;
+use haccrg::Detector;
 
 /// Side model of the global RDU's shadow-memory timing, kept entirely
 /// outside the architectural memory system so detection stays passive:
@@ -71,90 +75,29 @@ impl ShadowTimingModel {
     }
 }
 
-/// The cycle loop's detector state during one launch: the global RDU,
-/// the logical clocks, the race log and the shadow timing model. The
-/// per-SM shared RDUs live inside the SMs for the duration (see
-/// [`LaunchDet::new`]).
-#[allow(missing_docs)]
+/// The cycle loop's detector state during one launch: the detector and
+/// the timing model of its global shadow traffic, both mutated only in
+/// the apply phase.
 pub struct LaunchDet {
-    pub cfg: DetectorConfig,
-    pub global: Option<GlobalRdu>,
-    pub clocks: ClockFile,
-    pub log: RaceLog,
-    /// Passive timing model for global shadow traffic (mutated only in
-    /// the apply phase).
+    /// The launch's RDUs, clocks and race log.
+    pub detector: Detector,
+    /// Passive timing model for global shadow traffic.
     pub shadow_timing: ShadowTimingModel,
 }
 
 impl LaunchDet {
-    /// Build detector state for a launch, split for the two-phase cycle:
-    /// the launch-wide state, which the cycle loop mutates only in the
-    /// apply phase, and one shared RDU per SM, which each SM owns during
-    /// the compute phase.
-    ///
-    /// `tracked` is the `[base, base+len)` device region covered by the
-    /// global shadow table (everything allocated before the launch);
-    /// `shadow_base` is where the shadow table itself is addressed.
-    /// `slices` describes the memory system the timing model mirrors:
-    /// `(num_slices, l2_line_bytes)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        cfg: DetectorConfig,
-        num_sms: u32,
-        shared_per_sm: u32,
-        shared_banks: u32,
-        blocks: u32,
-        total_warps: u32,
-        tracked: (u32, u32),
-        shadow_base: u32,
-        slices: (u32, u32),
-    ) -> (Self, Vec<SharedRdu>) {
-        cfg.validate().expect("invalid detector config");
-        let shared = (0..num_sms)
-            .map(|sm| {
-                let space = Shared { sm, banks: shared_banks };
-                SharedRdu::from_config(&cfg, space, 0, shared_per_sm, 0)
-            })
-            .collect();
-        let global = cfg
-            .global_enabled
-            .then(|| GlobalRdu::from_config(&cfg, Global, tracked.0, tracked.1, shadow_base));
-        let span = haccrg::cost::global_shadow_footprint(u64::from(tracked.1), cfg.global_granularity)
+    /// Detector state for a launch of geometry `geo`: the global shadow
+    /// table is addressed from `shadow_base`, and `slices` describes the
+    /// memory system the timing model mirrors: `(num_slices,
+    /// l2_line_bytes)`.
+    pub fn new(cfg: DetectorConfig, geo: &TraceGeometry, shadow_base: u32, slices: (u32, u32)) -> Self {
+        let span = haccrg::cost::global_shadow_footprint(u64::from(geo.global_len), cfg.global_granularity)
             .allocated_bytes;
-        let det = Self {
-            cfg,
-            global,
-            clocks: ClockFile::new(blocks, total_warps),
-            log: RaceLog::default(),
+        Self {
+            detector: Detector::new(cfg, geo, shadow_base),
             shadow_timing: ShadowTimingModel::new(slices.0, shadow_base, span, slices.1),
-        };
-        (det, shared)
-    }
-
-    /// Whether shared-shadow entries live in global memory (Fig. 8).
-    pub fn sw_shared_shadow(&self) -> bool {
-        self.cfg.shared_shadow == SharedShadowPlacement::GlobalMemory
-    }
-
-    /// Read-only view for the compute phase.
-    pub fn view(&self) -> DetView<'_> {
-        DetView {
-            cfg: self.cfg,
-            sw_shared_shadow: self.sw_shared_shadow(),
-            clocks: &self.clocks,
         }
     }
-}
-
-/// Read-only detector view handed to `Sm::cycle_compute` (the compute
-/// phase). All clock *mutations* are buffered as [`crate::sm::SmOp`]s
-/// and applied in SM-id order once every SM has computed.
-#[derive(Clone, Copy)]
-#[allow(missing_docs)]
-pub struct DetView<'a> {
-    pub cfg: DetectorConfig,
-    pub sw_shared_shadow: bool,
-    pub clocks: &'a ClockFile,
 }
 
 #[cfg(test)]
@@ -162,38 +105,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructs_per_config() {
-        let (d, shared) = LaunchDet::new(
-            DetectorConfig::paper_default(),
-            4,
-            16 * 1024,
-            16,
-            8,
-            64,
-            (0x1000, 0x8000),
-            0x100_0000,
-            (8, 128),
-        );
-        assert_eq!(shared.len(), 4);
-        assert!(d.global.is_some());
-        assert_eq!(d.clocks.num_blocks(), 8);
-        assert_eq!(d.clocks.num_warps(), 64);
-        assert!(!d.sw_shared_shadow());
-    }
-
-    #[test]
-    fn shared_only_config_has_no_global_rdu() {
-        let (d, _) = LaunchDet::new(
-            DetectorConfig::shared_only(),
-            2,
-            16 * 1024,
-            16,
-            1,
-            8,
-            (0x1000, 0x1000),
-            0x100_0000,
-            (8, 128),
-        );
-        assert!(d.global.is_none());
+    fn timing_model_spans_the_global_shadow_table() {
+        let geo = TraceGeometry {
+            num_sms: 4,
+            shared_bytes_per_sm: 16 * 1024,
+            shared_banks: 16,
+            blocks: 8,
+            warps: 64,
+            global_base: 0x1000,
+            global_len: 0x8000,
+        };
+        let mut d = LaunchDet::new(DetectorConfig::paper_default(), &geo, 0x100_0000, (8, 128));
+        assert_eq!(d.detector.clocks().num_warps(), 64);
+        assert_eq!(d.shadow_timing.port_accesses.len(), 8);
+        // 8 K chunks of 4 B, each an 8 B shadow word: 512 lines of 128 B,
+        // every one of them resident-tracked, none past the end.
+        d.shadow_timing.access(0, 0x100_0000 + 511 * 128);
+        d.shadow_timing.access(0, 0x100_0000 + 512 * 128);
+        assert_eq!((d.shadow_timing.port_accesses[0], d.shadow_timing.fills[0]), (2, 1));
     }
 }

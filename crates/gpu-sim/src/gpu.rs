@@ -6,9 +6,10 @@
 //! same cycle count, statistics and race log every time (no wall-clock,
 //! no unseeded randomness, strictly ordered queues).
 
-use haccrg::config::DetectorConfig;
+use haccrg::config::{DetectorConfig, SharedShadowPlacement};
 use haccrg::cost;
 use haccrg::prelude::*;
+use haccrg::replay::TraceGeometry;
 
 use crate::active::ActiveSet;
 use crate::config::GpuConfig;
@@ -19,7 +20,7 @@ use crate::mem::icnt::{self, Link};
 use crate::mem::slice::MemSlice;
 use crate::mem::MemReq;
 use crate::prof::{self, Counter, Phase};
-use crate::sm::{apply_global_batch, CycleOutput, LaunchContext, Sm, SmOp};
+use crate::sm::{apply_check, CycleOutput, LaunchContext, Sm, SmOp};
 use crate::stats::{CacheStats, DramStats, SimStats, SkipStats};
 use crate::trace::{heartbeat, LaunchSampler, ReqTag, SimEvent, Tracer};
 
@@ -221,27 +222,18 @@ impl Gpu {
             shared_shadow_stride,
         };
 
-        // Split the detector for the two-phase cycle: each SM owns its
-        // shared RDU during the compute phase; global RDU / clocks / log
-        // stay with the cycle loop.
-        let mut sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
-        let det: Option<LaunchDet> = self.detector.map(|cfg| {
-            let (launch_det, rdus) = LaunchDet::new(
-                cfg,
-                self.cfg.num_sms,
-                self.cfg.shared_mem_per_sm,
-                self.cfg.shared_banks,
-                grid,
-                grid * warps_per_block,
-                (tracked_base, tracked_bytes),
-                shadow_base,
-                (self.cfg.num_mem_slices, self.cfg.l2.line_bytes),
-            );
-            for (sm, rdu) in sms.iter_mut().zip(rdus) {
-                sm.install_shared_rdu(rdu);
-            }
-            launch_det
-        });
+        let sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
+        let geo = TraceGeometry {
+            num_sms: self.cfg.num_sms,
+            shared_bytes_per_sm: self.cfg.shared_mem_per_sm,
+            shared_banks: self.cfg.shared_banks,
+            blocks: grid,
+            warps: grid * warps_per_block,
+            global_base: tracked_base,
+            global_len: tracked_bytes,
+        };
+        let slices = (self.cfg.num_mem_slices, self.cfg.l2.line_bytes);
+        let det = self.detector.map(|cfg| LaunchDet::new(cfg, &geo, shadow_base, slices));
 
         let mut slices: Vec<MemSlice> =
             (0..self.cfg.num_mem_slices).map(|i| MemSlice::new(i, self.cfg)).collect();
@@ -310,7 +302,7 @@ impl Gpu {
         // no SM owns.
         let mut base = SimStats::default();
         if let Some(d) = det.as_ref() {
-            base.health.log_dropped += d.log.dropped();
+            base.health.log_dropped += d.detector.races().dropped();
         }
 
         // Passive-detection epilogue (see `haccrg::cost`): detection ran
@@ -357,16 +349,11 @@ impl Gpu {
             self.tracer.emit(now, SimEvent::KernelEnd { launch: launch_id });
         }
 
-        let mut dispatch = DispatchStats::default();
-        for rdu in sms.iter().filter_map(|s| s.shared_rdu.as_ref()) {
-            dispatch.accumulate(&rdu.dispatch);
-        }
-        if let Some(rdu) = det.as_ref().and_then(|d| d.global.as_ref()) {
-            dispatch.accumulate(&rdu.dispatch);
-        }
-        let (races, max_sync, max_fence) = match det {
-            Some(d) => (d.log, d.clocks.max_sync_id(), d.clocks.max_fence_id()),
-            None => (RaceLog::default(), 0, 0),
+        let (max_sync, max_fence, dispatch, races) = match det {
+            Some(LaunchDet { detector: d, .. }) => {
+                (d.clocks().max_sync_id(), d.clocks().max_fence_id(), d.dispatch(), d.into_races())
+            }
+            None => (0, 0, DispatchStats::default(), RaceLog::default()),
         };
         let shadow = cost::global_shadow_footprint(
             u64::from(tracked_bytes),
@@ -468,16 +455,16 @@ impl Gpu {
             for &i in &st.computed {
                 let out = &mut st.outs[i];
                 out.clear();
-                let view = st.det.as_ref().map(LaunchDet::view);
-                st.sms[i].cycle_compute(now, ctx, &st.mem, view, out);
+                let det = st.det.as_ref().map(|d| &d.detector);
+                st.sms[i].cycle_compute(now, ctx, &st.mem, det, out);
             }
             drop(prof_compute);
 
             // Apply phase: merge buffered effects in SM-id order, after
-            // every SM has computed. This is the only place device memory,
-            // the clock file, the global RDU and the race log are mutated
+            // every SM has computed. This is the only place device memory
+            // and the detector — clocks, RDUs, race log — are mutated
             // during a core cycle, so no SM sees another SM's writes,
-            // clock bumps or global-RDU effects from the same cycle.
+            // clock bumps or RDU effects from the same cycle.
             {
                 let _prof = prof::scope(Phase::Apply);
                 for &i in &st.computed {
@@ -871,57 +858,49 @@ fn apply_cycle_output(
     mut tlb_trace: Option<&mut Vec<(u32, Option<u32>)>>,
 ) {
     // Split borrows: `ops` drains while `batch_arena` is sliced and the
-    // detector scratch is lent to `apply_global_batch`.
+    // detector scratch is lent to `apply_check`.
     let CycleOutput { ops, batch_arena, scratch, .. } = out;
     for op in ops.drain(..) {
-        match op {
-            SmOp::MemWrite { addr, val, size } => mem.write(addr, val, size),
-            SmOp::NoteGlobal { block } => {
-                if let Some(d) = det.as_mut() {
-                    d.clocks.note_global_access(block);
-                }
+        match (op, det.as_mut()) {
+            (SmOp::MemWrite { addr, val, size }, _) => mem.write(addr, val, size),
+            (SmOp::Emit { cycle, ev }, _) => tracer.emit(cycle, ev),
+            (SmOp::NoteGlobal { block }, Some(d)) => d.detector.note_global(block),
+            (SmOp::Barrier { block, shared }, Some(d)) => {
+                // The reset's cycles are charged arithmetically to the
+                // SM's detector-busy counter (folded into the launch
+                // epilogue), never as a warp stall: stalling would change
+                // the retired instruction stream relative to a
+                // detection-off run. Fig. 8 mode keeps the entries in
+                // global memory, where no banked clear is modeled.
+                let cycles = d.detector.barrier(block, sm.id, shared.0, shared.1);
+                let banked = d.detector.config().shared_shadow == SharedShadowPlacement::Hardware;
+                let stall = if banked { cycles } else { 0 };
+                sm.stats.shadow_reset_stall_cycles += stall;
+                sm.det_busy_cycles += stall;
+                // `stall_cycles` reports the *modeled* charge.
+                let ev = SimEvent::BarrierRelease { sm: sm.id, block, stall_cycles: stall };
+                tracer.emit(now, ev);
             }
-            SmOp::Barrier { block } => {
-                if let Some(d) = det.as_mut() {
-                    d.clocks.on_barrier(block);
-                }
+            (SmOp::Retire { shared }, Some(d)) => {
+                d.detector.reset_shared(sm.id, shared.0, shared.1);
             }
-            SmOp::Fence { gwarp } => {
-                if let Some(d) = det.as_mut() {
-                    d.clocks.on_fence(gwarp);
-                }
+            (SmOp::Fence { gwarp }, Some(d)) => d.detector.fence(gwarp),
+            (SmOp::Check { range, is_store, target }, Some(d)) => {
+                let accesses = &batch_arena[range.0 as usize..range.1 as usize];
+                apply_check(
+                    sm,
+                    accesses,
+                    is_store,
+                    target,
+                    now,
+                    d,
+                    tracer,
+                    tlb_trace.as_deref_mut(),
+                    &mut scratch.race,
+                );
             }
-            SmOp::SharedRaces { log } => {
-                if let Some(d) = det.as_mut() {
-                    for (i, r) in log.records().iter().enumerate() {
-                        // Witness timelines captured SM-side ride along
-                        // into the launch-wide log.
-                        let fresh = d.log.push_with_witness(*r, log.witness_of(i));
-                        if fresh && tracer.on() {
-                            tracer.emit(now, SimEvent::RaceDetected { record: *r });
-                        }
-                    }
-                    // Occurrences the SM-local log had already deduplicated.
-                    d.log.add_dynamic(log.total() - log.records().len() as u64);
-                }
-            }
-            SmOp::Emit { cycle, ev } => tracer.emit(cycle, ev),
-            SmOp::GlobalBatch { range, is_store, sink } => {
-                if let Some(d) = det.as_mut() {
-                    let accesses = &batch_arena[range.0 as usize..range.1 as usize];
-                    apply_global_batch(
-                        sm,
-                        accesses,
-                        is_store,
-                        sink,
-                        now,
-                        d,
-                        tracer,
-                        tlb_trace.as_deref_mut(),
-                        &mut scratch.race,
-                    );
-                }
-            }
+            // Detector ops are pushed only when a detector is on.
+            (_, None) => {}
         }
     }
 }

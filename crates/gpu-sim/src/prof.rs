@@ -33,8 +33,8 @@ use std::time::Instant;
 pub enum Phase {
     /// A whole `Gpu::launch` call (the root).
     Launch,
-    /// Pre-loop launch setup: validation, shadow layout, SM/slice
-    /// construction, detector decomposition.
+    /// Pre-loop launch setup: validation, shadow layout, SM/slice and
+    /// detector construction.
     Setup,
     /// Block dispatcher placement scans.
     Dispatch,
@@ -47,7 +47,7 @@ pub enum Phase {
     /// Per-transaction L1 probing, MSHR bookkeeping and request
     /// generation for coalesced global transactions.
     L1Access,
-    /// Shared-memory RDU checks (compute phase, SM-local).
+    /// Shared-memory RDU checks (apply phase).
     ShadowShared,
     /// The apply phase: replaying buffered cycle output.
     Apply,
@@ -137,7 +137,7 @@ pub enum Counter {
     DenseCycles,
     /// Cycles fast-forwarded over by skip jumps.
     SkippedCycles,
-    /// Shared-memory lane accesses checked by SM-local RDUs.
+    /// Shared-memory lane accesses checked by the per-SM shared RDUs.
     SharedChecks,
     /// Global-memory lane accesses checked by the global RDU.
     GlobalChecks,

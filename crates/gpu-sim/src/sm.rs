@@ -1,7 +1,7 @@
 //! The streaming-multiprocessor model: resident thread-blocks (CTAs),
 //! warps with SIMT stacks, a round-robin warp scheduler, the in-order
 //! SIMD issue pipeline, banked shared memory, the per-SM L1 data cache
-//! with MSHRs, and the shared-memory RDU hooks.
+//! with MSHRs, and the capture of what the RDUs check.
 //!
 //! Timing model (Table I): one warp instruction issues per
 //! `warp_size / simd_width` cycles; shared-memory bank conflicts extend
@@ -17,22 +17,26 @@
 //! the same cycle (see DESIGN.md, "Two-phase cycle"):
 //! [`Sm::cycle_compute`] reads device memory and the detector clocks as
 //! they stood before the cycle, mutates only SM-owned state (warps,
-//! CTAs, L1, MSHRs, its shared RDU, its counters in `Sm::stats`), and
-//! buffers every cross-SM side effect into a [`CycleOutput`]. Once every
-//! SM has computed, the cycle loop applies each computed SM's
-//! [`SmOp`]s in SM-id order. The results therefore do not depend on the
-//! order in which SMs compute.
+//! CTAs, L1, MSHRs, its counters in `Sm::stats`), and buffers every
+//! cross-SM side effect into a [`CycleOutput`]. The SM owns no RDU: a
+//! memory instruction's lanes are captured as [`MemAccess`]es, clocks
+//! stamped at issue, and every detector operation — checks of both
+//! spaces, barrier and retire resets, fences and sync bumps — is an
+//! [`SmOp`]. Once every SM has computed, the cycle loop applies each
+//! computed SM's ops in SM-id order, making the [`haccrg::Detector`]
+//! calls a trace replay makes. The results therefore do not depend on
+//! the order in which SMs compute.
 
 use haccrg::prelude::*;
 
 use crate::active::ActiveSet;
 use crate::config::{GpuConfig, SchedPolicy};
-use crate::detector::{DetView, LaunchDet};
+use crate::detector::LaunchDet;
 use crate::device::DeviceMemory;
 use crate::isa::{Kernel, Op, Space, SpecialReg, Src};
 use crate::lanes::{WarpLanes, LANES};
 use crate::mem::cache::Cache;
-use crate::mem::coalesce::{bank_conflict_degree, coalesce_into, LaneAddr, LaneMask, Transaction};
+use crate::mem::coalesce::{bank_conflict_degree, coalesce_into, LaneAddr, Transaction};
 use crate::mem::{LaneAtomic, MemReq, ReqKind};
 use crate::prof::{self, Counter, Phase};
 use crate::simt::SimtStack;
@@ -46,8 +50,8 @@ pub struct CycleOutput {
     pub tracing: bool,
     /// Cross-SM side effects, in program order.
     pub ops: Vec<SmOp>,
-    /// Arena backing [`SmOp::GlobalBatch`] access runs this cycle; ops
-    /// store index ranges into it instead of owning per-op vectors.
+    /// Arena backing [`SmOp::Check`] access runs this cycle; ops store
+    /// index ranges into it instead of owning per-op vectors.
     pub batch_arena: Vec<MemAccess>,
     /// Reusable hot-path buffers: capacity survives across cycles, so the
     /// steady-state memory pipeline performs no heap allocations per warp.
@@ -63,8 +67,6 @@ pub struct SmScratch {
     pub lanes: Vec<LaneAddr>,
     /// Coalesced transactions of the current memory instruction.
     pub txs: Vec<Transaction>,
-    /// `MemAccess` descriptors handed to the RDUs.
-    pub accesses: Vec<MemAccess>,
     /// Detector-side scratch (intra-warp dedup, state snapshots, lines).
     pub race: RaceScratch,
 }
@@ -104,26 +106,29 @@ pub enum SmOp {
         /// Access width in bytes.
         size: u8,
     },
-    /// `ClockFile::note_global_access` for a resident block.
+    /// `Detector::note_global` — a resident block issued a global access.
     NoteGlobal {
         /// Block ID.
         block: u32,
     },
-    /// `ClockFile::on_barrier` — a resident block released its barrier.
+    /// `Detector::barrier` — a resident block released its barrier: bump
+    /// its sync ID, reset its shared range, charge the reset and emit
+    /// the release.
     Barrier {
         /// Block ID.
         block: u32,
+        /// The block's shared allocation `[lo, hi)`.
+        shared: (u32, u32),
     },
-    /// `ClockFile::on_fence` — a warp's `membar` completed at issue.
+    /// `Detector::reset_shared` — a retiring block's shared range.
+    Retire {
+        /// The block's shared allocation `[lo, hi)`.
+        shared: (u32, u32),
+    },
+    /// `Detector::fence` — a warp's `membar` completed at issue.
     Fence {
         /// Global warp ID.
         gwarp: u32,
-    },
-    /// Race pushes of one shared-RDU instruction, captured in a local
-    /// log and replayed into the launch log (dynamic totals preserved).
-    SharedRaces {
-        /// The instruction-local capture.
-        log: RaceLog,
     },
     /// A buffered tracer event.
     Emit {
@@ -132,17 +137,26 @@ pub enum SmOp {
         /// The event.
         ev: SimEvent,
     },
-    /// Global-RDU work for the lanes of one coalesced transaction; runs
-    /// against live clocks/log in the apply phase.
-    GlobalBatch {
+    /// `Detector::check_warp_batch` over captured lanes: a shared memory
+    /// instruction's, or one coalesced global transaction's.
+    Check {
         /// Capture-ordered per-lane accesses, as a half-open index range
         /// into [`CycleOutput::batch_arena`].
         range: (u32, u32),
         /// Whether to run the intra-warp store-store pre-check.
         is_store: bool,
-        /// Where resulting shadow traffic attaches.
-        sink: ShadowSink,
+        /// The RDU that checks them.
+        target: CheckTarget,
     },
+}
+
+/// The RDU an [`SmOp::Check`] runs against.
+pub enum CheckTarget {
+    /// The issuing SM's shared RDU. Its entries sit in SRAM beside the
+    /// banks, so a check has no traffic to charge.
+    Shared,
+    /// The global RDU, whose shadow-line accesses go to the sink.
+    Global(ShadowSink),
 }
 
 /// Where a global-RDU batch's shadow-line accesses go once known.
@@ -259,10 +273,6 @@ pub struct Sm {
     l1_mshr: Vec<(u32, Vec<(usize, u32)>)>,
     /// L1-hit load responses maturing locally: `(cycle, slot, gwarp)`.
     local_ready: Vec<(u64, usize, u32)>,
-    /// This SM's shared-memory RDU for the current launch (installed by
-    /// the GPU when a detector is configured; owned here so the compute
-    /// phase needs no shared detector state).
-    pub shared_rdu: Option<SharedRdu>,
     /// Requests produced this cycle, drained by the GPU into the network.
     pub out_req: Vec<MemReq>,
     pub threads_resident: u32,
@@ -315,7 +325,6 @@ impl Sm {
             l1: Cache::new(cfg.l1),
             l1_mshr: Vec::new(),
             local_ready: Vec::new(),
-            shared_rdu: None,
             out_req: Vec::new(),
             threads_resident: 0,
             regs_resident: 0,
@@ -416,11 +425,6 @@ impl Sm {
         self.wake_hint = 0;
     }
 
-    /// Install this SM's shared RDU for the coming launch.
-    pub fn install_shared_rdu(&mut self, rdu: SharedRdu) {
-        self.shared_rdu = Some(rdu);
-    }
-
     /// One core cycle, compute phase: retire matured L1 hits, then try
     /// to issue. Reads `mem` and the detector clocks as they stood
     /// before the cycle; cross-SM side effects land in `out` for the
@@ -432,7 +436,7 @@ impl Sm {
         now: u64,
         ctx: &LaunchContext,
         mem: &DeviceMemory,
-        det: Option<DetView<'_>>,
+        det: Option<&Detector>,
         out: &mut CycleOutput,
     ) {
         let id = self.id;
@@ -477,7 +481,7 @@ impl Sm {
         now: u64,
         ctx: &LaunchContext,
         mem: &DeviceMemory,
-        det: Option<DetView<'_>>,
+        det: Option<&Detector>,
         out: &mut CycleOutput,
     ) {
         // Matured L1-hit load responses.
@@ -585,7 +589,7 @@ impl Sm {
                 if fence_done {
                     self.stats.fences += 1;
                     if let Some(d) = det.as_mut() {
-                        d.clocks.on_fence(gwarp);
+                        d.detector.fence(gwarp);
                     }
                     if tracer.on() {
                         tracer.emit(now, SimEvent::FenceComplete { sm: self.id, gwarp });
@@ -684,7 +688,7 @@ impl Sm {
         now: u64,
         ctx: &LaunchContext,
         mem: &DeviceMemory,
-        det: Option<DetView<'_>>,
+        det: Option<&Detector>,
         out: &mut CycleOutput,
     ) {
         let _prof = prof::scope(Phase::FetchExecute);
@@ -837,7 +841,7 @@ impl Sm {
                 }
             }
             Op::CsBegin { lock } => {
-                let bloom = det.map(|v| v.cfg.bloom).unwrap_or_default();
+                let bloom = det.map(|d| d.config().bloom).unwrap_or_default();
                 let cta = cta!();
                 let addrs = crate::lanes::read_reg(
                     &cta.regs,
@@ -874,7 +878,7 @@ impl Sm {
                     self.ready.assign(widx, false);
                     cta!().live_warps -= 1;
                     self.maybe_release_barrier(cta_slot, now, det, out);
-                    self.maybe_retire_cta(cta_slot, det);
+                    self.maybe_retire_cta(cta_slot, det, out);
                 }
             }
             Op::Ld { space, d, addr, imm, size } => {
@@ -903,7 +907,7 @@ impl Sm {
         &mut self,
         cta_slot: usize,
         now: u64,
-        det: Option<DetView<'_>>,
+        det: Option<&Detector>,
         out: &mut CycleOutput,
     ) {
         let (block_id, shared_base, shared_size) = match self.ctas[cta_slot].as_ref() {
@@ -913,39 +917,20 @@ impl Sm {
             _ => return,
         };
 
-        // Detector barrier work: bump the sync ID (§IV-B) — deferred to
-        // the apply phase, since the clock file is shared — and invalidate
-        // the block's shared shadow entries (§IV-A) in this SM's own RDU.
-        // The invalidation cycles are charged arithmetically to the SM's
-        // detector-busy counter (folded into the launch epilogue), never
-        // as a warp stall: stalling would change the retired instruction
-        // stream relative to a detection-off run.
-        let mut stall = 0u64;
-        if let Some(v) = det {
-            out.ops.push(SmOp::Barrier { block: block_id });
-            if v.cfg.shared_enabled && shared_size > 0 {
-                if let Some(rdu) = self.shared_rdu.as_mut() {
-                    let cycles = rdu.reset_block_range(shared_base, shared_base + shared_size);
-                    if !v.sw_shared_shadow {
-                        stall = cycles;
-                        self.stats.shadow_reset_stall_cycles += cycles;
-                        self.det_busy_cycles += cycles;
-                    }
-                } else {
-                    // Misconfigured launch: skip the invalidation instead
-                    // of panicking mid-sweep (see shared_detection).
-                    debug_assert!(false, "shared RDU missing on SM {}", self.id);
-                    self.stats.detector_skipped_checks += 1;
-                }
-            }
+        // Detector barrier work — the sync-ID bump (§IV-B) and the
+        // invalidation of the block's shared shadow entries (§IV-A) —
+        // runs in the apply phase, which also emits the release with the
+        // invalidation's modeled charge. The warps below resume
+        // immediately regardless (passive detection).
+        if det.is_some() {
+            let shared = (shared_base, shared_base + shared_size);
+            out.ops.push(SmOp::Barrier { block: block_id, shared });
+        } else {
+            out.emit(
+                now,
+                SimEvent::BarrierRelease { sm: self.id, block: block_id, stall_cycles: 0 },
+            );
         }
-
-        // `stall_cycles` reports the *modeled* invalidation charge; the
-        // warps below resume immediately regardless (passive detection).
-        out.emit(
-            now,
-            SimEvent::BarrierRelease { sm: self.id, block: block_id, stall_cycles: stall },
-        );
         let Sm { ctas, warps, ready, .. } = self;
         let cta = ctas[cta_slot].as_mut().expect("cta live");
         cta.barrier_waiting = 0;
@@ -959,7 +944,7 @@ impl Sm {
         }
     }
 
-    fn maybe_retire_cta(&mut self, cta_slot: usize, det: Option<DetView<'_>>) {
+    fn maybe_retire_cta(&mut self, cta_slot: usize, det: Option<&Detector>, out: &mut CycleOutput) {
         let retire = matches!(&self.ctas[cta_slot], Some(c) if c.live_warps == 0);
         if !retire {
             return;
@@ -975,15 +960,9 @@ impl Sm {
             self.regs_resident.saturating_sub(cta.threads * u32::from(cta.num_regs));
         // Kernel end is an implicit barrier: clear the block's shared
         // shadow entries so the next block on this range starts fresh.
-        if let Some(v) = det {
-            if v.cfg.shared_enabled && cta.shared_size > 0 {
-                if let Some(rdu) = self.shared_rdu.as_mut() {
-                    rdu.reset_block_range(cta.shared_base, cta.shared_base + cta.shared_size);
-                } else {
-                    debug_assert!(false, "shared RDU missing on SM {}", self.id);
-                    self.stats.detector_skipped_checks += 1;
-                }
-            }
+        if det.is_some() {
+            let shared = (cta.shared_base, cta.shared_base + cta.shared_size);
+            out.ops.push(SmOp::Retire { shared });
         }
     }
 
@@ -1005,7 +984,7 @@ impl Sm {
         now: u64,
         ctx: &LaunchContext,
         mem: &DeviceMemory,
-        det: Option<DetView<'_>>,
+        det: Option<&Detector>,
         out: &mut CycleOutput,
         space: Space,
         kind: MemOpKind,
@@ -1086,13 +1065,20 @@ impl Sm {
                 let conflicts = bank_conflict_degree(&lanes, self.cfg.shared_banks);
                 self.issue_free_at += u64::from(conflicts - 1);
                 self.stats.bank_conflict_cycles += u64::from(conflicts - 1);
-                {
-                    let _prof = prof::scope(Phase::ShadowShared);
-                    prof::count(Counter::SharedChecks, lanes.len() as u64);
-                    self.shared_detection(
-                        cta_slot, gwarp, block_id, warp_in_block, &lanes, kind, line_tag, now, ctx,
-                        det, out,
+                if let Some(d) = det.filter(|d| d.config().shared_enabled) {
+                    let base = self.ctas[cta_slot].as_ref().expect("cta live").shared_base;
+                    let range = self.capture(
+                        cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx,
+                        d.clocks(), lanes.iter().map(|la| (la, base + la.addr)), None,
+                        &mut out.batch_arena,
                     );
+                    let is_store = matches!(kind, MemOpKind::Store);
+                    out.ops.push(SmOp::Check { range, is_store, target: CheckTarget::Shared });
+                    if d.config().shared_shadow == SharedShadowPlacement::GlobalMemory {
+                        let accesses = &out.batch_arena[range.0 as usize..range.1 as usize];
+                        let gran = d.config().shared_granularity;
+                        self.charge_fig8(accesses, gran, ctx, &mut out.scratch.race.lines);
+                    }
                 }
                 out.scratch.lanes = lanes;
                 self.warps[widx].as_mut().expect("warp live").simt.advance();
@@ -1107,6 +1093,8 @@ impl Sm {
                 if det.is_some() {
                     out.ops.push(SmOp::NoteGlobal { block: block_id });
                 }
+                // The global RDU exists exactly when global detection is on.
+                let global = det.filter(|d| d.config().global_enabled);
                 let mut txs = std::mem::take(&mut out.scratch.txs);
                 {
                     let _prof = prof::scope(Phase::Coalesce);
@@ -1146,15 +1134,14 @@ impl Sm {
                                     write: false,
                                 },
                             );
-                            // RDU checks for this transaction's lanes are
-                            // deferred to the apply phase (the
-                            // global RDU is shared across SMs); here we
-                            // only capture the access descriptors.
-                            let batch = self.global_batch(
-                                cta_slot, gwarp, block_id, warp_in_block, &lanes,
-                                tx.lanes, kind, line_tag, l1_fill, now, ctx, det,
-                                &mut out.batch_arena,
-                            );
+                            let batch = global.map(|d| {
+                                let tx_lanes = lanes.iter().filter(|la| tx.lanes.contains(la.lane));
+                                self.capture(
+                                    cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now,
+                                    ctx, d.clocks(), tx_lanes.map(|la| (la, la.addr)), l1_fill,
+                                    &mut out.batch_arena,
+                                )
+                            });
                             if hit {
                                 pending += 1;
                                 self.local_ready
@@ -1163,13 +1150,13 @@ impl Sm {
                                 // global RDU via a detection-only probe
                                 // (modeled, not a network request).
                                 if let Some(range) = batch {
-                                    out.ops.push(SmOp::GlobalBatch {
+                                    out.ops.push(SmOp::Check {
                                         range,
                                         is_store: false,
-                                        sink: ShadowSink::Probe {
+                                        target: CheckTarget::Global(ShadowSink::Probe {
                                             line_addr: tx.line_addr,
                                             count_stat: true,
-                                        },
+                                        }),
                                     });
                                 }
                             } else if let Some(e) = self.l1_mshr.iter_mut().find(|(l, _)| *l == tx.line_addr) {
@@ -1177,13 +1164,13 @@ impl Sm {
                                 pending += 1;
                                 e.1.push((widx, gwarp));
                                 if let Some(range) = batch {
-                                    out.ops.push(SmOp::GlobalBatch {
+                                    out.ops.push(SmOp::Check {
                                         range,
                                         is_store: false,
-                                        sink: ShadowSink::Probe {
+                                        target: CheckTarget::Global(ShadowSink::Probe {
                                             line_addr: tx.line_addr,
                                             count_stat: false,
-                                        },
+                                        }),
                                     });
                                 }
                             } else {
@@ -1192,10 +1179,10 @@ impl Sm {
                                 let r = self.fresh_req(tx.line_addr, self.cfg.l1.line_bytes, widx, gwarp, ReqKind::LoadData);
                                 self.out_req.push(r);
                                 if let Some(range) = batch {
-                                    out.ops.push(SmOp::GlobalBatch {
+                                    out.ops.push(SmOp::Check {
                                         range,
                                         is_store: false,
-                                        sink: ShadowSink::Attach { req_idx: self.out_req.len() - 1 },
+                                        target: CheckTarget::Global(ShadowSink::Attach { req_idx: self.out_req.len() - 1 }),
                                     });
                                 }
                             }
@@ -1217,18 +1204,21 @@ impl Sm {
                                     write: true,
                                 },
                             );
-                            let batch = self.global_batch(
-                                cta_slot, gwarp, block_id, warp_in_block, &lanes,
-                                tx.lanes, kind, line_tag, None, now, ctx, det,
-                                &mut out.batch_arena,
-                            );
+                            let batch = global.map(|d| {
+                                let tx_lanes = lanes.iter().filter(|la| tx.lanes.contains(la.lane));
+                                self.capture(
+                                    cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now,
+                                    ctx, d.clocks(), tx_lanes.map(|la| (la, la.addr)), None,
+                                    &mut out.batch_arena,
+                                )
+                            });
                             let r = self.fresh_req(tx.line_addr, tx.bytes, widx, gwarp, ReqKind::StoreData);
                             self.out_req.push(r);
                             if let Some(range) = batch {
-                                out.ops.push(SmOp::GlobalBatch {
+                                out.ops.push(SmOp::Check {
                                     range,
                                     is_store: true,
-                                    sink: ShadowSink::Attach { req_idx: self.out_req.len() - 1 },
+                                    target: CheckTarget::Global(ShadowSink::Attach { req_idx: self.out_req.len() - 1 }),
                                 });
                             }
                             self.warps[widx].as_mut().expect("warp live").outstanding_stores += 1;
@@ -1280,187 +1270,15 @@ impl Sm {
         }
     }
 
-    /// Shared-memory RDU hook: intra-warp pre-issue WAW check, per-lane
-    /// shadow-state checks, and (Fig. 8 mode) shared-shadow L1 traffic.
-    ///
-    /// The shared RDU is owned by this SM, so detection runs fully in the
-    /// compute phase; races land in a *local* log that the apply phase
-    /// replays into the launch-wide log (see [`SmOp::SharedRaces`]) so
-    /// cross-SM deduplication stays deterministic.
+    /// Capture `(lane, address)` pairs of one warp memory instruction
+    /// into `arena` for an [`SmOp::Check`] and return the half-open range
+    /// they fill. A shared address carries its CTA's base, a global one
+    /// is the device address; `l1_fill` is the fill cycle of the L1 line
+    /// a global load hit (`None`: no L1 hit). Lockset registers and the
+    /// detector clocks are read as this cycle sees them.
     #[allow(clippy::too_many_arguments)]
-    fn shared_detection(
-        &mut self,
-        cta_slot: usize,
-        gwarp: u32,
-        block_id: u32,
-        warp_in_block: u32,
-        lanes: &[LaneAddr],
-        kind: MemOpKind,
-        line_tag: u32,
-        now: u64,
-        ctx: &LaunchContext,
-        det: Option<DetView<'_>>,
-        out: &mut CycleOutput,
-    ) {
-        let Some(v) = det else { return };
-        if !v.cfg.shared_enabled {
-            return;
-        }
-        // A detector-enabled launch installs one RDU per SM before the
-        // first cycle; a missing one is a harness misconfiguration.
-        // Degrade to skipping detection (counted) instead of aborting the
-        // whole sweep.
-        if self.shared_rdu.is_none() {
-            debug_assert!(false, "shared RDU missing on SM {}", self.id);
-            self.stats.detector_skipped_checks += 1;
-            return;
-        }
-        let sm_id = self.id;
-        let warp = self.warp_access(
-            cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx, v.clocks,
-        );
-        let shared_base = warp.cta.shared_base;
-
-        let mut accesses = std::mem::take(&mut out.scratch.accesses);
-        accesses.clear();
-        accesses.extend(lanes.iter().map(|la| warp.lane(la, shared_base + la.addr, None)));
-
-        // Whole-warp batch check: the RDU resolves each shadow page once
-        // per run of same-page lanes and reports Fig. 3 edges through the
-        // sink (tracing only; the sink keeps the per-access event order of
-        // the old scalar loop). Shared shadow entries sit in SRAM beside
-        // the banks, so the traffic callback has nothing to charge.
-        let mut local = RaceLog::default();
-        {
-            let rdu = self.shared_rdu.as_mut().expect("checked above");
-            let ops = &mut out.ops;
-            let mut sink = |chunk_addr: u32, from: ShadowState, to: ShadowState| {
-                ops.push(SmOp::Emit {
-                    cycle: now,
-                    ev: SimEvent::ShadowTransition {
-                        space: MemSpace::Shared,
-                        sm: sm_id,
-                        chunk_addr,
-                        from,
-                        to,
-                    },
-                });
-            };
-            let on_transition: Option<TransitionSink<'_>> =
-                if out.tracing { Some(&mut sink) } else { None };
-            rdu.check_warp_batch(
-                &accesses,
-                matches!(kind, MemOpKind::Store),
-                v.clocks,
-                &mut out.scratch.race,
-                &mut local,
-                &mut self.stats.health,
-                on_transition,
-                |_| {},
-            );
-        }
-        // Race reports go through the apply phase, which knows whether a
-        // record is fresh launch-wide (and emits RaceDetected events).
-        if local.total() > 0 {
-            out.ops.push(SmOp::SharedRaces { log: local });
-        }
-
-        // Fig. 8: shared shadow entries live in global memory, cached in
-        // L1. The RDU's fetches are charged to a ghost L1 (per-SM
-        // first-touch residency over the shadow stride region) so the
-        // real L1 contents, port and MSHRs — and therefore the retired
-        // instruction stream — are untouched by detection.
-        if v.sw_shared_shadow {
-            let gran = v.cfg.shared_granularity;
-            let mut lines = std::mem::take(&mut out.scratch.race.lines);
-            lines.clear();
-            for a in &accesses {
-                // 2 bytes per 12-bit entry, rounded up.
-                let shadow_addr = ctx.shared_shadow_base
-                    + self.id * ctx.shared_shadow_stride
-                    + (a.addr >> gran.shift()) * 2;
-                let line = shadow_addr & !(self.cfg.l1.line_bytes - 1);
-                if !lines.contains(&line) {
-                    lines.push(line);
-                }
-            }
-            let region_base = ctx.shared_shadow_base + self.id * ctx.shared_shadow_stride;
-            let line_shift = self.cfg.l1.line_bytes.trailing_zeros();
-            let words = (ctx.shared_shadow_stride >> line_shift).div_ceil(64) as usize;
-            if self.fig8_resident.len() < words {
-                self.fig8_resident.resize(words, 0);
-            }
-            for &line in &lines {
-                self.stats.shared_shadow_l1_accesses += 1;
-                let idx = (line.wrapping_sub(region_base) >> line_shift) as usize;
-                let (w, b) = (idx / 64, idx % 64);
-                let hit = match self.fig8_resident.get_mut(w) {
-                    Some(word) if *word & (1 << b) == 0 => {
-                        *word |= 1 << b;
-                        false
-                    }
-                    Some(_) => true,
-                    None => true, // out-of-range (clamped layout): charge as hit
-                };
-                self.det_busy_cycles += if hit {
-                    haccrg::cost::SHARED_SHADOW_HIT_CYCLES
-                } else {
-                    haccrg::cost::SHARED_SHADOW_MISS_CYCLES
-                };
-            }
-            out.scratch.race.lines = lines;
-        }
-        out.scratch.accesses = accesses;
-    }
-
-    /// Capture the access descriptors for one global transaction's lanes
-    /// (compute phase). The global RDU is shared across SMs, so the actual
-    /// shadow-table lookups run in the apply phase
-    /// ([`apply_global_batch`]); this only snapshots what the RDU will
-    /// need — addresses, thread coords, clock values, lock signatures,
-    /// and L1 residency.
-    #[allow(clippy::too_many_arguments)]
-    fn global_batch(
+    fn capture<'l>(
         &self,
-        cta_slot: usize,
-        gwarp: u32,
-        block_id: u32,
-        warp_in_block: u32,
-        lanes: &[LaneAddr],
-        tx_lanes: LaneMask,
-        kind: MemOpKind,
-        line_tag: u32,
-        l1_fill: Option<u64>,
-        now: u64,
-        ctx: &LaunchContext,
-        det: Option<DetView<'_>>,
-        arena: &mut Vec<MemAccess>,
-    ) -> Option<(u32, u32)> {
-        let v = det?;
-        // The global RDU exists exactly when global detection is enabled.
-        if !v.cfg.global_enabled {
-            return None;
-        }
-        let warp = self.warp_access(
-            cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx, v.clocks,
-        );
-        let start = arena.len() as u32;
-        arena.extend(
-            lanes
-                .iter()
-                .filter(|la| tx_lanes.contains(la.lane))
-                .map(|la| warp.lane(la, la.addr, l1_fill)),
-        );
-        Some((start, arena.len() as u32))
-    }
-
-    /// The half of a lane's [`MemAccess`] its whole warp instruction
-    /// shares, for both RDU hooks: the access kind, the warp's place in
-    /// its block, the block's lockset registers, and the detector clocks
-    /// as this cycle reads them.
-    #[allow(clippy::too_many_arguments)]
-    fn warp_access<'a>(
-        &'a self,
         cta_slot: usize,
         gwarp: u32,
         block_id: u32,
@@ -1470,90 +1288,114 @@ impl Sm {
         now: u64,
         ctx: &LaunchContext,
         clocks: &ClockFile,
-    ) -> WarpAccess<'a> {
-        WarpAccess {
-            cta: self.ctas[cta_slot].as_ref().expect("cta live"),
-            kind: kind.access_kind(),
-            first_thread: warp_in_block * self.cfg.warp_size,
-            block_tid: block_id * ctx.block_dim,
-            gwarp,
-            block_id,
-            sm: self.id,
-            pc: line_tag,
-            sync_id: clocks.sync_id(block_id),
-            fence_id: clocks.fence_id(gwarp),
-            cycle: now,
+        lanes: impl Iterator<Item = (&'l LaneAddr, u32)>,
+        l1_fill: Option<u64>,
+        arena: &mut Vec<MemAccess>,
+    ) -> (u32, u32) {
+        let cta = self.ctas[cta_slot].as_ref().expect("cta live");
+        let kind = kind.access_kind();
+        let first_thread = warp_in_block * self.cfg.warp_size;
+        let (sync_id, fence_id) = (clocks.sync_id(block_id), clocks.fence_id(gwarp));
+        let start = arena.len() as u32;
+        arena.extend(lanes.map(|(la, addr)| {
+            let t = first_thread + u32::from(la.lane);
+            let lk = &cta.locks[t as usize];
+            MemAccess {
+                addr,
+                size: la.size,
+                kind,
+                who: ThreadCoord::new(block_id * ctx.block_dim + t, gwarp, block_id, self.id),
+                pc: line_tag,
+                sync_id,
+                fence_id,
+                atomic_sig: lk.signature(),
+                locks: *lk.locks(),
+                in_critical_section: lk.in_critical_section(),
+                l1_hit: l1_fill.is_some(),
+                l1_fill_cycle: l1_fill.unwrap_or(0),
+                cycle: now,
+            }
+        }));
+        (start, arena.len() as u32)
+    }
+
+    /// Fig. 8: shared shadow entries live in global memory, cached in L1.
+    /// The RDU's fetches for `accesses` are charged to a ghost L1 (per-SM
+    /// first-touch residency over the shadow stride region) so the real
+    /// L1 contents, port and MSHRs — and therefore the retired
+    /// instruction stream — are untouched by detection.
+    fn charge_fig8(
+        &mut self,
+        accesses: &[MemAccess],
+        gran: Granularity,
+        ctx: &LaunchContext,
+        lines: &mut Vec<u32>,
+    ) {
+        lines.clear();
+        for a in accesses {
+            // 2 bytes per 12-bit entry, rounded up.
+            let shadow_addr = ctx.shared_shadow_base
+                + self.id * ctx.shared_shadow_stride
+                + (a.addr >> gran.shift()) * 2;
+            let line = shadow_addr & !(self.cfg.l1.line_bytes - 1);
+            if !lines.contains(&line) {
+                lines.push(line);
+            }
+        }
+        let region_base = ctx.shared_shadow_base + self.id * ctx.shared_shadow_stride;
+        let line_shift = self.cfg.l1.line_bytes.trailing_zeros();
+        let words = (ctx.shared_shadow_stride >> line_shift).div_ceil(64) as usize;
+        if self.fig8_resident.len() < words {
+            self.fig8_resident.resize(words, 0);
+        }
+        for &line in lines.iter() {
+            self.stats.shared_shadow_l1_accesses += 1;
+            let idx = (line.wrapping_sub(region_base) >> line_shift) as usize;
+            let (w, b) = (idx / 64, idx % 64);
+            let hit = match self.fig8_resident.get_mut(w) {
+                Some(word) if *word & (1 << b) == 0 => {
+                    *word |= 1 << b;
+                    false
+                }
+                Some(_) => true,
+                None => true, // out-of-range (clamped layout): charge as hit
+            };
+            self.det_busy_cycles += if hit {
+                haccrg::cost::SHARED_SHADOW_HIT_CYCLES
+            } else {
+                haccrg::cost::SHARED_SHADOW_MISS_CYCLES
+            };
         }
     }
 }
 
-/// What every lane of one warp memory instruction tells an RDU, built
-/// once per instruction by [`Sm::warp_access`].
-struct WarpAccess<'a> {
-    cta: &'a Cta,
-    kind: AccessKind,
-    /// The block-local index of the warp's lane 0.
-    first_thread: u32,
-    /// The global thread ID of the block's thread 0.
-    block_tid: u32,
-    gwarp: u32,
-    block_id: u32,
-    sm: u32,
-    pc: u32,
-    sync_id: u8,
-    fence_id: u8,
-    cycle: u64,
-}
-
-impl WarpAccess<'_> {
-    /// Lane `la`'s access at `addr` (a shared access carries its CTA's
-    /// base, a global one the device address), with the fill cycle of the
-    /// L1 line a global load hit (`None`: no L1 hit).
-    #[inline]
-    fn lane(&self, la: &LaneAddr, addr: u32, l1_fill: Option<u64>) -> MemAccess {
-        let t = self.first_thread + u32::from(la.lane);
-        let lk = &self.cta.locks[t as usize];
-        MemAccess {
-            addr,
-            size: la.size,
-            kind: self.kind,
-            who: ThreadCoord::new(self.block_tid + t, self.gwarp, self.block_id, self.sm),
-            pc: self.pc,
-            sync_id: self.sync_id,
-            fence_id: self.fence_id,
-            atomic_sig: lk.signature(),
-            locks: *lk.locks(),
-            in_critical_section: lk.in_critical_section(),
-            l1_hit: l1_fill.is_some(),
-            l1_fill_cycle: l1_fill.unwrap_or(0),
-            cycle: self.cycle,
-        }
-    }
-}
-
-/// Run one [`SmOp::GlobalBatch`] through the shared global RDU (apply
-/// phase) and charge the resulting shadow traffic to the passive
-/// timing model. [`ShadowSink::Attach`] additionally annotates the data
+/// Run one [`SmOp::Check`] through its RDU (apply phase): Fig. 3 edges
+/// and the races the log retained go to the tracer, in that order. A
+/// global check's shadow traffic is charged to the passive timing model
+/// as well: [`ShadowSink::Attach`] additionally annotates the data
 /// request captured at issue (inert at the slice — TLB-trace input
 /// only); [`ShadowSink::Probe`] records the `(data, shadow)` pair into
 /// `tlb_trace` directly, since no request travels. Detection is
 /// architecturally passive: nothing here may alter request timing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_global_batch(
+pub(crate) fn apply_check(
     sm: &mut Sm,
     accesses: &[MemAccess],
     is_store: bool,
-    sink: ShadowSink,
+    target: CheckTarget,
     now: u64,
     det: &mut LaunchDet,
     tracer: &mut Tracer,
     tlb_trace: Option<&mut Vec<(u32, Option<u32>)>>,
     scratch: &mut RaceScratch,
 ) {
-    let Some(rdu) = det.global.as_mut() else { return };
-    let _prof = prof::scope(Phase::ShadowGlobal);
-    prof::count(Counter::GlobalChecks, accesses.len() as u64);
-    let races_before = det.log.records().len();
+    let (space, phase, counter) = match target {
+        CheckTarget::Shared => (MemSpace::Shared, Phase::ShadowShared, Counter::SharedChecks),
+        CheckTarget::Global(_) => (MemSpace::Global, Phase::ShadowGlobal, Counter::GlobalChecks),
+    };
+    let _prof = prof::scope(phase);
+    prof::count(counter, accesses.len() as u64);
+    let races_before = det.detector.races().records().len();
 
     // Whole-warp batch check: same-page lane runs resolve their shadow
     // page once; shadow-line traffic and Fig. 3 edges stream back through
@@ -1565,25 +1407,15 @@ pub(crate) fn apply_global_batch(
         let sm_id = sm.id;
         let tracing = tracer.on();
         let mut trace_sink = |chunk_addr: u32, from: ShadowState, to: ShadowState| {
-            tracer.emit(
-                now,
-                SimEvent::ShadowTransition {
-                    space: MemSpace::Global,
-                    sm: sm_id,
-                    chunk_addr,
-                    from,
-                    to,
-                },
-            );
+            tracer.emit(now, SimEvent::ShadowTransition { space, sm: sm_id, chunk_addr, from, to });
         };
         let on_transition: Option<TransitionSink<'_>> =
             if tracing { Some(&mut trace_sink) } else { None };
-        rdu.check_warp_batch(
+        det.detector.check_warp_batch(
+            space,
             accesses,
             is_store,
-            &det.clocks,
             scratch,
-            &mut det.log,
             &mut sm.stats.health,
             on_transition,
             |traffic| {
@@ -1600,39 +1432,34 @@ pub(crate) fn apply_global_batch(
     }
 
     if tracer.on() {
-        for r in &det.log.records()[races_before..] {
+        for r in &det.detector.races().records()[races_before..] {
             tracer.emit(now, SimEvent::RaceDetected { record: *r });
         }
     }
 
-    let shadow = if !shadow_lines.is_empty() {
-        sm.stats.shadow_l2_accesses += shadow_lines.len() as u64;
-        shadow_lines.sort_unstable();
-        // Charge every shadow line to its slice's modeled port/fill
-        // counters — this replaces the real shadow-queue traffic.
-        for &line in shadow_lines.iter() {
-            det.shadow_timing.access(sm.cfg.slice_of(line), line);
-        }
-        Some((shadow_lines[0], shadow_lines.len().min(255) as u8))
-    } else {
-        None
-    };
-
-    match sink {
-        ShadowSink::Attach { req_idx } => {
-            if let Some((base, n)) = shadow {
-                let r = &mut sm.out_req[req_idx];
-                r.shadow_ops = n;
-                r.shadow_base = base;
+    if let CheckTarget::Global(sink) = target {
+        if !shadow_lines.is_empty() {
+            sm.stats.shadow_l2_accesses += shadow_lines.len() as u64;
+            shadow_lines.sort_unstable();
+            // Charge every shadow line to its slice's modeled port/fill
+            // counters — this replaces the real shadow-queue traffic.
+            for &line in shadow_lines.iter() {
+                det.shadow_timing.access(sm.cfg.slice_of(line), line);
             }
-        }
-        ShadowSink::Probe { line_addr, count_stat } => {
-            if let Some((base, _)) = shadow {
-                if count_stat {
-                    sm.stats.probe_packets += 1;
+            let base = shadow_lines[0];
+            match sink {
+                ShadowSink::Attach { req_idx } => {
+                    let r = &mut sm.out_req[req_idx];
+                    r.shadow_ops = shadow_lines.len().min(255) as u8;
+                    r.shadow_base = base;
                 }
-                if let Some(tr) = tlb_trace {
-                    tr.push((line_addr, Some(base)));
+                ShadowSink::Probe { line_addr, count_stat } => {
+                    if count_stat {
+                        sm.stats.probe_packets += 1;
+                    }
+                    if let Some(tr) = tlb_trace {
+                        tr.push((line_addr, Some(base)));
+                    }
                 }
             }
         }

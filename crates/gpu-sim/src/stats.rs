@@ -171,8 +171,9 @@ pub struct SimStats {
     pub l1_mshr_full_stalls: u64,
     /// Out-of-bounds lane accesses dropped by the functional model.
     pub mem_faults: u64,
-    /// Detector checks/resets skipped because a launch was misconfigured
-    /// (e.g. no shared RDU installed); always 0 on a healthy run.
+    /// Detector checks/resets skipped. Always 0: one constructor builds
+    /// every RDU a launch checks, so no check can find its RDU missing.
+    /// Kept for the JSON schemas and digests that carry it.
     pub detector_skipped_checks: u64,
     /// Detector-fidelity health counters: every channel through which the
     /// detector can silently lose a race (Bloom aliasing, packed-ID

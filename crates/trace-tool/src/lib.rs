@@ -23,9 +23,10 @@
 //! [`haccrg::replay::TraceEvent::to_json`] writes in full.
 //!
 //! The reader never truncates: a line with an unknown variant, a missing
-//! field, or a number a field cannot hold (negative, fractional or too
-//! wide) is skipped and counted, like a line that is not JSON at all. A
-//! malformed header is an error.
+//! field, a number a field cannot hold (negative, fractional or too
+//! wide), or an id outside the header's geometry (a block or warp, or
+//! the SM of a shared access or a barrier) is skipped and counted, like
+//! a line that is not JSON at all. A malformed header is an error.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,13 +43,13 @@ pub struct Analysis {
     pub replayer: Replayer,
     /// Events consumed.
     pub events: u64,
-    /// Malformed lines skipped.
+    /// Malformed or out-of-geometry lines skipped.
     pub skipped: u64,
 }
 
 /// Parse and replay a JSON-lines trace from a reader. Malformed event
-/// lines are counted in [`Analysis::skipped`]; a malformed header is an
-/// `Err`.
+/// lines, and events outside the header's geometry, are counted in
+/// [`Analysis::skipped`]; a malformed header is an `Err`.
 pub fn analyze(
     input: impl BufRead,
     cfg: &DetectorConfig,
@@ -69,9 +70,9 @@ pub fn analyze(
         if line.trim().is_empty() {
             continue;
         }
-        match json::parse(&line).and_then(|v| TraceEvent::from_json(&v)) {
-            Ok(ev) => replayer.feed(&ev),
-            Err(_) => skipped += 1,
+        let ev = json::parse(&line).and_then(|v| TraceEvent::from_json(&v));
+        if ev.and_then(|ev| replayer.feed(&ev)).is_err() {
+            skipped += 1;
         }
     }
     let events = replayer.events();
@@ -294,6 +295,11 @@ mod tests {
             edit(r#""who":{"tid":0,"warp":0,"block":0,"sm":0},"#, ""),
             good[..good.len() - 3].to_string(),
             edit(r#""kind":"Write""#, r#""kind":"Wr\u00zzte""#),
+            // Ids outside the header's geometry (2 blocks, 4 warps, 4 SMs).
+            edit(r#""block":0"#, r#""block":5"#),
+            r#"{"Fence":{"warp":9}}"#.to_string(),
+            r#"{"Barrier":{"block":7,"sm":0,"shared_lo":0,"shared_hi":64}}"#.to_string(),
+            edit(r#""space":"Global""#, r#""space":"Shared""#).replacen(r#""sm":0"#, r#""sm":9"#, 1),
         ];
         for line in &bad {
             let trace = format!("{GEO}\n{line}\n{good}\n");
@@ -348,7 +354,7 @@ mod tests {
             }
             let a = analyze(Cursor::new(trace), &cfg).unwrap();
             let mut direct = Replayer::new(&cfg, &geo);
-            direct.replay(events.iter());
+            direct.replay(events.iter()).unwrap();
             assert_eq!((a.events, a.skipped), (events.len() as u64, 0));
             assert_eq!(a.replayer.races().distinct(), direct.races().distinct());
             assert_eq!(a.replayer.races().groups(), direct.races().groups());
@@ -384,8 +390,8 @@ mod tests {
             space: MemSpace::Global,
             access: MemAccess::plain(4096, 4, kind, ThreadCoord::new(tid, warp, block, sm)),
         };
-        replayer.feed(&acc(AccessKind::Write, 0, 0, 0, 0));
-        replayer.feed(&acc(AccessKind::Read, 64, 2, 1, 1));
+        replayer.feed(&acc(AccessKind::Write, 0, 0, 0, 0)).unwrap();
+        replayer.feed(&acc(AccessKind::Read, 64, 2, 1, 1)).unwrap();
         let events = replayer.events();
         Analysis { replayer, events, skipped: 0 }
     }
@@ -431,10 +437,12 @@ mod tests {
         let mut cfg = DetectorConfig::paper_default();
         cfg.witness_capture = true;
         let mut replayer = Replayer::new(&cfg, &geo);
-        replayer.feed(&TraceEvent::Access {
-            space: MemSpace::Global,
-            access: MemAccess::plain(4096, 4, AccessKind::Write, ThreadCoord::new(0, 0, 0, 0)),
-        });
+        replayer
+            .feed(&TraceEvent::Access {
+                space: MemSpace::Global,
+                access: MemAccess::plain(4096, 4, AccessKind::Write, ThreadCoord::new(0, 0, 0, 0)),
+            })
+            .unwrap();
         let events = replayer.events();
         let a = Analysis { replayer, events, skipped: 0 };
         let rep = explain_report(&a);

@@ -12,6 +12,7 @@
 //!
 //! Options:
 //! * `--shared-gran N` / `--global-gran N` — tracking granularities
+//!   (defaults 16 and 4 bytes, the paper's)
 //! * `--bloom BITSxBINS` — atomic-ID shape (e.g. `16x2`, the default)
 //! * `--no-warp-filter` — treat warp re-grouping as enabled
 //! * `--quiet` — suppress the per-record listing (counters + grouped
@@ -47,7 +48,7 @@ walked.
 
 options:
   --shared-gran N     shared-memory tracking granularity in bytes
-                      (power of two in [1,4096]; default 4)
+                      (power of two in [1,4096]; default 16)
   --global-gran N     global-memory tracking granularity in bytes
                       (power of two in [1,4096]; default 4)
   --bloom BITSxBINS   atomic-ID Bloom-filter shape (default 16x2)
@@ -196,6 +197,8 @@ mod tests {
         let o = parse_args(&[]).unwrap().expect("not help");
         assert!(o.path.is_none());
         assert_eq!(o.cfg.bloom, DetectorConfig::paper_default().bloom);
+        assert_eq!(o.cfg.shared_granularity.bytes(), 16);
+        assert_eq!(o.cfg.global_granularity.bytes(), 4);
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn fig1_trace(with_barrier: bool) -> Vec<TraceEvent> {
 
 fn analyze(label: &str, with_barrier: bool) {
     let mut r = Replayer::new(&DetectorConfig::paper_default(), &geometry());
-    r.replay(fig1_trace(with_barrier).iter());
+    r.replay(fig1_trace(with_barrier).iter()).expect("the trace fits its geometry");
     println!("{label:24} events={:3}  races={}", r.events(), r.races().distinct());
     for rec in r.races().records().iter().take(3) {
         println!("    {rec}");
