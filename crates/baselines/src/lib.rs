@@ -28,4 +28,4 @@ pub mod oracle;
 pub mod runner;
 pub mod sw_haccrg;
 
-pub use runner::{run_baseline, BaselineKind};
+pub use runner::{instrument_launches, run_baseline, BaselineKind};

@@ -3,7 +3,7 @@
 use gpu_sim::device::HEAP_BASE;
 use gpu_sim::prelude::*;
 use haccrg_workloads::runner::{run_instance, RunOutput};
-use haccrg_workloads::{Benchmark, Scale};
+use haccrg_workloads::{Benchmark, LaunchSpec, Scale};
 
 use crate::grace::{instrument_grace, GraceConfig};
 use crate::sw_haccrg::{instrument_sw, SwConfig};
@@ -38,12 +38,20 @@ pub fn run_baseline(
 ) -> Result<RunOutput, SimError> {
     let mut gpu = Gpu::new(gpu_cfg);
     let mut inst = bench.prepare(&mut gpu, scale);
-    let tracked = gpu.mem.alloc_ptr() - HEAP_BASE;
+    instrument_launches(&mut gpu, kind, &mut inst.launches);
+    run_instance(&mut gpu, &inst)
+}
 
+/// Allocate `kind`'s device structures on `gpu`, sized for every launch
+/// of `launches`, and instrument each launch's kernel in place. Call it
+/// once the inputs are allocated: HAccRG-SW's shadow covers everything
+/// allocated before it.
+pub fn instrument_launches(gpu: &mut Gpu, kind: BaselineKind, launches: &mut [LaunchSpec]) {
     match kind {
         BaselineKind::SwHaccrg => {
-            let max_shared = inst.launches.iter().map(|l| l.kernel.shared_bytes).max().unwrap_or(0);
-            let max_grid = inst.launches.iter().map(|l| l.grid).max().unwrap_or(1);
+            let tracked = gpu.mem.alloc_ptr() - HEAP_BASE;
+            let max_shared = launches.iter().map(|l| l.kernel.shared_bytes).max().unwrap_or(0);
+            let max_grid = launches.iter().map(|l| l.grid).max().unwrap_or(1);
             let mut cfg = SwConfig {
                 shadow_base: 0,
                 heap_base: HEAP_BASE,
@@ -55,37 +63,28 @@ pub fn run_baseline(
             cfg.shadow_base = gpu.mem.alloc(cfg.shadow_bytes(tracked)).expect("shadow alloc");
             cfg.shared_shadow_base =
                 gpu.mem.alloc(cfg.shared_shadow_bytes(max_grid)).expect("shared shadow alloc");
-            for l in &mut inst.launches {
+            for l in launches {
                 l.kernel = instrument_sw(&l.kernel, cfg);
             }
         }
         BaselineKind::GraceAdd => {
-            let warp = gpu_cfg.warp_size;
-            let max_warps: u32 = inst
-                .launches
-                .iter()
-                .map(|l| l.grid * l.block.div_ceil(warp))
-                .max()
-                .unwrap_or(1);
-            let warps_per_block =
-                inst.launches.iter().map(|l| l.block.div_ceil(warp)).max().unwrap_or(1);
+            let warp = gpu.cfg.warp_size;
+            let max_warps: u32 =
+                launches.iter().map(|l| l.grid * l.block.div_ceil(warp)).max().unwrap_or(1);
+            let warps_per_block = launches.iter().map(|l| l.block.div_ceil(warp)).max().unwrap_or(1);
+            let log_cap = 256;
             let cfg = GraceConfig {
-                cursors_base: 0,
-                logs_base: 0,
-                log_cap: 256,
+                cursors_base: gpu.mem.alloc(max_warps * 4).expect("cursor alloc"),
+                logs_base: gpu.mem.alloc(max_warps * log_cap * 4).expect("log alloc"),
+                log_cap,
                 warps_per_block,
                 warp_size: warp,
             };
-            let cursors = gpu.mem.alloc(max_warps * 4).expect("cursor alloc");
-            let logs = gpu.mem.alloc(max_warps * cfg.log_cap * 4).expect("log alloc");
-            let cfg = GraceConfig { cursors_base: cursors, logs_base: logs, ..cfg };
-            for l in &mut inst.launches {
+            for l in launches {
                 l.kernel = instrument_grace(&l.kernel, cfg);
             }
         }
     }
-
-    run_instance(&mut gpu, &inst)
 }
 
 #[cfg(test)]

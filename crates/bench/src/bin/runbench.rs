@@ -16,6 +16,7 @@
 //! * `--trace-out FILE` — record structured events and write Chrome
 //!   `trace-event` JSON (open at <https://ui.perfetto.dev>)
 //! * `--sample-every N` — cut a metrics delta sample every N cycles
+//!   (requires `--metrics-out` or `--trace-out`, which carry the samples)
 //! * `--metrics-out FILE` — write the sampled metrics time series as
 //!   JSON (requires `--sample-every`)
 //! * `--profile` — enable the host-side phase profiler and print the
@@ -28,8 +29,9 @@
 //! * `--list` — list benchmarks and exit
 //!
 //! Any other argument, a repeated flag, a flag without its value, a
-//! malformed number, or a `--detector` or `--scale` value not listed
-//! above exits with status 2 (see [`haccrg_bench::cli`]).
+//! malformed number, a `--detector` or `--scale` value not listed
+//! above, or a flag whose requirement is missing exits with status 2
+//! (see [`haccrg_bench::cli`]).
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -92,10 +94,14 @@ fn main() {
         gpu_sim::prof::reset();
         gpu_sim::prof::set_enabled(true);
     }
-    let sample_every = args.number("--sample-every").unwrap_or(0);
-    if metrics_out.is_some() && sample_every == 0 {
+    let sample_every = args.number("--sample-every");
+    if metrics_out.is_some() && sample_every.unwrap_or(0) == 0 {
         args.fail("--metrics-out needs --sample-every N");
     }
+    if sample_every.is_some() && metrics_out.is_none() && trace_out.is_none() {
+        args.fail("--sample-every needs --metrics-out FILE or --trace-out FILE");
+    }
+    let sample_every = sample_every.unwrap_or(0);
 
     let bench: Box<dyn Benchmark> = match (name.to_uppercase().as_str(), clean) {
         ("SCAN", true) => Box::new(Scan::single_block()),

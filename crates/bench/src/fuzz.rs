@@ -37,15 +37,14 @@
 //! signature-exact: Bloom aliasing is a modeled fidelity limitation, not
 //! a bug, and would otherwise drown real disagreements in known noise.
 
-use gpu_sim::device::HEAP_BASE;
 use gpu_sim::fuzzgen::{FuzzStmt, GenConfig, KernelSpec, GLOBAL_WORDS};
 use gpu_sim::prelude::*;
 use haccrg::config::DetectorConfig;
 use haccrg::json::esc_json;
 use haccrg::prelude::{MemSpace, RaceRecord};
-use haccrg_baselines::grace::{instrument_grace, GraceConfig};
 use haccrg_baselines::oracle::{self, OracleReport};
-use haccrg_baselines::sw_haccrg::{instrument_sw, SwConfig};
+use haccrg_baselines::{instrument_launches, BaselineKind};
+use haccrg_workloads::LaunchSpec;
 
 /// Watchdog for fuzz launches: generous, because instrumented spin-lock
 /// kernels under contention legitimately run long.
@@ -206,25 +205,26 @@ fn fmt_list<T: std::fmt::Debug>(items: &[T], cap: usize) -> String {
 /// Run one instrumented software baseline twice; check termination,
 /// determinism, and (when the oracle proves every interleaving yields the
 /// same memory) functional transparency against the base run.
-#[allow(clippy::too_many_arguments)]
 fn check_sw_baseline(
-    name: &'static str,
+    kind: BaselineKind,
     check: &'static str,
     spec: &KernelSpec,
     k: &Kernel,
     base: &EngineRun,
     schedule_invariant: bool,
-    instrument: impl Fn(&Kernel, &mut Gpu) -> Kernel,
     findings: &mut Vec<Finding>,
 ) {
+    let name = kind.label();
     let run_once = || -> Result<(SimStats, Vec<u32>), String> {
         let mut gpu = Gpu::new(engine_config(true));
         let params = spec.alloc_params(&mut gpu);
-        let ik = instrument(k, &mut gpu);
+        let mut launch = [LaunchSpec { kernel: k.clone(), grid: spec.grid, block: spec.block_dim, params }];
+        instrument_launches(&mut gpu, kind, &mut launch);
+        let [l] = launch;
         let res = gpu
-            .launch(&ik, spec.grid, spec.block_dim, &params)
+            .launch(&l.kernel, l.grid, l.block, &l.params)
             .map_err(|e| format!("launch failed: {e:?}"))?;
-        Ok((res.stats, gpu.mem.copy_to_host_u32(params[1], spec.out_words() as usize)))
+        Ok((res.stats, gpu.mem.copy_to_host_u32(l.params[1], spec.out_words() as usize)))
     };
     let a = match run_once() {
         Ok(v) => v,
@@ -407,54 +407,9 @@ pub fn run_differential(spec: &KernelSpec, fault: FaultInjection) -> Vec<Finding
     // functionally invisible when the oracle proves every interleaving
     // yields the same memory (race-free AND no plain-vs-atomic overlap);
     // they always must terminate and reproduce.
-    check_sw_baseline(
-        "HAccRG-SW",
-        "sw-baseline",
-        spec,
-        &k,
-        &base,
-        truth.schedule_invariant(),
-        |k, gpu| {
-            let tracked = gpu.mem.alloc_ptr() - HEAP_BASE;
-            let mut cfg = SwConfig {
-                shadow_base: 0,
-                heap_base: HEAP_BASE,
-                gran_shift: 2,
-                cover_shared: true,
-                shared_shadow_base: 0,
-                shared_chunks_per_block: (k.shared_bytes >> 2).max(1),
-            };
-            cfg.shadow_base = gpu.mem.alloc(cfg.shadow_bytes(tracked)).expect("shadow alloc");
-            cfg.shared_shadow_base = gpu
-                .mem
-                .alloc(cfg.shared_shadow_bytes(spec.grid))
-                .expect("shared shadow alloc");
-            instrument_sw(k, cfg)
-        },
-        &mut findings,
-    );
-    check_sw_baseline(
-        "GRace-add",
-        "grace-baseline",
-        spec,
-        &k,
-        &base,
-        truth.schedule_invariant(),
-        |k, gpu| {
-            let warp = gpu.cfg.warp_size;
-            let warps_per_block = spec.block_dim.div_ceil(warp);
-            let max_warps = spec.grid * warps_per_block;
-            let cfg = GraceConfig {
-                cursors_base: gpu.mem.alloc(max_warps * 4).expect("cursor alloc"),
-                logs_base: gpu.mem.alloc(max_warps * 256 * 4).expect("log alloc"),
-                log_cap: 256,
-                warps_per_block,
-                warp_size: warp,
-            };
-            instrument_grace(k, cfg)
-        },
-        &mut findings,
-    );
+    let invariant = truth.schedule_invariant();
+    check_sw_baseline(BaselineKind::SwHaccrg, "sw-baseline", spec, &k, &base, invariant, &mut findings);
+    check_sw_baseline(BaselineKind::GraceAdd, "grace-baseline", spec, &k, &base, invariant, &mut findings);
 
     findings
 }

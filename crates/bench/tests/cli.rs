@@ -73,6 +73,12 @@ fn only_refuses_what_it_cannot_honour() {
     assert_eq!(o.status.code(), Some(2), "{}", stderr(&o));
     let o = run(all, &["--only", "fig8", "--fidelity-out", "never.json"]);
     assert_eq!(o.status.code(), Some(2), "{}", stderr(&o));
+    // Samples go nowhere without a file to carry them.
+    let runbench = env!("CARGO_BIN_EXE_runbench");
+    let o = run(runbench, &["--bench", "SCAN", "--scale", "tiny", "--sample-every", "500"]);
+    assert_eq!(o.status.code(), Some(2), "{}", stderr(&o));
+    assert!(stderr(&o).contains("--sample-every") && stderr(&o).contains("usage: "), "{}", stderr(&o));
+    assert!(o.stdout.is_empty(), "runbench ran before refusing");
 }
 
 /// `all --only name --scale tiny --jobs 2` must print `tables`, each

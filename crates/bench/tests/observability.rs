@@ -10,16 +10,16 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gpu_sim::prelude::{Gpu, GpuConfig, NullSink, RingRecorder, SimEvent};
+use gpu_sim::prelude::{Gpu, GpuConfig, NullSink, RingRecorder, SimEvent, SimStats};
 use haccrg::access::MemSpace;
-use haccrg::config::DetectorConfig;
+use haccrg::config::{DetectorConfig, SharedShadowPlacement};
 use haccrg_bench::effectiveness::campaign;
 use haccrg_bench::manifest::{self, Fnv, RunManifest};
 use haccrg_bench::progress::SweepProgress;
 use haccrg_bench::SweepRunner;
 use haccrg_workloads::inject::{apply, Injection};
 use haccrg_workloads::runner::{run, run_instance, RunConfig};
-use haccrg_workloads::{all_benchmarks, benchmark_by_name, Benchmark, Scale};
+use haccrg_workloads::{all_benchmarks, benchmark_by_name, Benchmark, LaunchSpec, Scale};
 
 /// A `Vec<u8>` sink shared with the test through an `Arc<Mutex<_>>`.
 #[derive(Clone, Default)]
@@ -310,4 +310,93 @@ fn traced_event_stream_is_pinned() {
     let digests = [racy.digest, planted.digest, locked.digest];
     let want = [0xd5a1_d607_b4bb_6c44, 0x8ddf_2081_3de6_51f1, 0x564a_1cc8_a6da_827b];
     assert_eq!(digests, want, "traced event stream moved: {digests:#018x?}");
+}
+
+/// What one sampled, TLB-traced detecting run of a benchmark produced:
+/// the FNV-64 digest over each launch's statistics, race records and
+/// per-SM idle cycles, then every metrics sample and every TLB pair;
+/// plus the launch totals the pin below checks its cases against.
+struct Modeled {
+    digest: u64,
+    stats: SimStats,
+    /// Launch cycles beyond the detection-off run's, summed.
+    epilogue: u64,
+}
+
+/// Run `name` at `tiny` under `det`, cutting a metrics sample every 64
+/// cycles and recording the TLB trace. Detection is passive, so each
+/// launch's cycle count with detection off is where its cycle loop ends
+/// and the modeled epilogue begins: every launch must also have a
+/// sample that starts there or later, i.e. the epilogue is tiled.
+fn modeled(name: &str, det: DetectorConfig) -> Modeled {
+    let bench = benchmark_by_name(name).expect(name);
+    let gpu_cfg = RunConfig::base(Scale::Tiny).gpu;
+    let launch_all = |gpu: &mut Gpu| {
+        let inst = bench.prepare(gpu, Scale::Tiny);
+        let mut launch = |l: &LaunchSpec| gpu.launch(&l.kernel, l.grid, l.block, &l.params);
+        inst.launches.iter().map(|l| launch(l).expect("launch runs")).collect::<Vec<_>>()
+    };
+    let loop_ends: Vec<u64> =
+        launch_all(&mut Gpu::new(gpu_cfg)).iter().map(|r| r.stats.cycles).collect();
+
+    let mut gpu = Gpu::with_detector(gpu_cfg, det);
+    gpu.tracer.set_sample_every(64);
+    gpu.record_trace(true);
+    let results = launch_all(&mut gpu);
+    let mut h = Fnv::new();
+    let mut m = Modeled { digest: 0, stats: SimStats::default(), epilogue: 0 };
+    for (launch, (r, &end)) in results.iter().zip(&loop_ends).enumerate() {
+        let _ = write!(h, "{:?}\x1f{:?}\x1f{:?}\x1f", r.stats, r.races.records(), r.skip.sm_idle_cycles);
+        m.stats.accumulate(&r.stats);
+        m.epilogue += r.stats.cycles - end;
+        let tiled = gpu.tracer.samples().iter().any(|s| s.launch == launch as u32 && s.start_cycle >= end);
+        assert!(tiled, "{name} launch {launch}: no sample starts in the epilogue after cycle {end}");
+    }
+    for s in gpu.tracer.samples() {
+        let _ = write!(h, "{s:?}\x1f");
+    }
+    for pair in gpu.take_trace() {
+        let _ = write!(h, "{pair:?}\x1f");
+    }
+    m.digest = h.finish();
+    m
+}
+
+/// Detection's modeled cost, pinned: the Fig. 8 ghost-L1 charges, the
+/// barrier resets, the global shadow port and fill counters, the
+/// epilogue that folds them into the cycle count and the sample windows
+/// that tile it, and the §IV-B TLB pairs of requests and L1-hit probes.
+/// REDUCE's Fig. 8 region starts part-way into an L1 line (the digest
+/// covers the index rule there; `gpu_sim::detector`'s unit test checks
+/// an unaligned base against the layout itself), HIST makes the most
+/// Fig. 8 line accesses, FWALSH has global shadow port and fill
+/// traffic, and OFFT's L1-hit probes write TLB pairs in the apply phase.
+#[test]
+fn modeled_detection_cost_is_pinned() {
+    let fig8 = DetectorConfig {
+        shared_shadow: SharedShadowPlacement::GlobalMemory,
+        ..DetectorConfig::paper_default()
+    };
+
+    let reduce = modeled("REDUCE", fig8);
+    assert!(reduce.stats.shared_shadow_l1_accesses > 0, "REDUCE: no Fig. 8 line access");
+
+    let hist = modeled("HIST", fig8);
+    assert_eq!(hist.stats.shared_shadow_l1_accesses, 28_672, "HIST: Fig. 8 line accesses");
+
+    let fwalsh = modeled("FWALSH", DetectorConfig::paper_default());
+    let s = &fwalsh.stats;
+    assert!(s.shadow_l2_accesses > 0, "FWALSH: no global shadow line access");
+    // The busiest SM's barrier resets are at most all of them; the rest
+    // of the epilogue is the busiest slice's shadow port and fill time.
+    assert!(fwalsh.epilogue > s.shadow_reset_stall_cycles, "FWALSH: the slices charged nothing");
+
+    let offt = modeled("OFFT", DetectorConfig::paper_default());
+    assert_eq!(offt.stats.probe_packets, 672, "OFFT: L1-hit probes");
+
+    let digests = [reduce.digest, hist.digest, fwalsh.digest, offt.digest];
+    // Recorded before the SM's Fig. 8 charge and `Gpu::launch`'s layout,
+    // barrier rule and epilogue moved into `LaunchDet`.
+    let want = [0xb7d6_2de7_d5f9_fd8e, 0x983c_ea18_67de_2202, 0x1cd9_af53_3be9_bd15, 0xac63_63b8_fa1a_324f];
+    assert_eq!(digests, want, "modeled detection cost moved: {digests:#018x?}");
 }

@@ -7,9 +7,9 @@
 //! updates; in the paper the requests travel through the same L2 slice
 //! and DRAM channel as ordinary data, which is where the combined-detection
 //! overhead of Fig. 7/9 comes from. The simulator charges them
-//! arithmetically beside that path instead (`gpu_sim::detector::ShadowTimingModel`,
-//! folded into the cycle count at launch end); routing them through it is
-//! ROADMAP item 2.
+//! arithmetically beside that path instead (per-slice port and fill
+//! counters in `gpu_sim::detector::LaunchDet`, folded into the cycle
+//! count at launch end); routing them through it is ROADMAP item 2.
 //!
 //! Functionally the sliced RDUs operate on one logical shadow table: a
 //! [`ShadowRegion`] over the heap, whose checks skip untracked addresses,

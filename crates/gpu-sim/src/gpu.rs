@@ -6,7 +6,7 @@
 //! same cycle count, statistics and race log every time (no wall-clock,
 //! no unseeded randomness, strictly ordered queues).
 
-use haccrg::config::{DetectorConfig, SharedShadowPlacement};
+use haccrg::config::DetectorConfig;
 use haccrg::cost;
 use haccrg::prelude::*;
 use haccrg::replay::TraceGeometry;
@@ -171,69 +171,27 @@ impl Gpu {
             return Err(SimError::BadLaunch("too many warps per block".into()));
         }
 
-        // Global shadow layout: tracked region = everything allocated so
-        // far; the shadow table and the Fig. 8 shared-shadow region are
-        // addressed past the allocatable heap (their contents are modeled
-        // by the detector, only their addresses matter to the caches).
-        let tracked_base = HEAP_BASE;
-        let tracked_bytes = self.mem.alloc_ptr() - HEAP_BASE;
-        let shadow_base = self.cfg.device_mem_bytes;
-        let shadow_alloc = cost::global_shadow_footprint(
-            u64::from(tracked_bytes),
-            self.detector.map_or(Granularity::GLOBAL_DEFAULT, |d| d.global_granularity),
-        )
-        .allocated_bytes as u32;
-        let shared_shadow_stride =
-            ((self.cfg.shared_mem_per_sm / 4) * 2 + self.cfg.l1.line_bytes) & !(self.cfg.l1.line_bytes - 1);
-        // The whole shared-shadow region (one stride per SM) must fit in
-        // the 32-bit address space; saturating placement would silently
-        // alias it onto the global shadow table and corrupt detection.
-        let shadow_layout = shadow_base
-            .checked_add(shadow_alloc)
-            .and_then(|v| v.checked_add(4096))
-            .and_then(|base| {
-                self.cfg
-                    .num_sms
-                    .checked_mul(shared_shadow_stride)
-                    .and_then(|span| base.checked_add(span))
-                    .map(|_end| base)
-            });
-        let shared_shadow_base = match shadow_layout {
-            Some(base) => base,
-            None if self.detector.is_some() => {
-                return Err(SimError::BadLaunch(
-                    "shadow layout overflows the 32-bit address space \
-                     (tracked region + shared-shadow region too large)"
-                        .into(),
-                ));
-            }
-            // No detector: the region is never addressed, keep a benign
-            // saturated placeholder.
-            None => shadow_base.saturating_add(shadow_alloc).saturating_add(4096),
-        };
-
         let ctx = LaunchContext {
             kernel: kernel.clone(),
             grid,
             block_dim,
             warps_per_block,
             params: params.to_vec(),
-            shared_shadow_base,
-            shared_shadow_stride,
         };
 
-        let sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
+        // The tracked global region is everything allocated so far.
+        let tracked_bytes = self.mem.alloc_ptr() - HEAP_BASE;
         let geo = TraceGeometry {
             num_sms: self.cfg.num_sms,
             shared_bytes_per_sm: self.cfg.shared_mem_per_sm,
             shared_banks: self.cfg.shared_banks,
             blocks: grid,
             warps: grid * warps_per_block,
-            global_base: tracked_base,
+            global_base: HEAP_BASE,
             global_len: tracked_bytes,
         };
-        let slices = (self.cfg.num_mem_slices, self.cfg.l2.line_bytes);
-        let det = self.detector.map(|cfg| LaunchDet::new(cfg, &geo, shadow_base, slices));
+        let det = self.detector.map(|cfg| LaunchDet::new(cfg, &self.cfg, &geo)).transpose()?;
+        let sms: Vec<Sm> = (0..self.cfg.num_sms).map(|i| Sm::new(i, self.cfg)).collect();
 
         let mut slices: Vec<MemSlice> =
             (0..self.cfg.num_mem_slices).map(|i| MemSlice::new(i, self.cfg)).collect();
@@ -299,49 +257,29 @@ impl Gpu {
         // Race-log saturation is a fidelity loss: surface it in the health
         // block before aggregation so the final sampling interval (and the
         // launch aggregate) both carry it. It is the only launch counter
-        // no SM owns.
+        // no SM owns. Then the passive-detection epilogue: detection ran
+        // architecturally inert, so a detecting run retires the exact
+        // same instruction stream as an undetected one and differs only
+        // in this deterministic window of modeled cycles, appended after
+        // the architectural timeline.
         let mut base = SimStats::default();
         if let Some(d) = det.as_ref() {
             base.health.log_dropped += d.detector.races().dropped();
-        }
-
-        // Passive-detection epilogue (see `haccrg::cost`): detection ran
-        // architecturally inert, accumulating modeled busy cycles on the
-        // side — banked shadow resets and Fig. 8 shared-shadow traffic per
-        // SM, shadow L2-port / fill time per memory slice. Fold the
-        // busiest SM plus the busiest slice into the cycle count as a
-        // modeled window appended after the architectural timeline, so
-        // detection-on runs retire the exact same instruction stream as
-        // detection-off and differ only in this deterministic epilogue.
-        if let Some(d) = det.as_ref() {
-            let det_busy = sms.iter().map(|s| s.det_busy_cycles).max().unwrap_or(0);
-            let overhead = det_busy + d.shadow_timing.max_slice_cycles();
-            now += overhead;
-            // Keep the sampler's window tiling intact across the epilogue:
-            // cut every full window the modeled overhead crosses (all
-            // deltas zero except elapsed cycles), leaving the mandatory
-            // final partial cut below to land exactly on `now`.
-            if let Some(sp) = sampler.as_mut() {
-                loop {
-                    let b = sp.last_cycle().saturating_add(sp.every());
-                    if b >= now {
-                        break;
-                    }
-                    let agg = aggregate_stats(&base, b, &sms, &slices, links);
-                    let sample = cut_sample(sp, b, &agg, &sms, &slices, links, &skip, loop_end);
-                    self.tracer.push_sample(sample);
-                }
-            }
+            now += d.modeled_cycles();
         }
 
         // Aggregate statistics (the same function the sampler snapshots
         // through, so per-interval deltas telescope to this aggregate).
         let stats = aggregate_stats(&base, now, &sms, &slices, links);
 
-        // Mandatory final (possibly partial) sampling interval.
+        // Close the sampler's tiling: every full window the epilogue
+        // crosses (all deltas zero except elapsed cycles), then the final
+        // partial window, ending exactly on `now`.
         if let Some(sp) = sampler.as_mut() {
-            if sp.last_cycle() < now {
-                let sample = cut_sample(sp, now, &stats, &sms, &slices, links, &skip, loop_end);
+            let mut agg = stats.clone();
+            while sp.last_cycle() < now {
+                agg.cycles = sp.last_cycle().saturating_add(sp.every()).min(now);
+                let sample = cut_sample(sp, agg.cycles, &agg, &sms, &slices, links, &skip, loop_end);
                 self.tracer.push_sample(sample);
             }
         }
@@ -494,8 +432,7 @@ impl Gpu {
                 let sm = &mut st.sms[i];
                 for req in sm.out_req.drain(..) {
                     if let Some(tr) = self.trace.as_mut() {
-                        let shadow = (req.shadow_ops > 0).then_some(req.shadow_base);
-                        tr.push((req.line_addr, shadow));
+                        tr.push((req.line_addr, req.shadow_line));
                     }
                     if tracing {
                         self.tracer.emit(
@@ -579,7 +516,8 @@ impl Gpu {
                     );
                 }
                 let sm = &mut st.sms[i];
-                sm.handle_response(resp, now, ctx, &mut st.det, &mut self.tracer);
+                let det = st.det.as_mut().map(|d| &mut d.detector);
+                sm.handle_response(resp, now, det, &mut self.tracer);
                 st.sm_awake.insert(i);
                 st.sm_busy.assign(i, sm.busy());
             });
@@ -866,18 +804,12 @@ fn apply_cycle_output(
             (SmOp::Emit { cycle, ev }, _) => tracer.emit(cycle, ev),
             (SmOp::NoteGlobal { block }, Some(d)) => d.detector.note_global(block),
             (SmOp::Barrier { block, shared }, Some(d)) => {
-                // The reset's cycles are charged arithmetically to the
-                // SM's detector-busy counter (folded into the launch
-                // epilogue), never as a warp stall: stalling would change
-                // the retired instruction stream relative to a
-                // detection-off run. Fig. 8 mode keeps the entries in
-                // global memory, where no banked clear is modeled.
-                let cycles = d.detector.barrier(block, sm.id, shared.0, shared.1);
-                let banked = d.detector.config().shared_shadow == SharedShadowPlacement::Hardware;
-                let stall = if banked { cycles } else { 0 };
+                // The reset is a modeled charge (folded into the launch
+                // epilogue), never a warp stall: stalling would change the
+                // retired instruction stream relative to a detection-off
+                // run. `stall_cycles` reports the charge.
+                let stall = d.barrier(sm.id, block, shared);
                 sm.stats.shadow_reset_stall_cycles += stall;
-                sm.det_busy_cycles += stall;
-                // `stall_cycles` reports the *modeled* charge.
                 let ev = SimEvent::BarrierRelease { sm: sm.id, block, stall_cycles: stall };
                 tracer.emit(now, ev);
             }

@@ -9,7 +9,6 @@
 //! this IR with all labels resolved.
 
 pub mod builder;
-pub mod disasm;
 
 /// A per-thread 32-bit register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -75,13 +75,12 @@ pub struct MemReq {
     /// after the CTA retired and another warp reused the slot.
     pub gwarp: u32,
     pub kind: ReqKind,
-    /// Shadow-table line accesses the global RDU associated with this
-    /// request. Timing-inert annotation (the passive detector charges
-    /// shadow traffic arithmetically); consumed only by the §IV-B TLB
-    /// trace.
-    pub shadow_ops: u8,
-    /// First shadow line address for those accesses (consecutive lines).
-    pub shadow_base: u32,
+    /// Lowest shadow-table line the global RDU accessed for this request,
+    /// if it accessed any. Timing-inert: the slice ignores it (the
+    /// passive detector charges shadow traffic in
+    /// [`crate::detector::LaunchDet`]); only the §IV-B TLB trace reads
+    /// it.
+    pub shadow_line: Option<u32>,
     /// Old values returned by an atomic, filled at the slice.
     pub atomic_old: Vec<(u8, u32)>,
 }
@@ -123,8 +122,7 @@ mod tests {
             warp_slot: 0,
             gwarp: 0,
             kind,
-            shadow_ops: 0,
-            shadow_base: 0,
+            shadow_line: None,
             atomic_old: Vec::new(),
         }
     }

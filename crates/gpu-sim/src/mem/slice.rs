@@ -3,10 +3,10 @@
 //!
 //! Every global data transaction is processed here. HAccRG's
 //! shadow-table accesses (§IV-B, Fig. 6) are *not* served by the slice:
-//! the passive detector charges them arithmetically through
-//! `ShadowTimingModel` so detection can never perturb data timing. The
-//! `shadow_ops`/`shadow_base` annotations on a request are inert here —
-//! they exist only for the §IV-B TLB trace.
+//! the passive detector charges them to per-slice port and fill counters
+//! in [`crate::detector::LaunchDet`], so detection can never perturb
+//! data timing. A request's `shadow_line` annotation is inert here — it
+//! exists only for the §IV-B TLB trace.
 
 use std::collections::VecDeque;
 
@@ -273,8 +273,7 @@ mod tests {
             warp_slot: 0,
             gwarp: 0,
             kind: ReqKind::LoadData,
-            shadow_ops: 0,
-            shadow_base: 0,
+            shadow_line: None,
             atomic_old: Vec::new(),
         }
     }
@@ -366,8 +365,7 @@ mod tests {
         let mut s = slice();
         let mut m = mem();
         let mut r = load(1, 0x5000);
-        r.shadow_ops = 2;
-        r.shadow_base = 0x80_0000;
+        r.shadow_line = Some(0x80_0000);
         s.push_input(r);
         let done = run(&mut s, &mut m, 0, 2000);
 

@@ -18,14 +18,15 @@
 //! [`Sm::cycle_compute`] reads device memory and the detector clocks as
 //! they stood before the cycle, mutates only SM-owned state (warps,
 //! CTAs, L1, MSHRs, its counters in `Sm::stats`), and buffers every
-//! cross-SM side effect into a [`CycleOutput`]. The SM owns no RDU: a
-//! memory instruction's lanes are captured as [`MemAccess`]es, clocks
-//! stamped at issue, and every detector operation — checks of both
-//! spaces, barrier and retire resets, fences and sync bumps — is an
-//! [`SmOp`]. Once every SM has computed, the cycle loop applies each
-//! computed SM's ops in SM-id order, making the [`haccrg::Detector`]
-//! calls a trace replay makes. The results therefore do not depend on
-//! the order in which SMs compute.
+//! cross-SM side effect into a [`CycleOutput`]. The SM keeps no
+//! detector state: a memory instruction's lanes are captured as
+//! [`MemAccess`]es, clocks stamped at issue, and every detector
+//! operation — checks of both spaces, barrier and retire resets, fences
+//! and sync bumps — is an [`SmOp`]. Once every SM has computed, the
+//! cycle loop applies each computed SM's ops in SM-id order, making the
+//! [`haccrg::Detector`] calls a trace replay makes, while
+//! [`crate::detector::LaunchDet`] charges their modeled cost. The
+//! results therefore do not depend on the order in which SMs compute.
 
 use haccrg::prelude::*;
 
@@ -153,7 +154,8 @@ pub enum SmOp {
 /// The RDU an [`SmOp::Check`] runs against.
 pub enum CheckTarget {
     /// The issuing SM's shared RDU. Its entries sit in SRAM beside the
-    /// banks, so a check has no traffic to charge.
+    /// banks, so a check has no traffic to charge — except under Fig. 8
+    /// placement, whose shadow lines go through the SM's ghost L1.
     Shared,
     /// The global RDU, whose shadow-line accesses go to the sink.
     Global(ShadowSink),
@@ -168,7 +170,7 @@ pub enum ShadowSink {
         req_idx: usize,
     },
     /// Detection-only probe (L1 hits and merged misses, §IV-B): the
-    /// shadow lines are charged to the passive timing model instead of
+    /// shadow lines are charged to the slices' modeled ports instead of
     /// travelling the network as a request. `count_stat` preserves the
     /// historical accounting: hit probes count toward `probe_packets`,
     /// merged-miss probes don't. `line_addr` is the probed data line,
@@ -189,10 +191,6 @@ pub struct LaunchContext {
     pub block_dim: u32,
     pub warps_per_block: u32,
     pub params: Vec<u32>,
-    /// Device address region where Fig. 8 shared-shadow entries live,
-    /// per SM: `base + sm * stride`.
-    pub shared_shadow_base: u32,
-    pub shared_shadow_stride: u32,
 }
 
 impl LaunchContext {
@@ -299,16 +297,6 @@ pub struct Sm {
     /// aggregate (with the L1, L2, DRAM and link counters) at each
     /// sample cut and at launch end.
     pub(crate) stats: SimStats,
-    /// Modeled detector busy cycles on this SM (barrier shadow resets,
-    /// Fig. 8 ghost-L1 shared-shadow traffic). Never affects scheduling:
-    /// folded into the launch cycle count as an epilogue (max over SMs)
-    /// so detection stays architecturally passive.
-    pub det_busy_cycles: u64,
-    /// Fig. 8 ghost-L1 residency bitmap over this SM's shared-shadow
-    /// stride region (first touch = modeled miss, then modeled hits; no
-    /// evictions). Sized lazily on first use so detector-off and
-    /// hardware-placement launches never allocate it.
-    fig8_resident: Vec<u64>,
 }
 
 impl Sm {
@@ -333,8 +321,6 @@ impl Sm {
             wake_hint: 0,
             awake_cycles: 0,
             stats: SimStats::default(),
-            det_busy_cycles: 0,
-            fig8_resident: Vec::new(),
         }
     }
 
@@ -550,13 +536,13 @@ impl Sm {
     }
 
     /// A response arrived from the memory system. Runs after the apply
-    /// phase, so it mutates detector clocks directly.
+    /// phase, so a store ack that completes a fence bumps the warp's
+    /// fence ID in `det` directly.
     pub fn handle_response(
         &mut self,
         resp: MemReq,
         now: u64,
-        _ctx: &LaunchContext,
-        det: &mut Option<LaunchDet>,
+        det: Option<&mut Detector>,
         tracer: &mut Tracer,
     ) {
         // External input: the quiescence hint is stale until the next
@@ -588,8 +574,8 @@ impl Sm {
                 }
                 if fence_done {
                     self.stats.fences += 1;
-                    if let Some(d) = det.as_mut() {
-                        d.detector.fence(gwarp);
+                    if let Some(d) = det {
+                        d.fence(gwarp);
                     }
                     if tracer.on() {
                         tracer.emit(now, SimEvent::FenceComplete { sm: self.id, gwarp });
@@ -635,8 +621,7 @@ impl Sm {
             warp_slot,
             gwarp,
             kind,
-            shadow_ops: 0,
-            shadow_base: 0,
+            shadow_line: None,
             atomic_old: Vec::new(),
         }
     }
@@ -1074,11 +1059,6 @@ impl Sm {
                     );
                     let is_store = matches!(kind, MemOpKind::Store);
                     out.ops.push(SmOp::Check { range, is_store, target: CheckTarget::Shared });
-                    if d.config().shared_shadow == SharedShadowPlacement::GlobalMemory {
-                        let accesses = &out.batch_arena[range.0 as usize..range.1 as usize];
-                        let gran = d.config().shared_granularity;
-                        self.charge_fig8(accesses, gran, ctx, &mut out.scratch.race.lines);
-                    }
                 }
                 out.scratch.lanes = lanes;
                 self.warps[widx].as_mut().expect("warp live").simt.advance();
@@ -1318,65 +1298,18 @@ impl Sm {
         }));
         (start, arena.len() as u32)
     }
-
-    /// Fig. 8: shared shadow entries live in global memory, cached in L1.
-    /// The RDU's fetches for `accesses` are charged to a ghost L1 (per-SM
-    /// first-touch residency over the shadow stride region) so the real
-    /// L1 contents, port and MSHRs — and therefore the retired
-    /// instruction stream — are untouched by detection.
-    fn charge_fig8(
-        &mut self,
-        accesses: &[MemAccess],
-        gran: Granularity,
-        ctx: &LaunchContext,
-        lines: &mut Vec<u32>,
-    ) {
-        lines.clear();
-        for a in accesses {
-            // 2 bytes per 12-bit entry, rounded up.
-            let shadow_addr = ctx.shared_shadow_base
-                + self.id * ctx.shared_shadow_stride
-                + (a.addr >> gran.shift()) * 2;
-            let line = shadow_addr & !(self.cfg.l1.line_bytes - 1);
-            if !lines.contains(&line) {
-                lines.push(line);
-            }
-        }
-        let region_base = ctx.shared_shadow_base + self.id * ctx.shared_shadow_stride;
-        let line_shift = self.cfg.l1.line_bytes.trailing_zeros();
-        let words = (ctx.shared_shadow_stride >> line_shift).div_ceil(64) as usize;
-        if self.fig8_resident.len() < words {
-            self.fig8_resident.resize(words, 0);
-        }
-        for &line in lines.iter() {
-            self.stats.shared_shadow_l1_accesses += 1;
-            let idx = (line.wrapping_sub(region_base) >> line_shift) as usize;
-            let (w, b) = (idx / 64, idx % 64);
-            let hit = match self.fig8_resident.get_mut(w) {
-                Some(word) if *word & (1 << b) == 0 => {
-                    *word |= 1 << b;
-                    false
-                }
-                Some(_) => true,
-                None => true, // out-of-range (clamped layout): charge as hit
-            };
-            self.det_busy_cycles += if hit {
-                haccrg::cost::SHARED_SHADOW_HIT_CYCLES
-            } else {
-                haccrg::cost::SHARED_SHADOW_MISS_CYCLES
-            };
-        }
-    }
 }
 
 /// Run one [`SmOp::Check`] through its RDU (apply phase): Fig. 3 edges
-/// and the races the log retained go to the tracer, in that order. A
-/// global check's shadow traffic is charged to the passive timing model
-/// as well: [`ShadowSink::Attach`] additionally annotates the data
-/// request captured at issue (inert at the slice — TLB-trace input
-/// only); [`ShadowSink::Probe`] records the `(data, shadow)` pair into
-/// `tlb_trace` directly, since no request travels. Detection is
-/// architecturally passive: nothing here may alter request timing.
+/// and the races the log retained go to the tracer, in that order. Then
+/// `det` charges the check's modeled cost: a shared check's Fig. 8 lines
+/// (none under the hardware placement), or a global check's shadow
+/// lines. [`ShadowSink::Attach`] also annotates the data request
+/// captured at issue with its first shadow line (inert at the slice —
+/// TLB-trace input only); [`ShadowSink::Probe`] records the `(data,
+/// shadow)` pair into `tlb_trace` directly, since no request travels.
+/// Detection is architecturally passive: nothing here may alter request
+/// timing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_check(
     sm: &mut Sm,
@@ -1393,7 +1326,7 @@ pub(crate) fn apply_check(
         CheckTarget::Shared => (MemSpace::Shared, Phase::ShadowShared, Counter::SharedChecks),
         CheckTarget::Global(_) => (MemSpace::Global, Phase::ShadowGlobal, Counter::GlobalChecks),
     };
-    let _prof = prof::scope(phase);
+    let prof = prof::scope(phase);
     prof::count(counter, accesses.len() as u64);
     let races_before = det.detector.races().records().len();
 
@@ -1437,22 +1370,20 @@ pub(crate) fn apply_check(
         }
     }
 
-    if let CheckTarget::Global(sink) = target {
-        if !shadow_lines.is_empty() {
+    match target {
+        CheckTarget::Shared => {
+            // The Fig. 8 charge is modeled cost, not the shared check: the
+            // host profile counts it under the apply phase.
+            drop(prof);
+            sm.stats.shared_shadow_l1_accesses += det.charge_shared(sm.id, accesses, &mut shadow_lines);
+        }
+        CheckTarget::Global(sink) if !shadow_lines.is_empty() => {
             sm.stats.shadow_l2_accesses += shadow_lines.len() as u64;
             shadow_lines.sort_unstable();
-            // Charge every shadow line to its slice's modeled port/fill
-            // counters — this replaces the real shadow-queue traffic.
-            for &line in shadow_lines.iter() {
-                det.shadow_timing.access(sm.cfg.slice_of(line), line);
-            }
+            det.charge_global(&shadow_lines);
             let base = shadow_lines[0];
             match sink {
-                ShadowSink::Attach { req_idx } => {
-                    let r = &mut sm.out_req[req_idx];
-                    r.shadow_ops = shadow_lines.len().min(255) as u8;
-                    r.shadow_base = base;
-                }
+                ShadowSink::Attach { req_idx } => sm.out_req[req_idx].shadow_line = Some(base),
                 ShadowSink::Probe { line_addr, count_stat } => {
                     if count_stat {
                         sm.stats.probe_packets += 1;
@@ -1463,6 +1394,7 @@ pub(crate) fn apply_check(
                 }
             }
         }
+        CheckTarget::Global(_) => {}
     }
     scratch.lines = shadow_lines;
 }
@@ -1515,19 +1447,6 @@ fn write_shared(data: &mut [u8], addr: u32, val: u32, size: u8, stats: &mut SimS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::builder::KernelBuilder;
-
-    fn ctx() -> LaunchContext {
-        LaunchContext {
-            kernel: KernelBuilder::new("noop").build(),
-            grid: 1,
-            block_dim: 32,
-            warps_per_block: 1,
-            params: Vec::new(),
-            shared_shadow_base: 0,
-            shared_shadow_stride: 0,
-        }
-    }
 
     fn waiting_warp(gwarp: u32) -> Warp {
         Warp {
@@ -1551,17 +1470,13 @@ mod tests {
             warp_slot: 0,
             gwarp: 0,
             kind,
-            shadow_ops: 0,
-            shadow_base: 0,
+            shadow_line: None,
             atomic_old: Vec::new(),
         }
     }
 
     fn deliver(sm: &mut Sm, resp: MemReq) {
-        let ctx = ctx();
-        let mut det = None;
-        let mut tracer = Tracer::default();
-        sm.handle_response(resp, 10, &ctx, &mut det, &mut tracer);
+        sm.handle_response(resp, 10, None, &mut Tracer::default());
     }
 
     #[test]

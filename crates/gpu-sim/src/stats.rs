@@ -165,7 +165,9 @@ pub struct SimStats {
     pub probe_packets: u64,
     /// Fig. 8 mode: shared-shadow L1 accesses.
     pub shared_shadow_l1_accesses: u64,
-    /// Cycles SMs stalled invalidating shared shadow entries at barriers.
+    /// Modeled cycles of the banked shared-shadow invalidations at
+    /// barriers (§IV-A), summed over SMs. No warp stalls for them: they
+    /// are charged to the launch's detection epilogue.
     pub shadow_reset_stall_cycles: u64,
     /// Warp issues replayed because every L1 MSHR was occupied.
     pub l1_mshr_full_stalls: u64,

@@ -17,8 +17,7 @@ fn load(id: u64, line: u32) -> MemReq {
         warp_slot: 0,
         gwarp: 0,
         kind: ReqKind::LoadData,
-        shadow_ops: 0,
-        shadow_base: 0,
+        shadow_line: None,
         atomic_old: Vec::new(),
     }
 }
@@ -74,15 +73,14 @@ fn repeated_hits_are_cheap_after_one_fill() {
 
 #[test]
 fn shadow_annotations_never_delay_data() {
-    // Passive detection: even an absurd shadow-op annotation on a request
-    // must leave the slice's timing and DRAM traffic identical to a bare
-    // run — detection may not perturb the architectural stream.
-    let run = |shadow_ops: u8| {
+    // Passive detection: a shadow-line annotation on a request must leave
+    // the slice's timing and DRAM traffic identical to a bare run —
+    // detection may not perturb the architectural stream.
+    let run = |shadow_line: Option<u32>| {
         let mut s = MemSlice::new(0, GpuConfig::test_small());
         let mut m = DeviceMemory::new(1 << 20);
         let mut r = load(1, 0x1000);
-        r.shadow_ops = shadow_ops;
-        r.shadow_base = 0x20_0000;
+        r.shadow_line = shadow_line;
         s.push_input(r);
         s.push_input(load(2, 0x8000));
         let mut done = Vec::new();
@@ -96,8 +94,8 @@ fn shadow_annotations_never_delay_data() {
         }
         (done, s.dram.stats.reads)
     };
-    let (bare_done, bare_reads) = run(0);
-    let (annotated_done, annotated_reads) = run(200);
+    let (bare_done, bare_reads) = run(None);
+    let (annotated_done, annotated_reads) = run(Some(0x20_0000));
     assert_eq!(annotated_done, bare_done, "annotations changed data timing");
     assert_eq!(annotated_reads, bare_reads, "annotations changed DRAM traffic");
 }

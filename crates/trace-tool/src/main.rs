@@ -16,15 +16,17 @@
 //! * `--bloom BITSxBINS` — atomic-ID shape (e.g. `16x2`, the default)
 //! * `--no-warp-filter` — treat warp re-grouping as enabled
 //! * `--quiet` — suppress the per-record listing (counters + grouped
-//!   summary only; the exit status still reports detection)
+//!   summary only; the exit status still reports detection); not with
+//!   `explain`, whose report is the records
 //! * `-h` / `--help` — print usage
 //!
 //! Diagnostics go through the `HACCRG_LOG` leveled logger (levels
 //! `off|error|warn|info|debug`, default `info`), so scripted pipelines
 //! can silence them with `HACCRG_LOG=off` without losing the exit code.
 //!
-//! Unknown options are rejected with the usage message (exit status 2);
-//! exit status 1 means the trace contained races.
+//! Unknown or repeated options, and `--quiet` under `explain`, are
+//! rejected with the usage message (exit status 2); exit status 1 means
+//! the trace contained races.
 
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -55,7 +57,10 @@ options:
   --no-warp-filter    treat warp re-grouping as enabled
   --quiet             suppress the per-record race listing; keep the
                       counters and the grouped static-pair summary
+                      (not with explain)
   -h, --help          print this message and exit
+
+Each option may be given once.
 
 environment:
   HACCRG_LOG          diagnostic verbosity (off|error|warn|info|debug;
@@ -87,9 +92,16 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         cfg.witness_capture = true;
     }
     let args = if explain { &args[1..] } else { args };
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
+        if a.starts_with("--") {
+            if seen.contains(&a) {
+                return Err(format!("{a} given more than once"));
+            }
+            seen.push(a);
+        }
         match a {
             "-h" | "--help" => return Ok(None),
             "--shared-gran" | "--global-gran" => {
@@ -136,6 +148,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 i += 1;
             }
         }
+    }
+    if explain && quiet {
+        return Err("--quiet does not apply to explain, whose report is the records".into());
     }
     Ok(Some(Options { cfg, path, quiet, explain }))
 }
@@ -253,9 +268,27 @@ mod tests {
     }
 
     #[test]
+    fn repeated_options_are_rejected() {
+        for args in [
+            &["--global-gran", "4", "--global-gran", "64"][..],
+            &["--quiet", "--quiet"],
+            &["--bloom", "16x2", "k.trace", "--bloom", "16x4"],
+            &["explain", "--no-warp-filter", "--no-warp-filter"],
+        ] {
+            let e = parse_args(&argv(args)).unwrap_err();
+            assert!(e.contains("given more than once"), "{args:?}: {e}");
+        }
+        // Help wins at its first mention, before any repeat is seen.
+        assert!(parse_args(&argv(&["--help", "--help"])).unwrap().is_none());
+    }
+
+    #[test]
     fn explain_subcommand_leads_and_forces_witness_capture() {
         assert!(!parse_args(&[]).unwrap().expect("not help").explain);
-        let o = parse_args(&argv(&["explain", "k.trace", "--quiet"])).unwrap().expect("not help");
+        // `--quiet` would be ignored: explain's report is the records.
+        let e = parse_args(&argv(&["explain", "k.trace", "--quiet"])).unwrap_err();
+        assert!(e.contains("--quiet"), "{e}");
+        let o = parse_args(&argv(&["explain", "k.trace"])).unwrap().expect("not help");
         assert!(o.explain);
         assert!(o.cfg.witness_capture, "explain is pointless without timelines");
         assert_eq!(o.path.as_deref(), Some("k.trace"));
