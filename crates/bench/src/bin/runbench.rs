@@ -24,7 +24,8 @@
 //! * `--profile-out FILE` — also write the profile report as JSON
 //!   (implies `--profile`)
 //! * `--manifest-out FILE` — write a structured run manifest (workload /
-//!   config hashes, toolchain, stats digest)
+//!   config hashes, toolchain, stats digest, dispatch tiers and skip
+//!   counts)
 //! * `--races-out FILE` — write deduplicated race groups as JSON
 //! * `--list` — list benchmarks and exit
 //!
@@ -286,6 +287,8 @@ fn main() {
         m.workloads.push(haccrg_bench::WorkloadRef::of(&inst));
         m.config_hash = haccrg_bench::manifest::config_hash(&gpu.cfg);
         m.stats_digest = haccrg_bench::manifest::stats_digest(&out.stats, &out.races);
+        m.dispatch = out.dispatch;
+        m.skip = out.skip.clone();
         m.artifacts =
             [trace_out, metrics_out, races_out, profile_out].into_iter().flatten().map(String::from).collect();
         m.write(Path::new(path));

@@ -17,9 +17,9 @@ use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use gpu_sim::config::GpuConfig;
-use gpu_sim::stats::SimStats;
+use gpu_sim::stats::{SimStats, SkipStats};
 use haccrg::json::esc_json;
-use haccrg::prelude::RaceLog;
+use haccrg::prelude::{DispatchStats, RaceLog};
 use haccrg_workloads::BenchInstance;
 
 /// Version stamped into every manifest.
@@ -205,6 +205,13 @@ pub struct RunManifest {
     /// [`stats_digest`] over the merged outcome (0 when a bin has no
     /// single merged result).
     pub stats_digest: u64,
+    /// Shadow-check lanes per dispatch tier, summed over the run's
+    /// launches (zeros when a bin has no single merged result).
+    pub dispatch: DispatchStats,
+    /// Fast-forward accounting summed over the run's launches; the JSON
+    /// records `cycles_skipped` and `skip_jumps` (zeros when a bin has no
+    /// single merged result).
+    pub skip: SkipStats,
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: u64,
     /// Manifest creation time (Unix epoch, milliseconds).
@@ -229,6 +236,8 @@ impl RunManifest {
             workloads: Vec::new(),
             config_hash: 0,
             stats_digest: 0,
+            dispatch: DispatchStats::default(),
+            skip: SkipStats::default(),
             wall_ms: 0,
             created_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -264,6 +273,17 @@ impl RunManifest {
         let _ = writeln!(s, "  ],");
         let _ = writeln!(s, "  \"config_hash\": \"{:016x}\",", self.config_hash);
         let _ = writeln!(s, "  \"stats_digest\": \"{:016x}\",", self.stats_digest);
+        let d = &self.dispatch;
+        let _ = writeln!(
+            s,
+            "  \"dispatch\": {{\"wide_lanes\": {}, \"scalar_lanes\": {}}},",
+            d.wide_lanes, d.scalar_lanes
+        );
+        let _ = writeln!(
+            s,
+            "  \"skip\": {{\"cycles_skipped\": {}, \"skip_jumps\": {}}},",
+            self.skip.cycles_skipped, self.skip.skip_jumps
+        );
         let _ = writeln!(s, "  \"wall_ms\": {},", self.wall_ms);
         let _ = writeln!(s, "  \"created_unix_ms\": {},", self.created_unix_ms);
         let artifacts: Vec<String> =
@@ -339,6 +359,14 @@ mod tests {
         });
         m.artifacts.push("out/table2.md".into());
         let j = m.to_json();
+        assert!(j.contains("\"dispatch\": {\"wide_lanes\": 0, \"scalar_lanes\": 0}"), "{j}");
+        assert!(j.contains("\"skip\": {\"cycles_skipped\": 0, \"skip_jumps\": 0}"), "{j}");
+        m.dispatch = DispatchStats { wide_lanes: 7, scalar_lanes: 3 };
+        m.skip.cycles_skipped = 90;
+        m.skip.skip_jumps = 4;
+        let j = m.to_json();
+        assert!(j.contains("\"dispatch\": {\"wide_lanes\": 7, \"scalar_lanes\": 3}"), "{j}");
+        assert!(j.contains("\"skip\": {\"cycles_skipped\": 90, \"skip_jumps\": 4}"), "{j}");
         assert!(j.contains("\"schema\": 1"), "{j}");
         assert!(j.contains("\"bin\": \"testbin\""), "{j}");
         assert!(j.contains("\"config_hash\": \"00000000deadbeef\""), "{j}");

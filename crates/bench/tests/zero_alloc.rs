@@ -1,16 +1,16 @@
 //! Counting-allocator proof that the detection hot path is allocation-free
 //! once warm: global/shared RDU observes, warp store checks through
-//! [`RaceScratch`], barrier resets, transaction coalescing, and batch
-//! checks with a transition sink attached all reuse their buffers, so a
-//! second pass over the same access pattern must not touch the allocator
-//! at all.
+//! [`RaceScratch`], barrier resets, transaction coalescing, the
+//! shared-memory bank-conflict count, and batch checks with a transition
+//! sink attached all reuse their buffers, so a second pass over the same
+//! access pattern must not touch the allocator at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use gpu_sim::isa::{BinOp, CmpOp, Reg, Src};
 use gpu_sim::lanes::{WarpLanes, LANES};
-use gpu_sim::mem::coalesce::{coalesce_into, LaneAddr, Transaction};
+use gpu_sim::mem::coalesce::{coalesce_into, BankConflicts, LaneAddr, Transaction};
 use haccrg::prelude::*;
 
 struct Counting;
@@ -57,6 +57,11 @@ struct Pipeline {
     edges: u64,
     lane_addrs: Vec<LaneAddr>,
     txs: Vec<Transaction>,
+    /// The bank-conflict count over a 16 KiB shared space (its bitmap is
+    /// allocated here, once) and two warps it serves each round: HIST's
+    /// byte counters (`bin * 64 + tid`) and a coalesced word access.
+    bank_conflicts: BankConflicts,
+    shared_warps: [Vec<LaneAddr>; 2],
     health: DetectorHealth,
     /// SoA register file for the vector lane engine (2 warps x 8 regs).
     regs: Vec<u32>,
@@ -112,6 +117,13 @@ impl Pipeline {
                 .map(|l| LaneAddr { lane: l, addr: 0x1000 + u32::from(l) * 4, size: 4 })
                 .collect(),
             txs: Vec::new(),
+            bank_conflicts: BankConflicts::new(16 * 1024),
+            shared_warps: [
+                (0..32u8)
+                    .map(|l| LaneAddr { lane: l, addr: u32::from(l % 3) * 64 + u32::from(l), size: 1 })
+                    .collect(),
+                (0..32u8).map(|l| LaneAddr { lane: l, addr: u32::from(l) * 4, size: 4 }).collect(),
+            ],
             health: DetectorHealth::default(),
             regs: (0..2 * LANES * 8).map(|i| i as u32).collect(),
         }
@@ -120,6 +132,9 @@ impl Pipeline {
     fn round(&mut self) -> usize {
         // Coalesce the warp's lanes into line transactions.
         coalesce_into(&self.lane_addrs, 128, &mut self.txs);
+        // Serialize the two shared warps on 16 banks.
+        let conflicts: u32 =
+            self.shared_warps.iter().map(|w| self.bank_conflicts.degree(w, 16)).sum();
         // Global path: pre-issue WAW check, then a shadow check per lane.
         self.grdu.check_warp_stores(&self.global_lanes, &mut self.scratch, &mut self.log);
         for a in &self.global_lanes {
@@ -201,7 +216,11 @@ impl Pipeline {
         view.mad(Reg(3), Src::Reg(Reg(0)), Src::Imm(3), Src::Reg(Reg(4)), 0xFFFF);
         view.setp(CmpOp::LtU, Reg(5), Src::Reg(Reg(3)), Src::Imm(64), u32::MAX);
         let taken = view.vote(Reg(5), true, u32::MAX);
-        self.txs.len() + self.log.total() as usize + taken as usize + self.edges as usize
+        self.txs.len()
+            + conflicts as usize
+            + self.log.total() as usize
+            + taken as usize
+            + self.edges as usize
     }
 }
 

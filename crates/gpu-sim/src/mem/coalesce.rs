@@ -200,50 +200,63 @@ fn coalesce_exact_into(lanes: &[LaneAddr], line_bytes: u32, out: &mut Vec<Transa
 /// (§II-A: "If threads within a warp access different banks, all the
 /// accesses are served in parallel").
 ///
-/// Fast path (≤32 lanes, ≤32 banks): one pass buckets the lanes by bank
-/// as a lane mask per bank, then distinct words are counted only in
-/// banks whose lane count can beat the running maximum. Each count
-/// retires a whole equality class per step with a 32-wide compare, and
-/// stops as soon as the bank's remaining lanes cannot beat the maximum.
-/// Larger inputs take the exact reference `bank_conflict_degree_exact`;
+/// The count is exact and visits each lane three times. A word-occupancy
+/// bitmap over the SM's shared space tells a word's first lane from its
+/// repeats: after a pass that gathers the lanes' words, a second sets each
+/// lane's bit and counts the word toward its bank only when the bit was
+/// clear, and a third zeroes every map word the lanes touched. The map is
+/// empty between accesses, so those map words held only this access's
+/// bits. The map is allocated once, by [`BankConflicts::new`]. More than
+/// 32 lanes or banks, or a word past the map (only a lane that faults
+/// beyond the shared space has one), take [`bank_conflict_degree_exact`];
 /// both agree exactly.
-pub fn bank_conflict_degree(lanes: &[LaneAddr], banks: u32) -> u32 {
-    let n = lanes.len();
-    if n > 32 || banks > 32 {
-        return bank_conflict_degree_exact(lanes, banks);
-    }
-    let pow2 = banks.is_power_of_two();
-    let mut words = [0u32; 32];
-    let mut by_bank = [0u32; 32];
-    for (i, la) in lanes.iter().enumerate() {
-        let w = la.addr / 4;
-        words[i] = w;
-        let bank = if pow2 { w & (banks - 1) } else { w % banks };
-        by_bank[bank as usize] |= 1 << i;
-    }
-    let mut max = 1u32;
-    for &bucket in &by_bank[..banks as usize] {
-        let mut rest = bucket;
-        let mut distinct = 0u32;
-        while rest != 0 && distinct + rest.count_ones() > max {
-            let w = words[rest.trailing_zeros() as usize];
-            // Padding slots past `n` may match `w`, but are never in `rest`.
-            let mut same = 0u32;
-            for (j, cand) in words.iter().enumerate() {
-                same |= u32::from(*cand == w) << j;
-            }
-            rest &= !same;
-            distinct += 1;
-        }
-        max = max.max(distinct);
-    }
-    max
+pub struct BankConflicts {
+    /// One bit per 4-byte word of the shared space.
+    occupied: Vec<u64>,
 }
 
-/// Exact reference for [`bank_conflict_degree`]: for each first
+impl BankConflicts {
+    /// A count over a shared space of `shared_bytes` bytes.
+    pub fn new(shared_bytes: u32) -> Self {
+        Self { occupied: vec![0; shared_bytes.div_ceil(4).div_ceil(64) as usize] }
+    }
+
+    /// Serialization degree of one warp access to `banks` banks (1 for no
+    /// lanes).
+    pub fn degree(&mut self, lanes: &[LaneAddr], banks: u32) -> u32 {
+        if lanes.len() > 32 || banks > 32 {
+            return bank_conflict_degree_exact(lanes, banks);
+        }
+        let mut words = [0u32; 32];
+        let mut top = 0;
+        for (w, la) in words.iter_mut().zip(lanes) {
+            *w = la.addr / 4;
+            top = top.max(*w);
+        }
+        if (top / 64) as usize >= self.occupied.len() {
+            return bank_conflict_degree_exact(lanes, banks);
+        }
+        let words = &words[..lanes.len()];
+        let pow2 = banks.is_power_of_two();
+        let mut per_bank = [0u8; 32];
+        for &w in words {
+            let slot = &mut self.occupied[(w / 64) as usize];
+            let bit = 1u64 << (w % 64);
+            let bank = if pow2 { w & (banks - 1) } else { w % banks };
+            per_bank[bank as usize] += u8::from(*slot & bit == 0);
+            *slot |= bit;
+        }
+        for &w in words {
+            self.occupied[(w / 64) as usize] = 0;
+        }
+        u32::from(per_bank.into_iter().max().unwrap_or(0).max(1))
+    }
+}
+
+/// Exact reference for [`BankConflicts::degree`]: for each first
 /// occurrence of a word, count the distinct words of its bank. Serves
-/// inputs wider than 32 lanes or banks, and is the differential oracle
-/// for the fast path in tests.
+/// inputs wider than 32 lanes or banks and words past the map, and is the
+/// differential oracle for the bitmap count in tests.
 fn bank_conflict_degree_exact(lanes: &[LaneAddr], banks: u32) -> u32 {
     let mut max = 1u32;
     for (i, la) in lanes.iter().enumerate() {
@@ -267,6 +280,12 @@ fn bank_conflict_degree_exact(lanes: &[LaneAddr], banks: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GpuConfig;
+
+    /// One warp access's degree on a fresh 16 KiB count.
+    fn bank_conflict_degree(lanes: &[LaneAddr], banks: u32) -> u32 {
+        BankConflicts::new(16 * 1024).degree(lanes, banks)
+    }
 
     fn mk(lanes: impl IntoIterator<Item = (u8, u32)>) -> Vec<LaneAddr> {
         lanes.into_iter().map(|(lane, addr)| LaneAddr { lane, addr, size: 4 }).collect()
@@ -362,25 +381,36 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The bucketed fast path against the exact reference on every lane
-    /// count and bank count up to 32 (powers of two or not), every access
-    /// size, and address patterns from scattered to fully piled up.
+    /// The bitmap count against the exact reference on every lane count
+    /// (none included) and bank count up to 32 (powers of two or not),
+    /// every access size, and address patterns from scattered to fully
+    /// piled up. One count per shared space serves every case, so a bit
+    /// left set by one access shows in a later one; each space's edge
+    /// patterns put lanes on its last word and past its end, where the
+    /// count falls back to the reference, and then reuse the words the
+    /// fallback saw.
     #[test]
     fn bank_conflict_fast_path_matches_exact_reference() {
+        let spaces = [GpuConfig::quadro_fx5800(), GpuConfig::fermi()].map(|c| c.shared_mem_per_sm);
+        assert_eq!(spaces, [16 * 1024, 48 * 1024]);
+        let mut counts = spaces.map(BankConflicts::new);
         let mut rng = 0x5EED_u64;
         for banks in 1..=32u32 {
-            for n in 1..=32u32 {
+            for n in 0..=32u32 {
                 for size in [1u8, 2, 4] {
                     let align = u32::from(size);
+                    let one_bank = |l: u32| l * banks * 4;
                     // Broadcast; consecutive; every lane in one bank, on
                     // distinct words and on three words; byte lanes that
-                    // share words four at a time.
+                    // share words four at a time; words repeated on lanes
+                    // eight apart.
                     let mut patterns: Vec<Vec<u32>> = vec![
                         vec![0x40; n as usize],
                         (0..n).map(|l| l * align).collect(),
-                        (0..n).map(|l| l * banks * 4).collect(),
-                        (0..n).map(|l| (l % 3) * banks * 4 + 8).collect(),
-                        (0..n).map(|l| (l / 4) * banks * 4 + l % 4).collect(),
+                        (0..n).map(one_bank).collect(),
+                        (0..n).map(|l| one_bank(l % 3) + 8).collect(),
+                        (0..n).map(|l| one_bank(l / 4) + l % 4).collect(),
+                        (0..n).map(|l| one_bank(l % 4) + 4 * (l % 8 / 4)).collect(),
                     ];
                     for span in [64u32, 1024, 1 << 20] {
                         for _ in 0..4 {
@@ -391,17 +421,37 @@ mod tests {
                             );
                         }
                     }
+                    for space in spaces {
+                        // Down from the last word, one bank; past the end;
+                        // both, alternating; inside but for the last lane,
+                        // then the same words again; past the end with
+                        // repeats on lanes four apart.
+                        let (last, past) = (space - 4, space);
+                        patterns.extend([
+                            (0..n).map(|l| last - one_bank(l)).collect(),
+                            (0..n).map(|l| past + one_bank(l)).collect(),
+                            (0..n)
+                                .map(|l| if l % 2 == 0 { last - one_bank(l / 2) } else { past + one_bank(l / 2) })
+                                .collect(),
+                            (0..n).map(|l| if l + 1 == n { past } else { last - one_bank(l) }).collect(),
+                            (0..n).map(|l| last - one_bank(l)).collect(),
+                            (0..n).map(|l| past + one_bank(l % 4)).collect(),
+                        ]);
+                    }
                     for addrs in patterns {
                         let lanes: Vec<LaneAddr> = addrs
                             .iter()
                             .enumerate()
                             .map(|(l, &addr)| LaneAddr { lane: l as u8, addr, size })
                             .collect();
-                        assert_eq!(
-                            bank_conflict_degree(&lanes, banks),
-                            bank_conflict_degree_exact(&lanes, banks),
-                            "banks {banks} size {size} lanes {addrs:?}"
-                        );
+                        let exact = bank_conflict_degree_exact(&lanes, banks);
+                        for (count, space) in counts.iter_mut().zip(spaces) {
+                            assert_eq!(
+                                count.degree(&lanes, banks),
+                                exact,
+                                "space {space} banks {banks} size {size} lanes {addrs:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -34,10 +34,10 @@ use crate::active::ActiveSet;
 use crate::config::{GpuConfig, SchedPolicy};
 use crate::detector::LaunchDet;
 use crate::device::DeviceMemory;
-use crate::isa::{Kernel, Op, Space, SpecialReg, Src};
+use crate::isa::{AtomOp, Kernel, Op, Reg, Space, SpecialReg, Src};
 use crate::lanes::{WarpLanes, LANES};
 use crate::mem::cache::Cache;
-use crate::mem::coalesce::{bank_conflict_degree, coalesce_into, LaneAddr, Transaction};
+use crate::mem::coalesce::{coalesce_into, BankConflicts, LaneAddr, Transaction};
 use crate::mem::{LaneAtomic, MemReq, ReqKind};
 use crate::prof::{self, Counter, Phase};
 use crate::simt::SimtStack;
@@ -64,8 +64,6 @@ pub struct CycleOutput {
 /// carries state across instructions.
 #[derive(Default)]
 pub struct SmScratch {
-    /// Per-lane address collection of the current memory instruction.
-    pub lanes: Vec<LaneAddr>,
     /// Coalesced transactions of the current memory instruction.
     pub txs: Vec<Transaction>,
     /// Detector-side scratch (intra-warp dedup, state snapshots, lines).
@@ -265,6 +263,9 @@ pub struct Sm {
     rr_next: usize,
     issue_free_at: u64,
     pub l1: Cache,
+    /// Bank-conflict count over this SM's shared space (its occupancy
+    /// bitmap is allocated here, once per SM).
+    bank_conflicts: BankConflicts,
     /// line → `(warp slot, gwarp)` waiters to wake when the fill returns.
     /// Waiters carry the global warp ID so a response arriving after the
     /// CTA retired and another warp reused the slot wakes nobody.
@@ -311,6 +312,7 @@ impl Sm {
             rr_next: 0,
             issue_free_at: 0,
             l1: Cache::new(cfg.l1),
+            bank_conflicts: BankConflicts::new(cfg.shared_mem_per_sm),
             l1_mshr: Vec::new(),
             local_ready: Vec::new(),
             out_req: Vec::new(),
@@ -451,15 +453,21 @@ impl Sm {
     /// `u64::MAX` when every resident warp waits on external input
     /// (memory responses invalidate the hint on arrival). Absolute
     /// cycle times only, so the hint stays valid while the SM idles.
+    /// The ready-warp walk stops at the first warp that may resume by
+    /// the time the issue stage frees up: the issue term is then exactly
+    /// `issue_free_at`.
     fn next_wake(&self) -> u64 {
-        let mut t = u64::MAX;
-        for &(at, _, _) in &self.local_ready {
-            t = t.min(at);
+        let local = self.local_ready.iter().map(|&(at, _, _)| at).min().unwrap_or(u64::MAX);
+        let mut issue = u64::MAX;
+        for i in self.ready.iter() {
+            let resume = self.warp(i).resume_at;
+            if resume <= self.issue_free_at {
+                issue = self.issue_free_at;
+                break;
+            }
+            issue = issue.min(resume);
         }
-        if let Some(min_resume) = self.ready.iter().map(|i| self.warp(i).resume_at).min() {
-            t = t.min(self.issue_free_at.max(min_resume));
-        }
-        t
+        local.min(issue)
     }
 
     fn cycle_compute_inner(
@@ -594,7 +602,7 @@ impl Sm {
                     for &(lane, old) in &resp.atomic_old {
                         let t = (warp_in_block * self.cfg.warp_size + u32::from(lane)) as usize;
                         if t < cta.threads as usize {
-                            view.set_lane(crate::isa::Reg(dreg), usize::from(lane), old);
+                            view.set_lane(Reg(dreg), usize::from(lane), old);
                         }
                     }
                 }
@@ -626,36 +634,9 @@ impl Sm {
         }
     }
 
-    /// Count the L1 MSHR entries a global load would newly allocate and
-    /// report whether the file cannot hold them.
-    #[allow(clippy::too_many_arguments)]
-    fn mshr_short(
-        &self,
-        cta_slot: usize,
-        warp_in_block: u32,
-        mask: u32,
-        addr_reg: crate::isa::Reg,
-        imm: u32,
-        size: u8,
-        scratch: &mut SmScratch,
-    ) -> bool {
-        let cta = self.ctas[cta_slot].as_ref().expect("cta live");
-        let SmScratch { lanes, txs, .. } = scratch;
-        lanes.clear();
-        let addrs = crate::lanes::addr_gen(
-            &cta.regs,
-            cta.lane_slots,
-            warp_in_block as usize * LANES,
-            addr_reg,
-            imm,
-        );
-        for l in 0..self.cfg.warp_size {
-            if mask & (1 << l) == 0 {
-                continue;
-            }
-            lanes.push(LaneAddr { lane: l as u8, addr: addrs[l as usize], size });
-        }
-        coalesce_into(lanes, self.cfg.l1.line_bytes, txs);
+    /// Whether the L1 MSHR file cannot hold the entries a global load's
+    /// transactions would newly allocate.
+    fn mshr_short(&self, txs: &[Transaction]) -> bool {
         let needed = txs
             .iter()
             .filter(|tx| {
@@ -664,6 +645,15 @@ impl Sm {
             })
             .count();
         self.l1_mshr.len() + needed > self.cfg.l1.mshrs as usize
+    }
+
+    /// The issue stage takes the warp's instruction: it occupies the
+    /// stage, counts, and emits the issue event.
+    fn begin_issue(&mut self, now: u64, gwarp: u32, mask: u32, line: u32, out: &mut CycleOutput) {
+        self.issue_free_at = now + self.cfg.issue_cycles();
+        self.stats.warp_instructions += 1;
+        self.stats.thread_instructions += u64::from(mask.count_ones());
+        out.emit(now, SimEvent::WarpIssue { sm: self.id, gwarp, pc: line });
     }
 
     #[allow(clippy::too_many_lines)]
@@ -685,33 +675,14 @@ impl Sm {
         };
         let instr = ctx.kernel.instrs[pc as usize];
         let block_id = self.ctas[cta_slot].as_ref().expect("cta live").block_id;
-
-        // Structural hazard (S1): a global load whose new misses would
-        // overflow the L1 MSHR file cannot issue — the warp replays once
-        // fills drain. Checked before any architectural side effect, so
-        // a replayed issue is indistinguishable from a first attempt.
-        // When the file is empty the load always proceeds, even if its
-        // transaction count alone exceeds capacity: the model issues a
-        // warp's transactions atomically, so the structural limit is
-        // enforced between instructions (and livelock is impossible).
-        if let Op::Ld { space: Space::Global, addr, imm, size, .. } = instr.op {
-            if !self.l1_mshr.is_empty()
-                && self.mshr_short(cta_slot, warp_in_block, mask, addr, imm, size, &mut out.scratch)
-            {
-                self.stats.l1_mshr_full_stalls += 1;
-                self.warps[widx].as_mut().expect("warp live").resume_at = now + 1;
-                out.emit(
-                    now,
-                    SimEvent::WarpStall { sm: self.id, gwarp, reason: StallReason::MshrFull },
-                );
-                return;
-            }
+        if let Some(m) = MemInstr::of(instr.op) {
+            self.mem_access(
+                widx, cta_slot, warp_in_block, gwarp, block_id, mask, now, ctx, mem, det, out, m,
+                instr.line,
+            );
+            return;
         }
-
-        self.issue_free_at = now + self.cfg.issue_cycles();
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += u64::from(mask.count_ones());
-        out.emit(now, SimEvent::WarpIssue { sm: self.id, gwarp, pc: instr.line });
+        self.begin_issue(now, gwarp, mask, instr.line, out);
 
         // Helper: per-lane register access goes through the CTA's flat
         // register file. Two disjoint field borrows (warps / ctas) are
@@ -866,24 +837,8 @@ impl Sm {
                     self.maybe_retire_cta(cta_slot, det, out);
                 }
             }
-            Op::Ld { space, d, addr, imm, size } => {
-                self.mem_access(
-                    widx, cta_slot, warp_in_block, gwarp, block_id, mask, now, ctx, mem, det, out,
-                    space, MemOpKind::Load { d }, addr, imm, size, Src::Imm(0), Src::Imm(0),
-                    instr.line,
-                );
-            }
-            Op::St { space, addr, imm, src, size } => {
-                self.mem_access(
-                    widx, cta_slot, warp_in_block, gwarp, block_id, mask, now, ctx, mem, det, out,
-                    space, MemOpKind::Store, addr, imm, size, src, Src::Imm(0), instr.line,
-                );
-            }
-            Op::Atom { space, op, d, addr, imm, src, src2 } => {
-                self.mem_access(
-                    widx, cta_slot, warp_in_block, gwarp, block_id, mask, now, ctx, mem, det, out,
-                    space, MemOpKind::Atomic { op, d }, addr, imm, 4, src, src2, instr.line,
-                );
+            Op::Ld { .. } | Op::St { .. } | Op::Atom { .. } => {
+                unreachable!("memory instructions issue through mem_access")
             }
         }
     }
@@ -952,12 +907,16 @@ impl Sm {
     }
 
     /// Shared/global load, store, or atomic — the memory pipeline front
-    /// end plus all RDU hooks.
+    /// end plus the capture of what the RDUs check.
     ///
-    /// Global stores are *not* applied to `mem` here: they are buffered as
-    /// [`SmOp::MemWrite`]s and applied by the cycle loop in SM-id order,
-    /// so every SM reads the same pre-cycle memory.
-    #[allow(clippy::too_many_arguments)]
+    /// The instruction decodes once: one address row and the list of
+    /// active lanes below `warp_size`, in lane order (for global memory
+    /// also their coalesced transactions), serve the MSHR pre-check, the
+    /// functional kernel of its (space, kind), the timing and the
+    /// detector capture. Global stores are *not* applied to `mem` here:
+    /// they are buffered as [`SmOp::MemWrite`]s and applied by the cycle
+    /// loop in SM-id order, so every SM reads the same pre-cycle memory.
+    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn mem_access(
         &mut self,
         widx: usize,
@@ -971,115 +930,147 @@ impl Sm {
         mem: &DeviceMemory,
         det: Option<&Detector>,
         out: &mut CycleOutput,
-        space: Space,
-        kind: MemOpKind,
-        addr_reg: crate::isa::Reg,
-        imm: u32,
-        size: u8,
-        src: Src,
-        src2: Src,
+        m: MemInstr,
         line_tag: u32,
     ) {
-        let warp_size = self.cfg.warp_size;
-
-        // Whole-warp operand prologue: one address-gen row plus the
-        // store/atomic source rows, fetched once instead of per lane
-        // (lane slots never alias, so prefetching is bit-identical to
-        // the old interleaved per-lane reads).
-        let mut lanes = std::mem::take(&mut out.scratch.lanes);
-        lanes.clear();
-        let (addrs, svals, s2vals) = {
+        let active = mask & (u32::MAX >> (LANES as u32 - self.cfg.warp_size));
+        let warp_base = warp_in_block as usize * LANES;
+        let addrs = {
             let cta = self.ctas[cta_slot].as_ref().expect("cta live");
-            let wb = warp_in_block as usize * LANES;
-            (
-                crate::lanes::addr_gen(&cta.regs, cta.lane_slots, wb, addr_reg, imm),
-                crate::lanes::read_operand(&cta.regs, cta.lane_slots, wb, src),
-                crate::lanes::read_operand(&cta.regs, cta.lane_slots, wb, src2),
-            )
+            crate::lanes::addr_gen(&cta.regs, cta.lane_slots, warp_base, m.addr, m.imm)
         };
+        let mut lane_buf = [LaneAddr { lane: 0, addr: 0, size: 0 }; LANES];
+        let mut len = 0;
+        let mut rest = active;
+        while rest != 0 {
+            let l = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane_buf[len] = LaneAddr { lane: l as u8, addr: addrs[l], size: m.size };
+            len += 1;
+        }
+        let lanes = &lane_buf[..len];
+        let mut txs = std::mem::take(&mut out.scratch.txs);
+        if m.space == Space::Global {
+            let _prof = prof::scope(Phase::Coalesce);
+            coalesce_into(lanes, self.cfg.l1.line_bytes, &mut txs);
+        }
+
+        // Structural hazard (S1): a global load whose new misses would
+        // overflow the L1 MSHR file cannot issue — the warp replays once
+        // fills drain. Checked before any architectural side effect, so
+        // a replayed issue is indistinguishable from a first attempt.
+        // When the file is empty the load always proceeds, even if its
+        // transaction count alone exceeds capacity: the model issues a
+        // warp's transactions atomically, so the structural limit is
+        // enforced between instructions (and livelock is impossible).
+        if m.space == Space::Global
+            && matches!(m.kind, MemOpKind::Load { .. })
+            && !self.l1_mshr.is_empty()
+            && self.mshr_short(&txs)
+        {
+            self.stats.l1_mshr_full_stalls += 1;
+            self.warps[widx].as_mut().expect("warp live").resume_at = now + 1;
+            let ev = SimEvent::WarpStall { sm: self.id, gwarp, reason: StallReason::MshrFull };
+            out.emit(now, ev);
+            out.scratch.txs = txs;
+            return;
+        }
+        self.begin_issue(now, gwarp, mask, line_tag, out);
+
+        // The functional kernel of the instruction's (space, kind): loads
+        // gather a row and write it back under the active mask; stores
+        // and atomics apply in lane order.
         {
             let cta = self.ctas[cta_slot].as_mut().expect("cta live");
             let Cta { regs, shared_data, lane_slots, .. } = cta;
             let mut view = WarpLanes::new(regs, *lane_slots, warp_in_block);
-            for l in 0..warp_size {
-                if mask & (1 << l) == 0 {
-                    continue;
+            let (size, faults) = (m.size, &mut self.stats.mem_faults);
+            match (m.space, m.kind) {
+                (Space::Shared, MemOpKind::Load { d }) => {
+                    let mut row = [0u32; LANES];
+                    for la in lanes {
+                        let v = read_shared(shared_data, la.addr, size, faults);
+                        row[usize::from(la.lane)] = v;
+                    }
+                    view.write_masked(d, active, &row);
                 }
-                let li = l as usize;
-                let a = addrs[li];
-                lanes.push(LaneAddr { lane: l as u8, addr: a, size });
-                match (space, kind) {
-                    (Space::Shared, MemOpKind::Load { d }) => {
-                        let v = read_shared(shared_data, a, size, &mut self.stats);
-                        view.set_lane(d, li, v);
-                    }
-                    (Space::Shared, MemOpKind::Store) => {
-                        write_shared(shared_data, a, svals[li], size, &mut self.stats);
-                    }
-                    (Space::Shared, MemOpKind::Atomic { op, d }) => {
-                        // Shared-memory atomics are serialized by the SM
-                        // itself: functional RMW at issue.
-                        let old = read_shared(shared_data, a, size, &mut self.stats);
-                        let new = crate::exec::eval_atom(op, old, svals[li], s2vals[li]);
-                        write_shared(shared_data, a, new, size, &mut self.stats);
-                        view.set_lane(d, li, old);
-                    }
-                    (Space::Global, MemOpKind::Load { d }) => {
-                        let v = mem.read(a, size);
-                        view.set_lane(d, li, v);
-                    }
-                    (Space::Global, MemOpKind::Store) => {
-                        out.ops.push(SmOp::MemWrite { addr: a, val: svals[li], size });
-                    }
-                    (Space::Global, MemOpKind::Atomic { .. }) => {
-                        // Functional execution happens at the memory slice
-                        // (serialization point); nothing here.
+                (Space::Shared, MemOpKind::Store) => {
+                    let vals = view.operand(m.src);
+                    for la in lanes {
+                        let v = vals[usize::from(la.lane)];
+                        write_shared(shared_data, la.addr, v, size, faults);
                     }
                 }
+                (Space::Shared, MemOpKind::Atomic { op, d }) => {
+                    // Shared-memory atomics are serialized by the SM
+                    // itself: functional RMW at issue.
+                    let (a, b) = (view.operand(m.src), view.operand(m.src2));
+                    let mut old = [0u32; LANES];
+                    for la in lanes {
+                        let l = usize::from(la.lane);
+                        old[l] = read_shared(shared_data, la.addr, size, faults);
+                        let new = crate::exec::eval_atom(op, old[l], a[l], b[l]);
+                        write_shared(shared_data, la.addr, new, size, faults);
+                    }
+                    view.write_masked(d, active, &old);
+                }
+                (Space::Global, MemOpKind::Load { d }) => {
+                    let mut row = [0u32; LANES];
+                    for la in lanes {
+                        row[usize::from(la.lane)] = mem.read(la.addr, size);
+                    }
+                    view.write_masked(d, active, &row);
+                }
+                (Space::Global, MemOpKind::Store) => {
+                    let vals = view.operand(m.src);
+                    out.ops.extend(lanes.iter().map(|la| SmOp::MemWrite {
+                        addr: la.addr,
+                        val: vals[usize::from(la.lane)],
+                        size,
+                    }));
+                }
+                // Functional execution happens at the memory slice
+                // (serialization point); nothing here.
+                (Space::Global, MemOpKind::Atomic { .. }) => {}
             }
         }
 
-        match space {
+        let n = lanes.len() as u64;
+        match m.space {
             Space::Shared => {
                 self.stats.shared_insts += 1;
-                match kind {
-                    MemOpKind::Load { .. } => self.stats.shared_loads += lanes.len() as u64,
-                    MemOpKind::Store => self.stats.shared_stores += lanes.len() as u64,
-                    MemOpKind::Atomic { .. } => self.stats.atomics += lanes.len() as u64,
+                match m.kind {
+                    MemOpKind::Load { .. } => self.stats.shared_loads += n,
+                    MemOpKind::Store => self.stats.shared_stores += n,
+                    MemOpKind::Atomic { .. } => self.stats.atomics += n,
                 }
-                let conflicts = bank_conflict_degree(&lanes, self.cfg.shared_banks);
+                let conflicts = self.bank_conflicts.degree(lanes, self.cfg.shared_banks);
                 self.issue_free_at += u64::from(conflicts - 1);
                 self.stats.bank_conflict_cycles += u64::from(conflicts - 1);
                 if let Some(d) = det.filter(|d| d.config().shared_enabled) {
                     let base = self.ctas[cta_slot].as_ref().expect("cta live").shared_base;
                     let range = self.capture(
-                        cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now, ctx,
-                        d.clocks(), lanes.iter().map(|la| (la, base + la.addr)), None,
+                        cta_slot, gwarp, block_id, warp_in_block, m, line_tag, now, ctx,
+                        d.clocks(), lanes.iter().map(|la| (la.lane, base + la.addr)), None,
                         &mut out.batch_arena,
                     );
-                    let is_store = matches!(kind, MemOpKind::Store);
+                    let is_store = matches!(m.kind, MemOpKind::Store);
                     out.ops.push(SmOp::Check { range, is_store, target: CheckTarget::Shared });
                 }
-                out.scratch.lanes = lanes;
                 self.warps[widx].as_mut().expect("warp live").simt.advance();
             }
             Space::Global => {
                 self.stats.global_insts += 1;
-                match kind {
-                    MemOpKind::Load { .. } => self.stats.global_loads += lanes.len() as u64,
-                    MemOpKind::Store => self.stats.global_stores += lanes.len() as u64,
-                    MemOpKind::Atomic { .. } => self.stats.atomics += lanes.len() as u64,
+                match m.kind {
+                    MemOpKind::Load { .. } => self.stats.global_loads += n,
+                    MemOpKind::Store => self.stats.global_stores += n,
+                    MemOpKind::Atomic { .. } => self.stats.atomics += n,
                 }
                 if det.is_some() {
                     out.ops.push(SmOp::NoteGlobal { block: block_id });
                 }
                 // The global RDU exists exactly when global detection is on.
                 let global = det.filter(|d| d.config().global_enabled);
-                let mut txs = std::mem::take(&mut out.scratch.txs);
-                {
-                    let _prof = prof::scope(Phase::Coalesce);
-                    coalesce_into(&lanes, self.cfg.l1.line_bytes, &mut txs);
-                }
                 self.stats.global_transactions += txs.len() as u64;
                 if txs.len() > 1 {
                     self.issue_free_at += txs.len() as u64 - 1;
@@ -1094,151 +1085,117 @@ impl Sm {
                         transactions: txs.len() as u32,
                     },
                 );
+                // A transaction's lanes, with their device addresses.
+                let tx_lanes =
+                    |tx: &Transaction| tx.lanes.iter().map(|l| (l, addrs[usize::from(l)]));
 
-                let mut pending = 0u32;
                 let prof_l1 = prof::scope(Phase::L1Access);
-                for tx in &txs {
-                    match kind {
-                        MemOpKind::Load { .. } => {
+                match m.kind {
+                    MemOpKind::Load { .. } => {
+                        for tx in &txs {
                             // Fill time must be read before the probe
                             // refreshes LRU state.
-                            let fill = self.l1.fill_time(tx.line_addr);
-                            let hit = self.l1.probe(tx.line_addr, false, now);
+                            let line = tx.line_addr;
+                            let fill = self.l1.fill_time(line);
+                            let hit = self.l1.probe(line, false, now);
                             let l1_fill = if hit { fill } else { None };
-                            out.emit(
-                                now,
-                                SimEvent::L1Access {
-                                    sm: self.id,
-                                    line: tx.line_addr,
-                                    hit,
-                                    write: false,
-                                },
-                            );
+                            let ev = SimEvent::L1Access { sm: self.id, line, hit, write: false };
+                            out.emit(now, ev);
                             let batch = global.map(|d| {
-                                let tx_lanes = lanes.iter().filter(|la| tx.lanes.contains(la.lane));
                                 self.capture(
-                                    cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now,
-                                    ctx, d.clocks(), tx_lanes.map(|la| (la, la.addr)), l1_fill,
-                                    &mut out.batch_arena,
+                                    cta_slot, gwarp, block_id, warp_in_block, m, line_tag, now,
+                                    ctx, d.clocks(), tx_lanes(tx), l1_fill, &mut out.batch_arena,
                                 )
                             });
-                            if hit {
-                                pending += 1;
+                            let sink = if hit {
                                 self.local_ready
                                     .push((now + u64::from(self.cfg.l1.hit_latency), widx, gwarp));
                                 // §IV-B: L1 read hits still notify the
                                 // global RDU via a detection-only probe
                                 // (modeled, not a network request).
-                                if let Some(range) = batch {
-                                    out.ops.push(SmOp::Check {
-                                        range,
-                                        is_store: false,
-                                        target: CheckTarget::Global(ShadowSink::Probe {
-                                            line_addr: tx.line_addr,
-                                            count_stat: true,
-                                        }),
-                                    });
-                                }
-                            } else if let Some(e) = self.l1_mshr.iter_mut().find(|(l, _)| *l == tx.line_addr) {
+                                ShadowSink::Probe { line_addr: line, count_stat: true }
+                            } else if let Some(e) =
+                                self.l1_mshr.iter_mut().find(|(l, _)| *l == line)
+                            {
                                 // Merged miss.
-                                pending += 1;
                                 e.1.push((widx, gwarp));
-                                if let Some(range) = batch {
-                                    out.ops.push(SmOp::Check {
-                                        range,
-                                        is_store: false,
-                                        target: CheckTarget::Global(ShadowSink::Probe {
-                                            line_addr: tx.line_addr,
-                                            count_stat: false,
-                                        }),
-                                    });
-                                }
+                                ShadowSink::Probe { line_addr: line, count_stat: false }
                             } else {
-                                pending += 1;
-                                self.l1_mshr.push((tx.line_addr, vec![(widx, gwarp)]));
-                                let r = self.fresh_req(tx.line_addr, self.cfg.l1.line_bytes, widx, gwarp, ReqKind::LoadData);
+                                self.l1_mshr.push((line, vec![(widx, gwarp)]));
+                                let bytes = self.cfg.l1.line_bytes;
+                                let r = self.fresh_req(line, bytes, widx, gwarp, ReqKind::LoadData);
                                 self.out_req.push(r);
-                                if let Some(range) = batch {
-                                    out.ops.push(SmOp::Check {
-                                        range,
-                                        is_store: false,
-                                        target: CheckTarget::Global(ShadowSink::Attach { req_idx: self.out_req.len() - 1 }),
-                                    });
-                                }
-                            }
-                        }
-                        MemOpKind::Store => {
-                            // Write-through, no-allocate (§II-A: "global
-                            // memory writes to L1 data cache are written
-                            // through").
-                            let resident = self.l1.contains(tx.line_addr);
-                            if resident {
-                                self.l1.probe(tx.line_addr, false, now);
-                            }
-                            out.emit(
-                                now,
-                                SimEvent::L1Access {
-                                    sm: self.id,
-                                    line: tx.line_addr,
-                                    hit: resident,
-                                    write: true,
-                                },
-                            );
-                            let batch = global.map(|d| {
-                                let tx_lanes = lanes.iter().filter(|la| tx.lanes.contains(la.lane));
-                                self.capture(
-                                    cta_slot, gwarp, block_id, warp_in_block, kind, line_tag, now,
-                                    ctx, d.clocks(), tx_lanes.map(|la| (la, la.addr)), None,
-                                    &mut out.batch_arena,
-                                )
-                            });
-                            let r = self.fresh_req(tx.line_addr, tx.bytes, widx, gwarp, ReqKind::StoreData);
-                            self.out_req.push(r);
+                                ShadowSink::Attach { req_idx: self.out_req.len() - 1 }
+                            };
                             if let Some(range) = batch {
                                 out.ops.push(SmOp::Check {
                                     range,
+                                    is_store: false,
+                                    target: CheckTarget::Global(sink),
+                                });
+                            }
+                        }
+                    }
+                    MemOpKind::Store => {
+                        for tx in &txs {
+                            // Write-through, no-allocate (§II-A: "global
+                            // memory writes to L1 data cache are written
+                            // through").
+                            let line = tx.line_addr;
+                            let hit = self.l1.contains(line);
+                            if hit {
+                                self.l1.probe(line, false, now);
+                            }
+                            let ev = SimEvent::L1Access { sm: self.id, line, hit, write: true };
+                            out.emit(now, ev);
+                            let batch = global.map(|d| {
+                                self.capture(
+                                    cta_slot, gwarp, block_id, warp_in_block, m, line_tag, now,
+                                    ctx, d.clocks(), tx_lanes(tx), None, &mut out.batch_arena,
+                                )
+                            });
+                            let r = self.fresh_req(line, tx.bytes, widx, gwarp, ReqKind::StoreData);
+                            self.out_req.push(r);
+                            if let Some(range) = batch {
+                                let sink = ShadowSink::Attach { req_idx: self.out_req.len() - 1 };
+                                out.ops.push(SmOp::Check {
+                                    range,
                                     is_store: true,
-                                    target: CheckTarget::Global(ShadowSink::Attach { req_idx: self.out_req.len() - 1 }),
+                                    target: CheckTarget::Global(sink),
                                 });
                             }
                             self.warps[widx].as_mut().expect("warp live").outstanding_stores += 1;
                         }
-                        MemOpKind::Atomic { op, d } => {
-                            let ops: Vec<LaneAtomic> = tx
-                                .lanes
-                                .iter()
-                                .map(|l| {
-                                    let li = usize::from(l);
-                                    LaneAtomic {
-                                        lane: l,
-                                        addr: addrs[li],
-                                        op,
-                                        src: svals[li],
-                                        src2: s2vals[li],
-                                    }
+                    }
+                    MemOpKind::Atomic { op, d } => {
+                        let (a, b) = {
+                            let cta = self.ctas[cta_slot].as_ref().expect("cta live");
+                            let operand = |s| {
+                                crate::lanes::read_operand(&cta.regs, cta.lane_slots, warp_base, s)
+                            };
+                            (operand(m.src), operand(m.src2))
+                        };
+                        for tx in &txs {
+                            let ops: Vec<LaneAtomic> = tx_lanes(tx)
+                                .map(|(lane, addr)| {
+                                    let l = usize::from(lane);
+                                    LaneAtomic { lane, addr, op, src: a[l], src2: b[l] }
                                 })
                                 .collect();
-                            pending += 1;
-                            let r = self.fresh_req(
-                                tx.line_addr,
-                                8,
-                                widx,
-                                gwarp,
-                                ReqKind::Atomic { ops, dreg: d.0 },
-                            );
+                            let kind = ReqKind::Atomic { ops, dreg: d.0 };
+                            let r = self.fresh_req(tx.line_addr, 8, widx, gwarp, kind);
                             self.out_req.push(r);
                         }
                     }
                 }
                 drop(prof_l1);
-                out.scratch.lanes = lanes;
-                out.scratch.txs = txs;
 
+                // Loads and atomics wait for every transaction's response.
                 let sm_id = self.id;
                 let w = self.warps[widx].as_mut().expect("warp live");
                 w.simt.advance();
-                if matches!(kind, MemOpKind::Load { .. } | MemOpKind::Atomic { .. }) && pending > 0 {
-                    w.pending_loads += pending;
+                if !matches!(m.kind, MemOpKind::Store) && !txs.is_empty() {
+                    w.pending_loads += txs.len() as u32;
                     w.state = WarpState::WaitMem;
                     self.ready.assign(widx, false);
                     out.emit(
@@ -1248,6 +1205,7 @@ impl Sm {
                 }
             }
         }
+        out.scratch.txs = txs;
     }
 
     /// Capture `(lane, address)` pairs of one warp memory instruction
@@ -1257,32 +1215,32 @@ impl Sm {
     /// a global load hit (`None`: no L1 hit). Lockset registers and the
     /// detector clocks are read as this cycle sees them.
     #[allow(clippy::too_many_arguments)]
-    fn capture<'l>(
+    fn capture(
         &self,
         cta_slot: usize,
         gwarp: u32,
         block_id: u32,
         warp_in_block: u32,
-        kind: MemOpKind,
+        m: MemInstr,
         line_tag: u32,
         now: u64,
         ctx: &LaunchContext,
         clocks: &ClockFile,
-        lanes: impl Iterator<Item = (&'l LaneAddr, u32)>,
+        lanes: impl Iterator<Item = (u8, u32)>,
         l1_fill: Option<u64>,
         arena: &mut Vec<MemAccess>,
     ) -> (u32, u32) {
         let cta = self.ctas[cta_slot].as_ref().expect("cta live");
-        let kind = kind.access_kind();
+        let kind = m.kind.access_kind();
         let first_thread = warp_in_block * self.cfg.warp_size;
         let (sync_id, fence_id) = (clocks.sync_id(block_id), clocks.fence_id(gwarp));
         let start = arena.len() as u32;
-        arena.extend(lanes.map(|(la, addr)| {
-            let t = first_thread + u32::from(la.lane);
+        arena.extend(lanes.map(|(lane, addr)| {
+            let t = first_thread + u32::from(lane);
             let lk = &cta.locks[t as usize];
             MemAccess {
                 addr,
-                size: la.size,
+                size: m.size,
                 kind,
                 who: ThreadCoord::new(block_id * ctx.block_dim + t, gwarp, block_id, self.id),
                 pc: line_tag,
@@ -1402,9 +1360,41 @@ pub(crate) fn apply_check(
 /// Internal memory-op classification.
 #[derive(Clone, Copy, Debug)]
 enum MemOpKind {
-    Load { d: crate::isa::Reg },
+    Load { d: Reg },
     Store,
-    Atomic { op: crate::isa::AtomOp, d: crate::isa::Reg },
+    Atomic { op: AtomOp, d: Reg },
+}
+
+/// A warp memory instruction's operands: sources a kind does not read
+/// are `Imm(0)`, and atomics are word-sized.
+#[derive(Clone, Copy, Debug)]
+struct MemInstr {
+    space: Space,
+    kind: MemOpKind,
+    addr: Reg,
+    imm: u32,
+    size: u8,
+    src: Src,
+    src2: Src,
+}
+
+impl MemInstr {
+    /// `op` as a memory instruction, if it is one.
+    fn of(op: Op) -> Option<Self> {
+        let none = Src::Imm(0);
+        Some(match op {
+            Op::Ld { space, d, addr, imm, size } => {
+                Self { space, kind: MemOpKind::Load { d }, addr, imm, size, src: none, src2: none }
+            }
+            Op::St { space, addr, imm, src, size } => {
+                Self { space, kind: MemOpKind::Store, addr, imm, size, src, src2: none }
+            }
+            Op::Atom { space, op, d, addr, imm, src, src2 } => {
+                Self { space, kind: MemOpKind::Atomic { op, d }, addr, imm, size: 4, src, src2 }
+            }
+            _ => return None,
+        })
+    }
 }
 
 impl MemOpKind {
@@ -1418,10 +1408,10 @@ impl MemOpKind {
     }
 }
 
-fn read_shared(data: &[u8], addr: u32, size: u8, stats: &mut SimStats) -> u32 {
+fn read_shared(data: &[u8], addr: u32, size: u8, faults: &mut u64) -> u32 {
     let a = addr as usize;
     if a + usize::from(size) > data.len() {
-        stats.mem_faults += 1;
+        *faults += 1;
         return 0;
     }
     match size {
@@ -1431,10 +1421,10 @@ fn read_shared(data: &[u8], addr: u32, size: u8, stats: &mut SimStats) -> u32 {
     }
 }
 
-fn write_shared(data: &mut [u8], addr: u32, val: u32, size: u8, stats: &mut SimStats) {
+fn write_shared(data: &mut [u8], addr: u32, val: u32, size: u8, faults: &mut u64) {
     let a = addr as usize;
     if a + usize::from(size) > data.len() {
-        stats.mem_faults += 1;
+        *faults += 1;
         return;
     }
     match size {

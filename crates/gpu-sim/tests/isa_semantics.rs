@@ -248,3 +248,105 @@ fn out_of_range_lane_accesses_fault_but_do_not_crash() {
     let res = gpu.launch(&k, 1, 32, &[]).unwrap();
     assert!(res.stats.cycles > 0);
 }
+
+/// Shared-memory lane semantics in one launch of two 40-thread blocks (a
+/// full warp and an 8-lane last warp each): 1- and 2-byte stores and
+/// loads, every lane of a warp atomically adding to one word (serialized
+/// in lane order), and word accesses at a 16-byte stride that run past
+/// the block's 132-byte allocation. A lane past the allocation loads 0,
+/// its store is dropped and it counts one `mem_faults`; its word still
+/// occupies a bank, so the conflict cycles include it.
+#[test]
+fn shared_lane_semantics_with_faults_and_partial_warp() {
+    const THREADS: u32 = 40;
+    let mut b = KernelBuilder::new("shared_lanes");
+    let bytes = b.shared_alloc(THREADS); // 0..40
+    let halves = b.shared_alloc(2 * THREADS); // 48..128
+    let word = b.shared_alloc(4); // 128..132
+    let outp = b.param(0);
+    let t = b.tid();
+    let gt = b.global_tid();
+    let t3 = b.mad(t, 3u32, 1u32);
+    let ab = b.add(t, bytes);
+    b.st(Space::Shared, ab, 0, t3, 1);
+    let th = b.mad(t, 0x101u32, 7u32);
+    let ah = b.mad(t, 2u32, halves);
+    b.st(Space::Shared, ah, 0, th, 2);
+    let low = b.and(t, 3u32);
+    let inc = b.add(low, 1u32);
+    let aw = b.mov(word);
+    let old = b.atom(Space::Shared, AtomOp::Add, aw, 0, inc, 0u32);
+    b.bar();
+    let rb = b.sub(THREADS - 1, t);
+    let ab2 = b.add(rb, bytes);
+    let v1 = b.ld(Space::Shared, ab2, 0, 1);
+    let t5 = b.add(t, 5u32);
+    let i = b.rem(t5, THREADS);
+    let ah2 = b.mad(i, 2u32, halves);
+    let v2 = b.ld(Space::Shared, ah2, 0, 2);
+    let af = b.shl(t, 4u32);
+    let v3 = b.ld(Space::Shared, af, 0, 4);
+    b.bar();
+    let tag = b.add(t, 0xA000_0000u32);
+    b.st(Space::Shared, af, 4, tag, 4);
+    b.bar();
+    let v4 = b.ld(Space::Shared, af, 4, 4);
+    let total = b.ld(Space::Shared, aw, 0, 4);
+    let row = b.mad(gt, 24u32, outp);
+    for (k, v) in [old, v1, v2, v3, v4, total].into_iter().enumerate() {
+        b.st(Space::Global, row, 4 * k as u32, v, 4);
+    }
+    let k = b.build();
+    assert_eq!(k.shared_bytes, 132);
+
+    let mut gpu = gpu();
+    let outp = gpu.alloc(2 * THREADS * 24);
+    let res = gpu.launch(&k, 2, THREADS, &[outp]).unwrap();
+    let out = gpu.mem.copy_to_host_u32(outp, (2 * THREADS * 6) as usize);
+
+    // Host model of one block's shared bytes after the first barrier.
+    let inc = |t: u32| (t & 3) + 1;
+    let mut sh = [0u8; 132];
+    for t in 0..THREADS {
+        sh[t as usize] = (t * 3 + 1) as u8;
+        let h = (t * 0x101 + 7) as u16;
+        sh[(48 + 2 * t) as usize..][..2].copy_from_slice(&h.to_le_bytes());
+    }
+    let sum: u32 = (0..THREADS).map(inc).sum();
+    sh[128..132].copy_from_slice(&sum.to_le_bytes());
+    let word_at = |a: u32| u32::from_le_bytes(sh[a as usize..][..4].try_into().unwrap());
+    for block in 0..2 {
+        let lane = |t: u32, k: usize| out[((block * THREADS + t) * 6) as usize + k];
+        // Lane order within each warp; the full warp's atomics ran first.
+        let mut acc = 0;
+        for t in 0..THREADS {
+            assert_eq!(lane(t, 0), acc, "block {block} thread {t}: atomic old value");
+            acc += inc(t);
+        }
+        for t in 0..THREADS {
+            let ctx = format!("block {block} thread {t}");
+            assert_eq!(lane(t, 1), u32::from(sh[(THREADS - 1 - t) as usize]), "{ctx}: byte");
+            let h = 48 + 2 * ((t + 5) % THREADS) as usize;
+            assert_eq!(lane(t, 2), u32::from(u16::from_le_bytes([sh[h], sh[h + 1]])), "{ctx}");
+            let v3 = if t * 16 + 4 <= 132 { word_at(t * 16) } else { 0 };
+            assert_eq!(lane(t, 3), v3, "{ctx}: word load, 0 past the allocation");
+            let v4 = if t * 16 + 8 <= 132 { 0xA000_0000 + t } else { 0 };
+            assert_eq!(lane(t, 4), v4, "{ctx}: stores past the allocation are dropped");
+            assert_eq!(lane(t, 5), sum, "{ctx}: atomic total");
+        }
+    }
+
+    let s = &res.stats;
+    let lanes = u64::from(2 * THREADS);
+    assert_eq!(s.shared_loads, 5 * lanes);
+    assert_eq!(s.shared_stores, 3 * lanes);
+    assert_eq!(s.atomics, lanes);
+    // Per block: 31 lanes past the allocation on the word load, 32 on the
+    // store and 32 on the read-back.
+    assert_eq!(s.mem_faults, 2 * (31 + 32 + 32));
+    // Per block on 16 banks: the stride-16 word accesses put the full
+    // warp's 32 words on 4 banks (7 cycles) and the last warp's 8 on 4
+    // banks (1 cycle), three times; the rotated half load puts words 14
+    // and 30 in one bank in each warp (1 + 1). Broadcasts cost nothing.
+    assert_eq!(s.bank_conflict_cycles, 2 * (3 * (7 + 1) + 2));
+}

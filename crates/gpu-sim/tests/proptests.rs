@@ -7,7 +7,7 @@ use gpu_sim::exec::{eval_atom, eval_bin, eval_cmp};
 use gpu_sim::fuzzgen::{GenConfig, KernelSpec};
 use gpu_sim::isa::{AtomOp, BinOp, CmpOp, Kernel};
 use gpu_sim::mem::cache::Cache;
-use gpu_sim::mem::coalesce::{bank_conflict_degree, coalesce, LaneAddr};
+use gpu_sim::mem::coalesce::{coalesce, BankConflicts, LaneAddr};
 use gpu_sim::mem::dram::{Dram, DramReq};
 use gpu_sim::simt::SimtStack;
 use gpu_sim::{Gpu, SimStats, SkipStats};
@@ -54,7 +54,7 @@ proptest! {
             .enumerate()
             .map(|(l, &a)| LaneAddr { lane: l as u8, addr: a, size: 4 })
             .collect();
-        let d = bank_conflict_degree(&lanes, 16);
+        let d = BankConflicts::new(16 * 1024).degree(&lanes, 16);
         prop_assert!(d >= 1);
         prop_assert!(d as usize <= lanes.len().max(1));
     }
