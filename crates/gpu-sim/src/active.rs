@@ -1,14 +1,14 @@
-//! Ascending-order index sets: the cycle loop's worklists and each SM's
-//! ready warps.
+//! Ascending-order index sets: the cycle loop's busy sets, its
+//! calendars' overflow members, and each SM's ready warps.
 //!
-//! The loop in [`crate::gpu`] keeps one [`ActiveSet`] per component
-//! class (SMs and memory slices with a pending wake hint, busy SMs and
-//! slices, non-empty links of each link array) so a dense cycle visits
-//! only the components that can act. Members are visited in ascending
-//! index order — the order of the full scans they replace — because link
-//! push order, the TLB trace and the tracer event stream all follow that
-//! order. Each [`crate::sm::Sm`] keeps one over its warp slots, so its
-//! scheduler visits only `Ready` warps, in slot order.
+//! The loop in [`crate::gpu`] keeps one [`ActiveSet`] of busy SMs and one
+//! of non-idle slices, so its quiescence check reads two sets instead of
+//! scanning the machine; which components a cycle visits is filed in its
+//! due-time calendars ([`crate::calendar`]), each of which keeps its
+//! events beyond the wheel's span in one. Members are visited in
+//! ascending index order — the order of the full scans they replace.
+//! Each [`crate::sm::Sm`] keeps one over its warp slots, so its scheduler
+//! visits only `Ready` warps, in slot order.
 
 /// A set of indices in `0..capacity`, stored one bit per index in a
 /// vector of 64-bit words (any capacity), iterated in ascending order.

@@ -12,6 +12,7 @@ use haccrg::prelude::*;
 use haccrg::replay::TraceGeometry;
 
 use crate::active::ActiveSet;
+use crate::calendar::Calendar;
 use crate::config::GpuConfig;
 use crate::detector::LaunchDet;
 use crate::device::{DeviceMemory, HEAP_BASE};
@@ -210,14 +211,25 @@ impl Gpu {
         let lat = u64::from(self.cfg.icnt.latency);
         let outs: Vec<CycleOutput> =
             (0..self.cfg.num_sms).map(|_| CycleOutput::new(tracing)).collect();
+        // Every SM and slice starts with a wake hint of 0: due at cycle 0.
+        let mut sm_due = Calendar::new(sms.len());
+        let mut slice_due = Calendar::new(slices.len());
+        for (i, sm) in sms.iter().enumerate() {
+            sm_due.file(i, sm.wake_hint);
+        }
+        for (s, slice) in slices.iter().enumerate() {
+            slice_due.file(s, slice.wake_hint);
+        }
         let mut st = LoopState {
             mem: std::mem::take(&mut self.mem),
             det,
-            sm_awake: ActiveSet::from_fn(sms.len(), |i| sms[i].wake_hint != u64::MAX),
+            sm_due,
             sm_busy: ActiveSet::from_fn(sms.len(), |i| sms[i].busy()),
-            slice_awake: ActiveSet::from_fn(slices.len(), |s| slices[s].wake_hint != u64::MAX),
+            slice_due,
             slice_busy: ActiveSet::from_fn(slices.len(), |s| !slices[s].idle()),
             computed: Vec::with_capacity(sms.len()),
+            cycled: Vec::with_capacity(slices.len()),
+            responses: Vec::new(),
             sms,
             outs,
             slices,
@@ -314,7 +326,7 @@ impl Gpu {
     /// apply phase in SM-id order → interconnect / slices / responses →
     /// bookkeeping. Returns the final cycle count.
     ///
-    /// A cycle visits only the members of the loop's active sets (see
+    /// A cycle visits only the members its calendars file under it (see
     /// [`LoopState`]), in ascending index order — the order of the full
     /// scans they replace — so its cost follows the components that can
     /// act, not the size of the machine. The dense loop
@@ -342,6 +354,7 @@ impl Gpu {
         let mut dispatch_needed = true;
 
         loop {
+            st.advance(now);
             // Block dispatcher: round-robin over SMs with capacity.
             if dispatch_needed {
                 let _prof = prof::scope(Phase::Dispatch);
@@ -352,7 +365,8 @@ impl Gpu {
                         let i = (dispatch_rr + k) % st.sms.len();
                         if st.sms[i].can_place(ctx) {
                             st.sms[i].place(next_block, ctx);
-                            st.sm_awake.insert(i);
+                            // New warps can issue this cycle.
+                            st.sm_due.file(i, now);
                             st.sm_busy.insert(i);
                             next_block += 1;
                             dispatch_rr = (i + 1) % st.sms.len();
@@ -371,23 +385,23 @@ impl Gpu {
             // An SM is awake this cycle once its wake hint has come
             // (`now >= wake_hint`, in every mode); every other cycle of
             // the launch counts as idle. The dense loop computes every
-            // SM; when fast-forwarding only the awake ones are — a
-            // quiescent SM's compute call is a provable no-op (see
-            // `Sm::wake_hint`), so results are unchanged. `computed`
-            // lists, in SM-id order, the SMs whose output the rest of the
-            // cycle applies and drains.
+            // SM; when fast-forwarding only the SMs filed under `now`
+            // are, which are exactly the awake ones — a quiescent SM's
+            // compute call is a provable no-op (see `Sm::wake_hint`), so
+            // results are unchanged. `computed` lists, in SM-id order,
+            // the SMs whose output the rest of the cycle applies and
+            // drains.
             let prof_compute = prof::scope(Phase::SmCompute);
             st.computed.clear();
-            for i in st.sm_awake.iter() {
-                let sm = &mut st.sms[i];
-                if now >= sm.wake_hint {
-                    sm.awake_cycles += 1;
-                    if cycle_skip {
-                        st.computed.push(i);
-                    }
+            if cycle_skip {
+                st.sm_due.take_due(&mut st.computed);
+                for &i in &st.computed {
+                    st.sms[i].awake_cycles += 1;
                 }
-            }
-            if !cycle_skip {
+            } else {
+                for sm in &mut st.sms {
+                    sm.awake_cycles += u64::from(now >= sm.wake_hint);
+                }
                 st.computed.extend(0..st.sms.len());
             }
             for &i in &st.computed {
@@ -424,9 +438,13 @@ impl Gpu {
             }
 
             // SM → network. Only a computed SM can hold requests. Besides
-            // a placement or a response, which add the SM to its sets,
-            // compute and this drain are the only ways a cycle changes
-            // an SM's wake hint or busy state.
+            // a placement or a response, which file the SM and add it to
+            // the busy set, compute and this drain are the only ways a
+            // cycle changes an SM's wake hint or busy state. A computed
+            // SM is re-filed under its new hint, raised to the next
+            // cycle: a stale hint (at or before `now`, as after an
+            // MSHR-full stall with another warp ready) means "next
+            // cycle", never a past slot.
             let prof_icnt = prof::scope(Phase::Icnt);
             for &i in &st.computed {
                 let sm = &mut st.sms[i];
@@ -448,52 +466,49 @@ impl Gpu {
                     let flits = req.request_flits(flit);
                     st.sm_egress.push(i, now, flits, req);
                 }
-                st.sm_awake.assign(i, sm.wake_hint != u64::MAX);
+                st.sm_due.file(i, sm.wake_hint.max(now + 1));
                 st.sm_busy.assign(i, sm.busy());
             }
-            // Network → slices (slice ingress models the port).
+            // Network → slices (slice ingress models the port). A slice
+            // with new input is due this cycle.
             st.sm_egress.drain_ready(now, |_, req| {
                 let s = self.cfg.slice_of(req.line_addr) as usize;
                 st.slice_ingress.push(s, now, 1, req);
             });
             st.slice_ingress.drain_ready(now, |s, req| {
                 st.slices[s].push_input(req);
-                st.slice_awake.insert(s);
+                st.slice_due.file(s, now);
                 st.slice_busy.insert(s);
             });
             drop(prof_icnt);
 
             // Memory slices: every slice in the dense loop; when
-            // fast-forwarding, the awake slices whose hint has come.
-            // Gated slice cycles are provable no-ops (no responses, no
-            // trace events, no DRAM work — see `MemSlice::wake_hint`).
+            // fast-forwarding, the slices filed under `now`. Gated slice
+            // cycles are provable no-ops (no responses, no trace events,
+            // no DRAM work — see `MemSlice::wake_hint`). A cycled slice
+            // is re-filed under its new hint, raised to the next cycle.
             {
                 let _prof = prof::scope(Phase::SliceCycle);
-                let n = st.slices.len();
-                let next = |set: &ActiveSet, from: usize| {
-                    if cycle_skip {
-                        set.next_from(from)
-                    } else {
-                        (from < n).then_some(from)
-                    }
-                };
-                let mut at = next(&st.slice_awake, 0);
-                while let Some(s) = at {
+                st.cycled.clear();
+                if cycle_skip {
+                    st.slice_due.take_due(&mut st.cycled);
+                } else {
+                    st.cycled.extend(0..st.slices.len());
+                }
+                for &s in &st.cycled {
                     let slice = &mut st.slices[s];
-                    if !cycle_skip || now >= slice.wake_hint {
-                        for resp in slice.cycle(now, &mut st.mem) {
-                            let flits = resp.response_flits(flit);
-                            st.slice_egress.push(s, now, flits, resp);
-                        }
-                        if tracing {
-                            for ev in slice.trace_buf.drain(..) {
-                                self.tracer.emit(now, ev);
-                            }
-                        }
-                        st.slice_awake.assign(s, slice.wake_hint != u64::MAX);
-                        st.slice_busy.assign(s, !slice.idle());
+                    slice.cycle(now, &mut st.mem, &mut st.responses);
+                    for resp in st.responses.drain(..) {
+                        let flits = resp.response_flits(flit);
+                        st.slice_egress.push(s, now, flits, resp);
                     }
-                    at = next(&st.slice_awake, s + 1);
+                    if tracing {
+                        for ev in slice.trace_buf.drain(..) {
+                            self.tracer.emit(now, ev);
+                        }
+                    }
+                    st.slice_due.file(s, slice.wake_hint.max(now + 1));
+                    st.slice_busy.assign(s, !slice.idle());
                 }
             }
 
@@ -518,7 +533,8 @@ impl Gpu {
                 let sm = &mut st.sms[i];
                 let det = st.det.as_mut().map(|d| &mut d.detector);
                 sm.handle_response(resp, now, det, &mut self.tracer);
-                st.sm_awake.insert(i);
+                // The response may have unblocked a warp: due next cycle.
+                st.sm_due.file(i, now + 1);
                 st.sm_busy.assign(i, sm.busy());
             });
             drop(prof_resp);
@@ -551,13 +567,14 @@ impl Gpu {
             // Everything from here to the end of the iteration is loop
             // bookkeeping (completion / guards / fast-forward), profiled
             // as skip-logic overhead. The full scans are the reference
-            // the incremental sets are checked against in debug builds.
+            // the calendars and busy sets are checked against in debug
+            // builds; a hint at or before `now` is filed under `now`.
             let _prof_skip = prof::scope(Phase::SkipLogic);
-            debug_assert!(active_sets_exact(st), "active sets diverged at cycle {now}");
+            debug_assert!(active_sets_exact(st, now), "active sets diverged at cycle {now}");
             debug_assert_eq!(st.quiescent(), quiescent(st), "quiescence diverged at cycle {now}");
             debug_assert_eq!(
                 st.next_event(),
-                next_event_cycle(st),
+                next_event_cycle(st).max(now),
                 "next event diverged at cycle {now}"
             );
             let quiet = st.quiescent();
@@ -643,7 +660,8 @@ fn quiescent(st: &LoopState) -> bool {
 /// time, and every slice's wake hint. `u64::MAX` means fully quiescent
 /// (the tail checks have already handled completion / no-progress, so a
 /// MAX here can only mean the loop is about to exit). The full-scan
-/// reference for [`LoopState::next_event`].
+/// reference for [`LoopState::next_event`], which reads the next cycle
+/// the loop processes wherever this reads a stale hint before it.
 fn next_event_cycle(st: &LoopState) -> u64 {
     let mut t = u64::MAX;
     for sm in &st.sms {
@@ -662,72 +680,77 @@ fn next_event_cycle(st: &LoopState) -> u64 {
     t
 }
 
-/// Whether every active set holds exactly the components its predicate
-/// selects: the invariant that makes the incremental quiescence and
-/// next-event values equal their full scans.
-fn active_sets_exact(st: &LoopState) -> bool {
+/// Whether the calendars and busy sets hold exactly what a full scan
+/// finds, with `now` the next cycle the loop processes: each SM and slice
+/// filed under its wake hint raised to `now` (unfiled at `u64::MAX`),
+/// each link under its head arrival (unfiled when empty), and the busy
+/// SMs and non-idle slices in their sets. The invariant that makes the
+/// incremental quiescence and next-event values equal their full scans.
+fn active_sets_exact(st: &LoopState, now: u64) -> bool {
     let sms = st.sms.iter().enumerate().all(|(i, sm)| {
-        st.sm_awake.contains(i) == (sm.wake_hint != u64::MAX) && st.sm_busy.contains(i) == sm.busy()
+        st.sm_due.due(i) == sm.wake_hint.max(now) && st.sm_busy.contains(i) == sm.busy()
     });
     let slices = st.slices.iter().enumerate().all(|(s, sl)| {
-        st.slice_awake.contains(s) == (sl.wake_hint != u64::MAX)
-            && st.slice_busy.contains(s) != sl.idle()
+        st.slice_due.due(s) == sl.wake_hint.max(now) && st.slice_busy.contains(s) != sl.idle()
     });
-    let links = st
-        .links()
-        .iter()
-        .all(|a| a.links.iter().enumerate().all(|(i, l)| a.live.contains(i) != l.is_empty()));
+    let links = st.links().iter().all(|a| {
+        let head = |l: &Link<MemReq>| l.next_arrival().unwrap_or(u64::MAX);
+        a.links.iter().enumerate().all(|(i, l)| a.due.due(i) == head(l))
+    });
     sms && slices && links
 }
 
-/// One of the four link arrays of the interconnect, with the set of its
-/// non-empty links. A link enters the set in [`Self::push`] and leaves it
-/// when [`Self::drain_ready`] empties it.
+/// One of the four link arrays of the interconnect, with a calendar of
+/// its non-empty links filed under their head-of-queue arrival. A link is
+/// filed when [`Self::push`] makes it non-empty and re-filed (or
+/// unfiled, once empty) when [`Self::drain_ready`] pops its head.
 struct LinkArray {
     links: Vec<Link<MemReq>>,
-    live: ActiveSet,
+    due: Calendar,
 }
 
 impl LinkArray {
     fn new(n: u32, latency: u64) -> Self {
         Self {
             links: (0..n).map(|_| Link::new(latency)).collect(),
-            live: ActiveSet::new(n as usize),
+            due: Calendar::new(n as usize),
         }
     }
 
-    /// Enqueue `req` on link `i` (see [`Link::push`]).
+    /// Enqueue `req` on link `i` (see [`Link::push`]). A push behind a
+    /// queued packet leaves the head, and so the filing, unchanged.
     fn push(&mut self, i: usize, now: u64, flits: u64, req: MemReq) {
-        self.links[i].push(now, flits, req);
-        self.live.insert(i);
+        let link = &mut self.links[i];
+        let was_empty = link.is_empty();
+        link.push(now, flits, req);
+        if was_empty {
+            self.due.file(i, link.next_arrival().expect("just pushed"));
+        }
     }
 
     /// Hand every packet that has arrived by `now` to `deliver`, link by
-    /// link in ascending index order.
+    /// link in ascending index order: the links filed under `now`.
     fn drain_ready(&mut self, now: u64, mut deliver: impl FnMut(usize, MemReq)) {
-        let mut at = self.live.next_from(0);
-        while let Some(i) = at {
+        self.due.drain_due(|i| {
             let link = &mut self.links[i];
             while let Some(req) = link.pop_ready(now) {
                 deliver(i, req);
             }
-            self.live.assign(i, !link.is_empty());
-            at = self.live.next_from(i + 1);
-        }
-    }
-
-    /// Earliest head-of-queue arrival over the non-empty links.
-    fn next_arrival(&self) -> u64 {
-        self.live.iter().filter_map(|i| self.links[i].next_arrival()).min().unwrap_or(u64::MAX)
+            link.next_arrival().unwrap_or(u64::MAX)
+        });
     }
 }
 
 /// Everything the cycle loop owns for one launch.
 ///
-/// The active sets are worklists over component indices, kept exact at
-/// every cycle boundary: a component enters where work arrives (a placed
-/// block, a memory response, slice input, a link push) and leaves when its
-/// wake hint becomes `u64::MAX` or its queues drain.
+/// Three calendars (SMs, slices, and one per link array) file each
+/// component under the cycle of its next event — an SM's or slice's wake
+/// hint raised to the next cycle the loop processes, a link's head
+/// arrival — so a cycle visits the components due at it and the next
+/// event is the earliest filing. The busy sets hold the components with
+/// live work: a component enters where work arrives (a placed block, a
+/// memory response, slice input) and leaves when its queues drain. Both
+/// are exact at every cycle boundary.
 struct LoopState {
     /// Device memory, taken from the [`Gpu`] for the launch and handed
     /// back when the loop ends, on success or error.
@@ -740,16 +763,20 @@ struct LoopState {
     sm_ingress: LinkArray,
     slice_ingress: LinkArray,
     slice_egress: LinkArray,
-    /// SMs whose wake hint is not `u64::MAX`.
-    sm_awake: ActiveSet,
+    /// SMs filed under their wake hint (not filed at `u64::MAX`).
+    sm_due: Calendar,
     /// SMs with a resident block or memory activity pending.
     sm_busy: ActiveSet,
-    /// Slices whose wake hint is not `u64::MAX`.
-    slice_awake: ActiveSet,
+    /// Slices filed under their wake hint (not filed at `u64::MAX`).
+    slice_due: Calendar,
     /// Slices with queued or in-flight memory traffic.
     slice_busy: ActiveSet,
     /// The SMs computed this cycle, in SM-id order.
     computed: Vec<usize>,
+    /// The slices cycled this cycle, in slice order.
+    cycled: Vec<usize>,
+    /// One slice cycle's responses, sorted by request id.
+    responses: Vec<MemReq>,
     sampler: Option<LaunchSampler>,
     /// Fast-forward accounting, kept out of [`SimStats`] so dense and
     /// skipping runs still compare equal on the simulated counters.
@@ -761,23 +788,37 @@ impl LoopState {
         [&self.sm_egress, &self.sm_ingress, &self.slice_ingress, &self.slice_egress]
     }
 
+    /// Move every calendar's base to `now`, the cycle about to be
+    /// processed: the next after the last one, or the landing cycle of a
+    /// jump.
+    fn advance(&mut self, now: u64) {
+        self.sm_due.advance(now);
+        self.slice_due.advance(now);
+        for arr in [
+            &mut self.sm_egress,
+            &mut self.sm_ingress,
+            &mut self.slice_ingress,
+            &mut self.slice_egress,
+        ] {
+            arr.due.advance(now);
+        }
+    }
+
     /// Whether nothing holds live work: every busy set and every link
-    /// array is empty. Shared by the completion check and the
+    /// calendar is empty. Shared by the completion check and the
     /// no-progress guard.
     fn quiescent(&self) -> bool {
         self.sm_busy.is_empty()
             && self.slice_busy.is_empty()
-            && self.links().iter().all(|a| a.live.is_empty())
+            && self.links().iter().all(|a| a.due.is_empty())
     }
 
-    /// Earliest future cycle at which any component can make progress:
-    /// the minimum over the awake SMs' and slices' wake hints and the
-    /// non-empty links' head arrivals.
+    /// Earliest cycle at which any component can make progress: the
+    /// first filing over the calendars (never before the next cycle the
+    /// loop processes).
     fn next_event(&self) -> u64 {
-        let sms = self.sm_awake.iter().map(|i| self.sms[i].wake_hint);
-        let slices = self.slice_awake.iter().map(|s| self.slices[s].wake_hint);
-        let links = self.links().map(LinkArray::next_arrival);
-        sms.chain(slices).chain(links).min().unwrap_or(u64::MAX)
+        let links = self.links().map(|a| a.due.first());
+        links.into_iter().fold(self.sm_due.first().min(self.slice_due.first()), u64::min)
     }
 }
 

@@ -65,6 +65,7 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod active;
+pub(crate) mod calendar;
 pub mod config;
 pub mod detector;
 pub mod device;

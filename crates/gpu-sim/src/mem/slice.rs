@@ -104,8 +104,9 @@ impl MemSlice {
 
     /// Advance one cycle. Atomics are functionally applied to `mem` here,
     /// in processing order — this is what serializes contended locks.
-    /// Returns responses that completed this cycle (to be sent back).
-    pub fn cycle(&mut self, now: u64, mem: &mut DeviceMemory) -> Vec<MemReq> {
+    /// Appends the responses that completed this cycle (to be sent back)
+    /// to `out`, sorted by request id.
+    pub fn cycle(&mut self, now: u64, mem: &mut DeviceMemory, out: &mut Vec<MemReq>) {
         // Retry pending dirty writebacks first (they only need queue space).
         while let Some(&line) = self.writeback_queue.front() {
             if !self.dram.can_accept() {
@@ -148,7 +149,7 @@ impl MemSlice {
         drop(prof_dram);
 
         // Release responses whose time has come.
-        let mut out = Vec::new();
+        let released = out.len();
         let mut i = 0;
         while i < self.ready.len() {
             if self.ready[i].0 <= now {
@@ -157,9 +158,8 @@ impl MemSlice {
                 i += 1;
             }
         }
-        out.sort_by_key(|r| r.id);
+        out[released..].sort_by_key(|r| r.id);
         self.wake_hint = self.next_event(now);
-        out
     }
 
     /// Earliest future cycle at which [`Self::cycle`] could do real work,
@@ -214,8 +214,7 @@ impl MemSlice {
 
         // Atomics: functional read-modify-write in lane order, right now.
         if let ReqKind::Atomic { ops, .. } = &req.kind {
-            let ops = ops.clone();
-            for op in &ops {
+            for op in ops {
                 let old = mem.read_u32(op.addr);
                 let new = eval_atom(op.op, old, op.src, op.src2);
                 mem.write_u32(op.addr, new);
@@ -280,10 +279,10 @@ mod tests {
 
     fn run(s: &mut MemSlice, m: &mut DeviceMemory, from: u64, max: u64) -> Vec<(u64, MemReq)> {
         let mut out = Vec::new();
+        let mut done = Vec::new();
         for now in from..from + max {
-            for r in s.cycle(now, m) {
-                out.push((now, r));
-            }
+            s.cycle(now, m, &mut done);
+            out.extend(done.drain(..).map(|r| (now, r)));
             if s.idle() {
                 break;
             }

@@ -1003,11 +1003,17 @@ impl Sm {
                 }
                 (Space::Shared, MemOpKind::Atomic { op, d }) => {
                     // Shared-memory atomics are serialized by the SM
-                    // itself: functional RMW at issue.
+                    // itself: functional RMW at issue. A lane past the
+                    // allocation reads 0, writes nothing and counts one
+                    // fault.
                     let (a, b) = (view.operand(m.src), view.operand(m.src2));
                     let mut old = [0u32; LANES];
                     for la in lanes {
                         let l = usize::from(la.lane);
+                        if la.addr as usize + usize::from(size) > shared_data.len() {
+                            *faults += 1;
+                            continue;
+                        }
                         old[l] = read_shared(shared_data, la.addr, size, faults);
                         let new = crate::exec::eval_atom(op, old[l], a[l], b[l]);
                         write_shared(shared_data, la.addr, new, size, faults);

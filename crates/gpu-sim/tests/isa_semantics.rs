@@ -189,6 +189,40 @@ fn shared_memory_atomics_serialize_within_block() {
     assert_eq!(gpu.mem.copy_to_host_u32(outp, 4), vec![64; 4]);
 }
 
+/// One warp's 32 lanes `atom.add` at `tid * 64` into a 4-byte shared
+/// allocation: only lane 0 lands inside it. A lane past the allocation
+/// reads 0, writes nothing and counts one `mem_faults`, as a faulting
+/// load or store lane does.
+#[test]
+fn faulting_shared_atomic_lanes_count_one_fault_each() {
+    let mut b = KernelBuilder::new("shatom_fault");
+    let sh = b.shared_alloc(4);
+    let outp = b.param(0);
+    let t = b.tid();
+    let off = b.shl(t, 6u32);
+    let addr = b.add(off, sh);
+    let old = b.atom(Space::Shared, AtomOp::Add, addr, 0, 5u32, 0u32);
+    b.bar();
+    let shreg = b.mov(sh);
+    let word = b.ld(Space::Shared, shreg, 0, 4);
+    let row = b.mad(t, 8u32, outp);
+    b.st(Space::Global, row, 0, old, 4);
+    b.st(Space::Global, row, 4, word, 4);
+    let k = b.build();
+    assert_eq!(k.shared_bytes, 4);
+
+    let mut gpu = gpu();
+    let outp = gpu.alloc(32 * 8);
+    let res = gpu.launch(&k, 1, 32, &[outp]).unwrap();
+    let out = gpu.mem.copy_to_host_u32(outp, 64);
+    for t in 0..32 {
+        assert_eq!(out[2 * t], 0, "lane {t}: old value (0 when faulting)");
+        assert_eq!(out[2 * t + 1], 5, "lane {t}: only lane 0's add reached the word");
+    }
+    assert_eq!(res.stats.atomics, 32);
+    assert_eq!(res.stats.mem_faults, 31);
+}
+
 #[test]
 fn nested_divergence_inside_loops() {
     // out[i] = count of odd bits processed with a divergent inner branch.

@@ -33,8 +33,10 @@ fn slice_survives_a_flood_of_distinct_lines() {
         s.push_input(load(i, (i as u32) * 128));
     }
     let mut done = 0u64;
+    let mut out = Vec::new();
     for now in 0..2_000_000u64 {
-        done += s.cycle(now, &mut m).len() as u64;
+        s.cycle(now, &mut m, &mut out);
+        done += out.drain(..).len() as u64;
         if done == total && s.idle() {
             break;
         }
@@ -49,10 +51,13 @@ fn repeated_hits_are_cheap_after_one_fill() {
     s.push_input(load(1, 0x4000));
     let mut now = 0;
     let mut first_done = 0;
+    let mut out = Vec::new();
     while first_done == 0 && now < 10_000 {
-        if !s.cycle(now, &mut m).is_empty() {
+        s.cycle(now, &mut m, &mut out);
+        if !out.is_empty() {
             first_done = now;
         }
+        out.clear();
         now += 1;
     }
     assert!(first_done > 0);
@@ -64,7 +69,8 @@ fn repeated_hits_are_cheap_after_one_fill() {
     let mut done = 0;
     let start = now;
     while done < 64 && now < start + 10_000 {
-        done += s.cycle(now, &mut m).len();
+        s.cycle(now, &mut m, &mut out);
+        done += out.drain(..).len();
         now += 1;
     }
     assert_eq!(done, 64);
@@ -84,10 +90,10 @@ fn shadow_annotations_never_delay_data() {
         s.push_input(r);
         s.push_input(load(2, 0x8000));
         let mut done = Vec::new();
+        let mut out = Vec::new();
         for now in 0..1_000_000u64 {
-            for resp in s.cycle(now, &mut m) {
-                done.push((now, resp.id));
-            }
+            s.cycle(now, &mut m, &mut out);
+            done.extend(out.drain(..).map(|resp| (now, resp.id)));
             if done.len() == 2 && s.idle() {
                 break;
             }
@@ -141,8 +147,10 @@ fn row_buffer_locality_shows_in_the_hit_counters() {
     for i in 0..16u64 {
         s.push_input(load(i, (i as u32) * 128)); // same 2KB row
     }
+    let mut out = Vec::new();
     for now in 0..100_000u64 {
-        s.cycle(now, &mut m);
+        s.cycle(now, &mut m, &mut out);
+        out.clear();
         if s.idle() {
             break;
         }

@@ -223,8 +223,8 @@ fn skipping_matches_dense_with_shared_shadow_in_global_memory() {
     });
 }
 
-/// A machine wider than one 64-bit word of the cycle loop's active sets:
-/// 72 SMs and 128 memory slices. The grid puts two blocks on every SM,
+/// A machine wider than one 64-bit word of the cycle loop's calendar
+/// slots and busy sets: 72 SMs and 128 memory slices. The grid puts two blocks on every SM,
 /// so SMs past index 64 compute, and its 576 input lines span every
 /// slice.
 #[test]
@@ -244,6 +244,53 @@ fn engines_agree_on_a_machine_wider_than_one_active_set_word() {
         assert!(res.races.any(), "the planted race must be detected");
         assert!(res.skip.sm_idle_cycles[71] < res.stats.cycles, "SM 71 never woke");
         Outcome { res, mem: g.mem.copy_to_host_u32(outp, grid as usize) }
+    });
+}
+
+/// A machine whose events lie beyond the cycle loop's 64-cycle calendar
+/// wheel: interconnect, L1-hit, L2-hit and DRAM latencies all above 64
+/// cycles, so SM and slice wake hints and link arrivals wait in the
+/// calendars' overflow sets and are re-filed after single steps and
+/// after jumps. Each thread loads its word twice (a miss, then an L1
+/// hit) with one L1 MSHR for eight warps per SM: warps stall on a full
+/// miss file while others are ready, where `Sm::next_wake` returns the
+/// issue stage's free cycle, already past — a stale hint the loop must
+/// file under the next cycle.
+#[test]
+fn engines_agree_when_events_lie_beyond_the_calendar_span() {
+    let mut cfg = GpuConfig::test_small();
+    cfg.icnt.latency = 80;
+    cfg.l1.hit_latency = 90;
+    cfg.l1.mshrs = 1;
+    cfg.l2.hit_latency = 70;
+    cfg.dram.t_rcd = 70;
+    cfg.dram.t_cl = 70;
+    cfg.dram.t_rp = 70;
+    cfg.dram.t_ras = 150;
+    check("reread/long-latency", |engine| {
+        let mut g = gpu_on(cfg, engine, Some(DetectorConfig::paper_default()));
+        let mut b = KernelBuilder::new("reread");
+        let inp = b.param(0);
+        let outp = b.param(1);
+        let t = b.global_tid();
+        let off = b.shl(t, 2u32);
+        let src = b.add(inp, off);
+        let v = b.ld(Space::Global, src, 0, 4);
+        let w = b.ld(Space::Global, src, 0, 4);
+        let sum = b.add(v, w);
+        let dst = b.add(outp, off);
+        b.st(Space::Global, dst, 0, sum, 4);
+        let kernel = b.build();
+        let n = 1024u32;
+        let inp = g.alloc(n * 4);
+        let outp = g.alloc(n * 4);
+        g.mem.copy_from_host_u32(inp, &(0..n).collect::<Vec<_>>());
+        let res = g.launch(&kernel, n / 128, 128, &[inp, outp]).unwrap();
+        assert!(res.stats.l1_mshr_full_stalls > 0, "one MSHR must stall warps");
+        assert!(res.stats.l1.hits > 0, "the re-read must hit in L1");
+        let mem = g.mem.copy_to_host_u32(outp, n as usize);
+        assert_eq!(mem, (0..n).map(|i| 2 * i).collect::<Vec<_>>());
+        Outcome { res, mem }
     });
 }
 
