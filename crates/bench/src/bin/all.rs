@@ -10,8 +10,9 @@
 //! * `--only NAME` — run and print one part of the battery: `table2`
 //!   (Tables I and II), `table3`, `table4` (with the §VI-C2 budget),
 //!   `effectiveness` (§VI-A, plus a `MISSED:` line per undetected
-//!   injection), `id_sizes`, `tlb_ablation`, `fig7`, `fig8`, `variants`,
-//!   `fig9` or `sched_ablation`
+//!   injection), `id_sizes`, `tlb_ablation`, `bloom_stress` (the §VI-A2
+//!   signature-accuracy table), `fig7`, `fig8`, `variants`, `fig9` or
+//!   `sched_ablation`
 //! * `--out FILE` — write the whole battery as markdown (not with
 //!   `--only`)
 //! * `--fidelity-out FILE` — also write the miss-forensics report of the
@@ -44,9 +45,9 @@ use haccrg_bench::tables::{
 use haccrg_bench::RunSetup;
 
 /// The parts `--only` selects, in battery order.
-const PARTS: [&str; 11] = [
+const PARTS: [&str; 12] = [
     "table2", "table3", "table4", "effectiveness", "id_sizes", "tlb_ablation",
-    "fig7", "fig8", "variants", "fig9", "sched_ablation",
+    "bloom_stress", "fig7", "fig8", "variants", "fig9", "sched_ablation",
 ];
 
 const FIDELITY_OUT: Flag = ("--fidelity-out", Arg::Value("FILE"));
@@ -204,9 +205,6 @@ fn main() {
         "The appended-tag-bit TLB shares capacity between data and shadow translations; a separate (smaller) shadow TLB restores data hit rate.",
         || tlb_ablation(scale, 64, 4, 16),
     );
-    // The signature stress test needs no simulation and has a binary of
-    // its own, so `--only` does not name this part: it runs in the full
-    // battery only.
     b.section(
         "bloom_stress",
         "§VI-A2 — atomic-ID accuracy",

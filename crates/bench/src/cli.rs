@@ -229,7 +229,7 @@ impl RunSetup {
     }
 
     /// Write a manifest without workload hashes if `--manifest-out` was
-    /// given (microbenchmarks, stress tests, the fuzz farm).
+    /// given (the fuzz farm).
     pub fn write_manifest(&self, artifacts: &[&str]) {
         self.write_manifest_with(artifacts, false);
     }

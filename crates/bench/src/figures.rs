@@ -250,13 +250,16 @@ mod tests {
 
     #[test]
     fn bloom_stress_reproduces_section_6a2() {
-        // 8/16/32-bit signatures with 2 bins miss 25%, 12.5%, 6.25%.
-        for (bits, expect) in [(8u8, 0.25), (16, 0.125), (32, 0.0625)] {
-            let cfg = BloomConfig { bits, bins: 2 };
-            let got = measure_miss_rate(cfg, 200_000);
+        // Every stress shape at the table's million pairs lands within one
+        // point of its analytical rate (8/16/32-bit 2-bin: 25%, 12.5%,
+        // 6.25%, as `bloom::tests` pins).
+        for (cfg, got) in bloom_stress_rows() {
+            let expect = cfg.expected_miss_rate();
             assert!(
                 (got - expect).abs() < 0.01,
-                "{bits}-bit/2-bin: measured {got}, paper {expect}"
+                "{}-bit/{}-bin: measured {got}, analytical {expect}",
+                cfg.bits,
+                cfg.bins
             );
         }
     }

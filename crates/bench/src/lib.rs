@@ -12,34 +12,28 @@
 //! | `effectiveness` | §VI-A — real + injected race detection (`--fidelity-out FILE`: miss forensics) |
 //! | `id_sizes` | §VI-A2 — sync and fence ID headroom |
 //! | `tlb_ablation` | §IV-B — the two dual-translation TLB mechanisms |
+//! | `bloom_stress` | §VI-A2 — atomic-ID signature accuracy over a million random lock pairs |
 //! | `fig7` | Fig. 7 — normalized execution time (HW, SW, GRace) |
 //! | `fig8` | Fig. 8 — shared shadow entries spilled to global memory |
 //! | `variants` | extension — the SDK's algorithm variants under detection |
 //! | `fig9` | Fig. 9 — DRAM bandwidth utilization |
 //! | `sched_ablation` | extension — detection overhead under RR vs GTO scheduling |
 //!
-//! The full battery also prints the §VI-A2 signature-accuracy table of
-//! `bloom_stress`. The other binaries:
+//! The other binaries:
 //!
 //! | binary | runs |
 //! |--------|------|
 //! | `runbench` | one benchmark under a chosen detector, with tracing, profiling and race reports |
 //! | `fuzz` | the differential fuzz farm |
-//! | `bloom_stress` | §VI-A2 atomic-ID signature accuracy, writing `BENCH_bloom.json` |
-//! | `cycleskip_bench` | cycle skipping against the dense loop, writing `BENCH_cycleskip.json` |
-//! | `shadow_bench` | the shadow-memory fast path, writing `BENCH_shadow.json` |
-//! | `warp_bench` | the vectorized warp tier, writing `BENCH_warp.json` |
 //!
 //! Every binary checks its command line with [`cli`]: a flag it does not
 //! honour, a repeated or valueless flag, or a malformed number exits 2.
-//! The BENCH writers assert their own gates as they write; `--out FILE`
-//! leaves the committed snapshot alone. End-to-end host speed is the
-//! `e2ebench` ledger's job.
+//! Host speed is the `e2ebench` ledger's job: it times each layer on the
+//! Table II suite's own traffic.
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod cycleskip;
 pub mod effectiveness;
 pub mod fidelity;
 pub mod figures;

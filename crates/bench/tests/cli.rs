@@ -1,28 +1,19 @@
 //! The binaries' command lines, driven end to end: every binary refuses a
-//! flag it does not honour, `all --only NAME` prints exactly the library
-//! tables of that part of the battery, and `bloom_stress --out` writes
-//! where it is told.
+//! flag it does not honour, and `all --only NAME` prints exactly the
+//! library tables of that part of the battery.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use haccrg_bench::effectiveness::{campaign_table, real_races, run_campaign};
-use haccrg_bench::figures::{fig7, fig8, fig9, tlb_ablation};
+use haccrg_bench::figures::{bloom_stress, bloom_stress_rows, fig7, fig8, fig9, tlb_ablation};
 use haccrg_bench::report::Table;
 use haccrg_bench::tables::{
     hardware_budget_table, id_sizing, sched_ablation, table1, table2, table3, table4, variants_table,
 };
 use haccrg_workloads::Scale;
 
-const BINS: [&str; 7] = [
-    env!("CARGO_BIN_EXE_all"),
-    env!("CARGO_BIN_EXE_runbench"),
-    env!("CARGO_BIN_EXE_fuzz"),
-    env!("CARGO_BIN_EXE_bloom_stress"),
-    env!("CARGO_BIN_EXE_cycleskip_bench"),
-    env!("CARGO_BIN_EXE_shadow_bench"),
-    env!("CARGO_BIN_EXE_warp_bench"),
-];
+const BINS: [&str; 3] =
+    [env!("CARGO_BIN_EXE_all"), env!("CARGO_BIN_EXE_runbench"), env!("CARGO_BIN_EXE_fuzz")];
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).env("HACCRG_LOG", "off").output().expect("spawn")
@@ -51,15 +42,12 @@ fn deleted_flags_are_refused() {
         (all, &["--no-cycle-skip"][..]),
         (all, &["--scale", "tiny", "--scale", "tiny"]),
         (all, &["--jobs", "two"]),
-        (all, &["--only", "bloom_stress"]),
         (runbench, &["--bench", "SCAN", "--jobs", "2"]),
         (runbench, &["--bench", "SCAN", "--multi-block"]),
         (runbench, &["--bench", "SCAN", "--no-cycle-skip"]),
         (env!("CARGO_BIN_EXE_fuzz"), &["--scale", "tiny"]),
         (env!("CARGO_BIN_EXE_fuzz"), &["--sed", "7"]),
-        (env!("CARGO_BIN_EXE_bloom_stress"), &["--pairs", "20000"]),
-        (env!("CARGO_BIN_EXE_bloom_stress"), &["mine.json"]),
-        (env!("CARGO_BIN_EXE_warp_bench"), &["--out"]),
+        (env!("CARGO_BIN_EXE_fuzz"), &["--out"]),
     ] {
         let o = run(bin, args);
         assert_eq!(o.status.code(), Some(2), "{bin} {args:?}: {}", stderr(&o));
@@ -127,6 +115,11 @@ fn only_tlb_ablation() {
 }
 
 #[test]
+fn only_bloom_stress() {
+    check_only("bloom_stress", &[bloom_stress(&bloom_stress_rows())], "");
+}
+
+#[test]
 fn only_fig7() {
     let t = fig7(TINY);
     assert!(t.render().contains("(HAccRG-SW)"), "fig7 keeps its software rows");
@@ -151,21 +144,4 @@ fn only_fig9() {
 #[test]
 fn only_sched_ablation() {
     check_only("sched_ablation", &[sched_ablation(TINY)], "");
-}
-
-#[test]
-fn bloom_stress_writes_where_it_is_told() {
-    let dir: PathBuf = std::env::temp_dir().join(format!("haccrg-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let o = Command::new(env!("CARGO_BIN_EXE_bloom_stress"))
-        .args(["--out", "mine.json"])
-        .env("HACCRG_LOG", "off")
-        .current_dir(&dir)
-        .output()
-        .expect("spawn");
-    assert!(o.status.success(), "{}", stderr(&o));
-    let written = std::fs::read_to_string(dir.join("mine.json")).expect("--out file written");
-    assert!(written.contains("\"benchmark\": \"bloom_stress\""), "{written}");
-    assert!(!dir.join("BENCH_bloom.json").exists(), "wrote the default file as well");
-    std::fs::remove_dir_all(&dir).unwrap();
 }

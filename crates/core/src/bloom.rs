@@ -17,7 +17,7 @@
 //! ones; §VI-A2 quantifies the miss rate as `1/bin_width` for the paper's
 //! direct-indexed bins (25% / 12.5% / 6.25% for 8/16/32-bit signatures with
 //! 2 bins), which [`BloomConfig::expected_miss_rate`] mirrors and the
-//! `bloom_stress` harness measures.
+//! §VI-A2 stress table (`all --only bloom_stress`) measures.
 
 /// Shape of the atomic-ID signature: total bit width and number of bins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -229,7 +229,7 @@ impl<S: Space> ShadowRegion<S> {
         // One kernel, instantiated twice: both instances run the same
         // rungs, and the unobserved one compiles the reporting out of its
         // lane loop (on an x86-64 host, a never-taken reporting call there
-        // slowed `warp_bench`'s coalesced stores by about 25%).
+        // slowed a warp of 32 coalesced stores by about 25%).
         if on_transition.is_some() || self.capture_witness {
             self.batch::<true>(accesses, clocks, log, h, on_transition, per_traffic);
         } else {
@@ -575,10 +575,11 @@ mod tests {
 
     const HEAP: u32 = 0x1000;
 
-    fn global() -> GlobalRdu {
+    /// A global RDU tracking `bytes` of heap from `HEAP`.
+    fn global_over(bytes: u32) -> GlobalRdu {
         GlobalRdu::new(
             HEAP,
-            4096,
+            bytes,
             0x10_0000,
             Granularity::GLOBAL_DEFAULT,
             true,
@@ -587,15 +588,17 @@ mod tests {
         )
     }
 
+    /// SM 0's shared RDU over `bytes` of shared memory.
+    fn shared_over(bytes: u32) -> SharedRdu {
+        SharedRdu::new(0, bytes, 16, Granularity::SHARED_DEFAULT, true, BloomConfig::PAPER_DEFAULT)
+    }
+
+    fn global() -> GlobalRdu {
+        global_over(4096)
+    }
+
     fn shared() -> SharedRdu {
-        SharedRdu::new(
-            0,
-            16 * 1024,
-            16,
-            Granularity::SHARED_DEFAULT,
-            true,
-            BloomConfig::PAPER_DEFAULT,
-        )
+        shared_over(16 * 1024)
     }
 
     fn acc(addr: u32, kind: AccessKind, who: ThreadCoord) -> MemAccess {
@@ -783,7 +786,56 @@ mod tests {
             true,
         );
         for d in d {
-            assert!(d.wide_lanes > 0, "the wide tier must engage with observers attached: {d:?}");
+            // Round one opens every entry as a first touch, round two
+            // passes the owner screen: all wide.
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (0, 2 * 32), "{d:?}");
+        }
+    }
+
+    /// 32 stores one shadow page apart, on tables 32 pages long: every
+    /// lane is a run of its own, resolving its page alone, and still
+    /// retires on the wide tier.
+    #[test]
+    fn warp_batch_matches_scalar_page_apart_stores() {
+        let page = PAGE_ENTRIES as u32;
+        let stores = |base: u32, g: u32| {
+            let lanes = (0..32)
+                .map(|l| {
+                    acc(base + l * page * g, AccessKind::Write, ThreadCoord::new(l, 0, 0, 0))
+                        .at_pc(0x80)
+                })
+                .collect();
+            [Step::Warp(lanes, true)]
+        };
+        let d = [
+            assert_batch_matches_scalar(|| global_over(32 * page * 4), &stores(HEAP, 4)),
+            assert_batch_matches_scalar(|| shared_over(32 * page * 16), &stores(0, 16)),
+        ];
+        for d in d {
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (0, 2 * 32), "{d:?}");
+        }
+    }
+
+    /// Two warps alternately storing the same 32 words inside critical
+    /// sections of one lock: the SWAR screen never passes a locked
+    /// access, so every lane, first touches included, takes the full
+    /// check's lockset intersection (§III-B).
+    #[test]
+    fn warp_batch_matches_scalar_lockset_heavy() {
+        let sig = BloomSig::of_lock(0x8000, BloomConfig::PAPER_DEFAULT);
+        let d = assert_steps_in_both_spaces(|base, g, _| {
+            let warp = |w: u32| {
+                (0..32)
+                    .map(|l| {
+                        let who = ThreadCoord::new(w * 32 + l, w, 0, 0);
+                        acc(base + l * g, AccessKind::Write, who).at_pc(0x90 + 4 * w).locked(sig)
+                    })
+                    .collect()
+            };
+            vec![Step::Warp(warp(0), true), Step::Warp(warp(1), true)]
+        });
+        for d in d {
+            assert_eq!((d.scalar_lanes, d.wide_lanes), (2 * 64, 0), "{d:?}");
         }
     }
 

@@ -103,22 +103,22 @@ impl Dram {
         (t != u64::MAX).then_some(t)
     }
 
-    /// Advance one cycle: maybe schedule one request (FR-FCFS) and return
-    /// the requests whose data completed this cycle.
-    pub fn cycle(&mut self, now: u64) -> Vec<DramReq> {
+    /// Advance one cycle: maybe schedule one request (FR-FCFS) and append
+    /// the requests whose data completed this cycle to `out`, sorted by
+    /// id.
+    pub fn cycle(&mut self, now: u64, out: &mut Vec<DramReq>) {
         self.schedule(now);
-        let mut done = Vec::new();
+        let first = out.len();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].0 <= now {
-                done.push(self.in_flight.swap_remove(i).1);
+                out.push(self.in_flight.swap_remove(i).1);
             } else {
                 i += 1;
             }
         }
         // Deterministic completion order.
-        done.sort_by_key(|r| r.id);
-        done
+        out[first..].sort_by_key(|r| r.id);
     }
 
     fn schedule(&mut self, now: u64) {
@@ -193,11 +193,10 @@ mod tests {
     }
 
     fn run_until_done(d: &mut Dram, mut now: u64) -> Vec<(u64, DramReq)> {
-        let mut out = Vec::new();
+        let (mut out, mut done) = (Vec::new(), Vec::new());
         for _ in 0..10_000 {
-            for r in d.cycle(now) {
-                out.push((now, r));
-            }
+            d.cycle(now, &mut done);
+            out.extend(done.drain(..).map(|r| (now, r)));
             if !d.busy() {
                 break;
             }

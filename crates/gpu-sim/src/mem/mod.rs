@@ -47,11 +47,6 @@ pub enum ReqKind {
 }
 
 impl ReqKind {
-    /// Whether a response must travel back to the SM.
-    pub fn wants_response(&self) -> bool {
-        matches!(self, ReqKind::LoadData | ReqKind::StoreData | ReqKind::Atomic { .. })
-    }
-
     /// Whether the request writes memory (for L2 dirty handling).
     pub fn is_write(&self) -> bool {
         matches!(self, ReqKind::StoreData | ReqKind::Atomic { .. })
@@ -144,7 +139,5 @@ mod tests {
         assert!(ReqKind::StoreData.is_write());
         assert!(ReqKind::Atomic { ops: vec![], dreg: 0 }.is_write());
         assert!(!ReqKind::LoadData.is_write());
-        assert!(ReqKind::LoadData.wants_response());
-        assert!(ReqKind::StoreData.wants_response());
     }
 }

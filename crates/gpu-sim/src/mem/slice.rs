@@ -33,6 +33,9 @@ pub struct MemSlice {
     writeback_queue: VecDeque<u32>,
     /// Completed responses awaiting their ready time.
     ready: Vec<(u64, MemReq)>,
+    /// DRAM completions of the current cycle; empty between cycles, kept
+    /// so [`Dram::cycle`] appends without allocating.
+    dram_done: Vec<DramReq>,
     next_dram_id: u64,
     /// Whether to record trace events (mirrors the GPU tracer's state;
     /// the slice has no tracer handle, so the GPU drains `trace_buf`).
@@ -60,6 +63,7 @@ impl MemSlice {
             mshr: Vec::new(),
             writeback_queue: VecDeque::new(),
             ready: Vec::new(),
+            dram_done: Vec::new(),
             next_dram_id: 0,
             trace_on: false,
             trace_buf: Vec::new(),
@@ -123,8 +127,9 @@ impl MemSlice {
 
         // DRAM progress.
         let prof_dram = crate::prof::scope(crate::prof::Phase::Dram);
-        let completions = self.dram.cycle(now);
-        for c in completions {
+        let mut completions = std::mem::take(&mut self.dram_done);
+        self.dram.cycle(now, &mut completions);
+        for c in completions.drain(..) {
             if self.trace_on {
                 self.trace_buf.push(SimEvent::DramAccess {
                     slice: self.id,
@@ -146,6 +151,7 @@ impl MemSlice {
                 }
             }
         }
+        self.dram_done = completions;
         drop(prof_dram);
 
         // Release responses whose time has come.
@@ -227,21 +233,18 @@ impl MemSlice {
         if self.trace_on {
             self.trace_buf.push(SimEvent::L2Access { slice: self.id, line, hit, shadow: false });
         }
+        // Every request kind is answered: load data, a store ack, or an
+        // atomic's old values.
         if hit {
-            if req.kind.wants_response() {
-                self.ready.push((now + u64::from(self.cfg.l2.hit_latency), req));
-            }
+            self.ready.push((now + u64::from(self.cfg.l2.hit_latency), req));
         } else {
             // Miss: join or open an MSHR entry; write-allocate marks the
             // fill dirty.
             if let Some(entry) = self.mshr.iter_mut().find(|(l, _, _)| *l == line) {
                 entry.2 |= is_write;
-                if req.kind.wants_response() {
-                    entry.1.push(req);
-                }
+                entry.1.push(req);
             } else {
-                let waiters = if req.kind.wants_response() { vec![req] } else { Vec::new() };
-                self.mshr.push((line, waiters, is_write));
+                self.mshr.push((line, vec![req], is_write));
                 self.dram_read(line);
             }
         }

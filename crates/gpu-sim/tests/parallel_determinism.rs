@@ -331,6 +331,101 @@ fn engines_agree_under_greedy_then_oldest() {
     });
 }
 
+/// Words in the chase permutation (64 KiB: larger than one L1), stored
+/// as byte offsets `next[i] = (i + 97) % CHASE_WORDS`, a long stride so
+/// consecutive steps change DRAM rows.
+const CHASE_WORDS: u32 = 16 * 1024;
+
+/// One dependent load: `off = mem[base + off]`.
+fn chase_step(b: &mut KernelBuilder, base: Reg, off: Reg) {
+    let a = b.add(base, off);
+    let v = b.ld(Space::Global, a, 0, 4);
+    b.assign(off, v);
+}
+
+/// Each lane stores the offset its chase ended on.
+fn store_chase_end(mut b: KernelBuilder, off: Reg) -> Kernel {
+    let outp = b.param(1);
+    let g = b.global_tid();
+    let o = b.shl(g, 2u32);
+    let dst = b.add(outp, o);
+    b.st(Space::Global, dst, 0, off, 4);
+    b.build()
+}
+
+/// Memory-bound: every lane chases 256 dependent loads from its own word.
+fn pointer_chase_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("chase");
+    let base = b.param(0);
+    let t = b.tid();
+    let off = b.shl(t, 2u32);
+    b.for_range(0u32, 256u32, 1u32, move |b, _| chase_step(b, base, off));
+    store_chase_end(b, off)
+}
+
+/// Barrier-heavy: warp 0 chases four dependent loads between block-wide
+/// barriers, 64 rounds, while the other warps wait. The rounds are
+/// unrolled at build time, so the waiting warps execute only a branch and
+/// the barrier per round.
+fn barrier_storm_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("storm");
+    let base = b.param(0);
+    let t = b.tid();
+    let p = b.setp(CmpOp::LtU, t, 32u32);
+    let off = b.shl(t, 2u32);
+    for _ in 0..64 {
+        b.if_then(p, |b| {
+            for _ in 0..4 {
+                chase_step(b, base, off);
+            }
+        });
+        b.bar();
+    }
+    store_chase_end(b, off)
+}
+
+/// Launch `kernel` over the chase permutation on the Table I machine,
+/// undetected. Nearly every cycle waits on one DRAM round trip or a
+/// barrier, so the skipping run must jump over most of the launch and
+/// the dense run over none of it.
+fn chase_on_table1(engine: Engine, kernel: &Kernel, grid: u32, block: u32) -> Outcome {
+    let mut g = gpu_on(GpuConfig::quadro_fx5800(), engine, None);
+    let buf = g.alloc(CHASE_WORDS * 4);
+    let n = grid * block;
+    let outp = g.alloc(n * 4);
+    let next: Vec<u32> = (0..CHASE_WORDS).map(|i| ((i + 97) % CHASE_WORDS) * 4).collect();
+    g.mem.copy_from_host_u32(buf, &next);
+    let res = g.launch(kernel, grid, block, &[buf, outp]).unwrap();
+    let skipped = res.skip.cycles_skipped;
+    if engine.cycle_skip {
+        assert!(
+            skipped > res.stats.cycles / 2,
+            "{}: only {skipped} of {} cycles skipped",
+            kernel.name,
+            res.stats.cycles
+        );
+    } else {
+        assert_eq!(skipped, 0, "{}: the dense loop skipped", kernel.name);
+    }
+    Outcome { res, mem: g.mem.copy_to_host_u32(outp, n as usize) }
+}
+
+/// One warp's serial chase: almost every cycle waits on a single DRAM
+/// round trip.
+#[test]
+fn engines_agree_on_a_pointer_chase() {
+    let kernel = pointer_chase_kernel();
+    check("pointer_chase", |engine| chase_on_table1(engine, &kernel, 1, 32));
+}
+
+/// Two 256-thread blocks: each round is one long quiescent window of a
+/// barrier wait behind warp 0's memory latency.
+#[test]
+fn engines_agree_on_a_barrier_storm() {
+    let kernel = barrier_storm_kernel();
+    check("barrier_storm", |engine| chase_on_table1(engine, &kernel, 2, 256));
+}
+
 #[test]
 fn skipping_produces_an_identical_event_stream() {
     let run = |engine| {
