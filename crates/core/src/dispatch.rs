@@ -3,11 +3,11 @@
 //! The batch kernel ([`crate::region::ShadowRegion::check_warp_batch`])
 //! retires each lane on one of two tiers:
 //!
-//! * **wide** — the SWAR hot-word screen passed (the lane is the
-//!   recorded thread, or under the §III-A warp filter another lane of
-//!   the recorded warp) and the lane was applied vectorized (no
-//!   per-entry branch chain, no AoS touch on the steady store path), or
-//!   the lane was the first touch of a fresh entry outside a critical
+//! * **wide** — the SWAR screen over the shadow page's columns passed
+//!   (the lane is the recorded thread, or under the §III-A warp filter
+//!   another lane of the recorded warp) and the lane was applied on the
+//!   columns (no per-entry branch chain, no whole-entry load or store),
+//!   or the lane was the first touch of a fresh entry outside a critical
 //!   section and opened it;
 //! * **scalar** — the full Fig. 3 check, the same per-chunk code the
 //!   reference [`crate::region::ShadowRegion::observe_health`] runs:

@@ -65,7 +65,6 @@ pub mod dispatch;
 pub mod global_rdu;
 pub mod granularity;
 pub mod health;
-pub mod hotwords;
 pub mod intra_warp;
 pub mod json;
 pub mod lockset;

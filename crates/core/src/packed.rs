@@ -3,15 +3,15 @@
 //! The paper budgets global shadow entries at 52 bits: 1-bit `modified`,
 //! 1-bit `shared`, 10-bit `tid`, 3-bit `bid`, 5-bit `sid`, 8-bit
 //! `sync ID`, 8-bit `fence ID`, 16-bit `atomic ID`. The RDUs in this
-//! crate keep entries unpacked for speed; this module provides the exact
-//! hardware encoding for anyone persisting shadow state (trace tools,
-//! hardware co-simulation) and pins the field widths with round-trip
-//! tests.
+//! crate store every field at full width, in the lossless columns of
+//! [`crate::shadow_table`]; this module provides the exact hardware
+//! encoding for anyone persisting shadow state (trace tools, hardware
+//! co-simulation) and pins the field widths with round-trip tests.
 //!
 //! Field widths impose the same truncation the hardware would: thread IDs
 //! wrap modulo 1024, block IDs modulo 8, SM IDs modulo 32. The detector's
-//! unpacked form carries full-width values, so packing is lossy exactly
-//! where the paper's hardware is.
+//! entries carry full-width values, so packing is lossy exactly where the
+//! paper's hardware is.
 
 use crate::access::ThreadCoord;
 use crate::bloom::BloomSig;

@@ -24,13 +24,12 @@ use crate::cost;
 use crate::dispatch::DispatchStats;
 use crate::granularity::Granularity;
 use crate::health::{DetectorHealth, WitnessEvent, WitnessRing, WITNESS_RING_DEPTH};
-use crate::hotwords;
 use crate::intra_warp::check_intra_warp_waw_into;
 use crate::packed::id_truncation_collision;
 use crate::race::RaceLog;
 use crate::scratch::RaceScratch;
 use crate::shadow::{ShadowEntry, ShadowPolicy, ShadowState};
-use crate::shadow_table::{ShadowTable, PAGE_ENTRIES};
+use crate::shadow_table::{screen_masks, PageEntries, ShadowTable, PAGE_ENTRIES};
 
 /// Callback invoked by the checks for every Fig. 3 state-machine edge, in
 /// access order: `(chunk_addr, from, to)`.
@@ -173,7 +172,6 @@ impl<S: Space> ShadowRegion<S> {
         let mut ck = Checker::<true> {
             clocks,
             policy: &self.policy,
-            traffic: S::TRAFFIC,
             capture_witness: self.capture_witness,
             ring: &mut self.ring,
             log,
@@ -181,7 +179,8 @@ impl<S: Space> ShadowRegion<S> {
         };
         for idx in lo..=hi {
             let chunk_addr = self.base + ((idx as u32) << self.gran.shift());
-            let changed = ck.full_check(self.table.get_mut_counted(idx, h), a, chunk_addr, h);
+            let changed =
+                self.table.with_page(idx, h, |pe, h| ck.full_check(pe, idx, a, chunk_addr, h));
             traffic.reads += 1;
             traffic.writes += u8::from(changed);
         }
@@ -261,11 +260,10 @@ impl<S: Space> ShadowRegion<S> {
         } = self;
         let policy: &ShadowPolicy = policy;
         let (base, shadow_base, shift, tlen) = (*base, *shadow_base, gran.shift(), table.len());
-        let masks = hotwords::screen_masks(policy);
+        let masks = screen_masks(policy);
         let mut ck = Checker::<OBSERVED> {
             clocks,
             policy,
-            traffic: S::TRAFFIC,
             capture_witness: *capture_witness,
             ring,
             log,
@@ -291,8 +289,8 @@ impl<S: Space> ShadowRegion<S> {
                 let mut traffic =
                     ShadowTraffic { shadow_addr: shadow_addr_at(lo), reads: 0, writes: 0 };
                 for idx in lo..=hi {
-                    let changed =
-                        ck.full_check(table.get_mut_counted(idx, h), a, chunk_addr(idx), h);
+                    let changed = table
+                        .with_page(idx, h, |pe, h| ck.full_check(pe, idx, a, chunk_addr(idx), h));
                     traffic.reads += 1;
                     traffic.writes += u8::from(changed);
                 }
@@ -319,9 +317,6 @@ impl<S: Space> ShadowRegion<S> {
             let page_addr = chunk_addr(page_base_idx);
             let page_span = ((tlen - page_base_idx).min(PAGE_ENTRIES) as u32) << shift;
             let (next, l1, reads, writes) = table.with_page(lo, h, |pe, h| {
-                // The full check of a multi-chunk access invalidates the
-                // page mirror; restore it before the first lane screens.
-                pe.ensure_hot();
                 let (mut l1, mut reads, mut writes) = (0u64, 0u64, 0u64);
                 // Dispatch tallies in run-local registers; flushed once
                 // per run (the counters are run diagnostics, not per-lane
@@ -329,11 +324,11 @@ impl<S: Space> ShadowRegion<S> {
                 let (mut wide_n, mut scalar_n) = (0u64, 0u64);
                 let (mut j, mut idx) = (i, lo);
                 loop {
-                    // Fused per lane: stamp-check + SWAR screen + hot-word
+                    // Fused per lane: stamp-check + SWAR screen + column
                     // apply in one slot resolution, a screened-out first
                     // touch opened on the same tier, and the full check
                     // for the rest. Each lane screens against the current
-                    // hot words at its own turn, so full-check mutations
+                    // columns at its own turn, so full-check mutations
                     // are observed by later lanes exactly as in the scalar
                     // pipeline.
                     let a = &accesses[j];
@@ -348,11 +343,7 @@ impl<S: Space> ShadowRegion<S> {
                         }
                         None => {
                             scalar_n += 1;
-                            let c = ck.full_check(pe.cold_entry(idx), a, chunk_addr(idx), h);
-                            if c {
-                                pe.repack_entry(idx);
-                            }
-                            c
+                            ck.full_check(pe, idx, a, chunk_addr(idx), h)
                         }
                     };
                     if S::TRAFFIC {
@@ -404,11 +395,6 @@ impl<S> ShadowRegion<S> {
     /// Number of shadow entries.
     pub fn num_entries(&self) -> usize {
         self.table.len()
-    }
-
-    /// Shadow pages currently materialized (diagnostics/benchmarks).
-    pub fn pages_allocated(&self) -> usize {
-        self.table.pages_allocated()
     }
 
     /// Tracking granularity.
@@ -482,10 +468,6 @@ fn chunk_span(base: u32, shift: u32, len: usize, addr: u32, size: u8) -> Option<
 struct Checker<'a, 's, const OBSERVED: bool> {
     clocks: &'a ClockFile,
     policy: &'a ShadowPolicy,
-    /// [`Space::TRAFFIC`]: whether write-backs are counted. Without it
-    /// the full check skips the entry compare and reports every entry as
-    /// possibly changed (the caller then repacks its hot words).
-    traffic: bool,
     capture_witness: bool,
     ring: &'a mut WitnessRing,
     log: &'a mut RaceLog,
@@ -523,36 +505,37 @@ impl<const OBSERVED: bool> Checker<'_, '_, OBSERVED> {
         }
     }
 
-    /// The full Fig. 3 check of one chunk, with its accounting: §VI-C2
-    /// truncated-ID collisions (global entries), observers, and the race
-    /// push. Returns whether the entry changed (the
-    /// `ShadowTraffic::writes` signal; conservatively `true` when
-    /// `traffic` is off). Kept out of line so the wide tier inlines into
-    /// the batch loop.
+    /// The full Fig. 3 check of chunk `idx` on page `pe`: load the entry
+    /// (stamp-checking its slot), run the rules on the value with their
+    /// accounting — §VI-C2 truncated-ID collisions (global entries),
+    /// observers, the race push — and store the entry back if it changed.
+    /// Returns whether it changed (the `ShadowTraffic::writes` signal).
+    /// Kept out of line so the wide tier inlines into the batch loop.
     #[cold]
     #[inline(never)]
     fn full_check(
         &mut self,
-        entry: &mut ShadowEntry,
+        pe: &mut PageEntries<'_>,
+        idx: usize,
         a: &MemAccess,
         chunk_addr: u32,
         h: &mut DetectorHealth,
     ) -> bool {
+        let mut entry = pe.load(idx, h);
         let mut chunk_access = *a;
         chunk_access.addr = chunk_addr;
         if self.policy.space == MemSpace::Global
             && a.kind.is_tracked()
             && !entry.is_fresh()
-            && id_truncation_collision(entry, &a.who)
+            && id_truncation_collision(&entry, &a.who)
         {
-            // The unpacked simulator still distinguishes the threads;
-            // §VI-C2 packed hardware would have conflated them here.
+            // The simulator's full-width entry still distinguishes the
+            // threads; §VI-C2 packed hardware would have conflated them.
             h.id_truncation_collisions += 1;
         }
-        let state_before = entry.state();
-        let before = self.traffic.then_some(*entry);
+        let before = entry;
         let race = entry.observe_health(&chunk_access, self.clocks, self.policy, h);
-        self.note(a, chunk_addr, state_before, entry.state());
+        self.note(a, chunk_addr, before.state(), entry.state());
         if let Some(r) = race {
             if self.capture_witness {
                 self.log.push_with_witness(r, &self.ring.collect_for(chunk_addr));
@@ -560,7 +543,11 @@ impl<const OBSERVED: bool> Checker<'_, '_, OBSERVED> {
                 self.log.push(r);
             }
         }
-        before.is_none_or(|b| *entry != b)
+        let changed = entry != before;
+        if changed {
+            pe.store(idx, &entry);
+        }
+        changed
     }
 }
 
@@ -1020,9 +1007,9 @@ mod tests {
     /// A multi-chunk access between single-chunk lanes on one page: it
     /// ends the run and takes the full check per chunk, racing with and
     /// re-opening two entries the wide tier opened. The run after it must
-    /// repack the page mirror its full check invalidated — with stale hot
-    /// words, warp 0's next writes to those entries would pass the screen
-    /// as their owner and their races would go unreported.
+    /// screen against the entries that full check stored — had it seen
+    /// the old ones, warp 0's next writes to those entries would pass the
+    /// screen as their owner and their races would go unreported.
     #[test]
     fn warp_batch_matches_scalar_multi_chunk_lane_mid_run() {
         let d = assert_steps_in_both_spaces(|base, g, sm| {

@@ -12,7 +12,9 @@
 
 use crate::access::{MemAccess, MemSpace};
 use crate::config::DetectorConfig;
+use crate::cost::GLOBAL_SHADOW_STRIDE_BYTES;
 use crate::detector::Detector;
+use crate::granularity::Granularity;
 use crate::health::DetectorHealth;
 use crate::json::Value;
 use crate::json_object;
@@ -160,6 +162,35 @@ impl TraceGeometry {
             global_len: v.int_field("global_len")?,
         })
     }
+
+    /// Where replay addresses the global shadow words: right after the
+    /// tracked region (replay has no timing, so only distinctness
+    /// matters). Refuses, as the simulator's launch layout does, a
+    /// geometry whose tracked region, or the shadow words of either
+    /// space at `cfg`'s granularities, would run past the 32-bit address
+    /// space.
+    fn shadow_base(&self, cfg: &DetectorConfig) -> Result<u32, String> {
+        let words = |bytes: u32, gran: Granularity| {
+            u32::try_from(gran.entries_for(bytes)).ok()?.checked_mul(GLOBAL_SHADOW_STRIDE_BYTES)
+        };
+        let fits = || {
+            let base = self.global_base.checked_add(self.global_len)?;
+            base.checked_add(words(self.global_len, cfg.global_granularity)?)?;
+            words(self.shared_bytes_per_sm, cfg.shared_granularity)?;
+            Some(base)
+        };
+        fits().ok_or_else(|| {
+            format!(
+                "the tracked region ({} bytes from {:#x}) and the shadow words of {} B global and \
+                 {} B shared granules ({} shared bytes per SM) overflow the 32-bit address space",
+                self.global_len,
+                self.global_base,
+                cfg.global_granularity.bytes(),
+                cfg.shared_granularity.bytes(),
+                self.shared_bytes_per_sm,
+            )
+        })
+    }
 }
 
 /// Replays traces through the detector.
@@ -171,17 +202,15 @@ pub struct Replayer {
 }
 
 impl Replayer {
-    /// Build a replayer for a configuration and geometry. The shadow
-    /// region is addressed immediately after the tracked region (replay
-    /// has no timing, so only distinctness matters).
-    pub fn new(cfg: &DetectorConfig, geo: &TraceGeometry) -> Self {
-        let shadow_base = geo.global_base.saturating_add(geo.global_len);
-        Self {
+    /// Build a replayer for a configuration and geometry. A geometry
+    /// whose shadow layout runs past the 32-bit address space is refused.
+    pub fn new(cfg: &DetectorConfig, geo: &TraceGeometry) -> Result<Self, String> {
+        Ok(Self {
             geo: *geo,
-            det: Detector::new(*cfg, geo, shadow_base),
+            det: Detector::new(*cfg, geo, geo.shadow_base(cfg)?),
             health: DetectorHealth::default(),
             events: 0,
-        }
+        })
     }
 
     /// Feed one event. Access events get their sync/fence clock fields
@@ -266,7 +295,7 @@ mod tests {
 
     #[test]
     fn replay_detects_the_fig3_raw() {
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let trace = [
             acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Shared, 64, AccessKind::Read, 40, 1, 0, 0),
@@ -279,7 +308,7 @@ mod tests {
 
     #[test]
     fn barrier_events_order_shared_accesses() {
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let trace = [
             acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0),
             TraceEvent::Barrier { block: 0, sm: 0, shared_lo: 0, shared_hi: 4096 },
@@ -290,14 +319,14 @@ mod tests {
 
     #[test]
     fn fence_events_publish_global_writes() {
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let racy = [
             acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Global, 0x1040, AccessKind::Read, 100, 4, 1, 1),
         ];
         assert_eq!(r.replay(racy.iter()).unwrap().distinct(), 1);
 
-        let mut r2 = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r2 = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let fenced = [
             acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 0, 0),
             TraceEvent::Fence { warp: 0 },
@@ -310,7 +339,7 @@ mod tests {
     fn clock_fields_are_stamped_by_the_replayer() {
         // The same trace with barriers interleaved: sync IDs advance so
         // same-block cross-warp accesses in later epochs are safe.
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let trace = [
             acc(MemSpace::Global, 0x1000, AccessKind::Write, 0, 0, 0, 0),
             TraceEvent::Barrier { block: 0, sm: 0, shared_lo: 0, shared_hi: 0 },
@@ -321,7 +350,7 @@ mod tests {
 
     #[test]
     fn local_accesses_are_ignored() {
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let trace = [
             acc(MemSpace::Local, 0x10, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Local, 0x10, AccessKind::Write, 40, 1, 0, 0),
@@ -333,7 +362,7 @@ mod tests {
     fn replayer_surfaces_health_and_witnesses() {
         let mut cfg = DetectorConfig::paper_default();
         cfg.witness_capture = true;
-        let mut r = Replayer::new(&cfg, &geo());
+        let mut r = Replayer::new(&cfg, &geo()).unwrap();
         let trace = [
             acc(MemSpace::Shared, 64, AccessKind::Write, 0, 0, 0, 0),
             acc(MemSpace::Shared, 64, AccessKind::Read, 40, 1, 0, 0),
@@ -348,7 +377,7 @@ mod tests {
 
     #[test]
     fn events_outside_the_geometry_are_rejected_unreplayed() {
-        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo());
+        let mut r = Replayer::new(&DetectorConfig::paper_default(), &geo()).unwrap();
         let outside = [
             acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 4, 0),
             acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 16, 0, 0),
@@ -365,6 +394,38 @@ mod tests {
         assert_eq!(r.feed(&acc(MemSpace::Global, 0x1040, AccessKind::Write, 0, 0, 0, 9)), Ok(()));
         assert_eq!(r.events(), 1);
         assert!(r.replay(outside.iter()).is_err());
+    }
+
+    /// A tracked region that ends inside the address space but whose
+    /// shadow words would not, a tracked region past it, and shared
+    /// shadow words past it at 1 B granules: all refused, as the
+    /// simulator's launch layout refuses them.
+    #[test]
+    fn a_shadow_layout_past_32_bits_is_refused() {
+        let cfg = DetectorConfig::paper_default();
+        let at = |global_base, global_len, shared_bytes_per_sm| TraceGeometry {
+            global_base,
+            global_len,
+            shared_bytes_per_sm,
+            ..geo()
+        };
+        assert_eq!(geo().shadow_base(&cfg), Ok(0x2000));
+        // The longest region from 0x1000 whose shadow words (8 bytes per
+        // 4-byte granule) still end inside 32 bits, at u32::MAX.
+        let largest = 1_431_654_399;
+        assert_eq!(at(0x1000, largest, 4096).shadow_base(&cfg), Ok(0x1000 + largest));
+        for refused in [
+            at(0x1000, largest + 1, 4096),
+            at(0x8000_0000, 0x7FFF_FFFF, 4096),
+            at(u32::MAX, 2, 4096),
+        ] {
+            assert!(refused.shadow_base(&cfg).is_err(), "{refused:?}");
+            assert!(Replayer::new(&cfg, &refused).is_err(), "{refused:?}");
+        }
+        let mut fine = cfg;
+        fine.shared_granularity = Granularity::new(1).unwrap();
+        assert!(at(0x1000, 0x1000, 1 << 28).shadow_base(&fine).is_ok());
+        assert!(at(0x1000, 0x1000, 1 << 29).shadow_base(&fine).is_err());
     }
 
     #[test]

@@ -76,8 +76,10 @@ impl ShadowPolicy {
 ///
 /// Field widths in hardware (§VI-C2): 1-bit `modified`, 1-bit `shared`,
 /// 10-bit `tid`, 3-bit `bid`, 5-bit `sid`, 8-bit `sync_id`, 8-bit
-/// `fence_id`, 16-bit `atomic_sig`. We store them unpacked; the cost model
-/// (`cost.rs`) accounts for the packed widths.
+/// `fence_id`, 16-bit `atomic_sig`. The simulator keeps every field at
+/// full width — this value type, and the columns a shadow page stores it
+/// in ([`crate::shadow_table`]); the cost model (`cost.rs`) accounts for
+/// the packed widths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShadowEntry {
     /// Written in the current epoch. `modified && shared` encodes "fresh".

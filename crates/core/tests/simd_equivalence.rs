@@ -3,8 +3,8 @@
 //!
 //! Random same-page runs mix thread identities, critical-section
 //! membership (Bloom-only and exact-table locksets), sync-ID epochs,
-//! cycles past the packable range (h2 poison), SM ids past the packable
-//! range (h1 poison), atomics and chunk-straddling accesses, as
+//! full-width values (cycles past 2^24, SM ids past 2^16), atomics and
+//! chunk-straddling accesses, as
 //! generated, behind an owner's read, or behind another lane of the
 //! warp (see `variants`). Each batch is replayed for three rounds — the
 //! later rounds sit in the ordered-lane steady state the wide tier is
@@ -35,13 +35,13 @@ struct Lane {
     /// 3 = lock A with an exact table alongside the Bloom signature.
     cs: u8,
     sync_id: u8,
-    /// Cycle beyond the packed h2 width, poisoning the elision word.
+    /// A full-width cycle, past 2^24.
     big_cycle: bool,
     /// Size-8 access spanning two 4 B global chunks (splits the run).
     straddle: bool,
     l1_hit: bool,
-    /// SM id beyond the packed h1 width, poisoning the key word
-    /// (global RDU only; the shared RDU pins sm = 0).
+    /// A full-width SM id, past 2^16 (global RDU only; the shared RDU
+    /// pins sm = 0).
     huge_sm: bool,
 }
 
@@ -55,7 +55,7 @@ fn arb_kind() -> impl Strategy<Value = AccessKind> {
 
 fn arb_lane() -> impl Strategy<Value = Lane> {
     // Two nested tuples: the flag draws are u8 lottery tickets so the
-    // rare shapes (poisoned words, straddles) stay rare but present.
+    // rare shapes (full-width values, straddles) stay rare but present.
     (
         (0u32..192, arb_kind(), 0u32..96, 0u8..4, 0u8..3),
         (0u8..10, 0u8..10, any::<bool>(), 0u8..10),

@@ -63,7 +63,8 @@ pub fn analyze(
         .and_then(|v| TraceGeometry::from_json(&v))
         .map_err(|e| format!("bad geometry header: {e}"))?;
 
-    let mut replayer = Replayer::new(cfg, &geo);
+    let mut replayer =
+        Replayer::new(cfg, &geo).map_err(|e| format!("bad geometry header: {e}"))?;
     let mut skipped = 0u64;
     for (no, line) in lines.enumerate() {
         let line = line.map_err(|e| format!("read error at line {}: {e}", no + 2))?;
@@ -353,7 +354,7 @@ mod tests {
                 trace += &format!("{}\n", e.to_json());
             }
             let a = analyze(Cursor::new(trace), &cfg).unwrap();
-            let mut direct = Replayer::new(&cfg, &geo);
+            let mut direct = Replayer::new(&cfg, &geo).unwrap();
             direct.replay(events.iter()).unwrap();
             assert_eq!((a.events, a.skipped), (events.len() as u64, 0));
             assert_eq!(a.replayer.races().distinct(), direct.races().distinct());
@@ -361,6 +362,21 @@ mod tests {
             let races = direct.races().distinct() > 0;
             assert_eq!(races, !with_barrier, "only the missing barrier races");
         }
+    }
+
+    /// A header whose tracked region fits 32 bits while its shadow words
+    /// do not: refused as a bad header (exit status 2) before any event
+    /// replays.
+    #[test]
+    fn a_header_whose_shadow_overflows_the_address_space_is_an_error() {
+        let header = r#"{"num_sms":1,"shared_bytes_per_sm":16384,"shared_banks":16,"blocks":1,"warps":1,"global_base":2147483648,"global_len":2147483647}"#;
+        let write = r#"{"Access":{"space":"Global","access":{"addr":2147483652,"size":4,"kind":"Write","who":{"tid":0,"warp":0,"block":0,"sm":0},"pc":1,"sync_id":0,"fence_id":0,"atomic_sig":0,"in_critical_section":false,"l1_hit":false,"l1_fill_cycle":0,"cycle":0}}}"#;
+        let trace = format!("{header}\n{write}\n");
+        let Err(e) = analyze(Cursor::new(trace), &DetectorConfig::paper_default()) else {
+            panic!("an overflowing shadow layout was replayed");
+        };
+        assert!(e.starts_with("bad geometry header: "), "{e}");
+        assert!(e.contains("overflow the 32-bit address space"), "{e}");
     }
 
     #[test]
@@ -385,7 +401,7 @@ mod tests {
         };
         let mut cfg = DetectorConfig::paper_default();
         cfg.witness_capture = witness_capture;
-        let mut replayer = Replayer::new(&cfg, &geo);
+        let mut replayer = Replayer::new(&cfg, &geo).unwrap();
         let acc = |kind, tid, warp, block, sm| TraceEvent::Access {
             space: MemSpace::Global,
             access: MemAccess::plain(4096, 4, kind, ThreadCoord::new(tid, warp, block, sm)),
@@ -436,7 +452,7 @@ mod tests {
         };
         let mut cfg = DetectorConfig::paper_default();
         cfg.witness_capture = true;
-        let mut replayer = Replayer::new(&cfg, &geo);
+        let mut replayer = Replayer::new(&cfg, &geo).unwrap();
         replayer
             .feed(&TraceEvent::Access {
                 space: MemSpace::Global,

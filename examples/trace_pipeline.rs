@@ -63,7 +63,8 @@ fn fig1_trace(with_barrier: bool) -> Vec<TraceEvent> {
 }
 
 fn analyze(label: &str, with_barrier: bool) {
-    let mut r = Replayer::new(&DetectorConfig::paper_default(), &geometry());
+    let mut r = Replayer::new(&DetectorConfig::paper_default(), &geometry())
+        .expect("the geometry's shadow fits the address space");
     r.replay(fig1_trace(with_barrier).iter()).expect("the trace fits its geometry");
     println!("{label:24} events={:3}  races={}", r.events(), r.races().distinct());
     for rec in r.races().records().iter().take(3) {
